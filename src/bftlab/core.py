@@ -1,8 +1,9 @@
 """Shared identities, request logs, signature tokens, and quorum arithmetic."""
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 ZYZZYVA = "zyzzyva"
 FAB5 = "fab5"
@@ -23,7 +24,46 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@dataclass(frozen=True, order=True)
+# --- immutable values -------------------------------------------------------
+
+def _memoized(fn, slot: str):
+    @functools.wraps(fn)
+    def cached(self):
+        value = getattr(self, slot, None)
+        if value is None:
+            value = fn(self)
+            object.__setattr__(self, slot, value)
+        return value
+
+    return cached
+
+
+def immutable(cls=None, /, **options):
+    """A frozen, slotted dataclass that computes canon, payload, verify and
+    hash once per instance; `options` pass through to `dataclass`.
+
+    Each result is kept in a slot declared `field(init=False, repr=False,
+    compare=False)`, so repr, eq and hash are those of the plain dataclass
+    (trace state digests hash repr) and `dataclasses.replace` starts the new
+    instance with empty caches. Mutating an instance through
+    `object.__setattr__` is unsupported: cached results would go stale.
+    """
+
+    def wrap(cls):
+        methods = [m for m in ("canon", "payload", "verify") if m in vars(cls)]
+        for name in methods + ["hash"]:
+            cls.__annotations__[f"_{name}"] = "object"
+            setattr(cls, f"_{name}", field(init=False, repr=False, compare=False))
+        cls = dataclass(frozen=True, slots=True, **options)(cls)
+        for name in methods:
+            setattr(cls, name, _memoized(vars(cls)[name], f"_{name}"))
+        cls.__hash__ = _memoized(cls.__hash__, "_hash")
+        return cls
+
+    return wrap if cls is None else wrap(cls)
+
+
+@immutable(order=True)
 class NodeId:
     """A replica ("r") or client ("c") identity."""
 
@@ -71,7 +111,7 @@ def token_ok(token: "SignatureToken", signer: NodeId, payload: bytes) -> bool:
     return token.signer == signer and token == mint(signer, payload)
 
 
-@dataclass(frozen=True)
+@immutable
 class SignatureToken:
     signer: NodeId
     value: str
@@ -82,7 +122,7 @@ class SignatureToken:
 
 # --- requests and logs ------------------------------------------------------
 
-@dataclass(frozen=True)
+@immutable
 class Request:
     """A signed client operation; op semantics are opaque."""
 
@@ -159,7 +199,7 @@ def exec_result(log: Log) -> str:
 
 # --- quorum arithmetic ------------------------------------------------------
 
-@dataclass(frozen=True)
+@immutable
 class QuorumConfig:
     protocol: str
     f: int

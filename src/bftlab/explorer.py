@@ -20,7 +20,6 @@ simulator before being reported.
 """
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -33,6 +32,7 @@ from .core import (
     NodeId,
     client,
     exec_result,
+    immutable,
     leader_of,
     log_key,
     log_ops,
@@ -105,7 +105,7 @@ class ExploreResult:
 
 # --- kernel world state -----------------------------------------------------
 
-@dataclass(frozen=True)
+@immutable
 class KMsg:
     mid: int
     src: NodeId
@@ -113,7 +113,7 @@ class KMsg:
     msg: object
 
 
-@dataclass(frozen=True)
+@immutable
 class KState:
     replicas: tuple
     clients: tuple
@@ -181,6 +181,16 @@ class _Kernel:
         self.qc = quorum_config(cfg.protocol, cfg.f, cfg.t)
         self.byz = replica(cfg.byzantine[0])
         self.correct = tuple(replica(i) for i in range(self.qc.n) if replica(i) != self.byz)
+        self._interned: dict = {}
+
+    def intern(self, obj):
+        """The search's one canonical instance of obj's value.
+
+        Equal values reached along different paths then share one object, so
+        its memoized canonical bytes, verification and hash are computed once
+        per distinct value and the search keeps no duplicate copies.
+        """
+        return self._interned.setdefault(obj, obj)
 
     # protocol hooks -----------------------------------------------------------
     def initial(self, sink) -> KState:
@@ -214,6 +224,11 @@ class _Kernel:
         raise NotImplementedError
 
     # shared mechanics ------------------------------------------------------------
+    def _set_replica(self, st: KState, rid: NodeId, rs) -> KState:
+        reps = list(st.replicas)
+        reps[rid.index] = self.intern(rs)
+        return replace(st, replicas=tuple(reps))
+
     def _store_add(self, st: KState, msg) -> KState:
         items = {a.canon(): a for a in st.store}
         queue = [msg]
@@ -228,8 +243,9 @@ class _Kernel:
     def route(self, st: KState, src: NodeId, sends, sink) -> KState:
         """Send messages: pool for correct targets, instant store for Byzantine."""
         for dst, msg in sends:
+            msg = self.intern(msg)
             st = self.note_sent(st, src, msg)
-            kmsg = KMsg(st.next_mid, src, dst, msg)
+            kmsg = self.intern(KMsg(st.next_mid, src, dst, msg))
             st = replace(st, next_mid=st.next_mid + 1)
             if sink is not None:
                 sink.note_send(kmsg)
@@ -346,14 +362,9 @@ class ZyzzyvaKernel(_Kernel):
             st = self.route(st, cl.cid, ((lead, cl.request),), sink)
         return self.normalize(st, sink)
 
-    def _set_replica(self, st, rid, rs):
-        reps = list(st.replicas)
-        reps[rid.index] = rs
-        return replace(st, replicas=tuple(reps))
-
     def _set_client(self, st, cid, cs):
         cls = list(st.clients)
-        cls[cid.index - 1] = cs
+        cls[cid.index - 1] = self.intern(cs)
         return replace(st, clients=tuple(cls))
 
     def note_sent(self, st, src, msg):
@@ -577,11 +588,6 @@ class FabKernel(_Kernel):
             timeouts=(),
         )
 
-    def _set_replica(self, st, rid, rs):
-        reps = list(st.replicas)
-        reps[rid.index] = rs
-        return replace(st, replicas=tuple(reps))
-
     def note_sent(self, st, src, msg):
         if msg.kind == "accepted":
             key = ("accepted", msg.view, msg.value)
@@ -728,9 +734,24 @@ class _Budget(Exception):
 
 
 def _dfs(kernel, st, seen, stats, cfg, depth):
+    """Depth-first search below st; the choices to the first violation, or None.
+
+    The stack holds one iterator over the remaining choices of each state on
+    the current path, so the search depth is not bounded by Python's
+    recursion limit.
+    """
     stats["max_depth"] = max(stats["max_depth"], depth)
-    for choice in kernel.choices(st):
-        child = kernel.apply(st, choice)
+    path: list = []  # the choices that lead from st to the top of the stack
+    stack = [(st, iter(kernel.choices(st)))]
+    while stack:
+        state, todo = stack[-1]
+        choice = next(todo, None)
+        if choice is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        child = kernel.apply(state, choice)
         if seen is not None:
             if child in seen:
                 stats["deduped"] += 1
@@ -740,10 +761,10 @@ def _dfs(kernel, st, seen, stats, cfg, depth):
         if stats["states"] > cfg.max_states:
             raise _Budget()
         if kernel.violated(child):
-            return (choice,)
-        rest = _dfs(kernel, child, seen, stats, cfg, depth + 1)
-        if rest is not None:
-            return (choice,) + rest
+            return tuple(path) + (choice,)
+        path.append(choice)
+        stack.append((child, iter(kernel.choices(child))))
+        stats["max_depth"] = max(stats["max_depth"], depth + len(path))
     return None
 
 
@@ -836,7 +857,6 @@ def explore(cfg: ExploreConfig, parallel: int = 1) -> ExploreResult:
     to the sequential search (statistics count all branch work performed).
     """
     cfg = validate_config(cfg)
-    sys.setrecursionlimit(100_000)
     started = time.monotonic()
     if parallel <= 1:
         found, stats = _search(cfg)

@@ -14,6 +14,7 @@ from .core import (
     NodeId,
     QuorumConfig,
     SignatureToken,
+    immutable,
     leader_of,
     mint,
     pack,
@@ -31,7 +32,7 @@ def signed(msg, signer: NodeId):
 
 # --- messages ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@immutable
 class Propose:
     """Leader pre-proposal; carries the justifying progress certificate in views > 1."""
 
@@ -53,7 +54,7 @@ class Propose:
         return token_ok(self.token, self.token.signer, self.payload())
 
 
-@dataclass(frozen=True)
+@immutable
 class Accepted:
     """Replica prepare message for one value per view."""
 
@@ -76,7 +77,7 @@ class Accepted:
         )
 
 
-@dataclass(frozen=True)
+@immutable
 class CommitProof:
     """n-f-t matching prepares for one (view, value): PFaB's commit-certificate."""
 
@@ -105,7 +106,7 @@ class CommitProof:
         )
 
 
-@dataclass(frozen=True)
+@immutable
 class CommitProofMsg:
     """A replica's commit message broadcasting its proof."""
 
@@ -127,7 +128,7 @@ class CommitProofMsg:
         )
 
 
-@dataclass(frozen=True)
+@immutable
 class Rep:
     """New-view message: last prepared value and last commit-proof sent."""
 
@@ -161,7 +162,7 @@ class Rep:
         )
 
 
-@dataclass(frozen=True)
+@immutable
 class ProgressCertificate:
     """Quorum of REP messages gathered by a new leader."""
 
@@ -277,7 +278,7 @@ def leader_choose(pc: ProgressCertificate, cfg: QuorumConfig, preferred: bytes |
 
 # --- replica state machine ----------------------------------------------------
 
-@dataclass(frozen=True)
+@immutable
 class FabReplicaState:
     rid: NodeId
     cfg: QuorumConfig

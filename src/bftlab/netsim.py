@@ -19,6 +19,7 @@ from .core import (
     NodeId,
     digest,
     is_null,
+    log_canon,
     log_ops,
     parse_node,
     quorum_config,
@@ -241,7 +242,22 @@ class Simulation:
         self.stores = {b: _Store() for b in self.byzantine}
         self.node_rank: dict[NodeId, int] = {}
         self.delivered_rank: dict[tuple, int] = {}
-        self.sent_protocol: list = []
+        # incremental decision accounting. tracks: message kind -> (report
+        # order, track, quorum); senders: (order, view, log bytes or value) ->
+        # the replicas that sent a matching message; ripe: groups that reached
+        # quorum since the last scan; decided: the decisions reported so far
+        if scenario.protocol == ZYZZYVA:
+            self.tracks = {
+                "spec_response": (0, zyzzyva.FAST, self.cfg.fast_quorum),
+                "local_commit": (1, zyzzyva.TWO_PHASE, self.cfg.commit_quorum),
+            }
+        else:
+            self.tracks = {
+                "accepted": (0, fab.FAST, self.cfg.fast_quorum),
+                "commit_proof_msg": (1, fab.COMMIT, self.cfg.commit_quorum),
+            }
+        self.senders: dict[tuple, set] = {}
+        self.ripe: list = []
         self.decided: set = set()
 
         self.replicas: dict[NodeId, object] = {}
@@ -300,11 +316,24 @@ class Simulation:
         self.next_mid += 1
         self.pool.append(entry)
         rec["emitted"].append(entry.describe())
-        if msg.kind in ("spec_response", "local_commit", "accepted", "commit_proof_msg"):
-            # quorum formation counts distinct senders, so one copy is enough
-            if not any(m is msg for m in self.sent_protocol):
-                self.sent_protocol.append(msg)
+        if msg.kind in self.tracks:
+            self._count_sent(msg)
         return entry
+
+    def _count_sent(self, msg):
+        """Count a sent message toward its decision group, by distinct replica."""
+        order, track, quorum = self.tracks[msg.kind]
+        if msg.kind == "commit_proof_msg":
+            group = (order, msg.proof.view, msg.proof.value)
+        elif msg.kind == "accepted":
+            group = (order, msg.view, msg.value)
+        else:
+            group = (order, msg.view, log_canon(msg.log))
+        senders = self.senders.setdefault(group, set())
+        if msg.replica not in senders:
+            senders.add(msg.replica)
+            if len(senders) == quorum:
+                self.ripe.append((group, track, msg))
 
     def _apply(self, rec: dict, node: NodeId, result):
         """Commit a transition result: new state, sends, notes."""
@@ -333,7 +362,7 @@ class Simulation:
                 self._zyz_commits(note.view, note.log, note.track, str(node), depth)
             )
         elif isinstance(note, fab.FabDecision):
-            rec["commits"].append(self._fab_commit(note, str(node)))
+            rec["commits"].append(self._fab_commit(note.view, note.value, note.track, str(node)))
         elif isinstance(note, fab.StuckReport):
             rec["stuck"] = {
                 "view": note.view,
@@ -369,25 +398,27 @@ class Simulation:
             )
         return out
 
-    def _fab_commit(self, d: fab.FabDecision, by: str) -> dict:
-        return {"value": d.value.decode(), "view": d.view, "track": d.track, "by": by}
+    def _fab_commit(self, view, value: bytes, track, by: str) -> dict:
+        return {"value": value.decode(), "view": view, "track": track, "by": by}
 
     def _scan_quorums(self, rec: dict):
-        """Omniscient commits: a decision exists once a quorum has been sent."""
-        if self.scenario.protocol == ZYZZYVA:
-            for d in zyzzyva.check_decisions(self.sent_protocol, self.cfg):
-                key = (d.view, tuple(log_ops(d.log)), d.track)
-                if key in self.decided:
-                    continue
-                self.decided.add(key)
-                rec["commits"].extend(self._zyz_commits(d.view, d.log, d.track, "quorum"))
-        else:
-            for d in fab.check_decision(self.sent_protocol, self.cfg):
-                key = (d.view, d.value, d.track)
-                if key in self.decided:
-                    continue
-                self.decided.add(key)
-                rec["commits"].append(self._fab_commit(d, "quorum"))
+        """Omniscient commits: a decision exists once a quorum has been sent.
+
+        Only groups that reached quorum since the last scan can add a
+        decision. They are reported in the order a rescan of every sent
+        message (zyzzyva.check_decisions, fab.check_decision) lists them.
+        """
+        ripe, self.ripe = sorted(self.ripe, key=lambda r: r[0]), []
+        for (_, view, value), track, msg in ripe:
+            if self.scenario.protocol == ZYZZYVA:
+                key = (view, tuple(log_ops(msg.log)), track)
+                if key not in self.decided:
+                    rec["commits"].extend(self._zyz_commits(view, msg.log, track, "quorum"))
+            else:
+                key = (view, value, track)
+                if key not in self.decided:
+                    rec["commits"].append(self._fab_commit(view, value, track, "quorum"))
+            self.decided.add(key)
 
     # -- pattern matching ---------------------------------------------------------
 

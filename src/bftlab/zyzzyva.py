@@ -17,6 +17,7 @@ from .core import (
     Request,
     SignatureToken,
     exec_result,
+    immutable,
     is_null,
     is_prefix,
     leader_of,
@@ -40,7 +41,7 @@ def signed(msg, signer: NodeId):
 
 # --- messages ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@immutable
 class OrderReq:
     """Leader pre-prepare carrying its full request log."""
 
@@ -62,7 +63,7 @@ class OrderReq:
         )
 
 
-@dataclass(frozen=True)
+@immutable
 class SpecResponse:
     """Replica prepare: speculative result for a log it adopted."""
 
@@ -94,7 +95,7 @@ class SpecResponse:
         )
 
 
-@dataclass(frozen=True)
+@immutable
 class CommitCertificate:
     """2f+1 matching SpecResponses for one (view, log)."""
 
@@ -131,7 +132,7 @@ def make_certificate(responses) -> CommitCertificate:
     return CommitCertificate(rs[0].view, rs[0].log, rs)
 
 
-@dataclass(frozen=True)
+@immutable
 class CommitRequest:
     """Client message carrying a commit certificate."""
 
@@ -151,7 +152,7 @@ class CommitRequest:
         return token_ok(self.token, self.client, self.payload())
 
 
-@dataclass(frozen=True)
+@immutable
 class LocalCommit:
     """Replica commit response for a certified (view, log)."""
 
@@ -179,7 +180,7 @@ class LocalCommit:
         )
 
 
-@dataclass(frozen=True)
+@immutable
 class ViewChangeMessage:
     """A replica's local state shipped to the new leader."""
 
@@ -210,7 +211,7 @@ class ViewChangeMessage:
         )
 
 
-@dataclass(frozen=True)
+@immutable
 class NewViewMessage:
     """New leader's proof set P plus the reconstructed base log G."""
 
@@ -286,7 +287,7 @@ def reconstruct_log(proof, cfg: QuorumConfig) -> Log:
 
 # --- replica state machine ----------------------------------------------------
 
-@dataclass(frozen=True)
+@immutable
 class ReplicaState:
     rid: NodeId
     cfg: QuorumConfig
@@ -415,7 +416,7 @@ class Decision:
     quorum: tuple
 
 
-@dataclass(frozen=True)
+@immutable
 class ClientState:
     cid: NodeId
     cfg: QuorumConfig

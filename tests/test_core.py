@@ -1,3 +1,7 @@
+import functools
+import random
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +9,7 @@ from bftlab.core import (
     FAB5,
     PFAB,
     ZYZZYVA,
+    SignatureToken,
     client,
     is_prefix,
     leader_of,
@@ -14,6 +19,7 @@ from bftlab.core import (
     replica,
     token_ok,
 )
+from bftlab.explorer import ExploreConfig, _kernel_for
 
 
 def test_zyzzyva_thresholds():
@@ -105,3 +111,71 @@ def test_embedded_tokens_stay_valid():
     req = _req("a")
     copied = (req,)
     assert copied[0].verify()
+
+
+IMMUTABLE_TYPES = (
+    "NodeId", "SignatureToken", "Request", "QuorumConfig",
+    "OrderReq", "SpecResponse", "CommitCertificate", "CommitRequest", "LocalCommit",
+    "ViewChangeMessage", "NewViewMessage", "ReplicaState", "ClientState",
+    "Propose", "Accepted", "CommitProof", "CommitProofMsg", "Rep", "ProgressCertificate",
+    "FabReplicaState", "KState", "KMsg",
+)
+SIGNED_TYPES = (
+    "Request", "OrderReq", "SpecResponse", "CommitRequest", "LocalCommit",
+    "ViewChangeMessage", "NewViewMessage", "Propose", "Accepted", "CommitProofMsg", "Rep",
+)
+
+
+@functools.cache
+def _immutable_samples() -> dict:
+    """The first value of each immutable type met on seeded random walks
+    through both explorer kernels. Their states hold every message,
+    certificate and state type: the Byzantine replica's store keeps what it
+    was sent, such as the correct leaders' OrderReq and NEW-VIEW."""
+    samples, seen = {}, set()
+
+    def visit(obj):
+        if isinstance(obj, tuple):
+            for item in obj:
+                visit(item)
+        elif "_hash" in getattr(type(obj), "__slots__", ()) and obj not in seen:
+            seen.add(obj)
+            samples.setdefault(type(obj).__name__, obj)
+            for f in fields(obj):
+                if f.init:
+                    visit(getattr(obj, f.name))
+
+    menu = ("equivocate", "withhold", "inject_stored")
+    for cfg in (ExploreConfig(protocol="pfab", values=("A", "B"), menu=menu),
+                ExploreConfig(protocol="zyzzyva", requests=("a", "b"), byzantine=(3,), menu=menu)):
+        kernel, rng = _kernel_for(cfg), random.Random(1)
+        for _ in range(5):
+            state = kernel.initial(None)
+            for _ in range(30):
+                options = kernel.choices(state)
+                if not options:
+                    break
+                state = kernel.apply(state, rng.choice(options))
+                visit(state)
+    return samples
+
+
+@pytest.mark.parametrize("name", IMMUTABLE_TYPES)
+def test_memoized_results_stay_out_of_repr_eq_and_hash(name):
+    sample = _immutable_samples()[name]
+    value, twin = replace(sample), replace(sample)  # equal, with empty caches
+    before = (repr(value), value == twin, hash(twin))
+    for method in ("canon", "payload", "verify"):
+        if hasattr(value, method):
+            assert getattr(value, method)() == getattr(replace(sample), method)()
+    hash(value)
+    assert (repr(value), value == twin, hash(value)) == before
+    assert twin == value and value == sample and repr(value) == repr(sample)
+
+
+@pytest.mark.parametrize("name", SIGNED_TYPES)
+def test_a_replaced_token_is_verified_afresh(name):
+    msg = _immutable_samples()[name]
+    assert msg.verify()
+    forged = replace(msg, token=SignatureToken(msg.token.signer, "0" * 64))
+    assert not forged.verify()

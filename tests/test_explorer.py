@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from dataclasses import replace
 
@@ -5,6 +7,7 @@ from bftlab.checkers import run_checkers
 from bftlab.explorer import (
     ExploreConfig,
     ExplorerError,
+    _kernel_for,
     explore,
     export_counterexample,
     validate_config,
@@ -61,9 +64,46 @@ def test_dedup_changes_statistics_not_outcomes():
 
 
 def test_exploration_is_deterministic():
+    # the second search in the process starts from its own empty intern table
     a, b = explore(PFAB_SMALL), explore(PFAB_SMALL)
-    assert a.stats["states"] == b.stats["states"]
+    a.stats.pop("elapsed"), b.stats.pop("elapsed")
+    assert a.stats == b.stats
+    assert (a.stats["states"], a.stats["deduped"], a.stats["max_depth"]) == (4372, 1502, 16)
     assert a.counterexample.scenario.to_json() == b.counterexample.scenario.to_json()
+
+
+def test_explore_leaves_the_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    explore(replace(PFAB_SMALL, max_states=200))
+    assert sys.getrecursionlimit() == before
+
+
+def _messages_in_flight(kernel, depth):
+    """Every pooled message of the states within `depth` choices of the root."""
+    frontier, msgs = [kernel.initial(None)], []
+    for _ in range(depth):
+        frontier = [kernel.apply(s, c) for s in frontier for c in kernel.choices(s)]
+        msgs.extend(k.msg for s in frontier for k in s.pool)
+    return msgs
+
+
+def test_one_search_shares_one_instance_per_sent_value():
+    msgs = _messages_in_flight(_kernel_for(PFAB_SMALL), 3)
+    assert len({id(m) for m in msgs}) == len(set(msgs))
+    # without interning, paths that send equal messages hold separate copies
+    plain = _kernel_for(PFAB_SMALL)
+    plain.intern = lambda obj: obj
+    copies = _messages_in_flight(plain, 3)
+    assert set(copies) == set(msgs)
+    assert len({id(m) for m in copies}) > len(set(copies))
+
+
+def test_intern_table_belongs_to_its_kernel():
+    first, second = _kernel_for(PFAB_SMALL), _kernel_for(PFAB_SMALL)
+    value = first.initial(None).replicas[1]
+    copy = replace(value)
+    assert first.intern(value) is value and first.intern(copy) is value
+    assert second.intern(copy) is copy
 
 
 def test_parallel_search_matches_sequential():

@@ -1,8 +1,15 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from bftlab.checkers import run_checkers
+from bftlab.core import ZYZZYVA, log_ops
+from bftlab.explorer import ExploreConfig, _kernel_for, _Sink
+from bftlab.fab import check_decision
 from bftlab.netsim import SimError, Simulation, Trace, run_scenario
-from bftlab.scenarios import Scenario, get_builtin, validate
+from bftlab.scenarios import BUILTIN_NAMES, Scenario, get_builtin, validate
+from bftlab.zyzzyva import check_decisions
 
 
 def _bare(protocol="zyzzyva", **kw):
@@ -182,3 +189,98 @@ def test_delay_all_except_pattern_spares_matches():
     trace = run_scenario(sc)
     delivered = [r for r in trace.records if r["kind"] == "deliver"]
     assert len(delivered) == 1 and delivered[0]["msg"]["src"] == "c1"
+
+
+class _RescanSimulation(Simulation):
+    """Reference decision accounting: rescan every sent message after each event."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.sent = []
+
+    def _send(self, rec, src, dst, msg, rank):
+        self.sent.append(msg)
+        return super()._send(rec, src, dst, msg, rank)
+
+    def _scan_quorums(self, rec):
+        if self.scenario.protocol == ZYZZYVA:
+            for d in check_decisions(self.sent, self.cfg):
+                key = (d.view, tuple(log_ops(d.log)), d.track)
+                if key not in self.decided:
+                    self.decided.add(key)
+                    rec["commits"].extend(self._zyz_commits(d.view, d.log, d.track, "quorum"))
+        else:
+            for d in check_decision(self.sent, self.cfg):
+                key = (d.view, d.value, d.track)
+                if key not in self.decided:
+                    self.decided.add(key)
+                    rec["commits"].append(self._fab_commit(d.view, d.value, d.track, "quorum"))
+
+
+def _benign_script(scenario, seed):
+    """A seeded benign schedule: every pending message delivered in random
+    order, with random client timeouts once nothing is in flight."""
+    rng = random.Random(seed)
+    sim = Simulation(scenario)
+    script = []
+
+    def do(step):
+        script.append(step)
+        sim._step(step)
+
+    if scenario.protocol == ZYZZYVA:
+        for c in scenario.clients:
+            do({"do": "client_request", "client": c["id"], "to": "r0"})
+    else:
+        do({"do": "propose", "node": "r0"})
+    timeouts = [f"c{c['id']}" for c in scenario.clients if rng.random() < 0.5]
+    while True:
+        pending = sim._pending()
+        if not pending:
+            if not timeouts:
+                return script
+            do({"do": "timeout", "node": timeouts.pop()})
+            continue
+        e = rng.choice(pending)
+        do({"do": "deliver", "match": {"type": e.msg.kind, "src": str(e.src),
+                                       "dst": str(e.dst), "ordinal": e.ordinal}})
+
+
+def _explorer_walk(cfg, seed, steps=40):
+    """A seeded random walk through the explorer's choices, as a scenario."""
+    kernel, sink, rng = _kernel_for(cfg), _Sink(), random.Random(seed)
+    state = kernel.initial(sink)
+    for _ in range(steps):
+        options = kernel.choices(state)
+        if not options:
+            break
+        state = kernel.apply(state, rng.choice(options), sink)
+    return validate(Scenario(
+        name="walk", protocol=cfg.protocol, f=cfg.f, t=cfg.t, byzantine=list(cfg.byzantine),
+        clients=[{"id": i + 1, "op": op} for i, op in enumerate(cfg.requests)],
+        script=sink.directives,
+    ))
+
+
+def _schedules():
+    for name in BUILTIN_NAMES:
+        yield get_builtin(name)
+    for seed in range(20):
+        ops = ["a", "b", "c"][: 1 + seed % 3]
+        zyz = _bare(clients=[{"id": i + 1, "op": op} for i, op in enumerate(ops)])
+        yield replace(zyz, script=_benign_script(zyz, seed))
+        for protocol in ("fab5", "pfab"):
+            fab = _bare(protocol, clients=[], inputs={"r0": "AB"[seed % 2]})
+            yield replace(fab, script=_benign_script(fab, seed))
+    menu = ("equivocate", "withhold", "inject_stored")
+    for seed in range(20):
+        yield _explorer_walk(ExploreConfig(protocol="zyzzyva", requests=("a", "b"), menu=menu,
+                                           max_views=3), seed)
+        yield _explorer_walk(ExploreConfig(protocol="pfab", values=("A", "B"), menu=menu), seed)
+
+
+def test_incremental_commits_equal_a_full_rescan():
+    for scenario in _schedules():
+        got = Simulation(scenario).run_script().records
+        want = _RescanSimulation(scenario).run_script().records
+        assert [r.get("commits") for r in got] == [r.get("commits") for r in want]
