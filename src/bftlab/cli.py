@@ -17,8 +17,15 @@ from .netsim import SimError, Trace, run_scenario
 from .scenarios import ScenarioError, builtin_scenarios, get_builtin, load_scenario
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors exit 1, like every other input error: 2 means a violation."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="bftlab", description=__doc__)
+    p = _Parser(prog="bftlab", description=__doc__)
     p.add_argument("--list", action="store_true", help="list built-in scenarios")
     sub = p.add_subparsers(dest="command")
 
@@ -36,7 +43,6 @@ def _parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("explore", help="bounded search for counterexamples")
     exp.add_argument("--explore-config", metavar="PATH", required=True)
     exp.add_argument("--out", metavar="PATH", help="write the found scenario here")
-    exp.add_argument("--parallel", type=int, default=1, metavar="N")
 
     sub.add_parser("list", help="list built-in scenarios")
     return p
@@ -127,7 +133,7 @@ def _cmd_explore(args) -> int:
         if key in data:
             data[key] = tuple(data[key])
     cfg = validate_config(ExploreConfig(**data))
-    result = explore(cfg, parallel=max(1, args.parallel))
+    result = explore(cfg)
     print(f"explored {result.stats['states']} states "
           f"(deduped {result.stats['deduped']}, depth {result.stats['max_depth']}) "
           f"in {result.stats['elapsed']}s")
@@ -169,13 +175,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ScenarioError, SimError, ExplorerError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (TypeError, ValueError) as e:
+    except (ScenarioError, SimError, ExplorerError, OSError, TypeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 ZYZZYVA = "zyzzyva"
 FAB5 = "fab5"
@@ -50,13 +50,13 @@ def immutable(cls=None, /, **options):
     """
 
     def wrap(cls):
-        methods = [m for m in ("canon", "payload", "verify") if m in vars(cls)]
+        methods = [m for m in ("canon", "payload", "verify") if hasattr(cls, m)]
         for name in methods + ["hash"]:
             cls.__annotations__[f"_{name}"] = "object"
             setattr(cls, f"_{name}", field(init=False, repr=False, compare=False))
         cls = dataclass(frozen=True, slots=True, **options)(cls)
         for name in methods:
-            setattr(cls, name, _memoized(vars(cls)[name], f"_{name}"))
+            setattr(cls, name, _memoized(getattr(cls, name), f"_{name}"))
         cls.__hash__ = _memoized(cls.__hash__, "_hash")
         return cls
 
@@ -90,10 +90,9 @@ def client(i: int) -> NodeId:
 
 
 def parse_node(name: str) -> NodeId:
-    kind, idx = name[0], name[1:]
-    if kind not in ("r", "c") or not idx.isdigit():
+    if not isinstance(name, str) or name[:1] not in ("r", "c") or not name[1:].isdigit():
         raise ValueError(f"bad node name: {name!r}")
-    return NodeId(kind, int(idx))
+    return NodeId(name[0], int(name[1:]))
 
 
 # --- signature tokens -------------------------------------------------------
@@ -111,6 +110,11 @@ def token_ok(token: "SignatureToken", signer: NodeId, payload: bytes) -> bool:
     return token.signer == signer and token == mint(signer, payload)
 
 
+def signed(msg, signer: NodeId):
+    """Fill in the token field by minting over the message payload."""
+    return replace(msg, token=mint(signer, msg.payload()))
+
+
 @immutable
 class SignatureToken:
     signer: NodeId
@@ -118,6 +122,22 @@ class SignatureToken:
 
     def canon(self) -> bytes:
         return pack(b"tok", self.signer.canon(), self.value.encode())
+
+
+class Signed:
+    """Base of the signed messages: `token` signs `payload()`, and the
+    canonical bytes are the payload followed by the token. By default the
+    signer is the replica named in the message's `replica` field."""
+
+    __slots__ = ()
+
+    def canon(self) -> bytes:
+        return pack(self.payload(), self.token.canon())
+
+    def verify(self) -> bool:
+        return self.token.signer == self.replica and token_ok(
+            self.token, self.replica, self.payload()
+        )
 
 
 # --- requests and logs ------------------------------------------------------
@@ -247,6 +267,16 @@ def quorum_config(protocol: str, f: int, t: int = 0) -> QuorumConfig:
     raise ValueError(f"unknown protocol: {protocol!r}")
 
 
+def distinct_quorum(msgs, size: int) -> bool:
+    """Exactly `size` messages, from `size` distinct replicas."""
+    return len(msgs) == size and len({m.replica for m in msgs}) == size
+
+
 def leader_of(view: int, n: int) -> NodeId:
     """Leader rotation: view v is led by replica (v-1) mod n."""
     return replica((view - 1) % n)
+
+
+def broadcast(msg, cfg: QuorumConfig) -> tuple:
+    """Sends of msg to every replica, the sender included."""
+    return tuple((replica(i), msg) for i in range(cfg.n))

@@ -1,8 +1,10 @@
 """Bounded exhaustive search over schedules and adversary actions.
 
-The explorer drives the same pure transition functions as the simulator over
-a lightweight immutable world state, enumerating choice points depth-first
-in a fixed canonical order:
+The explorer drives the simulator's rules over a lightweight immutable world
+state: deliveries go through the protocols' `step`, commit quorums through
+their `decision_group`, and the adversary's messages through
+`netsim.adversary_sends`. It enumerates choice points depth-first in a fixed
+canonical order:
 
   * while messages are in flight, the lowest-sequence pending message is
     processed next: "eager" classes always deliver, "fated" classes branch
@@ -13,15 +15,18 @@ in a fixed canonical order:
 Adversary behavior is a finite template menu. Actions are composite
 per-recipient assignments (one choice point covers a whole equivocation),
 and the adversary supportively echoes correct replicas' client-bound
-responses, which only ever adds commit evidence. Messages addressed to
-Byzantine nodes deliver immediately into the adversary's artifact store.
-Found runs are exported as ordinary scenarios and replayed through the real
-simulator before being reported.
+responses, which only ever adds commit evidence. Every move is a
+scenario-JSON adversary action, resolved against the state's artifact store;
+messages addressed to Byzantine nodes deliver immediately into that store.
+Found runs are exported as ordinary scenarios, made of those same actions,
+and replayed through the real simulator before being reported.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import fab, zyzzyva
 from .checkers import AGREEMENT, OCCURRED, STUCK, VIOLATED, run_checkers
@@ -31,15 +36,14 @@ from .core import (
     ZYZZYVA,
     NodeId,
     client,
-    exec_result,
     immutable,
     leader_of,
-    log_key,
     log_ops,
     quorum_config,
     replica,
 )
-from .netsim import _components, msg_view, run_scenario
+from .netsim import ArtifactError, adversary_sends, artifacts, find_artifacts
+from .netsim import msg_view, run_scenario
 from .scenarios import Scenario, validate
 
 MENU_KINDS = ("equivocate", "withhold", "inject_stored")
@@ -116,27 +120,17 @@ class KMsg:
 @immutable
 class KState:
     replicas: tuple
-    clients: tuple
-    pool: tuple
-    next_mid: int
-    view: int
-    slots: tuple  # adversary action slots already used
-    store: tuple  # artifacts observed by the Byzantine replica
-    sent_tab: tuple  # ((tag, view, key), frozenset of senders) sorted
-    echoed: tuple  # client-bound messages the adversary already echoed
-    commits: tuple  # zyzzyva (position, entry, view, track); fab (value, view, track)
-    timeouts: tuple
+    clients: tuple = ()
+    pool: tuple = ()
+    next_mid: int = 1
+    view: int = 1
+    slots: tuple = ()  # adversary action slots already used
+    store: tuple = ()  # artifacts observed by the Byzantine replica
+    sent_tab: tuple = ()  # (decision group, frozenset of senders), sorted
+    echoed: tuple = ()  # client-bound messages the adversary already echoed
+    commits: tuple = ()  # zyzzyva (position, entry, view, track); fab (value, view, track)
+    timeouts: tuple = ()
     stuck: bool = False
-
-
-def _tab_add(tab: tuple, key, sender) -> tuple:
-    items = dict(tab)
-    items[key] = items.get(key, frozenset()) | {sender}
-    return tuple(sorted(items.items()))
-
-
-def _tab_get(tab: tuple, key) -> frozenset:
-    return dict(tab).get(key, frozenset())
 
 
 class _Sink:
@@ -174,6 +168,7 @@ class _Sink:
 class _Kernel:
     """Shared search mechanics; protocol specifics live in the subclasses."""
 
+    proto = None  # the protocol module: step, decision_group, on_view_change_signal
     eager: tuple = ()
 
     def __init__(self, cfg: ExploreConfig):
@@ -196,22 +191,23 @@ class _Kernel:
     def initial(self, sink) -> KState:
         raise NotImplementedError
 
-    def handle_delivery(self, st: KState, kmsg: KMsg, sink) -> KState:
+    def decided(self, group, track, msg) -> tuple:
+        """The commits a decision group adds once msg completes its quorum."""
         raise NotImplementedError
 
-    def note_sent(self, st: KState, src: NodeId, msg) -> KState:
-        return st
+    def note(self, st: KState, note) -> KState:
+        """Record a transition's note (a client decision, a stuck report)."""
+        raise NotImplementedError
 
     def after_send(self, st: KState, src, dst, msg, sink) -> KState:
         return st
 
-    def signal_view(self, st: KState, rid: NodeId, view: int, sink) -> KState:
-        raise NotImplementedError
-
     def slot_choices(self, st: KState) -> list:
+        """The adversary's slot choices at an empty pool (menu "equivocate")."""
         raise NotImplementedError
 
-    def apply_slot(self, st: KState, choice, sink) -> KState:
+    def slot_action(self, slot, payload) -> dict:
+        """The adversary action of one slot choice, as a scenario-JSON dict."""
         raise NotImplementedError
 
     def eligible_timeouts(self, st: KState):
@@ -224,27 +220,50 @@ class _Kernel:
         raise NotImplementedError
 
     # shared mechanics ------------------------------------------------------------
-    def _set_replica(self, st: KState, rid: NodeId, rs) -> KState:
+    def _root(self, make_replica, clients=()) -> KState:
+        """The state before any step: fresh correct replicas, nothing sent."""
+        nodes = [replica(i) for i in range(self.qc.n)]
+        replicas = tuple(None if r == self.byz else make_replica(r, self.qc) for r in nodes)
+        return KState(replicas, clients)
+
+    def _set_node(self, st: KState, node: NodeId, ns) -> KState:
+        if node.kind == "c":
+            cls = list(st.clients)
+            cls[node.index - 1] = self.intern(ns)
+            return replace(st, clients=tuple(cls))
         reps = list(st.replicas)
-        reps[rid.index] = self.intern(rs)
+        reps[node.index] = self.intern(ns)
         return replace(st, replicas=tuple(reps))
 
     def _store_add(self, st: KState, msg) -> KState:
         items = {a.canon(): a for a in st.store}
-        queue = [msg]
-        while queue:
-            obj = queue.pop()
-            if obj.canon() in items:
-                continue
-            items[obj.canon()] = obj
-            queue.extend(_components(obj))
+        new = artifacts(msg, items)
+        if not new:
+            return st
+        items.update((a.canon(), a) for a in new)
         return replace(st, store=tuple(v for _, v in sorted(items.items())))
+
+    def note_sent(self, st: KState, msg) -> KState:
+        """Count a sent message toward its decision group, by distinct replica."""
+        decides = self.proto.decision_group(msg, self.qc)
+        if decides is None:
+            return st
+        group, track, quorum = decides
+        tab = dict(st.sent_tab)
+        senders = tab.get(group, frozenset())
+        if msg.replica in senders:
+            return st
+        tab[group] = senders | {msg.replica}
+        st = replace(st, sent_tab=tuple(sorted(tab.items())))
+        if len(senders) + 1 == quorum:
+            st = replace(st, commits=st.commits + self.decided(group, track, msg))
+        return st
 
     def route(self, st: KState, src: NodeId, sends, sink) -> KState:
         """Send messages: pool for correct targets, instant store for Byzantine."""
         for dst, msg in sends:
             msg = self.intern(msg)
-            st = self.note_sent(st, src, msg)
+            st = self.note_sent(st, msg)
             kmsg = self.intern(KMsg(st.next_mid, src, dst, msg))
             st = replace(st, next_mid=st.next_mid + 1)
             if sink is not None:
@@ -257,6 +276,45 @@ class _Kernel:
                 st = replace(st, pool=st.pool + (kmsg,))
                 st = self.after_send(st, src, dst, msg, sink)
         return st
+
+    def handle_delivery(self, st: KState, kmsg: KMsg, sink) -> KState:
+        dst = kmsg.dst
+        node = st.clients[dst.index - 1] if dst.kind == "c" else st.replicas[dst.index]
+        result = self.proto.step(node, kmsg.msg)
+        if result is None:
+            return st
+        ns, sends, notes = result
+        st = self._set_node(st, dst, ns)
+        for note in notes:
+            st = self.note(st, note)
+        return self.route(st, dst, sends, sink)
+
+    def signal_view(self, st: KState, rid: NodeId, view: int, sink) -> KState:
+        rs, sends, _ = self.proto.on_view_change_signal(st.replicas[rid.index], view)
+        st = self._set_node(st, rid, rs)
+        return self.route(st, rid, sends, sink)
+
+    def act(self, st: KState, action: dict, sink) -> KState:
+        """Perform an adversary action; exported as the directive replay runs.
+
+        An action naming an artifact the store lacks, or holds twice, sends
+        nothing and is not exported.
+        """
+        resolve = partial(find_artifacts, st.store)
+        try:
+            sends = adversary_sends(self.byz, action, resolve, self.cfg.protocol)
+        except ArtifactError:
+            return st
+        if sink is not None:
+            sink.add({"do": "adversary", "actor": self.byz.index, "action": action})
+        return self.route(st, self.byz, sends, sink)
+
+    def assignments(self, options: int) -> list:
+        """Per-correct-replica choices of an option index or silence (None),
+        lexicographic with silence last, all-silent excluded."""
+        silent = (None,) * len(self.correct)
+        choices = itertools.product([*range(options), None], repeat=len(self.correct))
+        return [a for a in choices if a != silent]
 
     def deliver_head(self, st: KState, sink) -> KState:
         head = st.pool[0]
@@ -297,7 +355,8 @@ class _Kernel:
         out = [("timeout", str(c)) for c in self.eligible_timeouts(st)]
         if st.view < self.cfg.max_views:
             out.append(("advance", st.view + 1))
-        out.extend(self.slot_choices(st))
+        if "equivocate" in self.cfg.menu:
+            out.extend(self.slot_choices(st))
         return out
 
     def apply(self, st: KState, choice, sink=None) -> KState:
@@ -320,11 +379,14 @@ class _Kernel:
             for rid in order:
                 st = self.signal_view(st, rid, view, sink)
         else:
-            st = self.apply_slot(st, choice, sink)
+            _, slot, payload = choice
+            st = replace(st, slots=tuple(sorted(st.slots + (slot,))))
+            st = self.act(st, self.slot_action(slot, payload), sink)
         return self.normalize(st, sink)
 
 
 class ZyzzyvaKernel(_Kernel):
+    proto = zyzzyva
     eager = ("request", "order_req", "spec_response", "local_commit", "new_view")
 
     def __init__(self, cfg):
@@ -335,26 +397,11 @@ class ZyzzyvaKernel(_Kernel):
         )
         # adversary log templates: single-request logs (plus the empty log in
         # view-change messages); multi-entry fabrications are out of bounds
-        self.single_logs = tuple((c.request,) for c in self.clients0)
+        self.single_logs = tuple((op,) for op in cfg.requests)
         self.vc_logs = ((),) + self.single_logs
 
     def initial(self, sink) -> KState:
-        st = KState(
-            replicas=tuple(
-                None if replica(i) == self.byz else zyzzyva.ReplicaState(replica(i), self.qc)
-                for i in range(self.qc.n)
-            ),
-            clients=self.clients0,
-            pool=(),
-            next_mid=1,
-            view=1,
-            slots=(),
-            store=(),
-            sent_tab=(),
-            echoed=(),
-            commits=(),
-            timeouts=(),
-        )
+        st = self._root(zyzzyva.ReplicaState, self.clients0)
         lead = leader_of(1, self.qc.n)
         for cl in st.clients:
             if sink is not None:
@@ -362,79 +409,28 @@ class ZyzzyvaKernel(_Kernel):
             st = self.route(st, cl.cid, ((lead, cl.request),), sink)
         return self.normalize(st, sink)
 
-    def _set_client(self, st, cid, cs):
-        cls = list(st.clients)
-        cls[cid.index - 1] = self.intern(cs)
-        return replace(st, clients=tuple(cls))
+    def decided(self, group, track, msg):
+        return self._commits(msg.view, msg.log, track)
 
-    def note_sent(self, st, src, msg):
-        tag = msg.kind
-        if tag not in ("spec_response", "local_commit"):
-            return st
-        key = (tag, msg.view, log_key(msg.log))
-        senders = _tab_get(st.sent_tab, key)
-        if str(src) in senders:
-            return st
-        st = replace(st, sent_tab=_tab_add(st.sent_tab, key, str(src)))
-        quorum = self.qc.fast_quorum if tag == "spec_response" else self.qc.commit_quorum
-        if len(senders) + 1 == quorum:
-            track = zyzzyva.FAST if tag == "spec_response" else zyzzyva.TWO_PHASE
-            st = self._commit(st, msg.view, msg.log, track)
-        return st
+    def note(self, st, note):
+        return replace(st, commits=st.commits + self._commits(note.view, note.log, note.track))
 
-    def _commit(self, st, view, log, track):
-        new = tuple(
+    def _commits(self, view, log, track):
+        return tuple(
             (pos, "<null>" if e is zyzzyva.NULL_REQUEST else e.op.decode(), view, track)
             for pos, e in enumerate(log, start=1)
         )
-        return replace(st, commits=st.commits + new)
 
     def after_send(self, st, src, dst, msg, sink):
         """Supportive echo: the adversary matches correct client-bound messages."""
         if src == self.byz or dst.kind != "c" or msg.kind not in ("spec_response", "local_commit"):
             return st
-        mark = (msg.kind, msg.view, log_key(msg.log), str(dst))
+        action = {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log), "to": str(dst)}
+        mark = (msg.kind, msg.view, tuple(action["log"]), action["to"])
         if mark in st.echoed:
             return st
         st = replace(st, echoed=st.echoed + (mark,))
-        ops = log_ops(msg.log)
-        if msg.kind == "spec_response":
-            echo = zyzzyva.signed(
-                zyzzyva.SpecResponse(msg.view, msg.log, self.byz, exec_result(msg.log), None),
-                self.byz,
-            )
-            action = {"kind": "spec_response", "view": msg.view, "log": ops, "to": str(dst)}
-        else:
-            echo = zyzzyva.signed(zyzzyva.LocalCommit(msg.view, msg.log, self.byz, None), self.byz)
-            action = {"kind": "local_commit", "view": msg.view, "log": ops, "to": str(dst)}
-        if sink is not None:
-            sink.add({"do": "adversary", "actor": self.byz.index, "action": action})
-        return self.route(st, self.byz, ((dst, echo),), sink)
-
-    def handle_delivery(self, st, kmsg, sink):
-        msg, dst = kmsg.msg, kmsg.dst
-        if dst.kind == "c":
-            handler = {
-                "spec_response": zyzzyva.on_spec_response,
-                "local_commit": zyzzyva.on_local_commit,
-            }.get(msg.kind)
-            if handler is None:
-                return st
-            cs, _, notes = handler(st.clients[dst.index - 1], msg)
-            st = self._set_client(st, dst, cs)
-            for note in notes:
-                st = self._commit(st, note.view, note.log, note.track)
-            return st
-        handler = {
-            "request": zyzzyva.on_request,
-            "order_req": zyzzyva.on_order_req,
-            "commit_request": zyzzyva.on_commit_request,
-            "view_change": zyzzyva.on_view_change_msg,
-            "new_view": zyzzyva.on_new_view,
-        }[msg.kind]
-        rs, sends, _ = handler(st.replicas[dst.index], msg)
-        st = self._set_replica(st, dst, rs)
-        return self.route(st, dst, sends, sink)
+        return self.act(st, action, sink)
 
     def eligible_timeouts(self, st):
         out = []
@@ -450,24 +446,17 @@ class ZyzzyvaKernel(_Kernel):
         cid = NodeId("c", int(cname[1:]))
         st = replace(st, timeouts=st.timeouts + (cname,))
         cs, sends, _ = zyzzyva.on_timeout(st.clients[cid.index - 1])
-        st = self._set_client(st, cid, cs)
+        st = self._set_node(st, cid, cs)
         if sink is not None:
             sink.add({"do": "timeout", "node": cname})
         return self.route(st, cid, sends, sink)
 
-    def signal_view(self, st, rid, view, sink):
-        rs, sends, _ = zyzzyva.on_view_change_signal(st.replicas[rid.index], view)
-        st = self._set_replica(st, rid, rs)
-        return self.route(st, rid, sends, sink)
-
     def slot_choices(self, st):
         out = []
-        if "equivocate" not in self.cfg.menu:
-            return out
         if leader_of(st.view, self.qc.n) == self.byz:
             slot = ("order", st.view)
             if slot not in st.slots:
-                out.extend(("slot", slot, a) for a in self._order_assignments())
+                out.extend(("slot", slot, a) for a in self.assignments(len(self.single_logs)))
         if st.view >= 2:
             slot = ("vc", st.view)
             if slot not in st.slots:
@@ -476,79 +465,29 @@ class ZyzzyvaKernel(_Kernel):
                         out.append(("slot", slot, (log_idx, cert_view)))
         return out
 
-    def _order_assignments(self):
-        options = list(range(len(self.single_logs))) + [None]  # logs first, silence last
-        out = []
-
-        def rec(i, acc):
-            if i == len(self.correct):
-                if any(v is not None for v in acc):
-                    out.append(tuple(acc))
-                return
-            for o in options:
-                rec(i + 1, acc + [o])
-
-        rec(0, [])
-        return out
-
     def _cert_views(self, st):
         views = [None]
         if "inject_stored" in self.cfg.menu:
-            for art in st.store:
-                if getattr(art, "kind", None) == "commit_certificate":
-                    views.append(art.view)
+            views.extend(c.view for c in find_artifacts(st.store, "commit_certificate"))
         return views
 
-    def apply_slot(self, st, choice, sink):
-        _, slot, payload = choice
-        st = replace(st, slots=tuple(sorted(st.slots + (slot,))))
-        view = slot[1]
-        if slot[0] == "order":
-            sends, send_json = [], []
-            for rid, opt in zip(self.correct, payload):
-                if opt is None:
-                    continue
-                log = self.single_logs[opt]
-                sends.append((rid, zyzzyva.signed(zyzzyva.OrderReq(view, log, None), self.byz)))
-                send_json.append({"to": str(rid), "log": log_ops(log)})
-            if sink is not None:
-                sink.add(
-                    {
-                        "do": "adversary",
-                        "actor": self.byz.index,
-                        "action": {"kind": "order_req", "view": view, "sends": send_json},
-                    }
-                )
-            return self.route(st, self.byz, tuple(sends), sink)
-        log_idx, cert_view = payload
-        log = self.vc_logs[log_idx]
-        cert = None
-        if cert_view is not None:
-            certs = [
-                a
-                for a in st.store
-                if getattr(a, "kind", None) == "commit_certificate" and a.view == cert_view
+    def slot_action(self, slot, payload):
+        kind, view = slot
+        if kind == "order":
+            sends = [
+                {"to": str(rid), "log": list(self.single_logs[opt])}
+                for rid, opt in zip(self.correct, payload)
+                if opt is not None
             ]
-            if len(certs) != 1:
-                return st
-            cert = certs[0]
-        lead = leader_of(view, self.qc.n)
-        msg = zyzzyva.signed(zyzzyva.ViewChangeMessage(view, self.byz, log, cert, None), self.byz)
-        if sink is not None:
-            sink.add(
-                {
-                    "do": "adversary",
-                    "actor": self.byz.index,
-                    "action": {
-                        "kind": "view_change",
-                        "view": view,
-                        "log": log_ops(log),
-                        "cert": None if cert_view is None else {"view": cert_view},
-                        "to": str(lead),
-                    },
-                }
-            )
-        return self.route(st, self.byz, ((lead, msg),), sink)
+            return {"kind": "order_req", "view": view, "sends": sends}
+        log_idx, cert_view = payload
+        return {
+            "kind": "view_change",
+            "view": view,
+            "log": list(self.vc_logs[log_idx]),
+            "cert": None if cert_view is None else {"view": cert_view},
+            "to": str(leader_of(view, self.qc.n)),
+        }
 
     def violated(self, st):
         seen = {}
@@ -560,9 +499,11 @@ class ZyzzyvaKernel(_Kernel):
 
 
 class FabKernel(_Kernel):
+    proto = fab
+
     def __init__(self, cfg):
         super().__init__(cfg)
-        self.values = tuple(v.encode() for v in cfg.values)
+        self.values = cfg.values
         # FaB5 has no commit-proof track: prepares are receipt no-ops
         self.eager = (
             ("propose", "commit_proof_msg", "accepted")
@@ -571,58 +512,14 @@ class FabKernel(_Kernel):
         )
 
     def initial(self, sink) -> KState:
-        return KState(
-            replicas=tuple(
-                None if replica(i) == self.byz else fab.FabReplicaState(replica(i), self.qc)
-                for i in range(self.qc.n)
-            ),
-            clients=(),
-            pool=(),
-            next_mid=1,
-            view=1,
-            slots=(),
-            store=(),
-            sent_tab=(),
-            echoed=(),
-            commits=(),
-            timeouts=(),
-        )
+        return self._root(fab.FabReplicaState)
 
-    def note_sent(self, st, src, msg):
-        if msg.kind == "accepted":
-            key = ("accepted", msg.view, msg.value)
-            quorum, track = self.qc.fast_quorum, fab.FAST
-        elif msg.kind == "commit_proof_msg":
-            key = ("commit_proof_msg", msg.proof.view, msg.proof.value)
-            quorum, track = self.qc.commit_quorum, fab.COMMIT
-        else:
-            return st
-        senders = _tab_get(st.sent_tab, key)
-        if str(src) in senders:
-            return st
-        st = replace(st, sent_tab=_tab_add(st.sent_tab, key, str(src)))
-        if len(senders) + 1 == quorum:
-            st = replace(st, commits=st.commits + ((key[2].decode(), key[1], track),))
-        return st
+    def decided(self, group, track, msg):
+        _, view, value = group
+        return ((value.decode(), view, track),)
 
-    def handle_delivery(self, st, kmsg, sink):
-        msg, dst = kmsg.msg, kmsg.dst
-        handler = {
-            "propose": fab.on_propose,
-            "accepted": fab.on_accepted,
-            "commit_proof_msg": fab.on_commit_proof_msg,
-            "rep": fab.on_rep,
-        }[msg.kind]
-        rs, sends, notes = handler(st.replicas[dst.index], msg)
-        st = self._set_replica(st, dst, rs)
-        if any(isinstance(n, fab.StuckReport) for n in notes):
-            st = replace(st, stuck=True)
-        return self.route(st, dst, sends, sink)
-
-    def signal_view(self, st, rid, view, sink):
-        rs, sends, _ = fab.on_view_change_signal(st.replicas[rid.index], view)
-        st = self._set_replica(st, rid, rs)
-        return self.route(st, rid, sends, sink)
+    def note(self, st, note):
+        return replace(st, stuck=True) if isinstance(note, fab.StuckReport) else st
 
     def _final_stuck_view(self, st) -> bool:
         return self.cfg.resolved_target() == STUCK and st.view == self.cfg.max_views
@@ -646,12 +543,10 @@ class FabKernel(_Kernel):
 
     def slot_choices(self, st):
         out = []
-        if "equivocate" not in self.cfg.menu:
-            return out
         if leader_of(st.view, self.qc.n) == self.byz:
             slot = ("propose", st.view)
             if slot not in st.slots:
-                out.extend(("slot", slot, a) for a in self._value_assignments())
+                out.extend(("slot", slot, a) for a in self.assignments(len(self.values)))
         slot = ("prepare", st.view)
         if slot not in st.slots and not self._final_stuck_view(st):
             out.extend(("slot", slot, v) for v in range(len(self.values)))
@@ -661,61 +556,31 @@ class FabKernel(_Kernel):
                 out.extend(("slot", slot, v) for v in list(range(len(self.values))) + [None])
         return out
 
-    def _value_assignments(self):
-        options = list(range(len(self.values))) + [None]
-        out = []
-
-        def rec(i, acc):
-            if i == len(self.correct):
-                if any(v is not None for v in acc):
-                    out.append(tuple(acc))
-                return
-            for o in options:
-                rec(i + 1, acc + [o])
-
-        rec(0, [])
-        return out
-
-    def apply_slot(self, st, choice, sink):
-        _, slot, payload = choice
-        st = replace(st, slots=tuple(sorted(st.slots + (slot,))))
+    def slot_action(self, slot, payload):
         kind, view = slot
+        lead = leader_of(view, self.qc.n)
         if kind == "propose":
-            sends, send_json = [], []
-            for rid, opt in zip(self.correct, payload):
-                if opt is None:
-                    continue
-                msg = fab.signed(fab.Propose(view, self.values[opt], None, None), self.byz)
-                sends.append((rid, msg))
-                send_json.append({"to": str(rid), "value": self.values[opt].decode()})
-            action = {"kind": "propose", "view": view, "sends": send_json}
-            targets = tuple(sends)
-        elif kind == "prepare":
-            value = self.values[payload]
-            msg = fab.signed(fab.Accepted(view, value, self.byz, None), self.byz)
-            dsts = [leader_of(view, self.qc.n)] if self.cfg.protocol == FAB5 else list(self.correct)
-            targets = tuple((d, msg) for d in dsts if d != self.byz)
-            action = {
+            sends = [
+                {"to": str(rid), "value": self.values[opt]}
+                for rid, opt in zip(self.correct, payload)
+                if opt is not None
+            ]
+            return {"kind": "propose", "view": view, "sends": sends}
+        if kind == "prepare":
+            dsts = [lead] if self.cfg.protocol == FAB5 else self.correct
+            return {
                 "kind": "accepted",
                 "view": view,
-                "value": value.decode(),
-                "to": [str(d) for d, _ in targets],
+                "value": self.values[payload],
+                "to": [str(d) for d in dsts if d != self.byz],
             }
-        else:
-            acc = None if payload is None else self.values[payload]
-            lead = leader_of(view, self.qc.n)
-            msg = fab.signed(fab.Rep(view, self.byz, acc, None, None), self.byz)
-            targets = ((lead, msg),)
-            action = {
-                "kind": "rep",
-                "view": view,
-                "last_accepted": None if acc is None else acc.decode(),
-                "commit_proof": None,
-                "to": str(lead),
-            }
-        if sink is not None:
-            sink.add({"do": "adversary", "actor": self.byz.index, "action": action})
-        return self.route(st, self.byz, targets, sink)
+        return {
+            "kind": "rep",
+            "view": view,
+            "last_accepted": None if payload is None else self.values[payload],
+            "commit_proof": None,
+            "to": str(lead),
+        }
 
     def violated(self, st):
         if self.cfg.resolved_target() == STUCK:
@@ -733,14 +598,13 @@ class _Budget(Exception):
     pass
 
 
-def _dfs(kernel, st, seen, stats, cfg, depth):
+def _dfs(kernel, st, seen, stats, cfg):
     """Depth-first search below st; the choices to the first violation, or None.
 
     The stack holds one iterator over the remaining choices of each state on
     the current path, so the search depth is not bounded by Python's
     recursion limit.
     """
-    stats["max_depth"] = max(stats["max_depth"], depth)
     path: list = []  # the choices that lead from st to the top of the stack
     stack = [(st, iter(kernel.choices(st)))]
     while stack:
@@ -764,53 +628,24 @@ def _dfs(kernel, st, seen, stats, cfg, depth):
             return tuple(path) + (choice,)
         path.append(choice)
         stack.append((child, iter(kernel.choices(child))))
-        stats["max_depth"] = max(stats["max_depth"], depth + len(path))
+        stats["max_depth"] = max(stats["max_depth"], len(path))
     return None
-
-
-def _new_stats() -> dict:
-    return {"states": 0, "deduped": 0, "max_depth": 0, "budget_exhausted": False}
 
 
 def _search(cfg: ExploreConfig) -> tuple:
     kernel = _kernel_for(cfg)
     root = kernel.initial(None)
-    stats = _new_stats()
+    stats = {"states": 0, "deduped": 0, "max_depth": 0, "budget_exhausted": False}
     seen = {root} if cfg.dedup else None
     found = None
     try:
         if kernel.violated(root):
             found = ()
         else:
-            found = _dfs(kernel, root, seen, stats, cfg, 0)
+            found = _dfs(kernel, root, seen, stats, cfg)
     except _Budget:
         stats["budget_exhausted"] = True
     return found, stats
-
-
-def _search_branch(args) -> tuple:
-    cfg, index = args
-    kernel = _kernel_for(cfg)
-    root = kernel.initial(None)
-    stats = _new_stats()
-    choice = kernel.choices(root)[index]
-    child = kernel.apply(root, choice)
-    seen = {root, child} if cfg.dedup else None
-    stats["states"] = 1
-    found = None
-    try:
-        if kernel.violated(child):
-            found = ()
-        else:
-            found = _dfs(kernel, child, seen, stats, cfg, 1)
-    except _Budget:
-        stats["budget_exhausted"] = True
-    return (None if found is None else (choice,) + found), stats
-
-
-def export_counterexample(ce: Counterexample) -> Scenario:
-    """The scenario whose replay reproduces the counterexample's verdict."""
-    return ce.scenario
 
 
 def _build_counterexample(cfg: ExploreConfig, choices: tuple) -> Counterexample:
@@ -849,34 +684,11 @@ def _build_counterexample(cfg: ExploreConfig, choices: tuple) -> Counterexample:
     return Counterexample(scenario, verdicts[0], trace, choices)
 
 
-def explore(cfg: ExploreConfig, parallel: int = 1) -> ExploreResult:
-    """Depth-first search; stops at the first counterexample or exhaustion.
-
-    With parallel > 1 the top-level branches are searched to completion in a
-    process pool and merged in canonical order, so the outcome is identical
-    to the sequential search (statistics count all branch work performed).
-    """
+def explore(cfg: ExploreConfig) -> ExploreResult:
+    """Depth-first search; stops at the first counterexample or exhaustion."""
     cfg = validate_config(cfg)
     started = time.monotonic()
-    if parallel <= 1:
-        found, stats = _search(cfg)
-    else:
-        import multiprocessing as mp
-
-        kernel = _kernel_for(cfg)
-        root = kernel.initial(None)
-        branches = list(range(len(kernel.choices(root))))
-        stats = _new_stats()
-        found = None
-        with mp.Pool(parallel) as pool:
-            results = pool.map(_search_branch, [(cfg, i) for i in branches])
-        for branch_found, branch_stats in results:
-            stats["states"] += branch_stats["states"]
-            stats["deduped"] += branch_stats["deduped"]
-            stats["max_depth"] = max(stats["max_depth"], branch_stats["max_depth"])
-            stats["budget_exhausted"] |= branch_stats["budget_exhausted"]
-            if found is None and branch_found is not None:
-                found = branch_found
+    found, stats = _search(cfg)
     stats["elapsed"] = round(time.monotonic() - started, 3)
     stats["found"] = found is not None
     if found is None:

@@ -14,11 +14,13 @@ from .core import (
     NodeId,
     QuorumConfig,
     SignatureToken,
+    Signed,
+    broadcast,
+    distinct_quorum,
     immutable,
     leader_of,
-    mint,
     pack,
-    replica,
+    signed,
     token_ok,
 )
 
@@ -26,14 +28,10 @@ FAST = "fast"
 COMMIT = "commit"
 
 
-def signed(msg, signer: NodeId):
-    return replace(msg, token=mint(signer, msg.payload()))
-
-
 # --- messages ---------------------------------------------------------------
 
 @immutable
-class Propose:
+class Propose(Signed):
     """Leader pre-proposal; carries the justifying progress certificate in views > 1."""
 
     view: int
@@ -47,15 +45,12 @@ class Propose:
         pc = self.pc.canon() if self.pc is not None else pack(b"nopc")
         return pack(b"propose", str(self.view).encode(), self.value, pc)
 
-    def canon(self) -> bytes:
-        return pack(self.payload(), self.token.canon())
-
     def verify(self) -> bool:
         return token_ok(self.token, self.token.signer, self.payload())
 
 
 @immutable
-class Accepted:
+class Accepted(Signed):
     """Replica prepare message for one value per view."""
 
     view: int
@@ -67,14 +62,6 @@ class Accepted:
 
     def payload(self) -> bytes:
         return pack(b"accepted", str(self.view).encode(), self.value, self.replica.canon())
-
-    def canon(self) -> bytes:
-        return pack(self.payload(), self.token.canon())
-
-    def verify(self) -> bool:
-        return self.token.signer == self.replica and token_ok(
-            self.token, self.replica, self.payload()
-        )
 
 
 @immutable
@@ -96,18 +83,13 @@ class CommitProof:
         )
 
     def well_formed(self, cfg: QuorumConfig) -> bool:
-        if len(self.accepted) != cfg.cc_quorum:
-            return False
-        if len({a.replica for a in self.accepted}) != cfg.cc_quorum:
-            return False
-        return all(
-            a.view == self.view and a.value == self.value and a.verify()
-            for a in self.accepted
+        return distinct_quorum(self.accepted, cfg.cc_quorum) and all(
+            a.view == self.view and a.value == self.value and a.verify() for a in self.accepted
         )
 
 
 @immutable
-class CommitProofMsg:
+class CommitProofMsg(Signed):
     """A replica's commit message broadcasting its proof."""
 
     proof: CommitProof
@@ -119,17 +101,9 @@ class CommitProofMsg:
     def payload(self) -> bytes:
         return pack(b"commit_proof_msg", self.proof.canon(), self.replica.canon())
 
-    def canon(self) -> bytes:
-        return pack(self.payload(), self.token.canon())
-
-    def verify(self) -> bool:
-        return self.token.signer == self.replica and token_ok(
-            self.token, self.replica, self.payload()
-        )
-
 
 @immutable
-class Rep:
+class Rep(Signed):
     """New-view message: last prepared value and last commit-proof sent."""
 
     new_view: int
@@ -153,14 +127,6 @@ class Rep:
         )
         return pack(b"rep", str(self.new_view).encode(), self.replica.canon(), acc, cp)
 
-    def canon(self) -> bytes:
-        return pack(self.payload(), self.token.canon())
-
-    def verify(self) -> bool:
-        return self.token.signer == self.replica and token_ok(
-            self.token, self.replica, self.payload()
-        )
-
 
 @immutable
 class ProgressCertificate:
@@ -179,11 +145,9 @@ class ProgressCertificate:
         )
 
     def well_formed(self, cfg: QuorumConfig) -> bool:
-        if len(self.reps) != cfg.vc_quorum:
-            return False
-        if len({r.replica for r in self.reps}) != cfg.vc_quorum:
-            return False
-        return all(r.new_view == self.new_view and r.verify() for r in self.reps)
+        return distinct_quorum(self.reps, cfg.vc_quorum) and all(
+            r.new_view == self.new_view and r.verify() for r in self.reps
+        )
 
 
 # --- vouching ----------------------------------------------------------------
@@ -313,10 +277,6 @@ class FabDecision:
     senders: tuple
 
 
-def _broadcast(msg, cfg: QuorumConfig):
-    return tuple((replica(i), msg) for i in range(cfg.n))
-
-
 def _accept(st: FabReplicaState, value: bytes):
     st = replace(st, accepted_view=st.view, last_accepted=value)
     acc = signed(Accepted(st.view, value, st.rid, None), st.rid)
@@ -324,7 +284,7 @@ def _accept(st: FabReplicaState, value: bytes):
         # FaB5 prepares go to the leader; PFaB replicas also prepare to each other.
         sends = ((leader_of(st.view, st.cfg.n), acc),)
     else:
-        sends = _broadcast(acc, st.cfg)
+        sends = broadcast(acc, st.cfg)
     return st, sends
 
 
@@ -335,7 +295,7 @@ def leader_propose(st: FabReplicaState):
     if st.accepted_view == st.view:
         return st, (), ()
     msg = signed(Propose(st.view, st.input_value, None, None), st.rid)
-    return st, _broadcast(msg, st.cfg), ()
+    return st, broadcast(msg, st.cfg), ()
 
 
 def on_propose(st: FabReplicaState, msg: Propose):
@@ -376,7 +336,7 @@ def on_accepted(st: FabReplicaState, msg: Accepted):
     proof = CommitProof(st.view, msg.value, tuple(matching[: st.cfg.cc_quorum]))
     st = replace(st, last_commit_proof=proof, proof_done=st.proof_done + (st.view,))
     out = signed(CommitProofMsg(proof, st.rid, None), st.rid)
-    return st, _broadcast(out, st.cfg), ()
+    return st, broadcast(out, st.cfg), ()
 
 
 def on_commit_proof_msg(st: FabReplicaState, msg: CommitProofMsg):
@@ -412,10 +372,37 @@ def on_rep(st: FabReplicaState, msg: Rep):
         st = replace(st, stuck_view=msg.new_view)
         return st, (), (StuckReport(msg.new_view, st.rid, pc, tuple(reports)),)
     out = signed(Propose(msg.new_view, choice, pc, None), st.rid)
-    return st, _broadcast(out, st.cfg), ()
+    return st, broadcast(out, st.cfg), ()
+
+
+# --- delivery dispatch --------------------------------------------------------
+
+# message kind -> handler name, looked up at call time as in zyzzyva.step
+_HANDLERS = {
+    "propose": "on_propose",
+    "accepted": "on_accepted",
+    "commit_proof_msg": "on_commit_proof_msg",
+    "rep": "on_rep",
+}
+
+
+def step(st: FabReplicaState, msg):
+    """Deliver msg to the replica in state st: (state', sends, notes), or
+    None when replicas have no handler for the message kind."""
+    name = _HANDLERS.get(msg.kind)
+    return None if name is None else globals()[name](st, msg)
 
 
 # --- omniscient decision rule --------------------------------------------------
+
+def decision_group(msg, cfg: QuorumConfig):
+    """As zyzzyva.decision_group; groups sort as check_decision lists them."""
+    if msg.kind == "accepted":
+        return (0, msg.view, msg.value), FAST, cfg.fast_quorum
+    if msg.kind == "commit_proof_msg":
+        return (1, msg.proof.view, msg.proof.value), COMMIT, cfg.commit_quorum
+    return None
+
 
 def check_decision(sent_messages, cfg: QuorumConfig):
     """Decisions implied by sent messages: n-t matching prepares (fast) or

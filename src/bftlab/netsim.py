@@ -6,11 +6,20 @@ actions. The scheduler owns all node state machines, keeps an append-only
 trace of every step, and records commits omnisciently the moment a quorum of
 sent messages exists. Re-running a scenario reproduces the trace byte for
 byte.
+
+The simulator and the explorer's kernels are two drivers of one rulebook.
+The protocol modules own delivery dispatch (`step`) and decision accounting
+(`decision_group`). This module owns the adversary: `artifacts` is what a
+Byzantine node learns from a message it receives, and `adversary_sends`
+builds the signed messages of a scenario-JSON adversary action. The explorer
+emits its adversary moves as those actions, so an exported counterexample
+is replayed by the code that built it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from . import fab, zyzzyva
 from .core import (
@@ -18,17 +27,22 @@ from .core import (
     ZYZZYVA,
     NodeId,
     digest,
+    exec_result,
     is_null,
-    log_canon,
     log_ops,
     parse_node,
     quorum_config,
     replica,
+    signed,
 )
 
 
 class SimError(Exception):
     """Scenario validation or execution failure."""
+
+
+class ArtifactError(SimError):
+    """An adversary action names an artifact its actor holds none or several of."""
 
 
 # --- trace -------------------------------------------------------------------
@@ -104,14 +118,12 @@ def _body(msg) -> dict:
     kind = msg.kind
     if kind == "request":
         return {"op": msg.op.decode(), "client": str(msg.client)}
-    if kind == "order_req":
+    if kind in ("order_req", "local_commit"):
         return {"log": log_ops(msg.log)}
     if kind == "spec_response":
         return {"log": log_ops(msg.log), "result": msg.result}
     if kind == "commit_request":
         return {"cert": _cert_desc(msg.cert)}
-    if kind == "local_commit":
-        return {"log": log_ops(msg.log)}
     if kind == "view_change":
         return {"log": log_ops(msg.log), "cert": _cert_desc(msg.cert)}
     if kind == "new_view":
@@ -162,37 +174,57 @@ class PoolEntry:
 # --- adversary store ------------------------------------------------------------
 
 class _Store:
-    """Signed artifacts a Byzantine node has observed; reusable in new messages."""
+    """Signed artifacts a Byzantine node has observed; reusable in new messages.
+
+    Items stay in the order first observed: the node's trace state digest
+    hashes them in that order.
+    """
 
     def __init__(self):
         self.items: list = []
         self._seen: set = set()
 
     def add(self, obj):
-        key = obj.canon()
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.items.append(obj)
-        for sub in _components(obj):
-            self.add(sub)
-
-    def find(self, kind: str, **fields):
-        out = []
-        for obj in self.items:
-            if getattr(obj, "kind", None) != kind:
-                continue
-            if all(_field_match(obj, k, v) for k, v in fields.items()):
-                out.append(obj)
-        return out
+        for art in artifacts(obj, self._seen):
+            self._seen.add(art.canon())
+            self.items.append(art)
 
     def digest(self) -> str:
         return digest(b"".join(o.canon() for o in self.items))[:12]
 
 
+def artifacts(obj, known=()) -> list:
+    """obj and the signed artifacts nested in it, depth first, each once, and
+    none whose canonical bytes are in `known`: what a Byzantine node learns
+    from receiving obj."""
+    out, seen = [], set()
+
+    def visit(o):
+        key = o.canon()
+        if key in known or key in seen:
+            return
+        seen.add(key)
+        out.append(o)
+        for sub in _components(o):
+            visit(sub)
+
+    visit(obj)
+    return out
+
+
+def find_artifacts(items, kind: str, **fields) -> list:
+    """The artifacts of `kind` among items whose fields match `fields`."""
+    return [
+        obj
+        for obj in items
+        if getattr(obj, "kind", None) == kind
+        and all(_field_match(obj, k, v) for k, v in fields.items())
+    ]
+
+
 def _components(obj):
     kind = getattr(obj, "kind", None)
-    if kind == "order_req":
+    if kind in ("order_req", "spec_response"):
         return [e for e in obj.log if not is_null(e)]
     if kind == "commit_certificate":
         return list(obj.responses)
@@ -212,19 +244,129 @@ def _components(obj):
         return [] if obj.last_commit_proof is None else [obj.last_commit_proof]
     if kind == "progress_certificate":
         return list(obj.reps)
-    if kind == "spec_response":
-        return [e for e in obj.log if not is_null(e)]
     return []
 
 
 def _field_match(obj, name, want):
-    if name == "op":
-        return obj.op == want.encode()
     if name == "view":
         return getattr(obj, "view", None) == want
-    if name == "value":
-        return getattr(obj, "value", None) == want.encode()
-    raise SimError(f"unknown stored-artifact field {name!r}")
+    if name in ("op", "value") and isinstance(want, str):
+        return getattr(obj, name, None) == want.encode()
+    raise SimError(f"bad stored-artifact reference {name}={want!r}")
+
+
+# --- adversary actions ----------------------------------------------------------
+#
+# An action is the "action" object of an adversary directive. Requests,
+# certificates and commit proofs are named by content and resolved against
+# the actor's store; each builder yields (destination name, signed message).
+
+def _field(obj, name: str):
+    """A required field of an action or of one of its sends."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise SimError(f"adversary action field {name!r} missing in {obj!r}")
+    return obj[name]
+
+
+def _text(obj, name: str) -> bytes:
+    value = _field(obj, name)
+    if not isinstance(value, str):
+        raise SimError(f"adversary action field {name!r} must be a string, got {value!r}")
+    return value.encode()
+
+
+def _stored_log(actor, ops, resolve) -> tuple:
+    if not isinstance(ops, list):
+        raise SimError(f"an adversary log is a list of ops, got {ops!r}")
+    log = []
+    for op in ops:
+        found = [NULL_REQUEST] if op is None else resolve("request", op=op)
+        if len(found) != 1:
+            raise ArtifactError(f"adversary {actor} has {len(found)} stored requests for op {op!r}")
+        log.append(found[0])
+    return tuple(log)
+
+
+def _stored_ref(actor, kind: str, ref, resolve):
+    """The one stored artifact that ref names; None for a null ref."""
+    if ref is None:
+        return None
+    if not isinstance(ref, dict):
+        raise SimError(f"adversary {actor}: a {kind} reference is an object, got {ref!r}")
+    found = resolve(kind, **ref)
+    if len(found) != 1:
+        raise ArtifactError(f"adversary {actor}: {kind} {ref} resolves to {len(found)} artifacts")
+    return found[0]
+
+
+def _order_req(actor, action, resolve):
+    view = _field(action, "view")
+    for send in _field(action, "sends"):
+        log = _stored_log(actor, _field(send, "log"), resolve)
+        yield _field(send, "to"), signed(zyzzyva.OrderReq(view, log, None), actor)
+
+
+def _spec_response(actor, action, resolve):
+    log = _stored_log(actor, _field(action, "log"), resolve)
+    msg = zyzzyva.SpecResponse(_field(action, "view"), log, actor, exec_result(log), None)
+    yield _field(action, "to"), signed(msg, actor)
+
+
+def _local_commit(actor, action, resolve):
+    log = _stored_log(actor, _field(action, "log"), resolve)
+    msg = zyzzyva.LocalCommit(_field(action, "view"), log, actor, None)
+    yield _field(action, "to"), signed(msg, actor)
+
+
+def _view_change(actor, action, resolve):
+    cert = _stored_ref(actor, "commit_certificate", action.get("cert"), resolve)
+    log = _stored_log(actor, _field(action, "log"), resolve)
+    msg = zyzzyva.ViewChangeMessage(_field(action, "view"), actor, log, cert, None)
+    yield _field(action, "to"), signed(msg, actor)
+
+
+def _propose(actor, action, resolve):
+    view = _field(action, "view")
+    for send in _field(action, "sends"):
+        msg = fab.Propose(view, _text(send, "value"), None, None)
+        yield _field(send, "to"), signed(msg, actor)
+
+
+def _accepted(actor, action, resolve):
+    msg = signed(fab.Accepted(_field(action, "view"), _text(action, "value"), actor, None), actor)
+    for to in _field(action, "to"):
+        yield to, msg
+
+
+def _rep(actor, action, resolve):
+    cp = _stored_ref(actor, "commit_proof", action.get("commit_proof"), resolve)
+    acc = None if action.get("last_accepted") is None else _text(action, "last_accepted")
+    msg = fab.Rep(_field(action, "view"), actor, acc, cp, None)
+    yield _field(action, "to"), signed(msg, actor)
+
+
+_ZYZZYVA_ACTIONS = {
+    "order_req": _order_req,
+    "spec_response": _spec_response,
+    "local_commit": _local_commit,
+    "view_change": _view_change,
+}
+_FAB_ACTIONS = {"propose": _propose, "accepted": _accepted, "rep": _rep}
+
+
+def adversary_sends(actor: NodeId, action: dict, resolve, protocol: str) -> list:
+    """The (destination, signed message) pairs of a Byzantine actor's action.
+
+    `resolve(kind, **fields)` lists the actor's stored artifacts of a kind
+    whose fields match; the simulator resolves against its store, the
+    explorer against its state's store. Actions of another protocol, missing
+    fields and unresolvable references raise SimError.
+    """
+    kind = _field(action, "kind")
+    builders = _ZYZZYVA_ACTIONS if protocol == ZYZZYVA else _FAB_ACTIONS
+    if kind not in builders:
+        raise SimError(f"unknown {protocol} adversary action {kind!r}")
+    return [(parse_node(to), msg) for to, msg in builders[kind](actor, action, resolve)]
 
 
 # --- the simulator ---------------------------------------------------------------
@@ -239,23 +381,14 @@ class Simulation:
         self.next_mid = 1
         self.seq = 0
         self.ordinals: dict[tuple, int] = {}
+        self.proto = zyzzyva if scenario.protocol == ZYZZYVA else fab
         self.stores = {b: _Store() for b in self.byzantine}
         self.node_rank: dict[NodeId, int] = {}
         self.delivered_rank: dict[tuple, int] = {}
-        # incremental decision accounting. tracks: message kind -> (report
-        # order, track, quorum); senders: (order, view, log bytes or value) ->
-        # the replicas that sent a matching message; ripe: groups that reached
-        # quorum since the last scan; decided: the decisions reported so far
-        if scenario.protocol == ZYZZYVA:
-            self.tracks = {
-                "spec_response": (0, zyzzyva.FAST, self.cfg.fast_quorum),
-                "local_commit": (1, zyzzyva.TWO_PHASE, self.cfg.commit_quorum),
-            }
-        else:
-            self.tracks = {
-                "accepted": (0, fab.FAST, self.cfg.fast_quorum),
-                "commit_proof_msg": (1, fab.COMMIT, self.cfg.commit_quorum),
-            }
+        # incremental decision accounting. senders: decision group (see the
+        # protocols' decision_group) -> the replicas that sent a message of
+        # it; ripe: groups that reached quorum since the last scan; decided:
+        # the decisions reported so far
         self.senders: dict[tuple, set] = {}
         self.ripe: list = []
         self.decided: set = set()
@@ -309,6 +442,8 @@ class Simulation:
         return digest(repr(st).encode())[:12]
 
     def _send(self, rec: dict, src: NodeId, dst: NodeId, msg, rank: int):
+        if dst not in self.replicas and dst not in self.clients:
+            raise SimError(f"no node {dst} in this scenario")
         key = (msg.kind, str(src), str(dst))
         ordinal = self.ordinals.get(key, 0)
         self.ordinals[key] = ordinal + 1
@@ -316,19 +451,15 @@ class Simulation:
         self.next_mid += 1
         self.pool.append(entry)
         rec["emitted"].append(entry.describe())
-        if msg.kind in self.tracks:
-            self._count_sent(msg)
+        self._count_sent(msg)
         return entry
 
     def _count_sent(self, msg):
         """Count a sent message toward its decision group, by distinct replica."""
-        order, track, quorum = self.tracks[msg.kind]
-        if msg.kind == "commit_proof_msg":
-            group = (order, msg.proof.view, msg.proof.value)
-        elif msg.kind == "accepted":
-            group = (order, msg.view, msg.value)
-        else:
-            group = (order, msg.view, log_canon(msg.log))
+        decides = self.proto.decision_group(msg, self.cfg)
+        if decides is None:
+            return
+        group, track, quorum = decides
         senders = self.senders.setdefault(group, set())
         if msg.replica not in senders:
             senders.add(msg.replica)
@@ -361,8 +492,6 @@ class Simulation:
             rec["commits"].extend(
                 self._zyz_commits(note.view, note.log, note.track, str(node), depth)
             )
-        elif isinstance(note, fab.FabDecision):
-            rec["commits"].append(self._fab_commit(note.view, note.value, note.track, str(node)))
         elif isinstance(note, fab.StuckReport):
             rec["stuck"] = {
                 "view": note.view,
@@ -471,37 +600,16 @@ class Simulation:
             self.stores[dst].add(msg)
             rec["state"] = self._state_digest(dst)
             return
-        if dst.kind == "c":
-            if dst not in self.clients:
-                raise SimError(f"message addressed to unknown client {dst}")
-            handler = {
-                "spec_response": zyzzyva.on_spec_response,
-                "local_commit": zyzzyva.on_local_commit,
-            }.get(msg.kind)
-            if handler is None:
-                rec["state"] = self._state_digest(dst)
-                return
-            self._apply(rec, dst, handler(self.clients[dst], msg))
-            return
-        st = self.replicas[dst]
-        if self.scenario.protocol == ZYZZYVA:
-            handler = {
-                "request": zyzzyva.on_request,
-                "order_req": zyzzyva.on_order_req,
-                "commit_request": zyzzyva.on_commit_request,
-                "view_change": zyzzyva.on_view_change_msg,
-                "new_view": zyzzyva.on_new_view,
-            }.get(msg.kind)
+        if dst.kind == "c":  # clients are Zyzzyva clients in every protocol
+            result = zyzzyva.step(self.clients[dst], msg)
         else:
-            handler = {
-                "propose": fab.on_propose,
-                "accepted": fab.on_accepted,
-                "commit_proof_msg": fab.on_commit_proof_msg,
-                "rep": fab.on_rep,
-            }.get(msg.kind)
-        if handler is None:
+            result = self.proto.step(self.replicas[dst], msg)
+        if result is not None:
+            self._apply(rec, dst, result)
+        elif dst.kind == "c":
+            rec["state"] = self._state_digest(dst)
+        else:
             raise SimError(f"replica {dst} cannot handle {msg.kind}")
-        self._apply(rec, dst, handler(st, msg))
 
     def drop(self, pattern: dict):
         mids = []
@@ -525,120 +633,49 @@ class Simulation:
         rec = self._record("timeout", node)
         self._apply(rec, node, zyzzyva.on_timeout(self.clients[node]))
 
+    def _correct_replica(self, node: NodeId, what: str):
+        st = self.replicas.get(node)  # None for a Byzantine replica
+        if st is None:
+            raise SimError(f"{what} target correct replicas, not {node}")
+        return st
+
     def view_change(self, view: int, nodes):
         for node in nodes:
-            if node in self.byzantine:
-                raise SimError(f"view-change signals target correct replicas, not {node}")
+            st = self._correct_replica(node, "view-change signals")
             rec = self._record("view_change", node, view=view)
-            st = self.replicas[node]
-            if self.scenario.protocol == ZYZZYVA:
-                self._apply(rec, node, zyzzyva.on_view_change_signal(st, view))
-            else:
-                self._apply(rec, node, fab.on_view_change_signal(st, view))
+            self._apply(rec, node, self.proto.on_view_change_signal(st, view))
 
     def propose(self, node: NodeId):
         if self.scenario.protocol == ZYZZYVA:
             raise SimError("propose is a FaB directive")
+        st = self._correct_replica(node, "propose directives")
         rec = self._record("propose", node)
-        self._apply(rec, node, fab.leader_propose(self.replicas[node]))
+        self._apply(rec, node, fab.leader_propose(st))
 
     # -- adversary actions ------------------------------------------------------------
 
     def adversary(self, actor: NodeId, action: dict):
         if actor not in self.byzantine:
             raise SimError(f"adversary actor {actor} is not Byzantine")
-        kind = action["kind"]
+        kind = _field(action, "kind")
         rec = self._record("adversary", actor, action=kind)
         rank = self.node_rank.get(actor, 0) + 1
-        builder = getattr(self, f"_adv_{kind}", None)
-        if builder is None:
-            raise SimError(f"unknown adversary action {kind!r}")
-        for dst, msg in builder(actor, action):
-            self._send(rec, actor, dst, msg, rank)
+        if kind == "withhold":
+            self._withhold(actor, action)
+        else:
+            resolve = partial(find_artifacts, self.stores[actor].items)
+            for dst, msg in adversary_sends(actor, action, resolve, self.scenario.protocol):
+                self._send(rec, actor, dst, msg, rank)
         self._scan_quorums(rec)
         rec["state"] = self._state_digest(actor)
 
-    def _stored_request(self, actor: NodeId, op):
-        if op is None:
-            return NULL_REQUEST
-        found = self.stores[actor].find("request", op=op)
-        if len(found) != 1:
-            raise SimError(f"adversary {actor} has {len(found)} stored requests for op {op!r}")
-        return found[0]
-
-    def _stored_log(self, actor: NodeId, ops) -> tuple:
-        return tuple(self._stored_request(actor, op) for op in ops)
-
-    def _stored_one(self, actor: NodeId, kind: str, ref: dict):
-        found = self.stores[actor].find(kind, **ref)
-        if len(found) != 1:
-            raise SimError(
-                f"adversary {actor}: {kind} {ref} resolves to {len(found)} artifacts"
-            )
-        return found[0]
-
-    def _adv_order_req(self, actor, action):
-        for send in action["sends"]:
-            log = self._stored_log(actor, send["log"])
-            msg = zyzzyva.signed(zyzzyva.OrderReq(action["view"], log, None), actor)
-            yield parse_node(send["to"]), msg
-
-    def _adv_spec_response(self, actor, action):
-        from .core import exec_result
-
-        log = self._stored_log(actor, action["log"])
-        msg = zyzzyva.signed(
-            zyzzyva.SpecResponse(action["view"], log, actor, exec_result(log), None), actor
-        )
-        yield parse_node(action["to"]), msg
-
-    def _adv_local_commit(self, actor, action):
-        log = self._stored_log(actor, action["log"])
-        msg = zyzzyva.signed(zyzzyva.LocalCommit(action["view"], log, actor, None), actor)
-        yield parse_node(action["to"]), msg
-
-    def _adv_view_change(self, actor, action):
-        cert = None
-        if action.get("cert") is not None:
-            cert = self._stored_one(actor, "commit_certificate", action["cert"])
-        log = self._stored_log(actor, action["log"])
-        msg = zyzzyva.signed(
-            zyzzyva.ViewChangeMessage(action["view"], actor, log, cert, None), actor
-        )
-        yield parse_node(action["to"]), msg
-
-    def _adv_propose(self, actor, action):
-        for send in action["sends"]:
-            msg = fab.signed(
-                fab.Propose(action["view"], send["value"].encode(), None, None), actor
-            )
-            yield parse_node(send["to"]), msg
-
-    def _adv_accepted(self, actor, action):
-        msg = fab.signed(
-            fab.Accepted(action["view"], action["value"].encode(), actor, None), actor
-        )
-        for to in action["to"]:
-            yield parse_node(to), msg
-
-    def _adv_rep(self, actor, action):
-        cp = None
-        if action.get("commit_proof") is not None:
-            cp = self._stored_one(actor, "commit_proof", action["commit_proof"])
-        acc = action.get("last_accepted")
-        msg = fab.signed(
-            fab.Rep(action["view"], actor, None if acc is None else acc.encode(), cp, None),
-            actor,
-        )
-        yield parse_node(action["to"]), msg
-
-    def _adv_withhold(self, actor, action):
+    def _withhold(self, actor: NodeId, action: dict):
+        """Drop the actor's own pending messages that match the action's pattern."""
         pat = dict(action.get("match") or {})
         pat["src"] = str(actor)
         for entry in self._pending():
             if self._match(entry, pat):
                 entry.status = "dropped"
-        return ()
 
     # -- script execution --------------------------------------------------------------
 

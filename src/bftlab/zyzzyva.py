@@ -16,6 +16,9 @@ from .core import (
     QuorumConfig,
     Request,
     SignatureToken,
+    Signed,
+    broadcast,
+    distinct_quorum,
     exec_result,
     immutable,
     is_null,
@@ -24,9 +27,8 @@ from .core import (
     log_canon,
     log_key,
     make_request,
-    mint,
     pack,
-    replica,
+    signed,
     token_ok,
 )
 
@@ -34,15 +36,10 @@ FAST = "fast"
 TWO_PHASE = "two_phase"
 
 
-def signed(msg, signer: NodeId):
-    """Fill in the token field by minting over the message payload."""
-    return replace(msg, token=mint(signer, msg.payload()))
-
-
 # --- messages ---------------------------------------------------------------
 
 @immutable
-class OrderReq:
+class OrderReq(Signed):
     """Leader pre-prepare carrying its full request log."""
 
     view: int
@@ -54,9 +51,6 @@ class OrderReq:
     def payload(self) -> bytes:
         return pack(b"order_req", str(self.view).encode(), log_canon(self.log))
 
-    def canon(self) -> bytes:
-        return pack(self.payload(), self.token.canon())
-
     def verify(self) -> bool:
         return token_ok(self.token, self.token.signer, self.payload()) and all(
             is_null(e) or e.verify() for e in self.log
@@ -64,7 +58,7 @@ class OrderReq:
 
 
 @immutable
-class SpecResponse:
+class SpecResponse(Signed):
     """Replica prepare: speculative result for a log it adopted."""
 
     view: int
@@ -84,15 +78,8 @@ class SpecResponse:
             self.result.encode(),
         )
 
-    def canon(self) -> bytes:
-        return pack(self.payload(), self.token.canon())
-
     def verify(self) -> bool:
-        return (
-            self.token.signer == self.replica
-            and token_ok(self.token, self.replica, self.payload())
-            and self.result == exec_result(self.log)
-        )
+        return Signed.verify(self) and self.result == exec_result(self.log)
 
 
 @immutable
@@ -117,13 +104,8 @@ class CommitCertificate:
         return tuple(r.replica for r in self.responses)
 
     def well_formed(self, cfg: QuorumConfig) -> bool:
-        if len(self.responses) != cfg.cc_quorum:
-            return False
-        if len(set(self.senders())) != cfg.cc_quorum:
-            return False
-        return all(
-            r.view == self.view and r.log == self.log and r.verify()
-            for r in self.responses
+        return distinct_quorum(self.responses, cfg.cc_quorum) and all(
+            r.view == self.view and r.log == self.log and r.verify() for r in self.responses
         )
 
 
@@ -133,7 +115,7 @@ def make_certificate(responses) -> CommitCertificate:
 
 
 @immutable
-class CommitRequest:
+class CommitRequest(Signed):
     """Client message carrying a commit certificate."""
 
     client: NodeId
@@ -145,15 +127,12 @@ class CommitRequest:
     def payload(self) -> bytes:
         return pack(b"commit_request", self.client.canon(), self.cert.canon())
 
-    def canon(self) -> bytes:
-        return pack(self.payload(), self.token.canon())
-
     def verify(self) -> bool:
         return token_ok(self.token, self.client, self.payload())
 
 
 @immutable
-class LocalCommit:
+class LocalCommit(Signed):
     """Replica commit response for a certified (view, log)."""
 
     view: int
@@ -171,17 +150,9 @@ class LocalCommit:
             self.replica.canon(),
         )
 
-    def canon(self) -> bytes:
-        return pack(self.payload(), self.token.canon())
-
-    def verify(self) -> bool:
-        return self.token.signer == self.replica and token_ok(
-            self.token, self.replica, self.payload()
-        )
-
 
 @immutable
-class ViewChangeMessage:
+class ViewChangeMessage(Signed):
     """A replica's local state shipped to the new leader."""
 
     new_view: int
@@ -202,17 +173,9 @@ class ViewChangeMessage:
             cert,
         )
 
-    def canon(self) -> bytes:
-        return pack(self.payload(), self.token.canon())
-
-    def verify(self) -> bool:
-        return self.token.signer == self.replica and token_ok(
-            self.token, self.replica, self.payload()
-        )
-
 
 @immutable
-class NewViewMessage:
+class NewViewMessage(Signed):
     """New leader's proof set P plus the reconstructed base log G."""
 
     new_view: int
@@ -229,9 +192,6 @@ class NewViewMessage:
             *[vc.canon() for vc in self.proof],
             log_canon(self.log),
         )
-
-    def canon(self) -> bytes:
-        return pack(self.payload(), self.token.canon())
 
     def verify(self) -> bool:
         return token_ok(self.token, self.token.signer, self.payload()) and all(
@@ -303,10 +263,6 @@ class ReplicaState:
         return leader_of(self.view, self.cfg.n) == self.rid
 
 
-def _broadcast(msg, cfg: QuorumConfig):
-    return tuple((replica(i), msg) for i in range(cfg.n))
-
-
 def _responses(st: ReplicaState, lo: int, hi: int):
     """SpecResponses for positions lo..hi (1-based), sent to each entry's client."""
     sends = []
@@ -326,7 +282,7 @@ def on_request(st: ReplicaState, req: Request):
         return st, (), ()
     st = replace(st, log=st.log + (req,))
     msg = signed(OrderReq(st.view, st.log, None), st.rid)
-    return st, _broadcast(msg, st.cfg), ()
+    return st, broadcast(msg, st.cfg), ()
 
 
 def on_order_req(st: ReplicaState, msg: OrderReq):
@@ -383,7 +339,7 @@ def on_view_change_msg(st: ReplicaState, msg: ViewChangeMessage):
     g = reconstruct_log(proof, st.cfg)
     nv = signed(NewViewMessage(msg.new_view, proof, g, None), st.rid)
     st = replace(st, nv_done=st.nv_done + (msg.new_view,))
-    return st, _broadcast(nv, st.cfg), ()
+    return st, broadcast(nv, st.cfg), ()
 
 
 def on_new_view(st: ReplicaState, msg: NewViewMessage):
@@ -442,28 +398,30 @@ def _groups(msgs):
     return by_key
 
 
-def on_spec_response(st: ClientState, msg: SpecResponse):
-    """Collect a prepare; fast-commit once fast_quorum match."""
-    if not msg.verify():
+def _collect(st: ClientState, msg, field: str, quorum: int, track: str):
+    """Add msg to the client's `field` collection; decide each new (view, log)
+    group that `quorum` distinct replicas now match."""
+    held = getattr(st, field)
+    if any(m.replica == msg.replica and m.view == msg.view and m.log == msg.log for m in held):
         return st, (), ()
-    if not msg.log or msg.log[-1] != st.request:
-        return st, (), ()
-    if any(
-        r.replica == msg.replica and r.view == msg.view and r.log == msg.log
-        for r in st.responses
-    ):
-        return st, (), ()
-    st = replace(st, responses=st.responses + (msg,))
+    st = replace(st, **{field: held + (msg,)})
     notes = []
-    for (view, _), group in _groups(st.responses).items():
-        if len({m.replica for m in group}) < st.cfg.fast_quorum:
+    for (view, _), group in _groups(getattr(st, field)).items():
+        if len({m.replica for m in group}) < quorum:
             continue
-        key = (view, log_key(group[0].log), FAST)
+        key = (view, log_key(group[0].log), track)
         if key in st.decided:
             continue
         st = replace(st, decided=st.decided + (key,))
-        notes.append(Decision(view, group[0].log, FAST, tuple(group)))
+        notes.append(Decision(view, group[0].log, track, tuple(group)))
     return st, (), tuple(notes)
+
+
+def on_spec_response(st: ClientState, msg: SpecResponse):
+    """Collect a prepare; fast-commit once fast_quorum match."""
+    if not msg.verify() or not msg.log or msg.log[-1] != st.request:
+        return st, (), ()
+    return _collect(st, msg, "responses", st.cfg.fast_quorum, FAST)
 
 
 def on_timeout(st: ClientState):
@@ -484,32 +442,51 @@ def on_timeout(st: ClientState):
         return st, (), ()
     st = replace(st, cert=best)
     cr = signed(CommitRequest(st.cid, best, None), st.cid)
-    return st, _broadcast(cr, st.cfg), ()
+    return st, broadcast(cr, st.cfg), ()
 
 
 def on_local_commit(st: ClientState, msg: LocalCommit):
     """Collect commit responses; two-phase commit at commit_quorum."""
     if not msg.verify():
         return st, (), ()
-    if any(
-        m.replica == msg.replica and m.view == msg.view and m.log == msg.log
-        for m in st.local_commits
-    ):
-        return st, (), ()
-    st = replace(st, local_commits=st.local_commits + (msg,))
-    notes = []
-    for (view, _), group in _groups(st.local_commits).items():
-        if len({m.replica for m in group}) < st.cfg.commit_quorum:
-            continue
-        key = (view, log_key(group[0].log), TWO_PHASE)
-        if key in st.decided:
-            continue
-        st = replace(st, decided=st.decided + (key,))
-        notes.append(Decision(view, group[0].log, TWO_PHASE, tuple(group)))
-    return st, (), tuple(notes)
+    return _collect(st, msg, "local_commits", st.cfg.commit_quorum, TWO_PHASE)
+
+
+# --- delivery dispatch --------------------------------------------------------
+
+# message kind -> handler name, per node role. Handlers are looked up in the
+# module's globals on every delivery, so a wrapped handler is the one called.
+_CLIENT_HANDLERS = {"spec_response": "on_spec_response", "local_commit": "on_local_commit"}
+_REPLICA_HANDLERS = {
+    "request": "on_request",
+    "order_req": "on_order_req",
+    "commit_request": "on_commit_request",
+    "view_change": "on_view_change_msg",
+    "new_view": "on_new_view",
+}
+
+
+def step(st, msg):
+    """Deliver msg to the node in state st: (state', sends, notes), or None
+    when a node of its role has no handler for the message kind."""
+    handlers = _CLIENT_HANDLERS if isinstance(st, ClientState) else _REPLICA_HANDLERS
+    name = handlers.get(msg.kind)
+    return None if name is None else globals()[name](st, msg)
 
 
 # --- omniscient decision rule --------------------------------------------------
+
+def decision_group(msg, cfg: QuorumConfig):
+    """(group, track, quorum) for a sent message that counts toward a
+    decision, else None: the group's decision exists once `quorum` distinct
+    replicas sent a message of the group. Groups sort in the order
+    check_decisions lists their decisions."""
+    if msg.kind == "spec_response":
+        return (0, msg.view, log_canon(msg.log)), FAST, cfg.fast_quorum
+    if msg.kind == "local_commit":
+        return (1, msg.view, log_canon(msg.log)), TWO_PHASE, cfg.commit_quorum
+    return None
+
 
 def check_decisions(sent_messages, cfg: QuorumConfig):
     """Decisions implied by a slice of sent messages, per the quorum rules.

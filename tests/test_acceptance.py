@@ -16,7 +16,7 @@ from bftlab.checkers import (
     run_checkers,
 )
 from bftlab.core import FAB5, client, quorum_config, replica
-from bftlab.explorer import ExploreConfig, explore, export_counterexample
+from bftlab.explorer import ExploreConfig, explore
 from bftlab.fab import STUCK, ProgressCertificate, Rep, leader_choose, signed
 from bftlab.netsim import Simulation, run_scenario
 from bftlab.scenarios import Scenario, get_builtin, validate
@@ -138,7 +138,7 @@ def test_criterion_6_explorer_rediscovers_both_bugs():
     pfab_elapsed = time.monotonic() - started
     assert pfab.counterexample is not None
     replay = run_checkers(
-        run_scenario(export_counterexample(pfab.counterexample)).records, ["stuck"]
+        run_scenario(pfab.counterexample.scenario).records, ["stuck"]
     )
     assert replay[0].status == "occurred"
     assert pfab_elapsed < 60.0
@@ -151,7 +151,7 @@ def test_criterion_6_explorer_rediscovers_both_bugs():
     zyz_elapsed = time.monotonic() - started
     assert zyz.counterexample is not None
     replay = run_checkers(
-        run_scenario(export_counterexample(zyz.counterexample)).records, ["agreement"]
+        run_scenario(zyz.counterexample.scenario).records, ["agreement"]
     )
     assert replay[0].status == "violated"
     assert zyz_elapsed < 600.0

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bftlab.cli import main
 from bftlab.scenarios import get_builtin
 
@@ -114,3 +116,44 @@ def test_list_flag_alias(capsys):
     assert main(["--list"]) == 0
     assert "pfab-stuck" in capsys.readouterr().out
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["explore", "--explore-config", "cfg.json", "--parallel", "2"],
+    ["frobnicate"],
+])
+def test_usage_errors_exit_one(capsys, argv):
+    # exit code 2 is reserved for violations
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+_ZYZZYVA = {"name": "bad", "protocol": "zyzzyva", "f": 1, "byzantine": [0],
+            "clients": [{"id": 1, "op": "a"}]}
+_PFAB = {"name": "bad", "protocol": "pfab", "f": 1, "byzantine": [0], "inputs": {"r1": "A"}}
+
+
+@pytest.mark.parametrize("scenario", [
+    dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {}}]),
+    dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0,
+                            "action": {"kind": "order_req", "view": 1}}]),
+    dict(_ZYZZYVA, script=[{"do": "view_change", "view": 2, "nodes": ["c1"]}]),
+    dict(_PFAB, script=[{"do": "propose", "node": "r0"}]),
+    dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {
+        "kind": "propose", "view": 1, "sends": [{"to": "r1", "value": "A"}]}}]),
+    dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "r9"}]),
+    dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": ""}]),
+], ids=["action-without-kind", "order-req-without-sends", "view-change-to-client",
+        "propose-at-byzantine-replica", "fab-action-in-zyzzyva", "request-to-r9",
+        "empty-node-name"])
+def test_malformed_actions_and_node_names_exit_one(capsys, tmp_path, scenario):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

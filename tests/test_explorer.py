@@ -9,7 +9,6 @@ from bftlab.explorer import (
     ExplorerError,
     _kernel_for,
     explore,
-    export_counterexample,
     validate_config,
 )
 from bftlab.netsim import run_scenario
@@ -40,7 +39,7 @@ def test_pfab_two_values_get_stuck():
     ce = res.counterexample
     assert ce.verdict.property == "stuck" and ce.verdict.status == "occurred"
     # the exported scenario is a valid, canonical scenario document
-    sc = export_counterexample(ce)
+    sc = ce.scenario
     assert loads(sc.to_json()).to_json() == sc.to_json()
     # replaying it independently reproduces the verdict
     verdicts = run_checkers(run_scenario(sc).records, ["stuck"])
@@ -104,12 +103,6 @@ def test_intern_table_belongs_to_its_kernel():
     copy = replace(value)
     assert first.intern(value) is value and first.intern(copy) is value
     assert second.intern(copy) is copy
-
-
-def test_parallel_search_matches_sequential():
-    seq = explore(PFAB_SMALL)
-    par = explore(PFAB_SMALL, parallel=2)
-    assert par.counterexample.scenario.script == seq.counterexample.scenario.script
 
 
 def test_budget_exhaustion_reports_no_counterexample():

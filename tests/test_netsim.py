@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import pytest
 
+from bftlab import fab, zyzzyva
 from bftlab.checkers import run_checkers
 from bftlab.core import ZYZZYVA, log_ops
-from bftlab.explorer import ExploreConfig, _kernel_for, _Sink
+from bftlab.explorer import ExploreConfig, _kernel_for, _Sink, explore
 from bftlab.fab import check_decision
 from bftlab.netsim import SimError, Simulation, Trace, run_scenario
 from bftlab.scenarios import BUILTIN_NAMES, Scenario, get_builtin, validate
@@ -246,20 +247,36 @@ def _benign_script(scenario, seed):
                                        "dst": str(e.dst), "ordinal": e.ordinal}})
 
 
-def _explorer_walk(cfg, seed, steps=40):
-    """A seeded random walk through the explorer's choices, as a scenario."""
+def _explorer_walk(cfg, seed, steps=40, path=None):
+    """A seeded random walk through the explorer's choices, as a scenario;
+    with `path`, that sequence of choices instead.
+
+    Also returns one checkpoint per kernel state on the walk: the number of
+    directives exported up to it, its commits and its stuck flag.
+    """
     kernel, sink, rng = _kernel_for(cfg), _Sink(), random.Random(seed)
     state = kernel.initial(sink)
-    for _ in range(steps):
+    checkpoints = [(len(sink.directives), state.commits, state.stuck)]
+    for i in range(steps if path is None else len(path)):
         options = kernel.choices(state)
         if not options:
             break
-        state = kernel.apply(state, rng.choice(options), sink)
-    return validate(Scenario(
+        choice = rng.choice(options) if path is None else path[i]
+        state = kernel.apply(state, choice, sink)
+        checkpoints.append((len(sink.directives), state.commits, state.stuck))
+    scenario = validate(Scenario(
         name="walk", protocol=cfg.protocol, f=cfg.f, t=cfg.t, byzantine=list(cfg.byzantine),
         clients=[{"id": i + 1, "op": op} for i, op in enumerate(cfg.requests)],
         script=sink.directives,
     ))
+    return scenario, checkpoints
+
+
+_WALK_MENU = ("equivocate", "withhold", "inject_stored")
+_WALK_CONFIGS = (
+    ExploreConfig(protocol="zyzzyva", requests=("a", "b"), menu=_WALK_MENU, max_views=3),
+    ExploreConfig(protocol="pfab", values=("A", "B"), menu=_WALK_MENU),
+)
 
 
 def _schedules():
@@ -272,11 +289,9 @@ def _schedules():
         for protocol in ("fab5", "pfab"):
             fab = _bare(protocol, clients=[], inputs={"r0": "AB"[seed % 2]})
             yield replace(fab, script=_benign_script(fab, seed))
-    menu = ("equivocate", "withhold", "inject_stored")
     for seed in range(20):
-        yield _explorer_walk(ExploreConfig(protocol="zyzzyva", requests=("a", "b"), menu=menu,
-                                           max_views=3), seed)
-        yield _explorer_walk(ExploreConfig(protocol="pfab", values=("A", "B"), menu=menu), seed)
+        for cfg in _WALK_CONFIGS:
+            yield _explorer_walk(cfg, seed)[0]
 
 
 def test_incremental_commits_equal_a_full_rescan():
@@ -284,3 +299,60 @@ def test_incremental_commits_equal_a_full_rescan():
         got = Simulation(scenario).run_script().records
         want = _RescanSimulation(scenario).run_script().records
         assert [r.get("commits") for r in got] == [r.get("commits") for r in want]
+
+
+def _commits_so_far(protocol, records):
+    """The trace's commits in the kernel's form: Zyzzyva (position, op or
+    "<null>", view, track), FaB (value, view, track)."""
+    out = set()
+    for rec in records:
+        for c in rec.get("commits") or []:
+            if protocol == ZYZZYVA:
+                out.add((c["position"], c["entry"] or "<null>", c["view"], c["track"]))
+            else:
+                out.add((c["value"], c["view"], c["track"]))
+    return out
+
+
+def _assert_kernel_matches_simulator(cfg, scenario, checkpoints):
+    """Step the simulator through the walk's exported script; after the
+    directives of every choice, the kernel's commits and stuck flag must be
+    exactly what the trace has recorded so far."""
+    sim, done = Simulation(scenario), 0
+    for count, commits, stuck in checkpoints:
+        for step in scenario.script[done:count]:
+            sim._step(step)
+        done = count
+        records = sim.trace.records
+        assert set(commits) == _commits_so_far(cfg.protocol, records), count
+        assert stuck == any(r.get("stuck") for r in records), count
+
+
+@pytest.mark.parametrize("cfg", _WALK_CONFIGS, ids=lambda cfg: cfg.protocol)
+def test_kernel_and_simulator_agree_after_every_choice(cfg):
+    for seed in range(20):
+        scenario, checkpoints = _explorer_walk(cfg, seed)
+        _assert_kernel_matches_simulator(cfg, scenario, checkpoints)
+
+
+def test_kernel_and_simulator_agree_along_a_found_stuck_run():
+    # the seeded walks never get stuck; the explorer's PFaB counterexample does
+    cfg = replace(_WALK_CONFIGS[1], menu=("equivocate", "withhold"))
+    path = explore(cfg).counterexample.choices
+    scenario, checkpoints = _explorer_walk(cfg, None, path=path)
+    assert checkpoints[-1][2] and not checkpoints[-2][2]
+    _assert_kernel_matches_simulator(cfg, scenario, checkpoints)
+
+
+def test_step_looks_handlers_up_at_call_time(monkeypatch):
+    # a wrapped handler (a tracer's, say) is the one deliveries reach
+    for module, name, scenario in (
+        (zyzzyva, "on_order_req", "zyzzyva-benign-fast"),
+        (zyzzyva, "on_spec_response", "zyzzyva-benign-fast"),
+        (fab, "on_rep", "pfab-stuck"),
+    ):
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda st, m, f=original: calls.append(m) or f(st, m))
+        run_scenario(get_builtin(scenario))
+        assert calls, name
