@@ -18,8 +18,9 @@ and the adversary supportively echoes correct replicas' client-bound
 responses, which only ever adds commit evidence. Every move is a
 scenario-JSON adversary action, resolved against the state's artifact store;
 messages addressed to Byzantine nodes deliver immediately into that store.
-Found runs are exported as ordinary scenarios, made of those same actions,
-and replayed through the real simulator before being reported.
+A found run is exported by taking its choices again with a `Simulation`
+attached, which executes each directive as the kernel takes it: message ids
+and ordinals are the simulator's alone, and its trace is the run's trace.
 """
 from __future__ import annotations
 
@@ -42,8 +43,7 @@ from .core import (
     quorum_config,
     replica,
 )
-from .netsim import ArtifactError, adversary_sends, artifacts, find_artifacts
-from .netsim import msg_view, run_scenario
+from .netsim import ArtifactError, Simulation, adversary_sends, artifacts, find_artifacts
 from .scenarios import Scenario, validate
 
 MENU_KINDS = ("equivocate", "withhold", "inject_stored")
@@ -111,7 +111,6 @@ class ExploreResult:
 
 @immutable
 class KMsg:
-    mid: int
     src: NodeId
     dst: NodeId
     msg: object
@@ -122,7 +121,6 @@ class KState:
     replicas: tuple
     clients: tuple = ()
     pool: tuple = ()
-    next_mid: int = 1
     view: int = 1
     slots: tuple = ()  # adversary action slots already used
     store: tuple = ()  # artifacts observed by the Byzantine replica
@@ -131,36 +129,6 @@ class KState:
     commits: tuple = ()  # zyzzyva (position, entry, view, track); fab (value, view, track)
     timeouts: tuple = ()
     stuck: bool = False
-
-
-class _Sink:
-    """Directive collector for exporting a found run as a scenario."""
-
-    def __init__(self):
-        self.directives: list[dict] = []
-        self._counters: dict[tuple, int] = {}
-        self.mid_ordinals: dict[int, int] = {}
-
-    def note_send(self, kmsg: KMsg):
-        key = (kmsg.msg.kind, str(kmsg.src), str(kmsg.dst))
-        n = self._counters.get(key, 0)
-        self._counters[key] = n + 1
-        self.mid_ordinals[kmsg.mid] = n
-
-    def pattern(self, kmsg: KMsg) -> dict:
-        pat = {
-            "type": kmsg.msg.kind,
-            "src": str(kmsg.src),
-            "dst": str(kmsg.dst),
-            "ordinal": self.mid_ordinals[kmsg.mid],
-        }
-        view = msg_view(kmsg.msg)
-        if view is not None:
-            pat["view"] = view
-        return pat
-
-    def add(self, directive: dict):
-        self.directives.append(directive)
 
 
 # --- kernels ------------------------------------------------------------------
@@ -177,6 +145,7 @@ class _Kernel:
         self.byz = replica(cfg.byzantine[0])
         self.correct = tuple(replica(i) for i in range(self.qc.n) if replica(i) != self.byz)
         self._interned: dict = {}
+        self.sim: Simulation | None = None  # the export target, set by initial
 
     def intern(self, obj):
         """The search's one canonical instance of obj's value.
@@ -188,7 +157,8 @@ class _Kernel:
         return self._interned.setdefault(obj, obj)
 
     # protocol hooks -----------------------------------------------------------
-    def initial(self, sink) -> KState:
+    def initial(self, sim: Simulation | None) -> KState:
+        """The root state; with sim, every later directive is exported to it."""
         raise NotImplementedError
 
     def decided(self, group, track, msg) -> tuple:
@@ -199,7 +169,7 @@ class _Kernel:
         """Record a transition's note (a client decision, a stuck report)."""
         raise NotImplementedError
 
-    def after_send(self, st: KState, src, dst, msg, sink) -> KState:
+    def after_send(self, st: KState, src, dst, msg) -> KState:
         return st
 
     def slot_choices(self, st: KState) -> list:
@@ -213,15 +183,16 @@ class _Kernel:
     def eligible_timeouts(self, st: KState):
         return ()
 
-    def apply_timeout(self, st: KState, cname: str, sink) -> KState:
+    def apply_timeout(self, st: KState, cname: str) -> KState:
         raise NotImplementedError
 
     def violated(self, st: KState) -> bool:
         raise NotImplementedError
 
     # shared mechanics ------------------------------------------------------------
-    def _root(self, make_replica, clients=()) -> KState:
+    def _root(self, sim, make_replica, clients=()) -> KState:
         """The state before any step: fresh correct replicas, nothing sent."""
+        self.sim = sim
         nodes = [replica(i) for i in range(self.qc.n)]
         replicas = tuple(None if r == self.byz else make_replica(r, self.qc) for r in nodes)
         return KState(replicas, clients)
@@ -259,25 +230,31 @@ class _Kernel:
             st = replace(st, commits=st.commits + self.decided(group, track, msg))
         return st
 
-    def route(self, st: KState, src: NodeId, sends, sink) -> KState:
+    def export(self, do: str, head: KMsg | None = None, **fields):
+        """Take directive `do` on the export simulation, if any. A deliver or
+        drop of `head` matches the simulation's oldest pending message of its
+        (type, src, dst): both pools are FIFO per that key."""
+        if self.sim is None:
+            return
+        if head is not None:
+            fields["match"] = self.sim.pattern(head.msg.kind, head.src, head.dst)
+        self.sim.run_step({"do": do, **fields})
+
+    def route(self, st: KState, src: NodeId, sends) -> KState:
         """Send messages: pool for correct targets, instant store for Byzantine."""
         for dst, msg in sends:
             msg = self.intern(msg)
             st = self.note_sent(st, msg)
-            kmsg = self.intern(KMsg(st.next_mid, src, dst, msg))
-            st = replace(st, next_mid=st.next_mid + 1)
-            if sink is not None:
-                sink.note_send(kmsg)
+            kmsg = KMsg(src, dst, msg)
             if dst == self.byz:
                 st = self._store_add(st, msg)
-                if sink is not None:
-                    sink.add({"do": "deliver", "match": sink.pattern(kmsg)})
+                self.export("deliver", kmsg)
             else:
-                st = replace(st, pool=st.pool + (kmsg,))
-                st = self.after_send(st, src, dst, msg, sink)
+                st = replace(st, pool=st.pool + (self.intern(kmsg),))
+                st = self.after_send(st, src, dst, msg)
         return st
 
-    def handle_delivery(self, st: KState, kmsg: KMsg, sink) -> KState:
+    def handle_delivery(self, st: KState, kmsg: KMsg) -> KState:
         dst = kmsg.dst
         node = st.clients[dst.index - 1] if dst.kind == "c" else st.replicas[dst.index]
         result = self.proto.step(node, kmsg.msg)
@@ -287,14 +264,14 @@ class _Kernel:
         st = self._set_node(st, dst, ns)
         for note in notes:
             st = self.note(st, note)
-        return self.route(st, dst, sends, sink)
+        return self.route(st, dst, sends)
 
-    def signal_view(self, st: KState, rid: NodeId, view: int, sink) -> KState:
+    def signal_view(self, st: KState, rid: NodeId, view: int) -> KState:
         rs, sends, _ = self.proto.on_view_change_signal(st.replicas[rid.index], view)
         st = self._set_node(st, rid, rs)
-        return self.route(st, rid, sends, sink)
+        return self.route(st, rid, sends)
 
-    def act(self, st: KState, action: dict, sink) -> KState:
+    def act(self, st: KState, action: dict) -> KState:
         """Perform an adversary action; exported as the directive replay runs.
 
         An action naming an artifact the store lacks, or holds twice, sends
@@ -305,9 +282,8 @@ class _Kernel:
             sends = adversary_sends(self.byz, action, resolve, self.cfg.protocol)
         except ArtifactError:
             return st
-        if sink is not None:
-            sink.add({"do": "adversary", "actor": self.byz.index, "action": action})
-        return self.route(st, self.byz, sends, sink)
+        self.export("adversary", actor=self.byz.index, action=action)
+        return self.route(st, self.byz, sends)
 
     def assignments(self, options: int) -> list:
         """Per-correct-replica choices of an option index or silence (None),
@@ -316,22 +292,21 @@ class _Kernel:
         choices = itertools.product([*range(options), None], repeat=len(self.correct))
         return [a for a in choices if a != silent]
 
-    def deliver_head(self, st: KState, sink) -> KState:
+    def deliver_head(self, st: KState) -> KState:
         head = st.pool[0]
         st = replace(st, pool=st.pool[1:])
-        if sink is not None:
-            sink.add({"do": "deliver", "match": sink.pattern(head)})
-        return self.handle_delivery(st, head, sink)
+        self.export("deliver", head)
+        return self.handle_delivery(st, head)
 
     def eager_kinds(self, st: KState) -> tuple:
         return self.eager
 
-    def normalize(self, st: KState, sink) -> KState:
+    def normalize(self, st: KState) -> KState:
         # self-addressed messages are local and always processed immediately
         while st.pool and (
             st.pool[0].msg.kind in self.eager_kinds(st) or st.pool[0].src == st.pool[0].dst
         ):
-            st = self.deliver_head(st, sink)
+            st = self.deliver_head(st)
         return st
 
     def signal_order(self, view: int) -> tuple:
@@ -359,30 +334,28 @@ class _Kernel:
             out.extend(self.slot_choices(st))
         return out
 
-    def apply(self, st: KState, choice, sink=None) -> KState:
+    def apply(self, st: KState, choice) -> KState:
         kind = choice[0]
         if kind == "deliver":
-            st = self.deliver_head(st, sink)
+            st = self.deliver_head(st)
         elif kind == "drop":
             head = st.pool[0]
             st = replace(st, pool=st.pool[1:])
-            if sink is not None:
-                sink.add({"do": "drop", "match": sink.pattern(head)})
+            self.export("drop", head)
         elif kind == "timeout":
-            st = self.apply_timeout(st, choice[1], sink)
+            st = self.apply_timeout(st, choice[1])
         elif kind == "advance":
             view = choice[1]
             order = self.signal_order(view)
-            if sink is not None:
-                sink.add({"do": "view_change", "view": view, "nodes": [str(r) for r in order]})
+            self.export("view_change", view=view, nodes=[str(r) for r in order])
             st = replace(st, view=view)
             for rid in order:
-                st = self.signal_view(st, rid, view, sink)
+                st = self.signal_view(st, rid, view)
         else:
             _, slot, payload = choice
             st = replace(st, slots=tuple(sorted(st.slots + (slot,))))
-            st = self.act(st, self.slot_action(slot, payload), sink)
-        return self.normalize(st, sink)
+            st = self.act(st, self.slot_action(slot, payload))
+        return self.normalize(st)
 
 
 class ZyzzyvaKernel(_Kernel):
@@ -400,14 +373,13 @@ class ZyzzyvaKernel(_Kernel):
         self.single_logs = tuple((op,) for op in cfg.requests)
         self.vc_logs = ((),) + self.single_logs
 
-    def initial(self, sink) -> KState:
-        st = self._root(zyzzyva.ReplicaState, self.clients0)
+    def initial(self, sim) -> KState:
+        st = self._root(sim, zyzzyva.ReplicaState, self.clients0)
         lead = leader_of(1, self.qc.n)
         for cl in st.clients:
-            if sink is not None:
-                sink.add({"do": "client_request", "client": cl.cid.index, "to": str(lead)})
-            st = self.route(st, cl.cid, ((lead, cl.request),), sink)
-        return self.normalize(st, sink)
+            self.export("client_request", client=cl.cid.index, to=str(lead))
+            st = self.route(st, cl.cid, ((lead, cl.request),))
+        return self.normalize(st)
 
     def decided(self, group, track, msg):
         return self._commits(msg.view, msg.log, track)
@@ -421,7 +393,7 @@ class ZyzzyvaKernel(_Kernel):
             for pos, e in enumerate(log, start=1)
         )
 
-    def after_send(self, st, src, dst, msg, sink):
+    def after_send(self, st, src, dst, msg):
         """Supportive echo: the adversary matches correct client-bound messages."""
         if src == self.byz or dst.kind != "c" or msg.kind not in ("spec_response", "local_commit"):
             return st
@@ -430,7 +402,7 @@ class ZyzzyvaKernel(_Kernel):
         if mark in st.echoed:
             return st
         st = replace(st, echoed=st.echoed + (mark,))
-        return self.act(st, action, sink)
+        return self.act(st, action)
 
     def eligible_timeouts(self, st):
         out = []
@@ -442,14 +414,13 @@ class ZyzzyvaKernel(_Kernel):
                 out.append(cs.cid)
         return out
 
-    def apply_timeout(self, st, cname, sink):
+    def apply_timeout(self, st, cname):
         cid = NodeId("c", int(cname[1:]))
         st = replace(st, timeouts=st.timeouts + (cname,))
         cs, sends, _ = zyzzyva.on_timeout(st.clients[cid.index - 1])
         st = self._set_node(st, cid, cs)
-        if sink is not None:
-            sink.add({"do": "timeout", "node": cname})
-        return self.route(st, cid, sends, sink)
+        self.export("timeout", node=cname)
+        return self.route(st, cid, sends)
 
     def slot_choices(self, st):
         out = []
@@ -511,8 +482,8 @@ class FabKernel(_Kernel):
             else ("propose", "commit_proof_msg")
         )
 
-    def initial(self, sink) -> KState:
-        return self._root(fab.FabReplicaState)
+    def initial(self, sim) -> KState:
+        return self._root(sim, fab.FabReplicaState)
 
     def decided(self, group, track, msg):
         _, view, value = group
@@ -649,39 +620,37 @@ def _search(cfg: ExploreConfig) -> tuple:
 
 
 def _build_counterexample(cfg: ExploreConfig, choices: tuple) -> Counterexample:
-    kernel = _kernel_for(cfg)
-    sink = _Sink()
-    st = kernel.initial(sink)
-    for choice in choices:
-        st = kernel.apply(st, choice, sink)
-    if not kernel.violated(st):
-        raise ExplorerError("internal: choice replay lost the violation")
+    """Take the found choices again, exporting them to a Simulation."""
     target = cfg.resolved_target()
     want = VIOLATED if target == AGREEMENT else OCCURRED
-    scenario = validate(
-        Scenario(
-            name=f"explored-{cfg.protocol}-{target}",
-            protocol=cfg.protocol,
-            f=cfg.f,
-            t=cfg.t,
-            byzantine=list(cfg.byzantine),
-            clients=[{"id": i + 1, "op": op} for i, op in enumerate(cfg.requests)],
-            inputs={},
-            description=(
-                f"Machine-found {target} counterexample for {cfg.protocol} "
-                f"(f={cfg.f}, t={cfg.t}, {cfg.max_views} views)."
-            ),
-            script=sink.directives,
-            expected=[{"property": target, "status": want}],
-        )
+    scenario = Scenario(
+        name=f"explored-{cfg.protocol}-{target}",
+        protocol=cfg.protocol,
+        f=cfg.f,
+        t=cfg.t,
+        byzantine=list(cfg.byzantine),
+        clients=[{"id": i + 1, "op": op} for i, op in enumerate(cfg.requests)],
+        inputs={},
+        description=(
+            f"Machine-found {target} counterexample for {cfg.protocol} "
+            f"(f={cfg.f}, t={cfg.t}, {cfg.max_views} views)."
+        ),
+        expected=[{"property": target, "status": want}],
     )
-    trace = run_scenario(scenario)
-    verdicts = run_checkers(trace.records, [target])
+    sim = Simulation(scenario)
+    kernel = _kernel_for(cfg)
+    st = kernel.initial(sim)
+    for choice in choices:
+        st = kernel.apply(st, choice)
+    if not kernel.violated(st):
+        raise ExplorerError("internal: choice replay lost the violation")
+    validate(scenario)
+    verdicts = run_checkers(sim.trace.records, [target])
     if verdicts[0].status != want:
         raise ExplorerError(
             f"replay mismatch: expected {target}={want}, got {verdicts[0].status}"
         )
-    return Counterexample(scenario, verdicts[0], trace, choices)
+    return Counterexample(scenario, verdicts[0], sim.trace, choices)
 
 
 def explore(cfg: ExploreConfig) -> ExploreResult:

@@ -12,8 +12,10 @@ The protocol modules own delivery dispatch (`step`) and decision accounting
 (`decision_group`). This module owns the adversary: `artifacts` is what a
 Byzantine node learns from a message it receives, and `adversary_sends`
 builds the signed messages of a scenario-JSON adversary action. The explorer
-emits its adversary moves as those actions, so an exported counterexample
-is replayed by the code that built it.
+emits its adversary moves as those actions, and exports a found run by
+executing its directives on a `Simulation` in lockstep with the search
+(`run_step`, `pattern`). Message ids and per-(type, src, dst) ordinals are
+therefore assigned here and nowhere else.
 """
 from __future__ import annotations
 
@@ -604,12 +606,9 @@ class Simulation:
             result = zyzzyva.step(self.clients[dst], msg)
         else:
             result = self.proto.step(self.replicas[dst], msg)
-        if result is not None:
-            self._apply(rec, dst, result)
-        elif dst.kind == "c":
-            rec["state"] = self._state_digest(dst)
-        else:
-            raise SimError(f"replica {dst} cannot handle {msg.kind}")
+        if result is None:
+            raise SimError(f"{dst} cannot handle {msg.kind}")
+        self._apply(rec, dst, result)
 
     def drop(self, pattern: dict):
         mids = []
@@ -678,6 +677,20 @@ class Simulation:
                 entry.status = "dropped"
 
     # -- script execution --------------------------------------------------------------
+
+    def pattern(self, kind: str, src: NodeId, dst: NodeId) -> dict:
+        """The match pattern of the oldest pending message of (kind, src, dst)."""
+        entry = next(e for e in self._pending() if (e.msg.kind, e.src, e.dst) == (kind, src, dst))
+        pat = {"type": kind, "src": str(src), "dst": str(dst), "ordinal": entry.ordinal}
+        view = msg_view(entry.msg)
+        if view is not None:
+            pat["view"] = view
+        return pat
+
+    def run_step(self, step: dict):
+        """Append step to the scenario's script and execute it."""
+        self.scenario.script.append(step)
+        self._step(step)
 
     def run_script(self) -> Trace:
         for i, step in enumerate(self.scenario.script):

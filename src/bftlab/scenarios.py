@@ -16,20 +16,43 @@ from .checkers import PROPERTIES
 
 STATUSES = ("holds", "violated", "occurred", "not_applicable")
 
+# directive -> its fields and their JSON types
 _DIRECTIVES = {
-    "client_request": {"client", "to"},
-    "deliver": {"match"},
-    "drop": {"match"},
-    "delay_all_except": {"match"},
-    "timeout": {"node"},
-    "view_change": {"view", "nodes"},
-    "propose": {"node"},
-    "adversary": {"actor", "action"},
+    "client_request": {"client": int, "to": str},
+    "deliver": {"match": dict},
+    "drop": {"match": dict},
+    "delay_all_except": {"match": dict},
+    "timeout": {"node": str},
+    "view_change": {"view": int, "nodes": list},
+    "propose": {"node": str},
+    "adversary": {"actor": int, "action": dict},
 }
+
+# scenario field -> its JSON type
+_FIELDS = {
+    "name": str,
+    "protocol": str,
+    "f": int,
+    "t": int,
+    "byzantine": list,
+    "clients": list,
+    "inputs": dict,
+    "description": str,
+    "script": list,
+    "expected": list,
+}
+
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
 class ScenarioError(ValueError):
     """Scenario fails to parse or violates a structural invariant."""
+
+
+def _check(value, kind: type, where: str):
+    """Raise unless value has JSON type kind (a boolean is no integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ScenarioError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
 @dataclass
@@ -64,6 +87,20 @@ class Scenario:
 
 
 def validate(sc: Scenario) -> Scenario:
+    for name, kind in _FIELDS.items():
+        _check(getattr(sc, name), kind, name)
+    for i, b in enumerate(sc.byzantine):
+        _check(b, int, f"byzantine[{i}]")
+    for i, c in enumerate(sc.clients):
+        _check(c, dict, f"clients[{i}]")
+        if set(c) != {"id", "op"}:
+            raise ScenarioError(f"clients[{i}] must have the fields id and op, got {c!r}")
+        _check(c["id"], int, f"clients[{i}].id")
+        _check(c["op"], str, f"clients[{i}].op")
+    for key, value in sc.inputs.items():
+        _check(value, str, f"inputs[{key!r}]")
+    for i, e in enumerate(sc.expected):
+        _check(e, dict, f"expected[{i}]")
     if sc.protocol not in PROTOCOLS:
         raise ScenarioError(f"unknown protocol {sc.protocol!r}")
     try:
@@ -73,7 +110,7 @@ def validate(sc: Scenario) -> Scenario:
     if len(sc.byzantine) > sc.f:
         raise ScenarioError(f"{len(sc.byzantine)} byzantine replicas exceeds f={sc.f}")
     for b in sc.byzantine:
-        if not isinstance(b, int) or not 0 <= b < cfg.n:
+        if not 0 <= b < cfg.n:
             raise ScenarioError(f"byzantine id {b!r} outside 0..{cfg.n - 1}")
     ids = [c["id"] for c in sc.clients]
     if len(set(ids)) != len(ids):
@@ -82,16 +119,19 @@ def validate(sc: Scenario) -> Scenario:
     if len(set(ops)) != len(ops):
         raise ScenarioError("client ops must be distinct")
     for i, step in enumerate(sc.script):
-        if not isinstance(step, dict) or "do" not in step:
-            raise ScenarioError(f"script[{i}] is not a directive")
-        do = step["do"]
+        _check(step, dict, f"script[{i}]")
+        do = step.get("do")
+        _check(do, str, f"script[{i}].do")
         if do not in _DIRECTIVES:
             raise ScenarioError(f"script[{i}]: unknown directive {do!r}")
-        missing = _DIRECTIVES[do] - set(step)
+        missing = set(_DIRECTIVES[do]) - set(step)
         if do == "delay_all_except":  # its match is optional (null = everything)
             missing -= {"match"}
         if missing:
             raise ScenarioError(f"script[{i}] ({do}): missing fields {sorted(missing)}")
+        for name, kind in _DIRECTIVES[do].items():
+            if name in step and not (do == "delay_all_except" and step[name] is None):
+                _check(step[name], kind, f"script[{i}] ({do}) {name}")
     for e in sc.expected:
         if e.get("property") not in PROPERTIES:
             raise ScenarioError(f"unknown expected property {e.get('property')!r}")
@@ -101,6 +141,8 @@ def validate(sc: Scenario) -> Scenario:
 
 
 def from_dict(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioError(f"a scenario is a JSON object, got {data!r}")
     known = {f for f in Scenario.__dataclass_fields__}
     unknown = set(data) - known
     if unknown:

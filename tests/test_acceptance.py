@@ -137,6 +137,8 @@ def test_criterion_6_explorer_rediscovers_both_bugs():
     ))
     pfab_elapsed = time.monotonic() - started
     assert pfab.counterexample is not None
+    want = (GOLDEN / "explored-pfab-stuck.json").read_text()
+    assert pfab.counterexample.scenario.to_json() == want, "exported pfab script drifted"
     replay = run_checkers(
         run_scenario(pfab.counterexample.scenario).records, ["stuck"]
     )
@@ -150,6 +152,8 @@ def test_criterion_6_explorer_rediscovers_both_bugs():
     ))
     zyz_elapsed = time.monotonic() - started
     assert zyz.counterexample is not None
+    want = (GOLDEN / "explored-zyzzyva-agreement.json").read_text()
+    assert zyz.counterexample.scenario.to_json() == want, "exported zyzzyva script drifted"
     replay = run_checkers(
         run_scenario(zyz.counterexample.scenario).records, ["agreement"]
     )

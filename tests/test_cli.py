@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bftlab.cli import main
-from bftlab.scenarios import get_builtin
+from bftlab.scenarios import BUILTIN_NAMES, get_builtin
 
 
 def test_list_prints_builtins(capsys):
@@ -146,10 +148,19 @@ _PFAB = {"name": "bad", "protocol": "pfab", "f": 1, "byzantine": [0], "inputs": 
         "kind": "propose", "view": 1, "sends": [{"to": "r1", "value": "A"}]}}]),
     dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "r9"}]),
     dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": ""}]),
+    dict(_ZYZZYVA, script=[
+        {"do": "adversary", "actor": 0, "action": {
+            "kind": "view_change", "view": 2, "log": [], "cert": None, "to": "c1"}},
+        {"do": "deliver", "match": {"type": "view_change"}},
+    ]),
 ], ids=["action-without-kind", "order-req-without-sends", "view-change-to-client",
         "propose-at-byzantine-replica", "fab-action-in-zyzzyva", "request-to-r9",
-        "empty-node-name"])
+        "empty-node-name", "view-change-action-delivered-to-client"])
 def test_malformed_actions_and_node_names_exit_one(capsys, tmp_path, scenario):
+    _assert_one_error_line(capsys, tmp_path, scenario)
+
+
+def _assert_one_error_line(capsys, tmp_path, scenario):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))
     assert main(["run", "--scenario", str(path)]) == 1
@@ -157,3 +168,58 @@ def test_malformed_actions_and_node_names_exit_one(capsys, tmp_path, scenario):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("scenario, says", [
+    (dict(_ZYZZYVA, clients=[{"id": 1}]), "clients[0] must have the fields id and op"),
+    (dict(_ZYZZYVA, clients=[1]), "clients[0] must be an object"),
+    (dict(_ZYZZYVA, expected=[1]), "expected[0] must be an object"),
+    (dict(_PFAB, inputs=[1]), "inputs must be an object"),
+    ([1, 2], "a scenario is a JSON object"),
+    (dict(_ZYZZYVA, script=[{"do": "client_request", "client": "1", "to": "r0"}]),
+     "client must be an integer"),
+    (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": "0", "action": {}}]),
+     "actor must be an integer"),
+    (dict(_ZYZZYVA, script=[{"do": "view_change", "view": 2, "nodes": "r1"}]),
+     "nodes must be a list"),
+], ids=["client-without-op", "client-not-an-object", "expected-not-an-object",
+        "inputs-not-an-object", "top-level-array", "client-id-as-string",
+        "actor-as-string", "nodes-as-string"])
+def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
+    assert says in _assert_one_error_line(capsys, tmp_path, scenario)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.text(max_size=3)
+    | st.sampled_from(["r0", "r1", "c1", "a", "A", "B", "view_change", "order_req", "stuck"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "view", "to", "log", "type", "id", "op"])
+                      | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_in_a_builtin_exits_zero_one_or_two(tmp_path, data):
+    # one top-level field, one directive, or one directive or action field of
+    # a built-in scenario replaced by arbitrary JSON
+    doc = json.loads(get_builtin(data.draw(st.sampled_from(BUILTIN_NAMES))).to_json())
+    where = data.draw(st.sampled_from(["field", "directive", "directive field"]))
+    value = data.draw(_JSON)
+    if where == "field":
+        doc[data.draw(st.sampled_from(sorted(doc)))] = value
+    else:
+        i = data.draw(st.integers(0, len(doc["script"]) - 1))
+        if where == "directive":
+            doc["script"][i] = value
+        else:
+            target = doc["script"][i]
+            if "action" in target and data.draw(st.booleans()):
+                target = target["action"]
+            target[data.draw(st.sampled_from(sorted(target)))] = value
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path)]) in (0, 1, 2)

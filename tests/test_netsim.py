@@ -6,7 +6,7 @@ import pytest
 from bftlab import fab, zyzzyva
 from bftlab.checkers import run_checkers
 from bftlab.core import ZYZZYVA, log_ops
-from bftlab.explorer import ExploreConfig, _kernel_for, _Sink, explore
+from bftlab.explorer import ExploreConfig, _kernel_for, explore
 from bftlab.fab import check_decision
 from bftlab.netsim import SimError, Simulation, Trace, run_scenario
 from bftlab.scenarios import BUILTIN_NAMES, Scenario, get_builtin, validate
@@ -248,35 +248,41 @@ def _benign_script(scenario, seed):
 
 
 def _explorer_walk(cfg, seed, steps=40, path=None):
-    """A seeded random walk through the explorer's choices, as a scenario;
-    with `path`, that sequence of choices instead.
+    """A seeded random walk through the explorer's choices, exported in
+    lockstep to a Simulation; with `path`, that sequence of choices instead.
 
-    Also returns one checkpoint per kernel state on the walk: the number of
-    directives exported up to it, its commits and its stuck flag.
+    Yields (kernel state, simulation) at the root and after every choice.
+    The simulation's scenario holds the script exported so far.
     """
-    kernel, sink, rng = _kernel_for(cfg), _Sink(), random.Random(seed)
-    state = kernel.initial(sink)
-    checkpoints = [(len(sink.directives), state.commits, state.stuck)]
+    kernel, rng = _kernel_for(cfg), random.Random(seed)
+    sim = Simulation(Scenario(
+        name="walk", protocol=cfg.protocol, f=cfg.f, t=cfg.t, byzantine=list(cfg.byzantine),
+        clients=[{"id": i + 1, "op": op} for i, op in enumerate(cfg.requests)],
+    ))
+    state = kernel.initial(sim)
+    yield state, sim
     for i in range(steps if path is None else len(path)):
         options = kernel.choices(state)
         if not options:
             break
-        choice = rng.choice(options) if path is None else path[i]
-        state = kernel.apply(state, choice, sink)
-        checkpoints.append((len(sink.directives), state.commits, state.stuck))
-    scenario = validate(Scenario(
-        name="walk", protocol=cfg.protocol, f=cfg.f, t=cfg.t, byzantine=list(cfg.byzantine),
-        clients=[{"id": i + 1, "op": op} for i, op in enumerate(cfg.requests)],
-        script=sink.directives,
-    ))
-    return scenario, checkpoints
+        state = kernel.apply(state, rng.choice(options) if path is None else path[i])
+        yield state, sim
+
+
+def _walk_scenario(cfg, seed):
+    *_, (_, sim) = _explorer_walk(cfg, seed)
+    return validate(sim.scenario)
 
 
 _WALK_MENU = ("equivocate", "withhold", "inject_stored")
-_WALK_CONFIGS = (
-    ExploreConfig(protocol="zyzzyva", requests=("a", "b"), menu=_WALK_MENU, max_views=3),
-    ExploreConfig(protocol="pfab", values=("A", "B"), menu=_WALK_MENU),
-)
+_WALK_CONFIGS = {
+    "zyzzyva": ExploreConfig(protocol="zyzzyva", requests=("a", "b"), menu=_WALK_MENU,
+                             max_views=3),
+    "pfab": ExploreConfig(protocol="pfab", values=("A", "B"), menu=_WALK_MENU),
+    "fab5": ExploreConfig(protocol="fab5", values=("A", "B"), menu=_WALK_MENU),
+    "zyzzyva-three-requests": ExploreConfig(protocol="zyzzyva", requests=("a", "b", "c"),
+                                            menu=_WALK_MENU, max_views=3),
+}
 
 
 def _schedules():
@@ -290,8 +296,8 @@ def _schedules():
             fab = _bare(protocol, clients=[], inputs={"r0": "AB"[seed % 2]})
             yield replace(fab, script=_benign_script(fab, seed))
     for seed in range(20):
-        for cfg in _WALK_CONFIGS:
-            yield _explorer_walk(cfg, seed)[0]
+        for cfg in _WALK_CONFIGS.values():
+            yield _walk_scenario(cfg, seed)
 
 
 def test_incremental_commits_equal_a_full_rescan():
@@ -314,34 +320,30 @@ def _commits_so_far(protocol, records):
     return out
 
 
-def _assert_kernel_matches_simulator(cfg, scenario, checkpoints):
-    """Step the simulator through the walk's exported script; after the
-    directives of every choice, the kernel's commits and stuck flag must be
-    exactly what the trace has recorded so far."""
-    sim, done = Simulation(scenario), 0
-    for count, commits, stuck in checkpoints:
-        for step in scenario.script[done:count]:
-            sim._step(step)
-        done = count
-        records = sim.trace.records
-        assert set(commits) == _commits_so_far(cfg.protocol, records), count
-        assert stuck == any(r.get("stuck") for r in records), count
+def _assert_kernel_matches_simulator(cfg, state, sim):
+    """The kernel's commits and stuck flag are exactly what the lockstep
+    simulation's trace has recorded so far."""
+    records = sim.trace.records
+    assert set(state.commits) == _commits_so_far(cfg.protocol, records), len(records)
+    assert state.stuck == any(r.get("stuck") for r in records), len(records)
 
 
-@pytest.mark.parametrize("cfg", _WALK_CONFIGS, ids=lambda cfg: cfg.protocol)
-def test_kernel_and_simulator_agree_after_every_choice(cfg):
+@pytest.mark.parametrize("name", _WALK_CONFIGS)
+def test_kernel_and_simulator_agree_after_every_choice(name):
+    cfg = _WALK_CONFIGS[name]
     for seed in range(20):
-        scenario, checkpoints = _explorer_walk(cfg, seed)
-        _assert_kernel_matches_simulator(cfg, scenario, checkpoints)
+        for state, sim in _explorer_walk(cfg, seed):
+            _assert_kernel_matches_simulator(cfg, state, sim)
 
 
 def test_kernel_and_simulator_agree_along_a_found_stuck_run():
     # the seeded walks never get stuck; the explorer's PFaB counterexample does
-    cfg = replace(_WALK_CONFIGS[1], menu=("equivocate", "withhold"))
-    path = explore(cfg).counterexample.choices
-    scenario, checkpoints = _explorer_walk(cfg, None, path=path)
-    assert checkpoints[-1][2] and not checkpoints[-2][2]
-    _assert_kernel_matches_simulator(cfg, scenario, checkpoints)
+    cfg = replace(_WALK_CONFIGS["pfab"], menu=("equivocate", "withhold"))
+    stuck = []
+    for state, sim in _explorer_walk(cfg, None, path=explore(cfg).counterexample.choices):
+        _assert_kernel_matches_simulator(cfg, state, sim)
+        stuck.append(state.stuck)
+    assert stuck[-1] and not stuck[-2]
 
 
 def test_step_looks_handlers_up_at_call_time(monkeypatch):
