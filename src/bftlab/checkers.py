@@ -30,14 +30,6 @@ class Verdict:
     witnesses: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "status": self.status,
-            "witnesses": self.witnesses,
-            "details": self.details,
-        }
-
 
 def _header(records: list) -> dict:
     if not records or records[0].get("kind") != "scenario":

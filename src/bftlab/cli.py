@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .checkers import any_violation, expected_mismatches, run_checkers
-from .explorer import ExploreConfig, ExplorerError, explore, validate_config
+from .explorer import ExplorerError, explore, load_config
 from .netsim import SimError, Trace, run_scenario
 from .scenarios import ScenarioError, builtin_scenarios, get_builtin, load_scenario
 
@@ -50,7 +51,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _emit_verdicts(verdicts):
     for v in verdicts:
-        print(json.dumps(v.to_dict(), separators=(",", ":")), file=sys.stderr)
+        print(json.dumps(asdict(v), separators=(",", ":")), file=sys.stderr)
 
 
 def _summary(records, verdicts):
@@ -127,13 +128,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    with open(args.explore_config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    for key in ("byzantine", "requests", "values", "menu"):
-        if key in data:
-            data[key] = tuple(data[key])
-    cfg = validate_config(ExploreConfig(**data))
-    result = explore(cfg)
+    result = explore(load_config(args.explore_config))
     print(f"explored {result.stats['states']} states "
           f"(deduped {result.stats['deduped']}, depth {result.stats['max_depth']}) "
           f"in {result.stats['elapsed']}s")
@@ -175,7 +170,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ScenarioError, SimError, ExplorerError, OSError, TypeError, ValueError) as e:
+    except (ScenarioError, SimError, ExplorerError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -73,10 +73,6 @@ class NodeId:
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
 
-    @property
-    def is_replica(self) -> bool:
-        return self.kind == "r"
-
     def canon(self) -> bytes:
         return pack(b"node", self.kind.encode(), str(self.index).encode())
 

@@ -25,6 +25,7 @@ and ordinals are the simulator's alone, and its trace is the run's trace.
 from __future__ import annotations
 
 import itertools
+import json
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -44,7 +45,7 @@ from .core import (
     replica,
 )
 from .netsim import ArtifactError, Simulation, adversary_sends, artifacts, find_artifacts
-from .scenarios import Scenario, validate
+from .scenarios import Scenario, read, validate
 
 MENU_KINDS = ("equivocate", "withhold", "inject_stored")
 
@@ -65,15 +66,14 @@ class ExploreConfig:
     menu: tuple = ("equivocate", "withhold")
     dedup: bool = True
     max_states: int = 2_000_000
-    target: str = "auto"  # agreement | stuck
 
     def resolved_target(self) -> str:
-        if self.target != "auto":
-            return self.target
+        """The property the search tries to break: the protocol's known bug."""
         return AGREEMENT if self.protocol == ZYZZYVA else STUCK
 
 
 def validate_config(cfg: ExploreConfig) -> ExploreConfig:
+    """cfg, if the kernels can search it; else ExplorerError or ScenarioError."""
     if cfg.protocol not in PROTOCOLS:
         raise ExplorerError(f"unknown protocol {cfg.protocol!r}")
     if len(cfg.byzantine) != 1:
@@ -87,10 +87,19 @@ def validate_config(cfg: ExploreConfig) -> ExploreConfig:
         raise ExplorerError("zyzzyva exploration needs client requests")
     if cfg.protocol != ZYZZYVA and not cfg.values:
         raise ExplorerError("fab exploration needs a value domain")
-    if cfg.resolved_target() not in (AGREEMENT, STUCK):
-        raise ExplorerError(f"unknown target {cfg.target!r}")
-    quorum_config(cfg.protocol, cfg.f, cfg.t)
+    for name in ("requests", "values"):
+        items = getattr(cfg, name)
+        if not all(isinstance(v, str) for v in items) or len(set(items)) != len(items):
+            raise ExplorerError(f"{name} must be distinct strings, got {list(items)!r}")
+    validate(_skeleton(cfg))
     return cfg
+
+
+def load_config(path) -> ExploreConfig:
+    """The validated explore config in the JSON file at path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    return validate_config(read(ExploreConfig, data, "explore config", ExplorerError))
 
 
 @dataclass
@@ -257,10 +266,7 @@ class _Kernel:
     def handle_delivery(self, st: KState, kmsg: KMsg) -> KState:
         dst = kmsg.dst
         node = st.clients[dst.index - 1] if dst.kind == "c" else st.replicas[dst.index]
-        result = self.proto.step(node, kmsg.msg)
-        if result is None:
-            return st
-        ns, sends, notes = result
+        ns, sends, notes = self.proto.step(node, kmsg.msg)
         st = self._set_node(st, dst, ns)
         for note in notes:
             st = self.note(st, note)
@@ -493,7 +499,7 @@ class FabKernel(_Kernel):
         return replace(st, stuck=True) if isinstance(note, fab.StuckReport) else st
 
     def _final_stuck_view(self, st) -> bool:
-        return self.cfg.resolved_target() == STUCK and st.view == self.cfg.max_views
+        return st.view == self.cfg.max_views
 
     def eager_kinds(self, st):
         # in the last view of a stuck search only REP handling can matter:
@@ -554,9 +560,7 @@ class FabKernel(_Kernel):
         }
 
     def violated(self, st):
-        if self.cfg.resolved_target() == STUCK:
-            return st.stuck
-        return len({v for v, _, _ in st.commits}) > 1
+        return st.stuck
 
 
 def _kernel_for(cfg: ExploreConfig) -> _Kernel:
@@ -619,11 +623,11 @@ def _search(cfg: ExploreConfig) -> tuple:
     return found, stats
 
 
-def _build_counterexample(cfg: ExploreConfig, choices: tuple) -> Counterexample:
-    """Take the found choices again, exporting them to a Simulation."""
+def _skeleton(cfg: ExploreConfig) -> Scenario:
+    """The scenario a found run of cfg is exported to, before its script."""
     target = cfg.resolved_target()
     want = VIOLATED if target == AGREEMENT else OCCURRED
-    scenario = Scenario(
+    return Scenario(
         name=f"explored-{cfg.protocol}-{target}",
         protocol=cfg.protocol,
         f=cfg.f,
@@ -637,6 +641,12 @@ def _build_counterexample(cfg: ExploreConfig, choices: tuple) -> Counterexample:
         ),
         expected=[{"property": target, "status": want}],
     )
+
+
+def _build_counterexample(cfg: ExploreConfig, choices: tuple) -> Counterexample:
+    """Take the found choices again, exporting them to a Simulation."""
+    scenario = _skeleton(cfg)
+    target, want = scenario.expected[0]["property"], scenario.expected[0]["status"]
     sim = Simulation(scenario)
     kernel = _kernel_for(cfg)
     st = kernel.initial(sim)

@@ -37,6 +37,7 @@ from .core import (
     replica,
     signed,
 )
+from .scenarios import check_type
 
 
 class SimError(Exception):
@@ -214,7 +215,7 @@ def artifacts(obj, known=()) -> list:
     return out
 
 
-def find_artifacts(items, kind: str, **fields) -> list:
+def find_artifacts(items, kind: str, /, **fields) -> list:
     """The artifacts of `kind` among items whose fields match `fields`."""
     return [
         obj
@@ -263,23 +264,18 @@ def _field_match(obj, name, want):
 # certificates and commit proofs are named by content and resolved against
 # the actor's store; each builder yields (destination name, signed message).
 
-def _field(obj, name: str):
-    """A required field of an action or of one of its sends."""
+def _field(obj, name: str, kind: type, optional: bool = False):
+    """A field of an action or of one of its sends, of JSON type kind. An
+    optional field may be missing or null, and then reads as None."""
+    if optional and isinstance(obj, dict) and obj.get(name) is None:
+        return None
     if not isinstance(obj, dict) or name not in obj:
         raise SimError(f"adversary action field {name!r} missing in {obj!r}")
+    check_type(obj[name], kind, f"adversary action field {name!r}", SimError)
     return obj[name]
 
 
-def _text(obj, name: str) -> bytes:
-    value = _field(obj, name)
-    if not isinstance(value, str):
-        raise SimError(f"adversary action field {name!r} must be a string, got {value!r}")
-    return value.encode()
-
-
 def _stored_log(actor, ops, resolve) -> tuple:
-    if not isinstance(ops, list):
-        raise SimError(f"an adversary log is a list of ops, got {ops!r}")
     log = []
     for op in ops:
         found = [NULL_REQUEST] if op is None else resolve("request", op=op)
@@ -293,8 +289,6 @@ def _stored_ref(actor, kind: str, ref, resolve):
     """The one stored artifact that ref names; None for a null ref."""
     if ref is None:
         return None
-    if not isinstance(ref, dict):
-        raise SimError(f"adversary {actor}: a {kind} reference is an object, got {ref!r}")
     found = resolve(kind, **ref)
     if len(found) != 1:
         raise ArtifactError(f"adversary {actor}: {kind} {ref} resolves to {len(found)} artifacts")
@@ -302,49 +296,51 @@ def _stored_ref(actor, kind: str, ref, resolve):
 
 
 def _order_req(actor, action, resolve):
-    view = _field(action, "view")
-    for send in _field(action, "sends"):
-        log = _stored_log(actor, _field(send, "log"), resolve)
-        yield _field(send, "to"), signed(zyzzyva.OrderReq(view, log, None), actor)
+    view = _field(action, "view", int)
+    for send in _field(action, "sends", list):
+        log = _stored_log(actor, _field(send, "log", list), resolve)
+        yield _field(send, "to", str), signed(zyzzyva.OrderReq(view, log, None), actor)
 
 
 def _spec_response(actor, action, resolve):
-    log = _stored_log(actor, _field(action, "log"), resolve)
-    msg = zyzzyva.SpecResponse(_field(action, "view"), log, actor, exec_result(log), None)
-    yield _field(action, "to"), signed(msg, actor)
+    log = _stored_log(actor, _field(action, "log", list), resolve)
+    msg = zyzzyva.SpecResponse(_field(action, "view", int), log, actor, exec_result(log), None)
+    yield _field(action, "to", str), signed(msg, actor)
 
 
 def _local_commit(actor, action, resolve):
-    log = _stored_log(actor, _field(action, "log"), resolve)
-    msg = zyzzyva.LocalCommit(_field(action, "view"), log, actor, None)
-    yield _field(action, "to"), signed(msg, actor)
+    log = _stored_log(actor, _field(action, "log", list), resolve)
+    msg = zyzzyva.LocalCommit(_field(action, "view", int), log, actor, None)
+    yield _field(action, "to", str), signed(msg, actor)
 
 
 def _view_change(actor, action, resolve):
-    cert = _stored_ref(actor, "commit_certificate", action.get("cert"), resolve)
-    log = _stored_log(actor, _field(action, "log"), resolve)
-    msg = zyzzyva.ViewChangeMessage(_field(action, "view"), actor, log, cert, None)
-    yield _field(action, "to"), signed(msg, actor)
+    cert = _stored_ref(actor, "commit_certificate", _field(action, "cert", dict, True), resolve)
+    log = _stored_log(actor, _field(action, "log", list), resolve)
+    msg = zyzzyva.ViewChangeMessage(_field(action, "view", int), actor, log, cert, None)
+    yield _field(action, "to", str), signed(msg, actor)
 
 
 def _propose(actor, action, resolve):
-    view = _field(action, "view")
-    for send in _field(action, "sends"):
-        msg = fab.Propose(view, _text(send, "value"), None, None)
-        yield _field(send, "to"), signed(msg, actor)
+    view = _field(action, "view", int)
+    for send in _field(action, "sends", list):
+        msg = fab.Propose(view, _field(send, "value", str).encode(), None, None)
+        yield _field(send, "to", str), signed(msg, actor)
 
 
 def _accepted(actor, action, resolve):
-    msg = signed(fab.Accepted(_field(action, "view"), _text(action, "value"), actor, None), actor)
-    for to in _field(action, "to"):
+    value = _field(action, "value", str).encode()
+    msg = signed(fab.Accepted(_field(action, "view", int), value, actor, None), actor)
+    for to in _field(action, "to", list):
         yield to, msg
 
 
 def _rep(actor, action, resolve):
-    cp = _stored_ref(actor, "commit_proof", action.get("commit_proof"), resolve)
-    acc = None if action.get("last_accepted") is None else _text(action, "last_accepted")
-    msg = fab.Rep(_field(action, "view"), actor, acc, cp, None)
-    yield _field(action, "to"), signed(msg, actor)
+    cp = _stored_ref(actor, "commit_proof", _field(action, "commit_proof", dict, True), resolve)
+    acc = _field(action, "last_accepted", str, True)
+    acc = None if acc is None else acc.encode()
+    msg = fab.Rep(_field(action, "view", int), actor, acc, cp, None)
+    yield _field(action, "to", str), signed(msg, actor)
 
 
 _ZYZZYVA_ACTIONS = {
@@ -364,7 +360,7 @@ def adversary_sends(actor: NodeId, action: dict, resolve, protocol: str) -> list
     explorer against its state's store. Actions of another protocol, missing
     fields and unresolvable references raise SimError.
     """
-    kind = _field(action, "kind")
+    kind = _field(action, "kind", str)
     builders = _ZYZZYVA_ACTIONS if protocol == ZYZZYVA else _FAB_ACTIONS
     if kind not in builders:
         raise SimError(f"unknown {protocol} adversary action {kind!r}")
@@ -389,11 +385,9 @@ class Simulation:
         self.delivered_rank: dict[tuple, int] = {}
         # incremental decision accounting. senders: decision group (see the
         # protocols' decision_group) -> the replicas that sent a message of
-        # it; ripe: groups that reached quorum since the last scan; decided:
-        # the decisions reported so far
+        # it; ripe: groups that reached quorum since the last scan
         self.senders: dict[tuple, set] = {}
         self.ripe: list = []
-        self.decided: set = set()
 
         self.replicas: dict[NodeId, object] = {}
         for i in range(self.cfg.n):
@@ -542,14 +536,9 @@ class Simulation:
         ripe, self.ripe = sorted(self.ripe, key=lambda r: r[0]), []
         for (_, view, value), track, msg in ripe:
             if self.scenario.protocol == ZYZZYVA:
-                key = (view, tuple(log_ops(msg.log)), track)
-                if key not in self.decided:
-                    rec["commits"].extend(self._zyz_commits(view, msg.log, track, "quorum"))
+                rec["commits"].extend(self._zyz_commits(view, msg.log, track, "quorum"))
             else:
-                key = (view, value, track)
-                if key not in self.decided:
-                    rec["commits"].append(self._fab_commit(view, value, track, "quorum"))
-            self.decided.add(key)
+                rec["commits"].append(self._fab_commit(view, value, track, "quorum"))
 
     # -- pattern matching ---------------------------------------------------------
 
@@ -656,7 +645,7 @@ class Simulation:
     def adversary(self, actor: NodeId, action: dict):
         if actor not in self.byzantine:
             raise SimError(f"adversary actor {actor} is not Byzantine")
-        kind = _field(action, "kind")
+        kind = _field(action, "kind", str)
         rec = self._record("adversary", actor, action=kind)
         rank = self.node_rank.get(actor, 0) + 1
         if kind == "withhold":
@@ -670,7 +659,7 @@ class Simulation:
 
     def _withhold(self, actor: NodeId, action: dict):
         """Drop the actor's own pending messages that match the action's pattern."""
-        pat = dict(action.get("match") or {})
+        pat = dict(_field(action, "match", dict, True) or {})
         pat["src"] = str(actor)
         for entry in self._pending():
             if self._match(entry, pat):

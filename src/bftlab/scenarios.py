@@ -7,8 +7,10 @@ in array order as the global event sequence.
 """
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from .core import PROTOCOLS, quorum_config
@@ -28,31 +30,48 @@ _DIRECTIVES = {
     "adversary": {"actor": int, "action": dict},
 }
 
-# scenario field -> its JSON type
-_FIELDS = {
-    "name": str,
-    "protocol": str,
-    "f": int,
-    "t": int,
-    "byzantine": list,
-    "clients": list,
-    "inputs": dict,
-    "description": str,
-    "script": list,
-    "expected": list,
-}
-
-_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+_JSON_TYPES = {bool: "a boolean", int: "an integer", str: "a string", list: "a list",
+               tuple: "a list", dict: "an object"}
 
 
 class ScenarioError(ValueError):
     """Scenario fails to parse or violates a structural invariant."""
 
 
-def _check(value, kind: type, where: str):
-    """Raise unless value has JSON type kind (a boolean is no integer)."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ScenarioError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+def check_type(value, kind: type, where: str, error=ScenarioError):
+    """Raise error unless value has JSON type kind (a boolean is no integer,
+    a tuple is a JSON list)."""
+    if not isinstance(value, list if kind is tuple else kind) or (
+        kind is int and isinstance(value, bool)
+    ):
+        raise error(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def read(cls, data, what: str, error):
+    """The dataclass cls built from the JSON object data, a `what` document.
+
+    Every field's value must have the JSON type the class declares for it;
+    unknown fields, wrong types and missing required fields raise error. A
+    list becomes a tuple where the class declares a tuple.
+    """
+    if not isinstance(data, dict):
+        article = "an" if what[0] in "aeiou" else "a"
+        raise error(f"{article} {what} is a JSON object, got {data!r}")
+    types = _field_types(cls)
+    unknown = set(data) - set(types)
+    if unknown:
+        raise error(f"unknown {what} fields: {sorted(unknown)}")
+    for name, value in data.items():
+        check_type(value, types[name], name, error)
+    try:
+        return cls(**{k: tuple(v) if types[k] is tuple else v for k, v in data.items()})
+    except TypeError as e:  # a required field is missing
+        raise error(str(e)) from None
 
 
 @dataclass
@@ -68,39 +87,29 @@ class Scenario:
     script: list = field(default_factory=list)
     expected: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "protocol": self.protocol,
-            "f": self.f,
-            "t": self.t,
-            "byzantine": self.byzantine,
-            "clients": self.clients,
-            "inputs": self.inputs,
-            "description": self.description,
-            "script": self.script,
-            "expected": self.expected,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def validate(sc: Scenario) -> Scenario:
-    for name, kind in _FIELDS.items():
-        _check(getattr(sc, name), kind, name)
+    for name, kind in _field_types(Scenario).items():
+        check_type(getattr(sc, name), kind, name)
     for i, b in enumerate(sc.byzantine):
-        _check(b, int, f"byzantine[{i}]")
+        check_type(b, int, f"byzantine[{i}]")
     for i, c in enumerate(sc.clients):
-        _check(c, dict, f"clients[{i}]")
+        check_type(c, dict, f"clients[{i}]")
         if set(c) != {"id", "op"}:
             raise ScenarioError(f"clients[{i}] must have the fields id and op, got {c!r}")
-        _check(c["id"], int, f"clients[{i}].id")
-        _check(c["op"], str, f"clients[{i}].op")
+        check_type(c["id"], int, f"clients[{i}].id")
+        check_type(c["op"], str, f"clients[{i}].op")
     for key, value in sc.inputs.items():
-        _check(value, str, f"inputs[{key!r}]")
+        check_type(value, str, f"inputs[{key!r}]")
     for i, e in enumerate(sc.expected):
-        _check(e, dict, f"expected[{i}]")
+        check_type(e, dict, f"expected[{i}]")
+        positions = e.get("positions", [])
+        check_type(positions, list, f"expected[{i}].positions")
+        for j, pos in enumerate(positions):
+            check_type(pos, int, f"expected[{i}].positions[{j}]")
     if sc.protocol not in PROTOCOLS:
         raise ScenarioError(f"unknown protocol {sc.protocol!r}")
     try:
@@ -119,9 +128,9 @@ def validate(sc: Scenario) -> Scenario:
     if len(set(ops)) != len(ops):
         raise ScenarioError("client ops must be distinct")
     for i, step in enumerate(sc.script):
-        _check(step, dict, f"script[{i}]")
+        check_type(step, dict, f"script[{i}]")
         do = step.get("do")
-        _check(do, str, f"script[{i}].do")
+        check_type(do, str, f"script[{i}].do")
         if do not in _DIRECTIVES:
             raise ScenarioError(f"script[{i}]: unknown directive {do!r}")
         missing = set(_DIRECTIVES[do]) - set(step)
@@ -131,7 +140,7 @@ def validate(sc: Scenario) -> Scenario:
             raise ScenarioError(f"script[{i}] ({do}): missing fields {sorted(missing)}")
         for name, kind in _DIRECTIVES[do].items():
             if name in step and not (do == "delay_all_except" and step[name] is None):
-                _check(step[name], kind, f"script[{i}] ({do}) {name}")
+                check_type(step[name], kind, f"script[{i}] ({do}) {name}")
     for e in sc.expected:
         if e.get("property") not in PROPERTIES:
             raise ScenarioError(f"unknown expected property {e.get('property')!r}")
@@ -141,17 +150,7 @@ def validate(sc: Scenario) -> Scenario:
 
 
 def from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError(f"a scenario is a JSON object, got {data!r}")
-    known = {f for f in Scenario.__dataclass_fields__}
-    unknown = set(data) - known
-    if unknown:
-        raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-    try:
-        sc = Scenario(**data)
-    except TypeError as e:
-        raise ScenarioError(str(e)) from None
-    return validate(sc)
+    return validate(read(Scenario, data, "scenario", ScenarioError))
 
 
 def loads(text: str) -> Scenario:

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import asdict
 
 from bftlab.checkers import (
     check_agreement,
@@ -120,8 +121,8 @@ def test_fast_latency_not_applicable_under_byzantine_nodes():
 
 def test_checkers_are_pure():
     records = run_scenario(get_builtin("zyzzyva-cc-priority")).records
-    first = [v.to_dict() for v in run_checkers(records)]
-    second = [v.to_dict() for v in run_checkers(records)]
+    first = [asdict(v) for v in run_checkers(records)]
+    second = [asdict(v) for v in run_checkers(records)]
     assert first == second
 
 

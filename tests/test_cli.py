@@ -160,15 +160,26 @@ def test_malformed_actions_and_node_names_exit_one(capsys, tmp_path, scenario):
     _assert_one_error_line(capsys, tmp_path, scenario)
 
 
-def _assert_one_error_line(capsys, tmp_path, scenario):
+def _assert_one_error_line(capsys, tmp_path, doc, command=("run", "--scenario")):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(scenario))
-    assert main(["run", "--scenario", str(path)]) == 1
+    path.write_text(json.dumps(doc))
+    assert main([*command, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     return captured.err
+
+
+def _order_req_script(view):
+    """r0 stores c1's request, then sends r1 an order_req of it in `view`."""
+    return [
+        {"do": "client_request", "client": 1, "to": "r0"},
+        {"do": "deliver", "match": {"type": "request"}},
+        {"do": "adversary", "actor": 0, "action": {
+            "kind": "order_req", "view": view, "sends": [{"to": "r1", "log": ["a"]}]}},
+        {"do": "deliver", "match": {"type": "order_req"}},
+    ]
 
 
 @pytest.mark.parametrize("scenario, says", [
@@ -183,9 +194,20 @@ def _assert_one_error_line(capsys, tmp_path, scenario):
      "actor must be an integer"),
     (dict(_ZYZZYVA, script=[{"do": "view_change", "view": 2, "nodes": "r1"}]),
      "nodes must be a list"),
+    (dict(_ZYZZYVA, script=_order_req_script("1")), "'view' must be an integer"),
+    (dict(_ZYZZYVA, script=_order_req_script([1])), "'view' must be an integer"),
+    (dict(_ZYZZYVA, expected=[{"property": "agreement", "status": "violated", "positions": 3}]),
+     "expected[0].positions must be a list"),
+    (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {
+        "kind": "view_change", "view": 2, "log": [], "cert": {"kind": "x"}, "to": "r1"}}]),
+     "{'kind': 'x'} resolves to 0 artifacts"),
+    (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0,
+                             "action": {"kind": "withhold", "match": [1]}}]),
+     "'match' must be an object"),
 ], ids=["client-without-op", "client-not-an-object", "expected-not-an-object",
         "inputs-not-an-object", "top-level-array", "client-id-as-string",
-        "actor-as-string", "nodes-as-string"])
+        "actor-as-string", "nodes-as-string", "action-view-as-string", "action-view-as-list",
+        "positions-as-integer", "artifact-reference-named-kind", "withhold-match-as-list"])
 def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
     assert says in _assert_one_error_line(capsys, tmp_path, scenario)
 
@@ -223,3 +245,52 @@ def test_any_json_in_a_builtin_exits_zero_one_or_two(tmp_path, data):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(path)]) in (0, 1, 2)
+
+
+_PFAB_STUCK = {"protocol": "pfab", "f": 1, "t": 0, "byzantine": [0], "max_views": 2,
+               "values": ["A", "B"], "requests": [], "menu": ["equivocate", "withhold"],
+               "dedup": True, "max_states": 300}
+
+
+@pytest.mark.parametrize("config, says", [
+    ({"protocol": "pfab", "values": ["A", "B"], "byzantine": [7]}, "byzantine id 7 outside"),
+    ({"protocol": "pfab", "values": ["A", "B"], "byzantine": ["0"]},
+     "byzantine[0] must be an integer"),
+    ({"protocol": "zyzzyva", "requests": [1]}, "requests must be distinct strings"),
+    ({"protocol": "zyzzyva", "requests": ["a", "a"]}, "requests must be distinct strings"),
+    ({"protocol": "pfab", "values": ["A", 1]}, "values must be distinct strings"),
+    (dict(_PFAB_STUCK, target="stuck"), "unknown explore config fields: ['target']"),
+    (dict(_PFAB_STUCK, values="AB"), "values must be a list"),
+    (dict(_PFAB_STUCK, dedup=1), "dedup must be a boolean"),
+    (dict(_PFAB_STUCK, max_views="2"), "max_views must be an integer"),
+    ([_PFAB_STUCK], "an explore config is a JSON object"),
+], ids=["byzantine-out-of-range", "byzantine-as-string", "request-as-integer",
+        "duplicate-requests", "value-as-integer", "target", "values-as-string",
+        "dedup-as-integer", "max-views-as-string", "top-level-array"])
+def test_malformed_explore_configs_exit_one(capsys, tmp_path, config, says):
+    assert says in _assert_one_error_line(capsys, tmp_path, config, ("explore", "--explore-config"))
+
+
+_CONFIG_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.text(max_size=3)
+    | st.sampled_from(["pfab", "fab5", "zyzzyva", "A", "B", "a", "equivocate", "withhold",
+                       "inject_stored"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_in_an_explore_config_exits_zero_one_or_two(tmp_path, data):
+    # one field of the PFaB stuck config replaced by arbitrary JSON. f, t and
+    # max_states stay: the search's memory grows exponentially in n = 3f+2t+1
+    # and linearly in its state budget
+    doc = dict(_PFAB_STUCK)
+    name = data.draw(st.sampled_from(sorted(set(doc) - {"f", "t", "max_states"})))
+    doc[name] = data.draw(_CONFIG_JSON)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    assert main(["explore", "--explore-config", str(path)]) in (0, 1, 2)

@@ -198,6 +198,7 @@ class _RescanSimulation(Simulation):
     def __init__(self, scenario):
         super().__init__(scenario)
         self.sent = []
+        self.decided = set()
 
     def _send(self, rec, src, dst, msg, rank):
         self.sent.append(msg)
