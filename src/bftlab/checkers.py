@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import ZYZZYVA, digest, pack, parse_node
+from .core import ZYZZYVA, make_request, parse_node
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -31,10 +31,41 @@ class Verdict:
     details: dict = field(default_factory=dict)
 
 
+_NULL = type(None)
+# the fields of trace records that checking a trace reads -> their JSON types
+_HEADER = {"name": str, "protocol": str, "n": int, "f": int, "t": int, "byzantine": list}
+_RECORD = {"seq": int, "commits": (list, _NULL)}
+_COMMIT = {"view": int, "track": str, "by": str}
+_FAB_COMMIT = {"value": str, **_COMMIT}
+_ZYZZYVA_COMMIT = {"position": int, "entry": (str, _NULL), "client": (str, _NULL),
+                   "token": (str, _NULL), "depth": (int, _NULL), **_COMMIT}
+
+
+def _shaped(obj, fields: dict, what: str):
+    """obj, checked to be an object whose fields have the given JSON types."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {obj!r}")
+    for name, kind in fields.items():
+        if name not in obj or not isinstance(obj[name], kind):
+            raise ValueError(f"{what} has a missing or mistyped {name!r}: {obj.get(name)!r}")
+    return obj
+
+
 def _header(records: list) -> dict:
-    if not records or records[0].get("kind") != "scenario":
+    if not records or not isinstance(records[0], dict) or records[0].get("kind") != "scenario":
         raise ValueError("trace has no scenario header record")
     return records[0]
+
+
+def _check_shape(records: list):
+    """Raise ValueError unless the trace has the shape `bftlab check` reads."""
+    header = _shaped(_header(records), _HEADER, "trace header")
+    if not all(isinstance(b, str) for b in header["byzantine"]):
+        raise ValueError(f"trace header byzantine must list node names: {header['byzantine']!r}")
+    for rec in records[1:]:
+        for c in _shaped(rec, _RECORD, "trace record")["commits"] or []:
+            fields = _ZYZZYVA_COMMIT if isinstance(c, dict) and "position" in c else _FAB_COMMIT
+            _shaped(c, fields, f"commit in record {rec['seq']}")
 
 
 def _commits(records: list):
@@ -83,10 +114,7 @@ def check_validity(records: list) -> Verdict:
         entry = c.get("entry")
         if entry is None:  # null entries (padding) and FaB values are exempt
             continue
-        cid = parse_node(c["client"])
-        payload = pack(b"request", entry.encode(), cid.canon())
-        want = digest(pack(b"mint", cid.canon(), payload))
-        if c["token"] != want:
+        if c["token"] != make_request(entry.encode(), parse_node(c["client"])).token.value:
             bad.append(seq)
     if bad:
         return Verdict(VALIDITY, VIOLATED, sorted(set(bad)))
@@ -138,8 +166,10 @@ def default_properties(protocol: str):
 
 
 def run_checkers(records: list, properties=None) -> list:
+    """Verdicts on a trace; a malformed one raises ValueError whatever is checked."""
+    _check_shape(records)
     if properties is None:
-        properties = default_properties(_header(records)["protocol"])
+        properties = default_properties(records[0]["protocol"])
     out = []
     for prop in properties:
         if prop not in _CHECKERS:

@@ -12,12 +12,13 @@ canonical order:
   * at an empty pool: eligible client timeouts, then advancing every correct
     replica to the next view, then adversary actions.
 
-Adversary behavior is a finite template menu. Actions are composite
-per-recipient assignments (one choice point covers a whole equivocation),
-and the adversary supportively echoes correct replicas' client-bound
-responses, which only ever adds commit evidence. Every move is a
-scenario-JSON adversary action, resolved against the state's artifact store;
-messages addressed to Byzantine nodes deliver immediately into that store.
+Adversary behavior is a finite template menu. Each adversary choice is the
+scenario-JSON action it exports, at most one per (kind, view); a composite
+action assigns one option or silence to each correct replica, so one choice
+point covers a whole equivocation. The adversary also supportively echoes
+correct replicas' client-bound responses, which only ever adds commit
+evidence. Actions resolve against the state's artifact store; messages
+addressed to Byzantine nodes deliver immediately into that store.
 A found run is exported by taking its choices again with a `Simulation`
 attached, which executes each directive as the kernel takes it: message ids
 and ordinals are the simulator's alone, and its trace is the run's trace.
@@ -131,13 +132,12 @@ class KState:
     clients: tuple = ()
     pool: tuple = ()
     view: int = 1
-    slots: tuple = ()  # adversary action slots already used
+    slots: tuple = ()  # (kind, view) of the adversary actions already chosen
     store: tuple = ()  # artifacts observed by the Byzantine replica
     sent_tab: tuple = ()  # (decision group, frozenset of senders), sorted
     echoed: tuple = ()  # client-bound messages the adversary already echoed
     commits: tuple = ()  # zyzzyva (position, entry, view, track); fab (value, view, track)
-    timeouts: tuple = ()
-    stuck: bool = False
+    timeouts: tuple = ()  # clients that timed out, in order
 
 
 # --- kernels ------------------------------------------------------------------
@@ -175,24 +175,21 @@ class _Kernel:
         raise NotImplementedError
 
     def note(self, st: KState, note) -> KState:
-        """Record a transition's note (a client decision, a stuck report)."""
-        raise NotImplementedError
+        """Record a transition's note (FaB kernels read stuck views from replicas)."""
+        return st
 
     def after_send(self, st: KState, src, dst, msg) -> KState:
         return st
 
     def slot_choices(self, st: KState) -> list:
-        """The adversary's slot choices at an empty pool (menu "equivocate")."""
-        raise NotImplementedError
-
-    def slot_action(self, slot, payload) -> dict:
-        """The adversary action of one slot choice, as a scenario-JSON dict."""
+        """The adversary's ("slot", action) choices at an empty pool (menu
+        "equivocate"); the action is the scenario-JSON dict exported."""
         raise NotImplementedError
 
     def eligible_timeouts(self, st: KState):
         return ()
 
-    def apply_timeout(self, st: KState, cname: str) -> KState:
+    def apply_timeout(self, st: KState, cid: NodeId) -> KState:
         raise NotImplementedError
 
     def violated(self, st: KState) -> bool:
@@ -291,12 +288,14 @@ class _Kernel:
         self.export("adversary", actor=self.byz.index, action=action)
         return self.route(st, self.byz, sends)
 
-    def assignments(self, options: int) -> list:
-        """Per-correct-replica choices of an option index or silence (None),
-        lexicographic with silence last, all-silent excluded."""
-        silent = (None,) * len(self.correct)
-        choices = itertools.product([*range(options), None], repeat=len(self.correct))
-        return [a for a in choices if a != silent]
+    def per_replica_sends(self, name: str, options) -> list:
+        """The `sends` lists of a composite action: each correct replica gets
+        {"to": it, name: option} or silence, lexicographic with silence last,
+        all-silent excluded."""
+        picks = itertools.product([*options, None], repeat=len(self.correct))
+        sends = ([{"to": str(r), name: v} for r, v in zip(self.correct, p) if v is not None]
+                 for p in picks)
+        return [s for s in sends if s]
 
     def deliver_head(self, st: KState) -> KState:
         head = st.pool[0]
@@ -333,7 +332,7 @@ class _Kernel:
             if "withhold" in self.cfg.menu:
                 return [("deliver",), ("drop",)]
             return [("deliver",)]
-        out = [("timeout", str(c)) for c in self.eligible_timeouts(st)]
+        out = [("timeout", c) for c in self.eligible_timeouts(st)]
         if st.view < self.cfg.max_views:
             out.append(("advance", st.view + 1))
         if "equivocate" in self.cfg.menu:
@@ -358,9 +357,9 @@ class _Kernel:
             for rid in order:
                 st = self.signal_view(st, rid, view)
         else:
-            _, slot, payload = choice
-            st = replace(st, slots=tuple(sorted(st.slots + (slot,))))
-            st = self.act(st, self.slot_action(slot, payload))
+            action = choice[1]
+            st = replace(st, slots=tuple(sorted(st.slots + ((action["kind"], action["view"]),))))
+            st = self.act(st, action)
         return self.normalize(st)
 
 
@@ -376,8 +375,7 @@ class ZyzzyvaKernel(_Kernel):
         )
         # adversary log templates: single-request logs (plus the empty log in
         # view-change messages); multi-entry fabrications are out of bounds
-        self.single_logs = tuple((op,) for op in cfg.requests)
-        self.vc_logs = ((),) + self.single_logs
+        self.logs = [[op] for op in cfg.requests]
 
     def initial(self, sim) -> KState:
         st = self._root(sim, zyzzyva.ReplicaState, self.clients0)
@@ -411,60 +409,29 @@ class ZyzzyvaKernel(_Kernel):
         return self.act(st, action)
 
     def eligible_timeouts(self, st):
-        out = []
-        for cs in st.clients:
-            if str(cs.cid) in st.timeouts or cs.cert is not None:
-                continue
-            _, sends, _ = zyzzyva.on_timeout(cs)
-            if sends:
-                out.append(cs.cid)
-        return out
+        # a client that timed out holds a commit certificate
+        return [cs.cid for cs in st.clients if cs.cert is None and zyzzyva.on_timeout(cs)[1]]
 
-    def apply_timeout(self, st, cname):
-        cid = NodeId("c", int(cname[1:]))
-        st = replace(st, timeouts=st.timeouts + (cname,))
+    def apply_timeout(self, st, cid):
+        st = replace(st, timeouts=st.timeouts + (cid,))
         cs, sends, _ = zyzzyva.on_timeout(st.clients[cid.index - 1])
         st = self._set_node(st, cid, cs)
-        self.export("timeout", node=cname)
+        self.export("timeout", node=str(cid))
         return self.route(st, cid, sends)
 
     def slot_choices(self, st):
+        view, lead = st.view, leader_of(st.view, self.qc.n)
         out = []
-        if leader_of(st.view, self.qc.n) == self.byz:
-            slot = ("order", st.view)
-            if slot not in st.slots:
-                out.extend(("slot", slot, a) for a in self.assignments(len(self.single_logs)))
-        if st.view >= 2:
-            slot = ("vc", st.view)
-            if slot not in st.slots:
-                for log_idx in range(len(self.vc_logs)):
-                    for cert_view in self._cert_views(st):
-                        out.append(("slot", slot, (log_idx, cert_view)))
-        return out
-
-    def _cert_views(self, st):
-        views = [None]
-        if "inject_stored" in self.cfg.menu:
-            views.extend(c.view for c in find_artifacts(st.store, "commit_certificate"))
-        return views
-
-    def slot_action(self, slot, payload):
-        kind, view = slot
-        if kind == "order":
-            sends = [
-                {"to": str(rid), "log": list(self.single_logs[opt])}
-                for rid, opt in zip(self.correct, payload)
-                if opt is not None
-            ]
-            return {"kind": "order_req", "view": view, "sends": sends}
-        log_idx, cert_view = payload
-        return {
-            "kind": "view_change",
-            "view": view,
-            "log": list(self.vc_logs[log_idx]),
-            "cert": None if cert_view is None else {"view": cert_view},
-            "to": str(leader_of(view, self.qc.n)),
-        }
+        if lead == self.byz and ("order_req", view) not in st.slots:
+            out += [{"kind": "order_req", "view": view, "sends": s}
+                    for s in self.per_replica_sends("log", self.logs)]
+        if view >= 2 and ("view_change", view) not in st.slots:
+            certs = [None]
+            if "inject_stored" in self.cfg.menu:
+                certs += [{"view": c.view} for c in find_artifacts(st.store, "commit_certificate")]
+            out += [{"kind": "view_change", "view": view, "log": log, "cert": cert, "to": str(lead)}
+                    for log in [[], *self.logs] for cert in certs]
+        return [("slot", action) for action in out]
 
     def violated(self, st):
         seen = {}
@@ -495,9 +462,6 @@ class FabKernel(_Kernel):
         _, view, value = group
         return ((value.decode(), view, track),)
 
-    def note(self, st, note):
-        return replace(st, stuck=True) if isinstance(note, fab.StuckReport) else st
-
     def _final_stuck_view(self, st) -> bool:
         return st.view == self.cfg.max_views
 
@@ -519,48 +483,23 @@ class FabKernel(_Kernel):
         return st.view in st.replicas[lead.index].chosen_done
 
     def slot_choices(self, st):
+        view, lead = st.view, leader_of(st.view, self.qc.n)
         out = []
-        if leader_of(st.view, self.qc.n) == self.byz:
-            slot = ("propose", st.view)
-            if slot not in st.slots:
-                out.extend(("slot", slot, a) for a in self.assignments(len(self.values)))
-        slot = ("prepare", st.view)
-        if slot not in st.slots and not self._final_stuck_view(st):
-            out.extend(("slot", slot, v) for v in range(len(self.values)))
-        if st.view >= 2:
-            slot = ("rep", st.view)
-            if slot not in st.slots:
-                out.extend(("slot", slot, v) for v in list(range(len(self.values))) + [None])
-        return out
-
-    def slot_action(self, slot, payload):
-        kind, view = slot
-        lead = leader_of(view, self.qc.n)
-        if kind == "propose":
-            sends = [
-                {"to": str(rid), "value": self.values[opt]}
-                for rid, opt in zip(self.correct, payload)
-                if opt is not None
-            ]
-            return {"kind": "propose", "view": view, "sends": sends}
-        if kind == "prepare":
+        if lead == self.byz and ("propose", view) not in st.slots:
+            out += [{"kind": "propose", "view": view, "sends": s}
+                    for s in self.per_replica_sends("value", self.values)]
+        if ("accepted", view) not in st.slots and not self._final_stuck_view(st):
             dsts = [lead] if self.cfg.protocol == FAB5 else self.correct
-            return {
-                "kind": "accepted",
-                "view": view,
-                "value": self.values[payload],
-                "to": [str(d) for d in dsts if d != self.byz],
-            }
-        return {
-            "kind": "rep",
-            "view": view,
-            "last_accepted": None if payload is None else self.values[payload],
-            "commit_proof": None,
-            "to": str(lead),
-        }
+            to = [str(d) for d in dsts if d != self.byz]
+            out += [{"kind": "accepted", "view": view, "value": v, "to": to} for v in self.values]
+        if view >= 2 and ("rep", view) not in st.slots:
+            out += [{"kind": "rep", "view": view, "last_accepted": v, "commit_proof": None,
+                     "to": str(lead)} for v in [*self.values, None]]
+        return [("slot", action) for action in out]
 
     def violated(self, st):
-        return st.stuck
+        # on_rep sets stuck_view in the transition that reports the stuck view
+        return any(r is not None and r.stuck_view is not None for r in st.replicas)
 
 
 def _kernel_for(cfg: ExploreConfig) -> _Kernel:

@@ -251,11 +251,7 @@ def _components(obj):
 
 
 def _field_match(obj, name, want):
-    if name == "view":
-        return getattr(obj, "view", None) == want
-    if name in ("op", "value") and isinstance(want, str):
-        return getattr(obj, name, None) == want.encode()
-    raise SimError(f"bad stored-artifact reference {name}={want!r}")
+    return getattr(obj, name, None) == (want if name == "view" else want.encode())
 
 
 # --- adversary actions ----------------------------------------------------------
@@ -278,6 +274,8 @@ def _field(obj, name: str, kind: type, optional: bool = False):
 def _stored_log(actor, ops, resolve) -> tuple:
     log = []
     for op in ops:
+        if op is not None:
+            check_type(op, str, "adversary action field 'log' entry", SimError)
         found = [NULL_REQUEST] if op is None else resolve("request", op=op)
         if len(found) != 1:
             raise ArtifactError(f"adversary {actor} has {len(found)} stored requests for op {op!r}")
@@ -285,10 +283,20 @@ def _stored_log(actor, ops, resolve) -> tuple:
     return tuple(log)
 
 
-def _stored_ref(actor, kind: str, ref, resolve):
-    """The one stored artifact that ref names; None for a null ref."""
+# the fields a stored-artifact reference may name it by -> their JSON types
+_REFERENCE_FIELDS = {"view": int, "value": str}
+
+
+def _stored_ref(actor, action, name: str, kind: str, resolve):
+    """The one stored artifact of `kind` that the action's field `name`
+    references; None when that field is missing or null."""
+    ref = _field(action, name, dict, True)
     if ref is None:
         return None
+    for key, value in ref.items():
+        if key not in _REFERENCE_FIELDS:
+            raise SimError(f"adversary action field {name!r}: unknown reference field {key!r}")
+        check_type(value, _REFERENCE_FIELDS[key], f"reference {name}.{key}", SimError)
     found = resolve(kind, **ref)
     if len(found) != 1:
         raise ArtifactError(f"adversary {actor}: {kind} {ref} resolves to {len(found)} artifacts")
@@ -315,7 +323,7 @@ def _local_commit(actor, action, resolve):
 
 
 def _view_change(actor, action, resolve):
-    cert = _stored_ref(actor, "commit_certificate", _field(action, "cert", dict, True), resolve)
+    cert = _stored_ref(actor, action, "cert", "commit_certificate", resolve)
     log = _stored_log(actor, _field(action, "log", list), resolve)
     msg = zyzzyva.ViewChangeMessage(_field(action, "view", int), actor, log, cert, None)
     yield _field(action, "to", str), signed(msg, actor)
@@ -336,7 +344,7 @@ def _accepted(actor, action, resolve):
 
 
 def _rep(actor, action, resolve):
-    cp = _stored_ref(actor, "commit_proof", _field(action, "commit_proof", dict, True), resolve)
+    cp = _stored_ref(actor, action, "commit_proof", "commit_proof", resolve)
     acc = _field(action, "last_accepted", str, True)
     acc = None if acc is None else acc.encode()
     msg = fab.Rep(_field(action, "view", int), actor, acc, cp, None)

@@ -106,6 +106,9 @@ def validate(sc: Scenario) -> Scenario:
         check_type(value, str, f"inputs[{key!r}]")
     for i, e in enumerate(sc.expected):
         check_type(e, dict, f"expected[{i}]")
+        unknown = set(e) - {"property", "status", "positions"}
+        if unknown:
+            raise ScenarioError(f"expected[{i}]: unknown fields {sorted(unknown)}")
         positions = e.get("positions", [])
         check_type(positions, list, f"expected[{i}].positions")
         for j, pos in enumerate(positions):
@@ -138,6 +141,9 @@ def validate(sc: Scenario) -> Scenario:
             missing -= {"match"}
         if missing:
             raise ScenarioError(f"script[{i}] ({do}): missing fields {sorted(missing)}")
+        unknown = set(step) - {"do", *_DIRECTIVES[do]}
+        if unknown:
+            raise ScenarioError(f"script[{i}] ({do}): unknown fields {sorted(unknown)}")
         for name, kind in _DIRECTIVES[do].items():
             if name in step and not (do == "delay_all_except" and step[name] is None):
                 check_type(step[name], kind, f"script[{i}] ({do}) {name}")

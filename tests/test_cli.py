@@ -171,6 +171,22 @@ def _assert_one_error_line(capsys, tmp_path, doc, command=("run", "--scenario"))
     return captured.err
 
 
+def _view_change_citing(cert, actor):
+    return {"do": "adversary", "actor": actor, "action": {
+        "kind": "view_change", "view": 2, "log": [], "cert": cert, "to": "r1"}}
+
+
+# with r3 Byzantine: c1's commit certificate reaches r3's store
+_STORE_A_CERTIFICATE = [
+    {"do": "client_request", "client": 1, "to": "r0"},
+    {"do": "deliver", "match": {"type": "request"}},
+    {"do": "deliver", "match": {"type": "order_req"}},
+    {"do": "deliver", "match": {"type": "spec_response"}},
+    {"do": "timeout", "node": "c1"},
+    {"do": "deliver", "match": {"type": "commit_request", "dst": "r3"}},
+]
+
+
 def _order_req_script(view):
     """r0 stores c1's request, then sends r1 an order_req of it in `view`."""
     return [
@@ -198,18 +214,56 @@ def _order_req_script(view):
     (dict(_ZYZZYVA, script=_order_req_script([1])), "'view' must be an integer"),
     (dict(_ZYZZYVA, expected=[{"property": "agreement", "status": "violated", "positions": 3}]),
      "expected[0].positions must be a list"),
-    (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {
-        "kind": "view_change", "view": 2, "log": [], "cert": {"kind": "x"}, "to": "r1"}}]),
-     "{'kind': 'x'} resolves to 0 artifacts"),
+    (dict(_ZYZZYVA, script=[_view_change_citing({"kind": "x"}, actor=0)]),
+     "adversary action field 'cert': unknown reference field 'kind'"),
     (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0,
                              "action": {"kind": "withhold", "match": [1]}}]),
      "'match' must be an object"),
+    (dict(_ZYZZYVA, byzantine=[3], script=[*_STORE_A_CERTIFICATE,
+                                           _view_change_citing({"kind": "x"}, actor=3)]),
+     "adversary action field 'cert': unknown reference field 'kind'"),
+    (dict(_ZYZZYVA, script=[{"do": "delay_all_except", "mtach": {"src": "c1"}}]),
+     "script[0] (delay_all_except): unknown fields ['mtach']"),
+    (dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "r0"},
+                            {"do": "deliver", "match": {"type": "request"}, "ordinal": 0}]),
+     "script[1] (deliver): unknown fields ['ordinal']"),
+    (dict(_ZYZZYVA, expected=[{"property": "agreement", "status": "violated",
+                               "positons": [2]}]),
+     "expected[0]: unknown fields ['positons']"),
 ], ids=["client-without-op", "client-not-an-object", "expected-not-an-object",
         "inputs-not-an-object", "top-level-array", "client-id-as-string",
         "actor-as-string", "nodes-as-string", "action-view-as-string", "action-view-as-list",
-        "positions-as-integer", "artifact-reference-named-kind", "withhold-match-as-list"])
+        "positions-as-integer", "artifact-reference-named-kind", "withhold-match-as-list",
+        "artifact-reference-named-kind-beside-a-stored-certificate",
+        "misspelled-directive-field", "ordinal-beside-match", "misspelled-expected-field"])
 def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
     assert says in _assert_one_error_line(capsys, tmp_path, scenario)
+
+
+_HEADER = {"seq": 0, "kind": "scenario", "name": "t", "protocol": "pfab", "f": 1, "t": 0,
+           "n": 4, "byzantine": ["r0"], "nodes": ["r0", "r1", "r2", "r3"]}
+_RECORD = {"seq": 1, "kind": "deliver", "commits": []}
+
+
+@pytest.mark.parametrize("records, args, says", [
+    ([{k: v for k, v in _HEADER.items() if k != "protocol"}, _RECORD], [],
+     "trace header has a missing or mistyped 'protocol'"),
+    ([_HEADER, dict(_RECORD, commits=[1])], [], "commit in record 1 must be an object"),
+    ([_HEADER, dict(_RECORD, commits=[1])], ["--properties", "stuck"],
+     "commit in record 1 must be an object"),
+    ([_HEADER, dict(_RECORD, commits=[{"value": "A", "view": 1, "track": "fast"}])], [],
+     "commit in record 1 has a missing or mistyped 'by'"),
+    ([_HEADER, 1], [], "trace record must be an object"),
+], ids=["header-without-protocol", "commit-not-an-object", "commit-not-an-object-stuck-only",
+        "commit-without-by", "record-not-an-object"])
+def test_malformed_traces_exit_one(capsys, tmp_path, records, args, says):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["check", str(path), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert says in captured.err
 
 
 _JSON = st.recursive(

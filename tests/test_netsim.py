@@ -1,14 +1,23 @@
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from bftlab import fab, zyzzyva
 from bftlab.checkers import run_checkers
-from bftlab.core import ZYZZYVA, log_ops
+from bftlab.core import ZYZZYVA, log_ops, replica
 from bftlab.explorer import ExploreConfig, _kernel_for, explore
 from bftlab.fab import check_decision
-from bftlab.netsim import SimError, Simulation, Trace, run_scenario
+from bftlab.netsim import (
+    ArtifactError,
+    SimError,
+    Simulation,
+    Trace,
+    adversary_sends,
+    find_artifacts,
+    run_scenario,
+)
 from bftlab.scenarios import BUILTIN_NAMES, Scenario, get_builtin, validate
 from bftlab.zyzzyva import check_decisions
 
@@ -252,8 +261,9 @@ def _explorer_walk(cfg, seed, steps=40, path=None):
     """A seeded random walk through the explorer's choices, exported in
     lockstep to a Simulation; with `path`, that sequence of choices instead.
 
-    Yields (kernel state, simulation) at the root and after every choice.
-    The simulation's scenario holds the script exported so far.
+    Yields (choice, kernel state, simulation) at the root, with choice
+    None, and after every choice. The simulation's scenario holds the script
+    exported so far.
     """
     kernel, rng = _kernel_for(cfg), random.Random(seed)
     sim = Simulation(Scenario(
@@ -261,17 +271,18 @@ def _explorer_walk(cfg, seed, steps=40, path=None):
         clients=[{"id": i + 1, "op": op} for i, op in enumerate(cfg.requests)],
     ))
     state = kernel.initial(sim)
-    yield state, sim
+    yield None, state, sim
     for i in range(steps if path is None else len(path)):
         options = kernel.choices(state)
         if not options:
             break
-        state = kernel.apply(state, rng.choice(options) if path is None else path[i])
-        yield state, sim
+        choice = rng.choice(options) if path is None else path[i]
+        state = kernel.apply(state, choice)
+        yield choice, state, sim
 
 
 def _walk_scenario(cfg, seed):
-    *_, (_, sim) = _explorer_walk(cfg, seed)
+    *_, (_, _, sim) = _explorer_walk(cfg, seed)
     return validate(sim.scenario)
 
 
@@ -321,29 +332,59 @@ def _commits_so_far(protocol, records):
     return out
 
 
+def _kernel_stuck(state):
+    """Has a correct FaB replica of the kernel state reported a stuck view?"""
+    return any(getattr(r, "stuck_view", None) is not None for r in state.replicas)
+
+
 def _assert_kernel_matches_simulator(cfg, state, sim):
-    """The kernel's commits and stuck flag are exactly what the lockstep
+    """The kernel's commits and stuck views are exactly what the lockstep
     simulation's trace has recorded so far."""
     records = sim.trace.records
     assert set(state.commits) == _commits_so_far(cfg.protocol, records), len(records)
-    assert state.stuck == any(r.get("stuck") for r in records), len(records)
+    assert _kernel_stuck(state) == any(r.get("stuck") for r in records), len(records)
 
 
 @pytest.mark.parametrize("name", _WALK_CONFIGS)
 def test_kernel_and_simulator_agree_after_every_choice(name):
     cfg = _WALK_CONFIGS[name]
     for seed in range(20):
-        for state, sim in _explorer_walk(cfg, seed):
+        for _, state, sim in _explorer_walk(cfg, seed):
             _assert_kernel_matches_simulator(cfg, state, sim)
+
+
+@pytest.mark.parametrize("name", _WALK_CONFIGS)
+def test_slot_choices_are_exported_verbatim(name):
+    # a slot choice's action is the adversary directive the export runs,
+    # unless it names an artifact the store lacks or holds twice: then
+    # nothing is exported
+    cfg = _WALK_CONFIGS[name]
+    actor = cfg.byzantine[0]
+    verbatim = 0
+    for seed in range(20):
+        before, length = None, 0
+        for choice, state, sim in _explorer_walk(cfg, seed):
+            new, length = sim.scenario.script[length:], len(sim.scenario.script)
+            if choice is not None and choice[0] == "slot":
+                action = choice[1]
+                if new:
+                    assert new[0] == {"do": "adversary", "actor": actor, "action": action}
+                    verbatim += 1
+                else:
+                    resolve = partial(find_artifacts, before.store)
+                    with pytest.raises(ArtifactError):
+                        adversary_sends(replica(actor), action, resolve, cfg.protocol)
+            before = state
+    assert verbatim
 
 
 def test_kernel_and_simulator_agree_along_a_found_stuck_run():
     # the seeded walks never get stuck; the explorer's PFaB counterexample does
     cfg = replace(_WALK_CONFIGS["pfab"], menu=("equivocate", "withhold"))
     stuck = []
-    for state, sim in _explorer_walk(cfg, None, path=explore(cfg).counterexample.choices):
+    for _, state, sim in _explorer_walk(cfg, None, path=explore(cfg).counterexample.choices):
         _assert_kernel_matches_simulator(cfg, state, sim)
-        stuck.append(state.stuck)
+        stuck.append(_kernel_stuck(state))
     assert stuck[-1] and not stuck[-2]
 
 
