@@ -39,6 +39,10 @@ _COMMIT = {"view": int, "track": str, "by": str}
 _FAB_COMMIT = {"value": str, **_COMMIT}
 _ZYZZYVA_COMMIT = {"position": int, "entry": (str, _NULL), "client": (str, _NULL),
                    "token": (str, _NULL), "depth": (int, _NULL), **_COMMIT}
+_STUCK = {"view": int, "leader": str, "pc": list, "candidates": list}
+_STUCK_REP = {"replica": str, "last_accepted": (str, _NULL), "commit_proof": (dict, _NULL)}
+_STUCK_CANDIDATE = {"value": str, "vouched": bool, "blocked_prepare": list,
+                    "blocked_proof": list}
 
 
 def _shaped(obj, fields: dict, what: str):
@@ -66,6 +70,23 @@ def _check_shape(records: list):
         for c in _shaped(rec, _RECORD, "trace record")["commits"] or []:
             fields = _ZYZZYVA_COMMIT if isinstance(c, dict) and "position" in c else _FAB_COMMIT
             _shaped(c, fields, f"commit in record {rec['seq']}")
+        if rec.get("stuck") is not None:
+            _check_stuck_shape(rec["stuck"], f"stuck report in record {rec['seq']}")
+
+
+def _check_stuck_shape(stuck, what: str):
+    """A stuck report as `bftlab check` prints it: the leader's progress
+    certificate and why each candidate value was blocked."""
+    _shaped(stuck, _STUCK, what)
+    for rep in stuck["pc"]:
+        cp = _shaped(rep, _STUCK_REP, f"{what}: pc entry")["commit_proof"]
+        if cp is not None:
+            _shaped(cp, {"value": str}, f"{what}: commit proof")
+    for cand in stuck["candidates"]:
+        _shaped(cand, _STUCK_CANDIDATE, f"{what}: candidate")
+        for name in ("blocked_prepare", "blocked_proof"):
+            if not all(isinstance(v, str) for v in cand[name]):
+                raise ValueError(f"{what}: candidate {name} must list values: {cand[name]!r}")
 
 
 def _commits(records: list):

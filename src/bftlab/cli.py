@@ -131,7 +131,9 @@ def _cmd_explore(args) -> int:
     result = explore(load_config(args.explore_config))
     print(f"explored {result.stats['states']} states "
           f"(deduped {result.stats['deduped']}, depth {result.stats['max_depth']}) "
-          f"in {result.stats['elapsed']}s")
+          f"in {result.stats['elapsed']}s; "
+          f"{result.stats['transitions']} transitions computed, "
+          f"{result.stats['transitions_reused']} reused")
     if result.stats["budget_exhausted"]:
         print("state budget exhausted before finding a counterexample")
     ce = result.counterexample

@@ -19,6 +19,8 @@ point covers a whole equivocation. The adversary also supportively echoes
 correct replicas' client-bound responses, which only ever adds commit
 evidence. Actions resolve against the state's artifact store; messages
 addressed to Byzantine nodes deliver immediately into that store.
+Each protocol transition, decision group and adversary action is computed
+once per search and looked up by its interned inputs afterwards.
 A found run is exported by taking its choices again with a `Simulation`
 attached, which executes each directive as the kernel takes it: message ids
 and ordinals are the simulator's alone, and its trace is the run's trace.
@@ -154,6 +156,10 @@ class _Kernel:
         self.byz = replica(cfg.byzantine[0])
         self.correct = tuple(replica(i) for i in range(self.qc.n) if replica(i) != self.byz)
         self._interned: dict = {}
+        self._transitions: dict = {}  # (hook, node, *args) -> interned result
+        self._groups: dict = {}  # sent message -> its decision group, or None
+        self._sends: dict = {}  # (store, action JSON) -> adversary sends, or None
+        self.reused = 0  # transitions answered from the table
         self.sim: Simulation | None = None  # the export target, set by initial
 
     def intern(self, obj):
@@ -164,6 +170,29 @@ class _Kernel:
         per distinct value and the search keeps no duplicate copies.
         """
         return self._interned.setdefault(obj, obj)
+
+    def transition(self, hook, node, *args):
+        """hook(node, *args), a protocol transition (state', sends, notes),
+        computed once per search.
+
+        The table is keyed by the hook and its inputs, so only pure hooks may
+        come here: a result must follow from the node state and arguments
+        alone. Its state and sends are interned, so the table holds no second
+        copy of any value.
+        """
+        key = (hook, node, *args)
+        out = self._transitions.get(key)
+        if out is not None:
+            self.reused += 1
+            return out
+        ns, sends, notes = hook(node, *args)
+        out = (self.intern(ns), self._intern_sends(sends), tuple(notes))
+        self._transitions[key] = out
+        return out
+
+    def _intern_sends(self, sends) -> tuple:
+        """sends as one interned tuple of (destination, interned message)."""
+        return self.intern(tuple((dst, self.intern(m)) for dst, m in sends))
 
     # protocol hooks -----------------------------------------------------------
     def initial(self, sim: Simulation | None) -> KState:
@@ -206,10 +235,10 @@ class _Kernel:
     def _set_node(self, st: KState, node: NodeId, ns) -> KState:
         if node.kind == "c":
             cls = list(st.clients)
-            cls[node.index - 1] = self.intern(ns)
+            cls[node.index - 1] = ns
             return replace(st, clients=tuple(cls))
         reps = list(st.replicas)
-        reps[node.index] = self.intern(ns)
+        reps[node.index] = ns
         return replace(st, replicas=tuple(reps))
 
     def _store_add(self, st: KState, msg) -> KState:
@@ -222,7 +251,10 @@ class _Kernel:
 
     def note_sent(self, st: KState, msg) -> KState:
         """Count a sent message toward its decision group, by distinct replica."""
-        decides = self.proto.decision_group(msg, self.qc)
+        if msg in self._groups:
+            decides = self._groups[msg]
+        else:
+            decides = self._groups[msg] = self.proto.decision_group(msg, self.qc)
         if decides is None:
             return st
         group, track, quorum = decides
@@ -247,9 +279,9 @@ class _Kernel:
         self.sim.run_step({"do": do, **fields})
 
     def route(self, st: KState, src: NodeId, sends) -> KState:
-        """Send messages: pool for correct targets, instant store for Byzantine."""
+        """Send interned messages: pool for correct targets, instant store for
+        Byzantine ones."""
         for dst, msg in sends:
-            msg = self.intern(msg)
             st = self.note_sent(st, msg)
             kmsg = KMsg(src, dst, msg)
             if dst == self.byz:
@@ -263,14 +295,15 @@ class _Kernel:
     def handle_delivery(self, st: KState, kmsg: KMsg) -> KState:
         dst = kmsg.dst
         node = st.clients[dst.index - 1] if dst.kind == "c" else st.replicas[dst.index]
-        ns, sends, notes = self.proto.step(node, kmsg.msg)
+        ns, sends, notes = self.transition(self.proto.step, node, kmsg.msg)
         st = self._set_node(st, dst, ns)
         for note in notes:
             st = self.note(st, note)
         return self.route(st, dst, sends)
 
     def signal_view(self, st: KState, rid: NodeId, view: int) -> KState:
-        rs, sends, _ = self.proto.on_view_change_signal(st.replicas[rid.index], view)
+        signal = self.proto.on_view_change_signal
+        rs, sends, _ = self.transition(signal, st.replicas[rid.index], view)
         st = self._set_node(st, rid, rs)
         return self.route(st, rid, sends)
 
@@ -278,12 +311,21 @@ class _Kernel:
         """Perform an adversary action; exported as the directive replay runs.
 
         An action naming an artifact the store lacks, or holds twice, sends
-        nothing and is not exported.
+        nothing and is not exported. The sends are built once per distinct
+        store and action.
         """
-        resolve = partial(find_artifacts, st.store)
-        try:
-            sends = adversary_sends(self.byz, action, resolve, self.cfg.protocol)
-        except ArtifactError:
+        key = (st.store, json.dumps(action, sort_keys=True))
+        if key not in self._sends:
+            resolve = partial(find_artifacts, st.store)
+            try:
+                sends = adversary_sends(self.byz, action, resolve, self.cfg.protocol)
+            except ArtifactError:
+                sends = None
+            else:
+                sends = self._intern_sends(sends)
+            self._sends[key] = sends
+        sends = self._sends[key]
+        if sends is None:
             return st
         self.export("adversary", actor=self.byz.index, action=action)
         return self.route(st, self.byz, sends)
@@ -382,7 +424,7 @@ class ZyzzyvaKernel(_Kernel):
         lead = leader_of(1, self.qc.n)
         for cl in st.clients:
             self.export("client_request", client=cl.cid.index, to=str(lead))
-            st = self.route(st, cl.cid, ((lead, cl.request),))
+            st = self.route(st, cl.cid, ((lead, self.intern(cl.request)),))
         return self.normalize(st)
 
     def decided(self, group, track, msg):
@@ -410,11 +452,12 @@ class ZyzzyvaKernel(_Kernel):
 
     def eligible_timeouts(self, st):
         # a client that timed out holds a commit certificate
-        return [cs.cid for cs in st.clients if cs.cert is None and zyzzyva.on_timeout(cs)[1]]
+        return [cs.cid for cs in st.clients
+                if cs.cert is None and self.transition(zyzzyva.on_timeout, cs)[1]]
 
     def apply_timeout(self, st, cid):
         st = replace(st, timeouts=st.timeouts + (cid,))
-        cs, sends, _ = zyzzyva.on_timeout(st.clients[cid.index - 1])
+        cs, sends, _ = self.transition(zyzzyva.on_timeout, st.clients[cid.index - 1])
         st = self._set_node(st, cid, cs)
         self.export("timeout", node=str(cid))
         return self.route(st, cid, sends)
@@ -559,6 +602,8 @@ def _search(cfg: ExploreConfig) -> tuple:
             found = _dfs(kernel, root, seen, stats, cfg)
     except _Budget:
         stats["budget_exhausted"] = True
+    stats["transitions"] = len(kernel._transitions)
+    stats["transitions_reused"] = kernel.reused
     return found, stats
 
 

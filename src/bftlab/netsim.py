@@ -174,6 +174,10 @@ class PoolEntry:
         }
 
 
+# the fields a match pattern may constrain
+_PATTERN_FIELDS = frozenset({"type", "view", "src", "dst", "ordinal"})
+
+
 # --- adversary store ------------------------------------------------------------
 
 class _Store:
@@ -553,6 +557,14 @@ class Simulation:
     def _pending(self):
         return [e for e in self.pool if e.status == "pending"]
 
+    def _matching(self, pat: dict) -> list:
+        """The pending entries that pat matches; a pattern field other than
+        type, view, src, dst and ordinal raises, whatever is pending."""
+        unknown = set(pat) - _PATTERN_FIELDS
+        if unknown:
+            raise SimError(f"unknown pattern fields: {sorted(unknown)}")
+        return [e for e in self._pending() if self._match(e, pat)]
+
     def _match(self, entry: PoolEntry, pat: dict) -> bool:
         if "type" in pat and entry.msg.kind != pat["type"]:
             return False
@@ -562,12 +574,7 @@ class Simulation:
             return False
         if "dst" in pat and str(entry.dst) != pat["dst"]:
             return False
-        if "ordinal" in pat and entry.ordinal != pat["ordinal"]:
-            return False
-        unknown = set(pat) - {"type", "view", "src", "dst", "ordinal"}
-        if unknown:
-            raise SimError(f"unknown pattern fields: {sorted(unknown)}")
-        return True
+        return "ordinal" not in pat or entry.ordinal == pat["ordinal"]
 
     # -- event primitives -----------------------------------------------------------
 
@@ -581,7 +588,7 @@ class Simulation:
         self._apply(rec, cid, (st, sends, notes))
 
     def deliver(self, pattern: dict):
-        matches = [e for e in self._pending() if self._match(e, pattern)]
+        matches = self._matching(pattern)
         if not matches:
             raise SimError(f"deliver pattern matched nothing: {pattern}")
         for entry in sorted(matches, key=lambda e: e.mid):
@@ -609,16 +616,16 @@ class Simulation:
 
     def drop(self, pattern: dict):
         mids = []
-        for entry in self._pending():
-            if self._match(entry, pattern):
-                entry.status = "dropped"
-                mids.append(entry.mid)
+        for entry in self._matching(pattern):
+            entry.status = "dropped"
+            mids.append(entry.mid)
         self._record("drop", None, mids=mids)
 
     def delay_all_except(self, pattern: dict | None):
+        spared = set() if pattern is None else {e.mid for e in self._matching(pattern)}
         mids = []
         for entry in self._pending():
-            if pattern is None or not self._match(entry, pattern):
+            if entry.mid not in spared:
                 entry.status = "delayed"
                 mids.append(entry.mid)
         self._record("delay", None, mids=mids)
@@ -669,9 +676,8 @@ class Simulation:
         """Drop the actor's own pending messages that match the action's pattern."""
         pat = dict(_field(action, "match", dict, True) or {})
         pat["src"] = str(actor)
-        for entry in self._pending():
-            if self._match(entry, pat):
-                entry.status = "dropped"
+        for entry in self._matching(pat):
+            entry.status = "dropped"
 
     # -- script execution --------------------------------------------------------------
 

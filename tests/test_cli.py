@@ -89,6 +89,8 @@ def test_explore_cli_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "found.json"
     assert main(["explore", "--explore-config", str(cfg), "--out", str(out_path)]) == 2
     out = capsys.readouterr().out
+    assert out.startswith("explored 4372 states (deduped 1502, depth 16) in ")
+    assert "s; 2379 transitions computed, 17491 reused\n" in out
     assert "counterexample found: stuck occurred" in out
     assert main(["run", "--scenario", str(out_path)]) == 2
     assert "stuck: OCCURRED" in capsys.readouterr().out
@@ -230,12 +232,22 @@ def _order_req_script(view):
     (dict(_ZYZZYVA, expected=[{"property": "agreement", "status": "violated",
                                "positons": [2]}]),
      "expected[0]: unknown fields ['positons']"),
+    (dict(_ZYZZYVA, script=[{"do": "drop", "match": {"tpye": "request"}}]),
+     "directive 0 'drop': unknown pattern fields: ['tpye']"),
+    (dict(_ZYZZYVA, script=[{"do": "delay_all_except", "match": {"tpye": "request"}}]),
+     "directive 0 'delay_all_except': unknown pattern fields: ['tpye']"),
+    (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {
+        "kind": "withhold", "match": {"tpye": "order_req"}}}]),
+     "directive 0 'adversary': unknown pattern fields: ['tpye']"),
 ], ids=["client-without-op", "client-not-an-object", "expected-not-an-object",
         "inputs-not-an-object", "top-level-array", "client-id-as-string",
         "actor-as-string", "nodes-as-string", "action-view-as-string", "action-view-as-list",
         "positions-as-integer", "artifact-reference-named-kind", "withhold-match-as-list",
         "artifact-reference-named-kind-beside-a-stored-certificate",
-        "misspelled-directive-field", "ordinal-beside-match", "misspelled-expected-field"])
+        "misspelled-directive-field", "ordinal-beside-match", "misspelled-expected-field",
+        "misspelled-pattern-field-drop-empty-pool",
+        "misspelled-pattern-field-delay-all-except-empty-pool",
+        "misspelled-pattern-field-withhold-empty-pool"])
 def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
     assert says in _assert_one_error_line(capsys, tmp_path, scenario)
 
@@ -243,6 +255,12 @@ def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
 _HEADER = {"seq": 0, "kind": "scenario", "name": "t", "protocol": "pfab", "f": 1, "t": 0,
            "n": 4, "byzantine": ["r0"], "nodes": ["r0", "r1", "r2", "r3"]}
 _RECORD = {"seq": 1, "kind": "deliver", "commits": []}
+# the shape of a stuck report as the simulator writes it
+_STUCK = {"view": 2, "leader": "r1",
+          "pc": [{"replica": "r1", "last_accepted": "A",
+                  "commit_proof": {"view": 1, "value": "A", "senders": ["r0", "r1", "r2"]}}],
+          "candidates": [{"value": "B", "vouched": False, "blocked_prepare": [],
+                          "blocked_proof": ["A"]}]}
 
 
 @pytest.mark.parametrize("records, args, says", [
@@ -254,8 +272,19 @@ _RECORD = {"seq": 1, "kind": "deliver", "commits": []}
     ([_HEADER, dict(_RECORD, commits=[{"value": "A", "view": 1, "track": "fast"}])], [],
      "commit in record 1 has a missing or mistyped 'by'"),
     ([_HEADER, 1], [], "trace record must be an object"),
+    ([_HEADER, dict(_RECORD, stuck=1)], [], "stuck report in record 1 must be an object"),
+    ([_HEADER, dict(_RECORD, stuck=dict(_STUCK, candidates=None))], [],
+     "stuck report in record 1 has a missing or mistyped 'candidates'"),
+    ([_HEADER, dict(_RECORD, stuck=dict(_STUCK, pc=[{"replica": "r1"}]))],
+     ["--properties", "agreement"],
+     "stuck report in record 1: pc entry has a missing or mistyped 'last_accepted'"),
+    ([_HEADER, dict(_RECORD, stuck=dict(_STUCK, candidates=[
+        dict(_STUCK["candidates"][0], blocked_prepare=[1])]))], [],
+     "stuck report in record 1: candidate blocked_prepare must list values"),
 ], ids=["header-without-protocol", "commit-not-an-object", "commit-not-an-object-stuck-only",
-        "commit-without-by", "record-not-an-object"])
+        "commit-without-by", "record-not-an-object", "stuck-report-not-an-object",
+        "stuck-report-without-candidates", "stuck-pc-entry-without-last-accepted",
+        "stuck-candidate-blocked-by-a-number"])
 def test_malformed_traces_exit_one(capsys, tmp_path, records, args, says):
     path = tmp_path / "bad.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -264,6 +293,16 @@ def test_malformed_traces_exit_one(capsys, tmp_path, records, args, says):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert says in captured.err
+
+
+def test_check_prints_a_well_shaped_stuck_report(capsys, tmp_path):
+    path = tmp_path / "stuck.jsonl"
+    records = [_HEADER, dict(_RECORD, stuck=_STUCK)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["check", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "stuck: view 2 leader r1\n  rep r1: accepted=A proof(A)\n" in out
+    assert "candidate B: blocked: commit proof for A" in out
 
 
 _JSON = st.recursive(

@@ -1,4 +1,6 @@
+import json
 import sys
+from functools import partial
 
 import pytest
 from dataclasses import replace
@@ -7,15 +9,20 @@ from bftlab.checkers import run_checkers
 from bftlab.explorer import (
     ExploreConfig,
     ExplorerError,
+    _Budget,
+    _dfs,
+    _Kernel,
     _kernel_for,
     explore,
     validate_config,
 )
-from bftlab.netsim import run_scenario
+from bftlab.netsim import ArtifactError, adversary_sends, find_artifacts, run_scenario
 from bftlab.scenarios import loads
 
 PFAB_SMALL = ExploreConfig(protocol="pfab", f=1, t=0, values=("A", "B"), max_views=2,
                            menu=("equivocate", "withhold"))
+ZYZZYVA_SMALL = ExploreConfig(protocol="zyzzyva", f=1, requests=("a", "b"), max_views=2,
+                              menu=("equivocate", "withhold", "inject_stored"))
 
 
 def test_config_validation():
@@ -68,6 +75,7 @@ def test_exploration_is_deterministic():
     a.stats.pop("elapsed"), b.stats.pop("elapsed")
     assert a.stats == b.stats
     assert (a.stats["states"], a.stats["deduped"], a.stats["max_depth"]) == (4372, 1502, 16)
+    assert (a.stats["transitions"], a.stats["transitions_reused"]) == (2379, 17491)
     assert a.counterexample.scenario.to_json() == b.counterexample.scenario.to_json()
 
 
@@ -89,9 +97,11 @@ def _messages_in_flight(kernel, depth):
 def test_one_search_shares_one_instance_per_sent_value():
     msgs = _messages_in_flight(_kernel_for(PFAB_SMALL), 3)
     assert len({id(m) for m in msgs}) == len(set(msgs))
-    # without interning, paths that send equal messages hold separate copies
+    # without interning or the transition table, paths that send equal
+    # messages hold separate copies
     plain = _kernel_for(PFAB_SMALL)
     plain.intern = lambda obj: obj
+    plain.transition = _direct_transition
     copies = _messages_in_flight(plain, 3)
     assert set(copies) == set(msgs)
     assert len({id(m) for m in copies}) > len(set(copies))
@@ -108,3 +118,56 @@ def test_intern_table_belongs_to_its_kernel():
 def test_budget_exhaustion_reports_no_counterexample():
     res = explore(replace(PFAB_SMALL, max_states=50))
     assert res.counterexample is None and res.stats["budget_exhausted"]
+
+
+def _direct_transition(hook, node, *args):
+    """A kernel's transition without its table: the hook runs on every call."""
+    return hook(node, *args)
+
+
+def _uncached(cfg, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(_Kernel, "transition", lambda self, *call: _direct_transition(*call))
+        return explore(cfg)
+
+
+@pytest.mark.parametrize("cfg, counts, directives", [
+    (PFAB_SMALL, (4372, 1502, 16), 38),
+    (ZYZZYVA_SMALL, (15770, 7297, 14), None),
+    (replace(ZYZZYVA_SMALL, max_views=3), (42232, 20493, 19), 61),
+], ids=["pfab-stuck", "zyzzyva-two-views", "zyzzyva-three-views"])
+def test_transition_table_changes_work_not_outcomes(monkeypatch, cfg, counts, directives):
+    cached, direct = explore(cfg), _uncached(cfg, monkeypatch)
+    searched = ("states", "deduped", "max_depth", "budget_exhausted", "found")
+    assert [cached.stats[k] for k in searched] == [direct.stats[k] for k in searched]
+    assert (cached.stats["states"], cached.stats["deduped"], cached.stats["max_depth"]) == counts
+    assert cached.stats["transitions_reused"] > cached.stats["transitions"]
+    assert direct.stats["transitions"] == direct.stats["transitions_reused"] == 0
+    if directives is None:
+        assert cached.counterexample is None and direct.counterexample is None
+    else:
+        assert len(cached.counterexample.scenario.script) == directives
+        assert cached.counterexample.scenario.to_json() == direct.counterexample.scenario.to_json()
+        assert cached.counterexample.trace.to_jsonl() == direct.counterexample.trace.to_jsonl()
+
+
+@pytest.mark.parametrize("cfg", [PFAB_SMALL, ZYZZYVA_SMALL], ids=["pfab", "zyzzyva"])
+def test_cached_results_are_what_a_fresh_call_computes(cfg):
+    kernel = _kernel_for(cfg)
+    root = kernel.initial(None)
+    stats = {"states": 0, "deduped": 0, "max_depth": 0}
+    with pytest.raises(_Budget):
+        _dfs(kernel, root, {root}, stats, replace(cfg, max_states=1500))
+    assert kernel._transitions and kernel._groups and kernel._sends
+    for (hook, node, *args), (ns, sends, notes) in kernel._transitions.items():
+        fresh_ns, fresh_sends, fresh_notes = hook(node, *args)
+        assert (ns, sends, notes) == (fresh_ns, tuple(fresh_sends), tuple(fresh_notes))
+    for msg, group in kernel._groups.items():
+        assert group == kernel.proto.decision_group(msg, kernel.qc)
+    for (store, action), sends in kernel._sends.items():
+        try:
+            fresh = tuple(adversary_sends(kernel.byz, json.loads(action),
+                                          partial(find_artifacts, store), cfg.protocol))
+        except ArtifactError:
+            fresh = None
+        assert sends == fresh
