@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from . import fab, zyzzyva
@@ -142,6 +142,27 @@ class KState:
     timeouts: tuple = ()  # clients that timed out, in order
 
 
+class _Draft:
+    """A state under construction: KState's fields, each assignable.
+
+    A choice copies its parent's field objects into one draft, the kernel
+    writes new values into it, and `freeze` makes the one KState of the
+    choice, sharing every field the choice left unchanged.
+    """
+
+    __slots__ = KState.__match_args__
+
+    def __init__(self, st: KState):
+        for name in self.__slots__:
+            setattr(self, name, getattr(st, name))
+
+    def freeze(self) -> KState:
+        return KState(*[getattr(self, name) for name in self.__slots__])
+
+
+_BLANK = KState(())  # every field at its default: the draft of a root state
+
+
 # --- kernels ------------------------------------------------------------------
 
 class _Kernel:
@@ -203,12 +224,11 @@ class _Kernel:
         """The commits a decision group adds once msg completes its quorum."""
         raise NotImplementedError
 
-    def note(self, st: KState, note) -> KState:
+    def note(self, w: _Draft, note) -> None:
         """Record a transition's note (FaB kernels read stuck views from replicas)."""
-        return st
 
-    def after_send(self, st: KState, src, dst, msg) -> KState:
-        return st
+    def after_send(self, w: _Draft, src, dst, msg) -> None:
+        pass
 
     def slot_choices(self, st: KState) -> list:
         """The adversary's ("slot", action) choices at an empty pool (menu
@@ -218,55 +238,46 @@ class _Kernel:
     def eligible_timeouts(self, st: KState):
         return ()
 
-    def apply_timeout(self, st: KState, cid: NodeId) -> KState:
+    def apply_timeout(self, w: _Draft, cid: NodeId) -> None:
         raise NotImplementedError
 
     def violated(self, st: KState) -> bool:
         raise NotImplementedError
 
     # shared mechanics ------------------------------------------------------------
-    def _root(self, sim, make_replica, clients=()) -> KState:
+    def _root(self, sim, make_replica, clients=()) -> _Draft:
         """The state before any step: fresh correct replicas, nothing sent."""
         self.sim = sim
+        w = _Draft(_BLANK)
         nodes = [replica(i) for i in range(self.qc.n)]
-        replicas = tuple(None if r == self.byz else make_replica(r, self.qc) for r in nodes)
-        return KState(replicas, clients)
+        w.replicas = tuple(None if r == self.byz else make_replica(r, self.qc) for r in nodes)
+        w.clients = clients
+        return w
 
-    def _set_node(self, st: KState, node: NodeId, ns) -> KState:
-        if node.kind == "c":
-            cls = list(st.clients)
-            cls[node.index - 1] = ns
-            return replace(st, clients=tuple(cls))
-        reps = list(st.replicas)
-        reps[node.index] = ns
-        return replace(st, replicas=tuple(reps))
-
-    def _store_add(self, st: KState, msg) -> KState:
-        items = {a.canon(): a for a in st.store}
+    def _store_add(self, w: _Draft, msg) -> None:
+        items = {a.canon(): a for a in w.store}
         new = artifacts(msg, items)
-        if not new:
-            return st
-        items.update((a.canon(), a) for a in new)
-        return replace(st, store=tuple(v for _, v in sorted(items.items())))
+        if new:
+            items.update((a.canon(), a) for a in new)
+            w.store = tuple(v for _, v in sorted(items.items()))
 
-    def note_sent(self, st: KState, msg) -> KState:
+    def note_sent(self, w: _Draft, msg) -> None:
         """Count a sent message toward its decision group, by distinct replica."""
         if msg in self._groups:
             decides = self._groups[msg]
         else:
             decides = self._groups[msg] = self.proto.decision_group(msg, self.qc)
         if decides is None:
-            return st
+            return
         group, track, quorum = decides
-        tab = dict(st.sent_tab)
+        tab = dict(w.sent_tab)
         senders = tab.get(group, frozenset())
         if msg.replica in senders:
-            return st
+            return
         tab[group] = senders | {msg.replica}
-        st = replace(st, sent_tab=tuple(sorted(tab.items())))
+        w.sent_tab = tuple(sorted(tab.items()))
         if len(senders) + 1 == quorum:
-            st = replace(st, commits=st.commits + self.decided(group, track, msg))
-        return st
+            w.commits += self.decided(group, track, msg)
 
     def export(self, do: str, head: KMsg | None = None, **fields):
         """Take directive `do` on the export simulation, if any. A deliver or
@@ -278,45 +289,40 @@ class _Kernel:
             fields["match"] = self.sim.pattern(head.msg.kind, head.src, head.dst)
         self.sim.run_step({"do": do, **fields})
 
-    def route(self, st: KState, src: NodeId, sends) -> KState:
+    def route(self, w: _Draft, src: NodeId, sends) -> None:
         """Send interned messages: pool for correct targets, instant store for
         Byzantine ones."""
         for dst, msg in sends:
-            st = self.note_sent(st, msg)
+            self.note_sent(w, msg)
             kmsg = KMsg(src, dst, msg)
             if dst == self.byz:
-                st = self._store_add(st, msg)
+                self._store_add(w, msg)
                 self.export("deliver", kmsg)
             else:
-                st = replace(st, pool=st.pool + (self.intern(kmsg),))
-                st = self.after_send(st, src, dst, msg)
-        return st
+                w.pool += (self.intern(kmsg),)
+                self.after_send(w, src, dst, msg)
 
-    def handle_delivery(self, st: KState, kmsg: KMsg) -> KState:
-        dst = kmsg.dst
-        node = st.clients[dst.index - 1] if dst.kind == "c" else st.replicas[dst.index]
-        ns, sends, notes = self.transition(self.proto.step, node, kmsg.msg)
-        st = self._set_node(st, dst, ns)
+    def run(self, w: _Draft, node: NodeId, hook, *args) -> None:
+        """Run hook at node with *args: store the node's new state, record the
+        notes, route the sends."""
+        name, i = ("clients", node.index - 1) if node.kind == "c" else ("replicas", node.index)
+        nodes = list(getattr(w, name))
+        nodes[i], sends, notes = self.transition(hook, nodes[i], *args)
+        setattr(w, name, tuple(nodes))
         for note in notes:
-            st = self.note(st, note)
-        return self.route(st, dst, sends)
+            self.note(w, note)
+        self.route(w, node, sends)
 
-    def signal_view(self, st: KState, rid: NodeId, view: int) -> KState:
-        signal = self.proto.on_view_change_signal
-        rs, sends, _ = self.transition(signal, st.replicas[rid.index], view)
-        st = self._set_node(st, rid, rs)
-        return self.route(st, rid, sends)
-
-    def act(self, st: KState, action: dict) -> KState:
+    def act(self, w: _Draft, action: dict) -> None:
         """Perform an adversary action; exported as the directive replay runs.
 
         An action naming an artifact the store lacks, or holds twice, sends
         nothing and is not exported. The sends are built once per distinct
         store and action.
         """
-        key = (st.store, json.dumps(action, sort_keys=True))
+        key = (w.store, json.dumps(action, sort_keys=True))
         if key not in self._sends:
-            resolve = partial(find_artifacts, st.store)
+            resolve = partial(find_artifacts, w.store)
             try:
                 sends = adversary_sends(self.byz, action, resolve, self.cfg.protocol)
             except ArtifactError:
@@ -325,10 +331,9 @@ class _Kernel:
                 sends = self._intern_sends(sends)
             self._sends[key] = sends
         sends = self._sends[key]
-        if sends is None:
-            return st
-        self.export("adversary", actor=self.byz.index, action=action)
-        return self.route(st, self.byz, sends)
+        if sends is not None:
+            self.export("adversary", actor=self.byz.index, action=action)
+            self.route(w, self.byz, sends)
 
     def per_replica_sends(self, name: str, options) -> list:
         """The `sends` lists of a composite action: each correct replica gets
@@ -339,22 +344,23 @@ class _Kernel:
                  for p in picks)
         return [s for s in sends if s]
 
-    def deliver_head(self, st: KState) -> KState:
-        head = st.pool[0]
-        st = replace(st, pool=st.pool[1:])
+    def deliver_head(self, w: _Draft) -> None:
+        head = w.pool[0]
+        w.pool = w.pool[1:]
         self.export("deliver", head)
-        return self.handle_delivery(st, head)
+        self.run(w, head.dst, self.proto.step, head.msg)
 
-    def eager_kinds(self, st: KState) -> tuple:
+    def eager_kinds(self, st) -> tuple:
         return self.eager
 
-    def normalize(self, st: KState) -> KState:
+    def normalize(self, w: _Draft) -> KState:
+        """Deliver the eager messages at the pool's head, then freeze w."""
         # self-addressed messages are local and always processed immediately
-        while st.pool and (
-            st.pool[0].msg.kind in self.eager_kinds(st) or st.pool[0].src == st.pool[0].dst
+        while w.pool and (
+            w.pool[0].msg.kind in self.eager_kinds(w) or w.pool[0].src == w.pool[0].dst
         ):
-            st = self.deliver_head(st)
-        return st
+            self.deliver_head(w)
+        return w.freeze()
 
     def signal_order(self, view: int) -> tuple:
         """New leader first, so it processes its own state message immediately."""
@@ -382,27 +388,28 @@ class _Kernel:
         return out
 
     def apply(self, st: KState, choice) -> KState:
+        """The successor of st under choice, built in one draft."""
+        w = _Draft(st)
         kind = choice[0]
         if kind == "deliver":
-            st = self.deliver_head(st)
+            self.deliver_head(w)
         elif kind == "drop":
-            head = st.pool[0]
-            st = replace(st, pool=st.pool[1:])
+            head = w.pool[0]
+            w.pool = w.pool[1:]
             self.export("drop", head)
         elif kind == "timeout":
-            st = self.apply_timeout(st, choice[1])
+            self.apply_timeout(w, choice[1])
         elif kind == "advance":
-            view = choice[1]
+            w.view = view = choice[1]
             order = self.signal_order(view)
             self.export("view_change", view=view, nodes=[str(r) for r in order])
-            st = replace(st, view=view)
             for rid in order:
-                st = self.signal_view(st, rid, view)
+                self.run(w, rid, self.proto.on_view_change_signal, view)
         else:
             action = choice[1]
-            st = replace(st, slots=tuple(sorted(st.slots + ((action["kind"], action["view"]),))))
-            st = self.act(st, action)
-        return self.normalize(st)
+            w.slots = tuple(sorted(w.slots + ((action["kind"], action["view"]),)))
+            self.act(w, action)
+        return self.normalize(w)
 
 
 class ZyzzyvaKernel(_Kernel):
@@ -420,18 +427,18 @@ class ZyzzyvaKernel(_Kernel):
         self.logs = [[op] for op in cfg.requests]
 
     def initial(self, sim) -> KState:
-        st = self._root(sim, zyzzyva.ReplicaState, self.clients0)
+        w = self._root(sim, zyzzyva.ReplicaState, self.clients0)
         lead = leader_of(1, self.qc.n)
-        for cl in st.clients:
+        for cl in w.clients:
             self.export("client_request", client=cl.cid.index, to=str(lead))
-            st = self.route(st, cl.cid, ((lead, self.intern(cl.request)),))
-        return self.normalize(st)
+            self.route(w, cl.cid, ((lead, self.intern(cl.request)),))
+        return self.normalize(w)
 
     def decided(self, group, track, msg):
         return self._commits(msg.view, msg.log, track)
 
-    def note(self, st, note):
-        return replace(st, commits=st.commits + self._commits(note.view, note.log, note.track))
+    def note(self, w, note):
+        w.commits += self._commits(note.view, note.log, note.track)
 
     def _commits(self, view, log, track):
         return tuple(
@@ -439,28 +446,25 @@ class ZyzzyvaKernel(_Kernel):
             for pos, e in enumerate(log, start=1)
         )
 
-    def after_send(self, st, src, dst, msg):
+    def after_send(self, w, src, dst, msg):
         """Supportive echo: the adversary matches correct client-bound messages."""
         if src == self.byz or dst.kind != "c" or msg.kind not in ("spec_response", "local_commit"):
-            return st
+            return
         action = {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log), "to": str(dst)}
         mark = (msg.kind, msg.view, tuple(action["log"]), action["to"])
-        if mark in st.echoed:
-            return st
-        st = replace(st, echoed=st.echoed + (mark,))
-        return self.act(st, action)
+        if mark not in w.echoed:
+            w.echoed += (mark,)
+            self.act(w, action)
 
     def eligible_timeouts(self, st):
         # a client that timed out holds a commit certificate
         return [cs.cid for cs in st.clients
                 if cs.cert is None and self.transition(zyzzyva.on_timeout, cs)[1]]
 
-    def apply_timeout(self, st, cid):
-        st = replace(st, timeouts=st.timeouts + (cid,))
-        cs, sends, _ = self.transition(zyzzyva.on_timeout, st.clients[cid.index - 1])
-        st = self._set_node(st, cid, cs)
+    def apply_timeout(self, w, cid):
+        w.timeouts += (cid,)
         self.export("timeout", node=str(cid))
-        return self.route(st, cid, sends)
+        self.run(w, cid, zyzzyva.on_timeout)
 
     def slot_choices(self, st):
         view, lead = st.view, leader_of(st.view, self.qc.n)
@@ -488,18 +492,8 @@ class ZyzzyvaKernel(_Kernel):
 class FabKernel(_Kernel):
     proto = fab
 
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self.values = cfg.values
-        # FaB5 has no commit-proof track: prepares are receipt no-ops
-        self.eager = (
-            ("propose", "commit_proof_msg", "accepted")
-            if cfg.protocol == FAB5
-            else ("propose", "commit_proof_msg")
-        )
-
     def initial(self, sim) -> KState:
-        return self._root(sim, fab.FabReplicaState)
+        return self.normalize(self._root(sim, fab.FabReplicaState))
 
     def decided(self, group, track, msg):
         _, view, value = group
@@ -509,11 +503,12 @@ class FabKernel(_Kernel):
         return st.view == self.cfg.max_views
 
     def eager_kinds(self, st):
-        # in the last view of a stuck search only REP handling can matter:
+        # FaB5 has no commit-proof track, so prepares are receipt no-ops; in
+        # the last view of a stuck search only REP handling can matter:
         # prepares cannot feed any further progress certificate
-        if self._final_stuck_view(st):
-            return self.eager + ("accepted",)
-        return self.eager
+        if self.cfg.protocol == FAB5 or self._final_stuck_view(st):
+            return ("propose", "commit_proof_msg", "accepted")
+        return ("propose", "commit_proof_msg")
 
     def settled(self, st):
         """After the last view's leader evaluated its certificate, stuck-ness
@@ -530,14 +525,15 @@ class FabKernel(_Kernel):
         out = []
         if lead == self.byz and ("propose", view) not in st.slots:
             out += [{"kind": "propose", "view": view, "sends": s}
-                    for s in self.per_replica_sends("value", self.values)]
+                    for s in self.per_replica_sends("value", self.cfg.values)]
         if ("accepted", view) not in st.slots and not self._final_stuck_view(st):
             dsts = [lead] if self.cfg.protocol == FAB5 else self.correct
             to = [str(d) for d in dsts if d != self.byz]
-            out += [{"kind": "accepted", "view": view, "value": v, "to": to} for v in self.values]
+            out += [{"kind": "accepted", "view": view, "value": v, "to": to}
+                    for v in self.cfg.values]
         if view >= 2 and ("rep", view) not in st.slots:
             out += [{"kind": "rep", "view": view, "last_accepted": v, "commit_proof": None,
-                     "to": str(lead)} for v in [*self.values, None]]
+                     "to": str(lead)} for v in [*self.cfg.values, None]]
         return [("slot", action) for action in out]
 
     def violated(self, st):

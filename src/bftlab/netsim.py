@@ -425,7 +425,7 @@ class Simulation:
                 "name": scenario.name,
                 "protocol": scenario.protocol,
                 "f": scenario.f,
-                "t": scenario.t,
+                "t": self.cfg.t,
                 "n": self.cfg.n,
                 "byzantine": sorted(str(b) for b in self.byzantine),
                 "nodes": [str(replica(i)) for i in range(self.cfg.n)]

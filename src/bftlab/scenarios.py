@@ -13,7 +13,7 @@ import typing
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
-from .core import PROTOCOLS, quorum_config
+from .core import PROTOCOLS, ZYZZYVA, quorum_config, replica
 from .checkers import PROPERTIES
 
 STATUSES = ("holds", "violated", "occurred", "not_applicable")
@@ -124,6 +124,12 @@ def validate(sc: Scenario) -> Scenario:
     for b in sc.byzantine:
         if not 0 <= b < cfg.n:
             raise ScenarioError(f"byzantine id {b!r} outside 0..{cfg.n - 1}")
+    if sc.protocol == ZYZZYVA and sc.inputs:
+        raise ScenarioError(f"zyzzyva replicas take no inputs, got {sorted(sc.inputs)}")
+    correct = {str(replica(i)) for i in range(cfg.n) if i not in sc.byzantine}
+    for key in sc.inputs:
+        if key not in correct:
+            raise ScenarioError(f"inputs[{key!r}] names no correct replica")
     ids = [c["id"] for c in sc.clients]
     if len(set(ids)) != len(ids):
         raise ScenarioError("duplicate client ids")

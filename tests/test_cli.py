@@ -1,11 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bftlab.cli import main
+from bftlab.netsim import Trace
 from bftlab.scenarios import BUILTIN_NAMES, get_builtin
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_list_prints_builtins(capsys):
@@ -239,6 +243,10 @@ def _order_req_script(view):
     (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {
         "kind": "withhold", "match": {"tpye": "order_req"}}}]),
      "directive 0 'adversary': unknown pattern fields: ['tpye']"),
+    (dict(_PFAB, inputs={"r9": "A"}), "inputs['r9'] names no correct replica"),
+    (dict(_PFAB, inputs={"r1": "A", "c1": "B"}), "inputs['c1'] names no correct replica"),
+    (dict(_PFAB, inputs={"r0": "A"}), "inputs['r0'] names no correct replica"),
+    (dict(_ZYZZYVA, inputs={"r1": "A"}), "zyzzyva replicas take no inputs, got ['r1']"),
 ], ids=["client-without-op", "client-not-an-object", "expected-not-an-object",
         "inputs-not-an-object", "top-level-array", "client-id-as-string",
         "actor-as-string", "nodes-as-string", "action-view-as-string", "action-view-as-list",
@@ -247,7 +255,8 @@ def _order_req_script(view):
         "misspelled-directive-field", "ordinal-beside-match", "misspelled-expected-field",
         "misspelled-pattern-field-drop-empty-pool",
         "misspelled-pattern-field-delay-all-except-empty-pool",
-        "misspelled-pattern-field-withhold-empty-pool"])
+        "misspelled-pattern-field-withhold-empty-pool", "input-at-r9", "input-at-a-client",
+        "input-at-a-byzantine-replica", "zyzzyva-with-inputs"])
 def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
     assert says in _assert_one_error_line(capsys, tmp_path, scenario)
 
@@ -338,6 +347,44 @@ def test_any_json_in_a_builtin_exits_zero_one_or_two(tmp_path, data):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(path)]) in (0, 1, 2)
+
+
+def _field_paths(value, path):
+    """The path of every object field inside value, nested ones included."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from _field_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _field_paths(item, path + (i,))
+
+
+def _trace_places(records) -> dict:
+    """(record index, field path) of each top-level record field, each field
+    nested in a commit and each field nested in a stuck report."""
+    places = {"record": [(i, (key,)) for i, rec in enumerate(records) for key in rec]}
+    for name in ("commits", "stuck"):
+        places[name] = [(i, path) for i, rec in enumerate(records)
+                        for path in _field_paths(rec.get(name), (name,))]
+    return {where: found for where, found in places.items() if found}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_in_a_golden_trace_exits_zero_one_or_two(tmp_path, data):
+    golden = data.draw(st.sampled_from(sorted(GOLDEN.glob("*.jsonl"))))
+    records = Trace.parse(golden.read_text())
+    places = _trace_places(records)
+    i, path = data.draw(st.sampled_from(places[data.draw(st.sampled_from(sorted(places)))]))
+    target = records[i]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(_JSON)
+    mutated = tmp_path / "mutated.jsonl"
+    mutated.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["check", str(mutated)]) in (0, 1, 2)
 
 
 _PFAB_STUCK = {"protocol": "pfab", "f": 1, "t": 0, "byzantine": [0], "max_views": 2,

@@ -9,6 +9,8 @@ from bftlab.checkers import run_checkers
 from bftlab.explorer import (
     ExploreConfig,
     ExplorerError,
+    FabKernel,
+    KState,
     _Budget,
     _dfs,
     _Kernel,
@@ -77,6 +79,26 @@ def test_exploration_is_deterministic():
     assert (a.stats["states"], a.stats["deduped"], a.stats["max_depth"]) == (4372, 1502, 16)
     assert (a.stats["transitions"], a.stats["transitions_reused"]) == (2379, 17491)
     assert a.counterexample.scenario.to_json() == b.counterexample.scenario.to_json()
+
+
+def test_each_choice_builds_one_state(monkeypatch):
+    # a choice writes into one draft and freezes it once: no intermediate
+    # KState per sent message, node update or pool change
+    calls = {"KState": 0, "apply": 0, "initial": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(KState, "__init__", counted("KState", KState.__init__))
+    monkeypatch.setattr(_Kernel, "apply", counted("apply", _Kernel.apply))
+    monkeypatch.setattr(FabKernel, "initial", counted("initial", FabKernel.initial))
+    assert explore(PFAB_SMALL).stats["found"]
+    # the search and the export of its 16-choice run
+    assert (calls["apply"], calls["initial"]) == (4372 + 1502 + 16, 2)
+    assert calls["KState"] == calls["apply"] + calls["initial"]
 
 
 def test_explore_leaves_the_recursion_limit_alone():

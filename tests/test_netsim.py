@@ -68,6 +68,13 @@ def test_empty_script_produces_header_only_trace():
     assert trace.records[0]["kind"] == "scenario"
 
 
+@pytest.mark.parametrize("f", [1, 2])
+def test_fab5_header_records_the_t_its_quorums_use(f):
+    # FaB5 is the parameterized protocol at t=f, whatever the scenario's t
+    header = run_scenario(_bare("fab5", f=f, clients=[], inputs={"r0": "A"})).records[0]
+    assert (header["f"], header["t"], header["n"]) == (f, f, 5 * f + 1)
+
+
 def test_adversary_requires_byzantine_actor():
     sc = _bare(script=[{"do": "adversary", "actor": 1,
                         "action": {"kind": "spec_response", "view": 1, "log": ["a"], "to": "c1"}}],
