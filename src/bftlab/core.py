@@ -231,17 +231,6 @@ class QuorumConfig:
         # FaB vouching clause threshold; FaB5 stores t=f so f+t+1 == 2f+1.
         return self.f + self.t + 1
 
-    def canon(self) -> bytes:
-        return pack(
-            b"quorum_config",
-            self.protocol.encode(),
-            *[
-                str(x).encode()
-                for x in (self.f, self.t, self.n, self.fast_quorum,
-                          self.cc_quorum, self.commit_quorum, self.vc_quorum)
-            ],
-        )
-
 
 def quorum_config(protocol: str, f: int, t: int = 0) -> QuorumConfig:
     """Derive all thresholds for the minimal n of the given protocol."""

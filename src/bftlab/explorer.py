@@ -19,8 +19,10 @@ point covers a whole equivocation. The adversary also supportively echoes
 correct replicas' client-bound responses, which only ever adds commit
 evidence. Actions resolve against the state's artifact store; messages
 addressed to Byzantine nodes deliver immediately into that store.
-Each protocol transition, decision group and adversary action is computed
-once per search and looked up by its interned inputs afterwards.
+The search starts from the simulator's initial replicas and clients. Each
+protocol transition and adversary action is computed once per search, its
+sends kept in routed form (message and decision group), and looked up by
+its interned inputs afterwards.
 A found run is exported by taking its choices again with a `Simulation`
 attached, which executes each directive as the kernel takes it: message ids
 and ordinals are the simulator's alone, and its trace is the run's trace.
@@ -40,7 +42,6 @@ from .core import (
     PROTOCOLS,
     ZYZZYVA,
     NodeId,
-    client,
     immutable,
     leader_of,
     log_ops,
@@ -90,6 +91,9 @@ def validate_config(cfg: ExploreConfig) -> ExploreConfig:
         raise ExplorerError("zyzzyva exploration needs client requests")
     if cfg.protocol != ZYZZYVA and not cfg.values:
         raise ExplorerError("fab exploration needs a value domain")
+    other = "values" if cfg.protocol == ZYZZYVA else "requests"
+    if getattr(cfg, other):
+        raise ExplorerError(f"{cfg.protocol} exploration takes no {other}")
     for name in ("requests", "values"):
         items = getattr(cfg, name)
         if not all(isinstance(v, str) for v in items) or len(set(items)) != len(items):
@@ -177,9 +181,8 @@ class _Kernel:
         self.byz = replica(cfg.byzantine[0])
         self.correct = tuple(replica(i) for i in range(self.qc.n) if replica(i) != self.byz)
         self._interned: dict = {}
-        self._transitions: dict = {}  # (hook, node, *args) -> interned result
-        self._groups: dict = {}  # sent message -> its decision group, or None
-        self._sends: dict = {}  # (store, action JSON) -> adversary sends, or None
+        self._transitions: dict = {}  # (hook, state, *args) -> (state', routed sends, notes)
+        self._sends: dict = {}  # (store, action JSON) -> routed adversary sends, or None
         self.reused = 0  # transitions answered from the table
         self.sim: Simulation | None = None  # the export target, set by initial
 
@@ -192,34 +195,33 @@ class _Kernel:
         """
         return self._interned.setdefault(obj, obj)
 
-    def transition(self, hook, node, *args):
-        """hook(node, *args), a protocol transition (state', sends, notes),
-        computed once per search.
+    def transition(self, src: NodeId, hook, state, *args):
+        """hook(state, *args), the protocol transition (state', sends, notes)
+        of node src, computed once per search with its sends routed.
 
         The table is keyed by the hook and its inputs, so only pure hooks may
         come here: a result must follow from the node state and arguments
-        alone. Its state and sends are interned, so the table holds no second
-        copy of any value.
+        alone. The state names its node, so src adds nothing to the key.
         """
-        key = (hook, node, *args)
+        key = (hook, state, *args)
         out = self._transitions.get(key)
         if out is not None:
             self.reused += 1
             return out
-        ns, sends, notes = hook(node, *args)
-        out = (self.intern(ns), self._intern_sends(sends), tuple(notes))
+        ns, sends, notes = hook(state, *args)
+        out = (self.intern(ns), self.routed(src, sends), tuple(notes))
         self._transitions[key] = out
         return out
 
-    def _intern_sends(self, sends) -> tuple:
-        """sends as one interned tuple of (destination, interned message)."""
-        return self.intern(tuple((dst, self.intern(m)) for dst, m in sends))
+    def routed(self, src: NodeId, sends) -> tuple:
+        """src's (destination, message) sends in the form `route` takes: one
+        interned tuple of (interned KMsg, decision group or None)."""
+        return self.intern(tuple(
+            (self.intern(KMsg(src, dst, self.intern(m))), self.proto.decision_group(m, self.qc))
+            for dst, m in sends
+        ))
 
     # protocol hooks -----------------------------------------------------------
-    def initial(self, sim: Simulation | None) -> KState:
-        """The root state; with sim, every later directive is exported to it."""
-        raise NotImplementedError
-
     def decided(self, group, track, msg) -> tuple:
         """The commits a decision group adds once msg completes its quorum."""
         raise NotImplementedError
@@ -245,14 +247,19 @@ class _Kernel:
         raise NotImplementedError
 
     # shared mechanics ------------------------------------------------------------
-    def _root(self, sim, make_replica, clients=()) -> _Draft:
-        """The state before any step: fresh correct replicas, nothing sent."""
+    def initial(self, sim: Simulation | None = None) -> KState:
+        """The root state: the replicas and clients of sim, or of a fresh
+        simulation of the export skeleton, with each client's request sent to
+        the view-1 leader. With sim, every later directive is exported to it."""
         self.sim = sim
+        world = sim or Simulation(_skeleton(self.cfg))
         w = _Draft(_BLANK)
-        nodes = [replica(i) for i in range(self.qc.n)]
-        w.replicas = tuple(None if r == self.byz else make_replica(r, self.qc) for r in nodes)
-        w.clients = clients
-        return w
+        w.replicas, w.clients = tuple(world.replicas.values()), tuple(world.clients.values())
+        lead = leader_of(1, self.qc.n)
+        for cl in w.clients:
+            self.export("client_request", client=cl.cid.index, to=str(lead))
+            self.route(w, self.routed(cl.cid, ((lead, cl.request),)))
+        return self.normalize(w)
 
     def _store_add(self, w: _Draft, msg) -> None:
         items = {a.canon(): a for a in w.store}
@@ -261,14 +268,8 @@ class _Kernel:
             items.update((a.canon(), a) for a in new)
             w.store = tuple(v for _, v in sorted(items.items()))
 
-    def note_sent(self, w: _Draft, msg) -> None:
+    def note_sent(self, w: _Draft, msg, decides) -> None:
         """Count a sent message toward its decision group, by distinct replica."""
-        if msg in self._groups:
-            decides = self._groups[msg]
-        else:
-            decides = self._groups[msg] = self.proto.decision_group(msg, self.qc)
-        if decides is None:
-            return
         group, track, quorum = decides
         tab = dict(w.sent_tab)
         senders = tab.get(group, frozenset())
@@ -289,29 +290,29 @@ class _Kernel:
             fields["match"] = self.sim.pattern(head.msg.kind, head.src, head.dst)
         self.sim.run_step({"do": do, **fields})
 
-    def route(self, w: _Draft, src: NodeId, sends) -> None:
-        """Send interned messages: pool for correct targets, instant store for
+    def route(self, w: _Draft, sends) -> None:
+        """Send routed messages: pool for correct targets, instant store for
         Byzantine ones."""
-        for dst, msg in sends:
-            self.note_sent(w, msg)
-            kmsg = KMsg(src, dst, msg)
-            if dst == self.byz:
-                self._store_add(w, msg)
-                self.export("deliver", kmsg)
+        for sent, decides in sends:
+            if decides is not None:
+                self.note_sent(w, sent.msg, decides)
+            if sent.dst == self.byz:
+                self._store_add(w, sent.msg)
+                self.export("deliver", sent)
             else:
-                w.pool += (self.intern(kmsg),)
-                self.after_send(w, src, dst, msg)
+                w.pool += (sent,)
+                self.after_send(w, sent.src, sent.dst, sent.msg)
 
     def run(self, w: _Draft, node: NodeId, hook, *args) -> None:
         """Run hook at node with *args: store the node's new state, record the
         notes, route the sends."""
         name, i = ("clients", node.index - 1) if node.kind == "c" else ("replicas", node.index)
         nodes = list(getattr(w, name))
-        nodes[i], sends, notes = self.transition(hook, nodes[i], *args)
+        nodes[i], sends, notes = self.transition(node, hook, nodes[i], *args)
         setattr(w, name, tuple(nodes))
         for note in notes:
             self.note(w, note)
-        self.route(w, node, sends)
+        self.route(w, sends)
 
     def act(self, w: _Draft, action: dict) -> None:
         """Perform an adversary action; exported as the directive replay runs.
@@ -328,12 +329,12 @@ class _Kernel:
             except ArtifactError:
                 sends = None
             else:
-                sends = self._intern_sends(sends)
+                sends = self.routed(self.byz, sends)
             self._sends[key] = sends
         sends = self._sends[key]
         if sends is not None:
             self.export("adversary", actor=self.byz.index, action=action)
-            self.route(w, self.byz, sends)
+            self.route(w, sends)
 
     def per_replica_sends(self, name: str, options) -> list:
         """The `sends` lists of a composite action: each correct replica gets
@@ -418,21 +419,9 @@ class ZyzzyvaKernel(_Kernel):
 
     def __init__(self, cfg):
         super().__init__(cfg)
-        self.clients0 = tuple(
-            zyzzyva.make_client(client(i + 1), self.qc, op.encode())
-            for i, op in enumerate(cfg.requests)
-        )
         # adversary log templates: single-request logs (plus the empty log in
         # view-change messages); multi-entry fabrications are out of bounds
         self.logs = [[op] for op in cfg.requests]
-
-    def initial(self, sim) -> KState:
-        w = self._root(sim, zyzzyva.ReplicaState, self.clients0)
-        lead = leader_of(1, self.qc.n)
-        for cl in w.clients:
-            self.export("client_request", client=cl.cid.index, to=str(lead))
-            self.route(w, cl.cid, ((lead, self.intern(cl.request)),))
-        return self.normalize(w)
 
     def decided(self, group, track, msg):
         return self._commits(msg.view, msg.log, track)
@@ -459,7 +448,7 @@ class ZyzzyvaKernel(_Kernel):
     def eligible_timeouts(self, st):
         # a client that timed out holds a commit certificate
         return [cs.cid for cs in st.clients
-                if cs.cert is None and self.transition(zyzzyva.on_timeout, cs)[1]]
+                if cs.cert is None and self.transition(cs.cid, zyzzyva.on_timeout, cs)[1]]
 
     def apply_timeout(self, w, cid):
         w.timeouts += (cid,)
@@ -491,9 +480,6 @@ class ZyzzyvaKernel(_Kernel):
 
 class FabKernel(_Kernel):
     proto = fab
-
-    def initial(self, sim) -> KState:
-        return self.normalize(self._root(sim, fab.FabReplicaState))
 
     def decided(self, group, track, msg):
         _, view, value = group

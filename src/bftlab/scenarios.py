@@ -126,6 +126,8 @@ def validate(sc: Scenario) -> Scenario:
             raise ScenarioError(f"byzantine id {b!r} outside 0..{cfg.n - 1}")
     if sc.protocol == ZYZZYVA and sc.inputs:
         raise ScenarioError(f"zyzzyva replicas take no inputs, got {sorted(sc.inputs)}")
+    if sc.protocol != ZYZZYVA and sc.clients:
+        raise ScenarioError(f"{sc.protocol} scenarios take no clients, got {sc.clients!r}")
     correct = {str(replica(i)) for i in range(cfg.n) if i not in sc.byzantine}
     for key in sc.inputs:
         if key not in correct:

@@ -247,6 +247,12 @@ def _order_req_script(view):
     (dict(_PFAB, inputs={"r1": "A", "c1": "B"}), "inputs['c1'] names no correct replica"),
     (dict(_PFAB, inputs={"r0": "A"}), "inputs['r0'] names no correct replica"),
     (dict(_ZYZZYVA, inputs={"r1": "A"}), "zyzzyva replicas take no inputs, got ['r1']"),
+    (dict(_PFAB, clients=[{"id": 1, "op": "a"}]), "pfab scenarios take no clients"),
+    (dict(_PFAB, protocol="fab5", byzantine=[], inputs={"r0": "A"},
+          clients=[{"id": 1, "op": "a"}], script=[
+              {"do": "client_request", "client": 1, "to": "r0"},
+              {"do": "deliver", "match": {"type": "request"}}]),
+     "fab5 scenarios take no clients"),
 ], ids=["client-without-op", "client-not-an-object", "expected-not-an-object",
         "inputs-not-an-object", "top-level-array", "client-id-as-string",
         "actor-as-string", "nodes-as-string", "action-view-as-string", "action-view-as-list",
@@ -256,7 +262,8 @@ def _order_req_script(view):
         "misspelled-pattern-field-drop-empty-pool",
         "misspelled-pattern-field-delay-all-except-empty-pool",
         "misspelled-pattern-field-withhold-empty-pool", "input-at-r9", "input-at-a-client",
-        "input-at-a-byzantine-replica", "zyzzyva-with-inputs"])
+        "input-at-a-byzantine-replica", "zyzzyva-with-inputs", "pfab-with-clients",
+        "fab5-with-a-client-request"])
 def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
     assert says in _assert_one_error_line(capsys, tmp_path, scenario)
 
@@ -404,9 +411,14 @@ _PFAB_STUCK = {"protocol": "pfab", "f": 1, "t": 0, "byzantine": [0], "max_views"
     (dict(_PFAB_STUCK, dedup=1), "dedup must be a boolean"),
     (dict(_PFAB_STUCK, max_views="2"), "max_views must be an integer"),
     ([_PFAB_STUCK], "an explore config is a JSON object"),
+    ({"protocol": "pfab", "values": ["A", "B"], "requests": ["x"]},
+     "pfab exploration takes no requests"),
+    ({"protocol": "zyzzyva", "requests": ["a"], "values": ["A"]},
+     "zyzzyva exploration takes no values"),
 ], ids=["byzantine-out-of-range", "byzantine-as-string", "request-as-integer",
         "duplicate-requests", "value-as-integer", "target", "values-as-string",
-        "dedup-as-integer", "max-views-as-string", "top-level-array"])
+        "dedup-as-integer", "max-views-as-string", "top-level-array", "pfab-with-requests",
+        "zyzzyva-with-values"])
 def test_malformed_explore_configs_exit_one(capsys, tmp_path, config, says):
     assert says in _assert_one_error_line(capsys, tmp_path, config, ("explore", "--explore-config"))
 

@@ -123,7 +123,7 @@ def test_one_search_shares_one_instance_per_sent_value():
     # messages hold separate copies
     plain = _kernel_for(PFAB_SMALL)
     plain.intern = lambda obj: obj
-    plain.transition = _direct_transition
+    plain.transition = partial(_direct_transition, plain)
     copies = _messages_in_flight(plain, 3)
     assert set(copies) == set(msgs)
     assert len({id(m) for m in copies}) > len(set(copies))
@@ -142,14 +142,16 @@ def test_budget_exhaustion_reports_no_counterexample():
     assert res.counterexample is None and res.stats["budget_exhausted"]
 
 
-def _direct_transition(hook, node, *args):
-    """A kernel's transition without its table: the hook runs on every call."""
-    return hook(node, *args)
+def _direct_transition(kernel, src, hook, state, *args):
+    """A kernel's transition without its table: the hook runs and its sends
+    are routed on every call."""
+    ns, sends, notes = hook(state, *args)
+    return ns, kernel.routed(src, sends), tuple(notes)
 
 
 def _uncached(cfg, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(_Kernel, "transition", lambda self, *call: _direct_transition(*call))
+        m.setattr(_Kernel, "transition", _direct_transition)
         return explore(cfg)
 
 
@@ -180,16 +182,28 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
     stats = {"states": 0, "deduped": 0, "max_depth": 0}
     with pytest.raises(_Budget):
         _dfs(kernel, root, {root}, stats, replace(cfg, max_states=1500))
-    assert kernel._transitions and kernel._groups and kernel._sends
+    assert kernel._transitions and kernel._sends
+    groups = set()
+
+    def assert_routed(routed, src, fresh):
+        # each routed send is the fresh (destination, message) from src with
+        # the message's decision group
+        assert [(k.src, k.dst, k.msg) for k, _ in routed] == [(src, d, m) for d, m in fresh]
+        assert [g for _, g in routed] == [kernel.proto.decision_group(m, kernel.qc)
+                                          for _, m in fresh]
+        groups.update(g for _, g in routed)
+
     for (hook, node, *args), (ns, sends, notes) in kernel._transitions.items():
         fresh_ns, fresh_sends, fresh_notes = hook(node, *args)
-        assert (ns, sends, notes) == (fresh_ns, tuple(fresh_sends), tuple(fresh_notes))
-    for msg, group in kernel._groups.items():
-        assert group == kernel.proto.decision_group(msg, kernel.qc)
+        assert (ns, notes) == (fresh_ns, tuple(fresh_notes))
+        assert_routed(sends, getattr(node, "cid", None) or node.rid, fresh_sends)
     for (store, action), sends in kernel._sends.items():
         try:
-            fresh = tuple(adversary_sends(kernel.byz, json.loads(action),
-                                          partial(find_artifacts, store), cfg.protocol))
+            fresh = adversary_sends(kernel.byz, json.loads(action),
+                                    partial(find_artifacts, store), cfg.protocol)
         except ArtifactError:
-            fresh = None
-        assert sends == fresh
+            assert sends is None
+        else:
+            assert_routed(sends, kernel.byz, fresh)
+    # the tables hold messages that count toward a decision
+    assert groups - {None}

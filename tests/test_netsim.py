@@ -346,10 +346,15 @@ def _kernel_stuck(state):
 
 def _assert_kernel_matches_simulator(cfg, state, sim):
     """The kernel's commits and stuck views are exactly what the lockstep
-    simulation's trace has recorded so far."""
+    simulation's trace has recorded so far, and its replicas, clients and
+    Byzantine store hold what the simulation's do."""
     records = sim.trace.records
     assert set(state.commits) == _commits_so_far(cfg.protocol, records), len(records)
     assert _kernel_stuck(state) == any(r.get("stuck") for r in records), len(records)
+    assert state.replicas == tuple(sim.replicas.values()), len(records)
+    assert state.clients == tuple(sim.clients.values()), len(records)
+    (store,) = sim.stores.values()
+    assert set(state.store) == set(store.items), len(records)
 
 
 @pytest.mark.parametrize("name", _WALK_CONFIGS)
