@@ -16,9 +16,10 @@ Adversary behavior is a finite template menu. Each adversary choice is the
 scenario-JSON action it exports, at most one per (kind, view); a composite
 action assigns one option or silence to each correct replica, so one choice
 point covers a whole equivocation. The adversary also supportively echoes
-correct replicas' client-bound responses, which only ever adds commit
-evidence. Actions resolve against the state's artifact store; messages
-addressed to Byzantine nodes deliver immediately into that store.
+correct replicas' client-bound responses, once per decision group, which
+only ever adds commit evidence. Actions resolve against the state's artifact
+store, a set of values; messages addressed to Byzantine nodes deliver
+immediately into it. Commits follow from the sent messages' decision groups.
 The search starts from the simulator's initial replicas and clients. Each
 protocol transition and adversary action is computed once per search, its
 sends kept in routed form (message and decision group), and looked up by
@@ -139,9 +140,8 @@ class KState:
     pool: tuple = ()
     view: int = 1
     slots: tuple = ()  # (kind, view) of the adversary actions already chosen
-    store: tuple = ()  # artifacts observed by the Byzantine replica
+    store: frozenset = frozenset()  # artifacts observed by the Byzantine replica
     sent_tab: tuple = ()  # (decision group, frozenset of senders), sorted
-    echoed: tuple = ()  # client-bound messages the adversary already echoed
     commits: tuple = ()  # zyzzyva (position, entry, view, track); fab (value, view, track)
     timeouts: tuple = ()  # clients that timed out, in order
 
@@ -181,7 +181,7 @@ class _Kernel:
         self.byz = replica(cfg.byzantine[0])
         self.correct = tuple(replica(i) for i in range(self.qc.n) if replica(i) != self.byz)
         self._interned: dict = {}
-        self._transitions: dict = {}  # (hook, state, *args) -> (state', routed sends, notes)
+        self._transitions: dict = {}  # (hook, state, *args) -> (state', routed sends)
         self._sends: dict = {}  # (store, action JSON) -> routed adversary sends, or None
         self.reused = 0  # transitions answered from the table
         self.sim: Simulation | None = None  # the export target, set by initial
@@ -196,20 +196,21 @@ class _Kernel:
         return self._interned.setdefault(obj, obj)
 
     def transition(self, src: NodeId, hook, state, *args):
-        """hook(state, *args), the protocol transition (state', sends, notes)
-        of node src, computed once per search with its sends routed.
+        """hook(state, *args), the protocol transition of node src: its new
+        state and routed sends, computed once per search.
 
         The table is keyed by the hook and its inputs, so only pure hooks may
         come here: a result must follow from the node state and arguments
-        alone. The state names its node, so src adds nothing to the key.
+        alone. The state names its node, so src adds nothing to the key. The
+        hook's notes are dropped: `note_sent` counts every decision.
         """
         key = (hook, state, *args)
         out = self._transitions.get(key)
         if out is not None:
             self.reused += 1
             return out
-        ns, sends, notes = hook(state, *args)
-        out = (self.intern(ns), self.routed(src, sends), tuple(notes))
+        ns, sends, _ = hook(state, *args)
+        out = (self.intern(ns), self.routed(src, sends))
         self._transitions[key] = out
         return out
 
@@ -226,11 +227,9 @@ class _Kernel:
         """The commits a decision group adds once msg completes its quorum."""
         raise NotImplementedError
 
-    def note(self, w: _Draft, note) -> None:
-        """Record a transition's note (FaB kernels read stuck views from replicas)."""
-
-    def after_send(self, w: _Draft, src, dst, msg) -> None:
-        pass
+    def after_send(self, w: _Draft, sent: KMsg, decides) -> None:
+        """React to a routed send to a correct node, after its decision
+        group (or None) has counted it."""
 
     def slot_choices(self, st: KState) -> list:
         """The adversary's ("slot", action) choices at an empty pool (menu
@@ -262,11 +261,9 @@ class _Kernel:
         return self.normalize(w)
 
     def _store_add(self, w: _Draft, msg) -> None:
-        items = {a.canon(): a for a in w.store}
-        new = artifacts(msg, items)
+        new = artifacts(msg, w.store)
         if new:
-            items.update((a.canon(), a) for a in new)
-            w.store = tuple(v for _, v in sorted(items.items()))
+            w.store = w.store.union(new)
 
     def note_sent(self, w: _Draft, msg, decides) -> None:
         """Count a sent message toward its decision group, by distinct replica."""
@@ -301,17 +298,15 @@ class _Kernel:
                 self.export("deliver", sent)
             else:
                 w.pool += (sent,)
-                self.after_send(w, sent.src, sent.dst, sent.msg)
+                self.after_send(w, sent, decides)
 
     def run(self, w: _Draft, node: NodeId, hook, *args) -> None:
-        """Run hook at node with *args: store the node's new state, record the
-        notes, route the sends."""
+        """Run hook at node with *args: store the node's new state, route the
+        sends."""
         name, i = ("clients", node.index - 1) if node.kind == "c" else ("replicas", node.index)
         nodes = list(getattr(w, name))
-        nodes[i], sends, notes = self.transition(node, hook, nodes[i], *args)
+        nodes[i], sends = self.transition(node, hook, nodes[i], *args)
         setattr(w, name, tuple(nodes))
-        for note in notes:
-            self.note(w, note)
         self.route(w, sends)
 
     def act(self, w: _Draft, action: dict) -> None:
@@ -361,6 +356,7 @@ class _Kernel:
             w.pool[0].msg.kind in self.eager_kinds(w) or w.pool[0].src == w.pool[0].dst
         ):
             self.deliver_head(w)
+        w.store = self.intern(w.store)  # states holding one store share one set
         return w.freeze()
 
     def signal_order(self, view: int) -> tuple:
@@ -424,26 +420,28 @@ class ZyzzyvaKernel(_Kernel):
         self.logs = [[op] for op in cfg.requests]
 
     def decided(self, group, track, msg):
-        return self._commits(msg.view, msg.log, track)
-
-    def note(self, w, note):
-        w.commits += self._commits(note.view, note.log, note.track)
-
-    def _commits(self, view, log, track):
         return tuple(
-            (pos, "<null>" if e is zyzzyva.NULL_REQUEST else e.op.decode(), view, track)
-            for pos, e in enumerate(log, start=1)
+            (pos, "<null>" if e is zyzzyva.NULL_REQUEST else e.op.decode(), msg.view, track)
+            for pos, e in enumerate(msg.log, start=1)
         )
 
-    def after_send(self, w, src, dst, msg):
-        """Supportive echo: the adversary matches correct client-bound messages."""
-        if src == self.byz or dst.kind != "c" or msg.kind not in ("spec_response", "local_commit"):
+    def after_send(self, w, sent, decides):
+        """Supportive echo: the adversary matches a correct replica's
+        client-bound response once per decision group.
+
+        The Byzantine replica being among the group's senders therefore
+        means it has echoed that response, because of two invariants:
+        it sends `spec_response` and `local_commit` only as echoes, and a
+        response's (kind, view, log) fixes its client, so the group names
+        the echo's destination.
+        """
+        msg = sent.msg
+        if sent.src == self.byz or sent.dst.kind != "c" or decides is None:
             return
-        action = {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log), "to": str(dst)}
-        mark = (msg.kind, msg.view, tuple(action["log"]), action["to"])
-        if mark not in w.echoed:
-            w.echoed += (mark,)
-            self.act(w, action)
+        if self.byz in next(s for g, s in w.sent_tab if g == decides[0]):
+            return
+        self.act(w, {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
+                     "to": str(sent.dst)})
 
     def eligible_timeouts(self, st):
         # a client that timed out holds a commit certificate
@@ -464,7 +462,8 @@ class ZyzzyvaKernel(_Kernel):
         if view >= 2 and ("view_change", view) not in st.slots:
             certs = [None]
             if "inject_stored" in self.cfg.menu:
-                certs += [{"view": c.view} for c in find_artifacts(st.store, "commit_certificate")]
+                stored = find_artifacts(st.store, "commit_certificate")
+                certs += [{"view": c.view} for c in sorted(stored, key=lambda c: c.canon())]
             out += [{"kind": "view_change", "view": view, "log": log, "cert": cert, "to": str(lead)}
                     for log in [[], *self.logs] for cert in certs]
         return [("slot", action) for action in out]

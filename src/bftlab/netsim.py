@@ -10,7 +10,8 @@ byte.
 The simulator and the explorer's kernels are two drivers of one rulebook.
 The protocol modules own delivery dispatch (`step`) and decision accounting
 (`decision_group`). This module owns the adversary: `artifacts` is what a
-Byzantine node learns from a message it receives, and `adversary_sends`
+Byzantine node learns from a message it receives, told apart by value, so
+both drivers keep a node's store as a set of artifacts; `adversary_sends`
 builds the signed messages of a scenario-JSON adversary action. The explorer
 emits its adversary moves as those actions, and exports a found run by
 executing its directives on a `Simulation` in lockstep with the search
@@ -180,37 +181,20 @@ _PATTERN_FIELDS = frozenset({"type", "view", "src", "dst", "ordinal"})
 
 # --- adversary store ------------------------------------------------------------
 
-class _Store:
-    """Signed artifacts a Byzantine node has observed; reusable in new messages.
-
-    Items stay in the order first observed: the node's trace state digest
-    hashes them in that order.
-    """
-
-    def __init__(self):
-        self.items: list = []
-        self._seen: set = set()
-
-    def add(self, obj):
-        for art in artifacts(obj, self._seen):
-            self._seen.add(art.canon())
-            self.items.append(art)
-
-    def digest(self) -> str:
-        return digest(b"".join(o.canon() for o in self.items))[:12]
-
-
 def artifacts(obj, known=()) -> list:
     """obj and the signed artifacts nested in it, depth first, each once, and
-    none whose canonical bytes are in `known`: what a Byzantine node learns
-    from receiving obj."""
+    none already in `known`: what a Byzantine node learns from receiving obj.
+
+    Artifacts are equal exactly when their canonical bytes are, so a store is
+    a set of them: the simulator's a dict in first-seen order (its state
+    digest hashes them in that order), a search state's a frozenset.
+    """
     out, seen = [], set()
 
     def visit(o):
-        key = o.canon()
-        if key in known or key in seen:
+        if o in known or o in seen:
             return
-        seen.add(key)
+        seen.add(o)
         out.append(o)
         for sub in _components(o):
             visit(sub)
@@ -392,7 +376,7 @@ class Simulation:
         self.seq = 0
         self.ordinals: dict[tuple, int] = {}
         self.proto = zyzzyva if scenario.protocol == ZYZZYVA else fab
-        self.stores = {b: _Store() for b in self.byzantine}
+        self.stores: dict[NodeId, dict] = {b: {} for b in self.byzantine}
         self.node_rank: dict[NodeId, int] = {}
         self.delivered_rank: dict[tuple, int] = {}
         # incremental decision accounting. senders: decision group (see the
@@ -445,7 +429,7 @@ class Simulation:
 
     def _state_digest(self, node: NodeId) -> str:
         if node in self.byzantine:
-            return self.stores[node].digest()
+            return digest(b"".join(o.canon() for o in self.stores[node]))[:12]
         st = self.clients[node] if node.kind == "c" else self.replicas[node]
         return digest(repr(st).encode())[:12]
 
@@ -603,7 +587,8 @@ class Simulation:
         self.node_rank[dst] = max(self.node_rank.get(dst, 0), entry.rank)
         self.delivered_rank[(str(dst), msg)] = entry.rank
         if dst in self.byzantine:
-            self.stores[dst].add(msg)
+            store = self.stores[dst]
+            store.update(dict.fromkeys(artifacts(msg, store)))
             rec["state"] = self._state_digest(dst)
             return
         if dst.kind == "c":  # clients are Zyzzyva clients in every protocol
@@ -666,7 +651,7 @@ class Simulation:
         if kind == "withhold":
             self._withhold(actor, action)
         else:
-            resolve = partial(find_artifacts, self.stores[actor].items)
+            resolve = partial(find_artifacts, self.stores[actor])
             for dst, msg in adversary_sends(actor, action, resolve, self.scenario.protocol):
                 self._send(rec, actor, dst, msg, rank)
         self._scan_quorums(rec)

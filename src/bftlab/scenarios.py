@@ -101,6 +101,8 @@ def validate(sc: Scenario) -> Scenario:
         if set(c) != {"id", "op"}:
             raise ScenarioError(f"clients[{i}] must have the fields id and op, got {c!r}")
         check_type(c["id"], int, f"clients[{i}].id")
+        if c["id"] < 1:
+            raise ScenarioError(f"clients[{i}].id must be at least 1, got {c['id']}")
         check_type(c["op"], str, f"clients[{i}].op")
     for key, value in sc.inputs.items():
         check_type(value, str, f"inputs[{key!r}]")
@@ -124,6 +126,8 @@ def validate(sc: Scenario) -> Scenario:
     for b in sc.byzantine:
         if not 0 <= b < cfg.n:
             raise ScenarioError(f"byzantine id {b!r} outside 0..{cfg.n - 1}")
+    if len(set(sc.byzantine)) != len(sc.byzantine):
+        raise ScenarioError(f"duplicate byzantine ids in {sc.byzantine!r}")
     if sc.protocol == ZYZZYVA and sc.inputs:
         raise ScenarioError(f"zyzzyva replicas take no inputs, got {sorted(sc.inputs)}")
     if sc.protocol != ZYZZYVA and sc.clients:

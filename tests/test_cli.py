@@ -253,6 +253,9 @@ def _order_req_script(view):
               {"do": "client_request", "client": 1, "to": "r0"},
               {"do": "deliver", "match": {"type": "request"}}]),
      "fab5 scenarios take no clients"),
+    (dict(_ZYZZYVA, f=2, byzantine=[0, 0]), "duplicate byzantine ids in [0, 0]"),
+    (dict(_ZYZZYVA, clients=[{"id": -1, "op": "a"}]), "clients[0].id must be at least 1, got -1"),
+    (dict(_ZYZZYVA, clients=[{"id": 0, "op": "a"}]), "clients[0].id must be at least 1, got 0"),
 ], ids=["client-without-op", "client-not-an-object", "expected-not-an-object",
         "inputs-not-an-object", "top-level-array", "client-id-as-string",
         "actor-as-string", "nodes-as-string", "action-view-as-string", "action-view-as-list",
@@ -263,7 +266,8 @@ def _order_req_script(view):
         "misspelled-pattern-field-delay-all-except-empty-pool",
         "misspelled-pattern-field-withhold-empty-pool", "input-at-r9", "input-at-a-client",
         "input-at-a-byzantine-replica", "zyzzyva-with-inputs", "pfab-with-clients",
-        "fab5-with-a-client-request"])
+        "fab5-with-a-client-request", "duplicate-byzantine-id", "negative-client-id",
+        "client-id-zero"])
 def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
     assert says in _assert_one_error_line(capsys, tmp_path, scenario)
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from dataclasses import fields, replace
 
@@ -138,6 +139,9 @@ def _immutable_samples() -> dict:
         if isinstance(obj, tuple):
             for item in obj:
                 visit(item)
+        elif isinstance(obj, frozenset):  # a store: visited in a seed-free order
+            for item in sorted(obj, key=lambda o: o.canon()):
+                visit(item)
         elif "_hash" in getattr(type(obj), "__slots__", ()) and obj not in seen:
             seen.add(obj)
             samples.setdefault(type(obj).__name__, obj)
@@ -171,6 +175,17 @@ def test_memoized_results_stay_out_of_repr_eq_and_hash(name):
     hash(value)
     assert (repr(value), value == twin, hash(value)) == before
     assert twin == value and value == sample and repr(value) == repr(sample)
+
+
+def test_values_are_equal_exactly_when_their_canonical_bytes_are():
+    # the adversary's stores are sets of artifacts: equal values must be
+    # the same artifact, and distinct ones distinct artifacts
+    values = [v for v in _immutable_samples().values() if hasattr(v, "canon")]
+    values += [replace(v) for v in values]  # equal twins, with empty caches
+    values += [replace(v, token=SignatureToken(v.token.signer, "0" * 64))
+               for v in values if hasattr(v, "token")]
+    for a, b in itertools.product(values, repeat=2):
+        assert (a == b) == (a.canon() == b.canon()), (a, b)
 
 
 @pytest.mark.parametrize("name", SIGNED_TYPES)

@@ -145,8 +145,8 @@ def test_budget_exhaustion_reports_no_counterexample():
 def _direct_transition(kernel, src, hook, state, *args):
     """A kernel's transition without its table: the hook runs and its sends
     are routed on every call."""
-    ns, sends, notes = hook(state, *args)
-    return ns, kernel.routed(src, sends), tuple(notes)
+    ns, sends, _ = hook(state, *args)
+    return ns, kernel.routed(src, sends)
 
 
 def _uncached(cfg, monkeypatch):
@@ -193,9 +193,9 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
                                           for _, m in fresh]
         groups.update(g for _, g in routed)
 
-    for (hook, node, *args), (ns, sends, notes) in kernel._transitions.items():
-        fresh_ns, fresh_sends, fresh_notes = hook(node, *args)
-        assert (ns, notes) == (fresh_ns, tuple(fresh_notes))
+    for (hook, node, *args), (ns, sends) in kernel._transitions.items():
+        fresh_ns, fresh_sends, _ = hook(node, *args)
+        assert ns == fresh_ns
         assert_routed(sends, getattr(node, "cid", None) or node.rid, fresh_sends)
     for (store, action), sends in kernel._sends.items():
         try:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -354,7 +355,7 @@ def _assert_kernel_matches_simulator(cfg, state, sim):
     assert state.replicas == tuple(sim.replicas.values()), len(records)
     assert state.clients == tuple(sim.clients.values()), len(records)
     (store,) = sim.stores.values()
-    assert set(state.store) == set(store.items), len(records)
+    assert state.store == set(store), len(records)
 
 
 @pytest.mark.parametrize("name", _WALK_CONFIGS)
@@ -388,6 +389,31 @@ def test_slot_choices_are_exported_verbatim(name):
                         adversary_sends(replica(actor), action, resolve, cfg.protocol)
             before = state
     assert verbatim
+
+
+@pytest.mark.parametrize("name", ["zyzzyva", "zyzzyva-three-requests"])
+def test_the_adversary_echoes_each_correct_client_bound_response_once(name):
+    # every correct replica's spec_response or local_commit to a client has
+    # exactly one adversary directive sending the same (kind, view, log, to),
+    # and the adversary sends those kinds as nothing but such echoes
+    cfg = _WALK_CONFIGS[name]
+    byz, echoed = str(replica(cfg.byzantine[0])), 0
+    for seed in range(20):
+        *_, (_, _, sim) = _explorer_walk(cfg, seed)
+        responses = {
+            (m["type"], m["view"], tuple(m["body"]["log"]), m["dst"])
+            for rec in sim.trace.records for m in rec.get("emitted") or []
+            if m["src"] != byz and m["dst"].startswith("c")
+            and m["type"] in ("spec_response", "local_commit")
+        }
+        echoes = Counter(
+            (a["kind"], a["view"], tuple(a["log"]), a["to"])
+            for a in (step["action"] for step in sim.scenario.script if step["do"] == "adversary")
+            if a["kind"] in ("spec_response", "local_commit")
+        )
+        assert set(echoes) == responses and set(echoes.values()) <= {1}, seed
+        echoed += len(echoes)
+    assert echoed
 
 
 def test_kernel_and_simulator_agree_along_a_found_stuck_run():
