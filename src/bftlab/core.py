@@ -85,9 +85,9 @@ def client(i: int) -> NodeId:
     return NodeId("c", i)
 
 
-def parse_node(name: str) -> NodeId:
+def parse_node(name: str, error=ValueError) -> NodeId:
     if not isinstance(name, str) or name[:1] not in ("r", "c") or not name[1:].isdigit():
-        raise ValueError(f"bad node name: {name!r}")
+        raise error(f"bad node name: {name!r}")
     return NodeId(name[0], int(name[1:]))
 
 
@@ -255,6 +255,15 @@ def quorum_config(protocol: str, f: int, t: int = 0) -> QuorumConfig:
 def distinct_quorum(msgs, size: int) -> bool:
     """Exactly `size` messages, from `size` distinct replicas."""
     return len(msgs) == size and len({m.replica for m in msgs}) == size
+
+
+def tally(marks: frozenset, group, sender: NodeId, quorum: int) -> tuple:
+    """marks with the mark (group, sender) added, and whether that mark
+    completed the group: made `quorum` distinct senders of it."""
+    if (group, sender) in marks:
+        return marks, False
+    marks = marks.union(((group, sender),))
+    return marks, sum(g == group for g, _ in marks) == quorum
 
 
 def leader_of(view: int, n: int) -> NodeId:

@@ -19,11 +19,14 @@ point covers a whole equivocation. The adversary also supportively echoes
 correct replicas' client-bound responses, once per decision group, which
 only ever adds commit evidence. Actions resolve against the state's artifact
 store, a set of values; messages addressed to Byzantine nodes deliver
-immediately into it. Commits follow from the sent messages' decision groups.
+immediately into it. Commits are decision groups: `core.tally` counts each
+sent message's (group, sender) mark, as the simulator does, and a group
+whose quorum fills joins the state's commits.
 The search starts from the simulator's initial replicas and clients. Each
 protocol transition and adversary action is computed once per search, its
 sends kept in routed form (message and decision group), and looked up by
-its interned inputs afterwards.
+its interned inputs afterwards; each distinct message's decision group is
+computed once.
 A found run is exported by taking its choices again with a `Simulation`
 attached, which executes each directive as the kernel takes it: message ids
 and ordinals are the simulator's alone, and its trace is the run's trace.
@@ -48,6 +51,7 @@ from .core import (
     log_ops,
     quorum_config,
     replica,
+    tally,
 )
 from .netsim import ArtifactError, Simulation, adversary_sends, artifacts, find_artifacts
 from .scenarios import Scenario, read, validate
@@ -141,8 +145,8 @@ class KState:
     view: int = 1
     slots: tuple = ()  # (kind, view) of the adversary actions already chosen
     store: frozenset = frozenset()  # artifacts observed by the Byzantine replica
-    sent_tab: tuple = ()  # (decision group, frozenset of senders), sorted
-    commits: tuple = ()  # zyzzyva (position, entry, view, track); fab (value, view, track)
+    sent_tab: frozenset = frozenset()  # (decision group, sender) marks, core.tally
+    commits: tuple = ()  # the completed decision groups, in completion order
     timeouts: tuple = ()  # clients that timed out, in order
 
 
@@ -183,6 +187,7 @@ class _Kernel:
         self._interned: dict = {}
         self._transitions: dict = {}  # (hook, state, *args) -> (state', routed sends)
         self._sends: dict = {}  # (store, action JSON) -> routed adversary sends, or None
+        self._groups: dict = {}  # interned message -> its decision group, or None
         self.reused = 0  # transitions answered from the table
         self.sim: Simulation | None = None  # the export target, set by initial
 
@@ -202,7 +207,7 @@ class _Kernel:
         The table is keyed by the hook and its inputs, so only pure hooks may
         come here: a result must follow from the node state and arguments
         alone. The state names its node, so src adds nothing to the key. The
-        hook's notes are dropped: `note_sent` counts every decision.
+        hook's notes are dropped: `route` counts every decision.
         """
         key = (hook, state, *args)
         out = self._transitions.get(key)
@@ -217,16 +222,15 @@ class _Kernel:
     def routed(self, src: NodeId, sends) -> tuple:
         """src's (destination, message) sends in the form `route` takes: one
         interned tuple of (interned KMsg, decision group or None)."""
-        return self.intern(tuple(
-            (self.intern(KMsg(src, dst, self.intern(m))), self.proto.decision_group(m, self.qc))
-            for dst, m in sends
-        ))
+        out = []
+        for dst, m in sends:
+            m = self.intern(m)
+            if m not in self._groups:
+                self._groups[m] = self.proto.decision_group(m, self.qc)
+            out.append((self.intern(KMsg(src, dst, m)), self._groups[m]))
+        return self.intern(tuple(out))
 
     # protocol hooks -----------------------------------------------------------
-    def decided(self, group, track, msg) -> tuple:
-        """The commits a decision group adds once msg completes its quorum."""
-        raise NotImplementedError
-
     def after_send(self, w: _Draft, sent: KMsg, decides) -> None:
         """React to a routed send to a correct node, after its decision
         group (or None) has counted it."""
@@ -265,18 +269,6 @@ class _Kernel:
         if new:
             w.store = w.store.union(new)
 
-    def note_sent(self, w: _Draft, msg, decides) -> None:
-        """Count a sent message toward its decision group, by distinct replica."""
-        group, track, quorum = decides
-        tab = dict(w.sent_tab)
-        senders = tab.get(group, frozenset())
-        if msg.replica in senders:
-            return
-        tab[group] = senders | {msg.replica}
-        w.sent_tab = tuple(sorted(tab.items()))
-        if len(senders) + 1 == quorum:
-            w.commits += self.decided(group, track, msg)
-
     def export(self, do: str, head: KMsg | None = None, **fields):
         """Take directive `do` on the export simulation, if any. A deliver or
         drop of `head` matches the simulation's oldest pending message of its
@@ -288,11 +280,14 @@ class _Kernel:
         self.sim.run_step({"do": do, **fields})
 
     def route(self, w: _Draft, sends) -> None:
-        """Send routed messages: pool for correct targets, instant store for
-        Byzantine ones."""
+        """Send routed messages: count each toward its decision group, then
+        pool it for a correct target or store it at once for a Byzantine one."""
         for sent, decides in sends:
             if decides is not None:
-                self.note_sent(w, sent.msg, decides)
+                group, _, quorum = decides
+                w.sent_tab, done = tally(w.sent_tab, group, sent.msg.replica, quorum)
+                if done:
+                    w.commits += (group,)
             if sent.dst == self.byz:
                 self._store_add(w, sent.msg)
                 self.export("deliver", sent)
@@ -356,7 +351,8 @@ class _Kernel:
             w.pool[0].msg.kind in self.eager_kinds(w) or w.pool[0].src == w.pool[0].dst
         ):
             self.deliver_head(w)
-        w.store = self.intern(w.store)  # states holding one store share one set
+        # states holding one store, or one set of sent marks, share one set
+        w.store, w.sent_tab = self.intern(w.store), self.intern(w.sent_tab)
         return w.freeze()
 
     def signal_order(self, view: int) -> tuple:
@@ -419,18 +415,12 @@ class ZyzzyvaKernel(_Kernel):
         # view-change messages); multi-entry fabrications are out of bounds
         self.logs = [[op] for op in cfg.requests]
 
-    def decided(self, group, track, msg):
-        return tuple(
-            (pos, "<null>" if e is zyzzyva.NULL_REQUEST else e.op.decode(), msg.view, track)
-            for pos, e in enumerate(msg.log, start=1)
-        )
-
     def after_send(self, w, sent, decides):
         """Supportive echo: the adversary matches a correct replica's
         client-bound response once per decision group.
 
-        The Byzantine replica being among the group's senders therefore
-        means it has echoed that response, because of two invariants:
+        The Byzantine replica's mark in the group therefore means it has
+        echoed that response, because of two invariants:
         it sends `spec_response` and `local_commit` only as echoes, and a
         response's (kind, view, log) fixes its client, so the group names
         the echo's destination.
@@ -438,7 +428,7 @@ class ZyzzyvaKernel(_Kernel):
         msg = sent.msg
         if sent.src == self.byz or sent.dst.kind != "c" or decides is None:
             return
-        if self.byz in next(s for g, s in w.sent_tab if g == decides[0]):
+        if (decides[0], self.byz) in w.sent_tab:
             return
         self.act(w, {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
                      "to": str(sent.dst)})
@@ -469,20 +459,17 @@ class ZyzzyvaKernel(_Kernel):
         return [("slot", action) for action in out]
 
     def violated(self, st):
+        """Two committed logs hold different entries at one position."""
         seen = {}
-        for pos, entry, _, _ in st.commits:
-            if pos in seen and seen[pos] != entry:
-                return True
-            seen.setdefault(pos, entry)
+        for _, _, _, log in st.commits:
+            for pos, entry in enumerate(log, start=1):
+                if seen.setdefault(pos, entry) != entry:
+                    return True
         return False
 
 
 class FabKernel(_Kernel):
     proto = fab
-
-    def decided(self, group, track, msg):
-        _, view, value = group
-        return ((value.decode(), view, track),)
 
     def _final_stuck_view(self, st) -> bool:
         return st.view == self.cfg.max_views

@@ -396,7 +396,8 @@ def step(st: FabReplicaState, msg):
 # --- omniscient decision rule --------------------------------------------------
 
 def decision_group(msg, cfg: QuorumConfig):
-    """As zyzzyva.decision_group; groups sort as check_decision lists them."""
+    """As zyzzyva.decision_group: a group, (0 fast | 1 commit, view, value),
+    names the value it decides; groups sort as check_decision lists them."""
     if msg.kind == "accepted":
         return (0, msg.view, msg.value), FAST, cfg.fast_quorum
     if msg.kind == "commit_proof_msg":

@@ -8,9 +8,11 @@ sent messages exists. Re-running a scenario reproduces the trace byte for
 byte.
 
 The simulator and the explorer's kernels are two drivers of one rulebook.
-The protocol modules own delivery dispatch (`step`) and decision accounting
-(`decision_group`). This module owns the adversary: `artifacts` is what a
-Byzantine node learns from a message it receives, told apart by value, so
+The protocol modules own delivery dispatch (`step`) and decision groups
+(`decision_group`); `core.tally` counts a sent message's (group, sender)
+mark for both, and the simulator renders each completed group as commit
+records. This module owns the adversary: `artifacts` is what a Byzantine
+node learns from a message it receives, told apart by value, so
 both drivers keep a node's store as a set of artifacts; `adversary_sends`
 builds the signed messages of a scenario-JSON adversary action. The explorer
 emits its adversary moves as those actions, and exports a found run by
@@ -37,6 +39,7 @@ from .core import (
     quorum_config,
     replica,
     signed,
+    tally,
 )
 from .scenarios import check_type
 
@@ -174,6 +177,9 @@ class PoolEntry:
             "body": _body(self.msg),
         }
 
+
+# a directive's or an adversary send's node name; a bad one is a SimError
+_node = partial(parse_node, error=SimError)
 
 # the fields a match pattern may constrain
 _PATTERN_FIELDS = frozenset({"type", "view", "src", "dst", "ordinal"})
@@ -360,7 +366,7 @@ def adversary_sends(actor: NodeId, action: dict, resolve, protocol: str) -> list
     builders = _ZYZZYVA_ACTIONS if protocol == ZYZZYVA else _FAB_ACTIONS
     if kind not in builders:
         raise SimError(f"unknown {protocol} adversary action {kind!r}")
-    return [(parse_node(to), msg) for to, msg in builders[kind](actor, action, resolve)]
+    return [(_node(to), msg) for to, msg in builders[kind](actor, action, resolve)]
 
 
 # --- the simulator ---------------------------------------------------------------
@@ -379,10 +385,10 @@ class Simulation:
         self.stores: dict[NodeId, dict] = {b: {} for b in self.byzantine}
         self.node_rank: dict[NodeId, int] = {}
         self.delivered_rank: dict[tuple, int] = {}
-        # incremental decision accounting. senders: decision group (see the
-        # protocols' decision_group) -> the replicas that sent a message of
-        # it; ripe: groups that reached quorum since the last scan
-        self.senders: dict[tuple, set] = {}
+        # incremental decision accounting, as in the explorer: the
+        # (decision group, sender) marks of the sent messages (core.tally),
+        # and the (group, track) of each group completed since the last scan
+        self.sent_tab: frozenset = frozenset()
         self.ripe: list = []
 
         self.replicas: dict[NodeId, object] = {}
@@ -443,20 +449,13 @@ class Simulation:
         self.next_mid += 1
         self.pool.append(entry)
         rec["emitted"].append(entry.describe())
-        self._count_sent(msg)
-        return entry
-
-    def _count_sent(self, msg):
-        """Count a sent message toward its decision group, by distinct replica."""
         decides = self.proto.decision_group(msg, self.cfg)
-        if decides is None:
-            return
-        group, track, quorum = decides
-        senders = self.senders.setdefault(group, set())
-        if msg.replica not in senders:
-            senders.add(msg.replica)
-            if len(senders) == quorum:
-                self.ripe.append((group, track, msg))
+        if decides is not None:  # count the send toward its decision group
+            group, track, quorum = decides
+            self.sent_tab, done = tally(self.sent_tab, group, msg.replica, quorum)
+            if done:
+                self.ripe.append((group, track))
+        return entry
 
     def _apply(self, rec: dict, node: NodeId, result):
         """Commit a transition result: new state, sends, notes."""
@@ -529,12 +528,12 @@ class Simulation:
         decision. They are reported in the order a rescan of every sent
         message (zyzzyva.check_decisions, fab.check_decision) lists them.
         """
-        ripe, self.ripe = sorted(self.ripe, key=lambda r: r[0]), []
-        for (_, view, value), track, msg in ripe:
+        ripe, self.ripe = sorted(self.ripe), []
+        for group, track in ripe:
             if self.scenario.protocol == ZYZZYVA:
-                rec["commits"].extend(self._zyz_commits(view, msg.log, track, "quorum"))
+                rec["commits"].extend(self._zyz_commits(group[1], group[3], track, "quorum"))
             else:
-                rec["commits"].append(self._fab_commit(view, value, track, "quorum"))
+                rec["commits"].append(self._fab_commit(group[1], group[2], track, "quorum"))
 
     # -- pattern matching ---------------------------------------------------------
 
@@ -691,7 +690,7 @@ class Simulation:
     def _step(self, step: dict):
         do = step["do"]
         if do == "client_request":
-            self.client_request(NodeId("c", step["client"]), parse_node(step["to"]))
+            self.client_request(NodeId("c", step["client"]), _node(step["to"]))
         elif do == "deliver":
             self.deliver(step["match"])
         elif do == "drop":
@@ -699,11 +698,11 @@ class Simulation:
         elif do == "delay_all_except":
             self.delay_all_except(step.get("match"))
         elif do == "timeout":
-            self.timeout(parse_node(step["node"]))
+            self.timeout(_node(step["node"]))
         elif do == "view_change":
-            self.view_change(step["view"], [parse_node(n) for n in step["nodes"]])
+            self.view_change(step["view"], [_node(n) for n in step["nodes"]])
         elif do == "propose":
-            self.propose(parse_node(step["node"]))
+            self.propose(_node(step["node"]))
         elif do == "adversary":
             self.adversary(replica(step["actor"]), step["action"])
         else:

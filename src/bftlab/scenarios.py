@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 
 from .core import PROTOCOLS, ZYZZYVA, quorum_config, replica
@@ -68,10 +68,11 @@ def read(cls, data, what: str, error):
         raise error(f"unknown {what} fields: {sorted(unknown)}")
     for name, value in data.items():
         check_type(value, types[name], name, error)
-    try:
-        return cls(**{k: tuple(v) if types[k] is tuple else v for k, v in data.items()})
-    except TypeError as e:  # a required field is missing
-        raise error(str(e)) from None
+    missing = [f.name for f in fields(cls) if f.default is MISSING
+               and f.default_factory is MISSING and f.name not in data]
+    if missing:
+        raise error(f"missing {what} fields: {missing}")
+    return cls(**{k: tuple(v) if types[k] is tuple else v for k, v in data.items()})
 
 
 @dataclass

@@ -478,13 +478,14 @@ def step(st, msg):
 
 def decision_group(msg, cfg: QuorumConfig):
     """(group, track, quorum) for a sent message that counts toward a
-    decision, else None: the group's decision exists once `quorum` distinct
-    replicas sent a message of the group. Groups sort in the order
-    check_decisions lists their decisions."""
+    decision, else None: the decision exists once `quorum` distinct replicas
+    sent a message of the group (`core.tally`). A group, (0 fast | 1 two-phase,
+    view, log_canon(log), log), names the log it commits; groups sort in the
+    order check_decisions lists their decisions."""
     if msg.kind == "spec_response":
-        return (0, msg.view, log_canon(msg.log)), FAST, cfg.fast_quorum
+        return (0, msg.view, log_canon(msg.log), msg.log), FAST, cfg.fast_quorum
     if msg.kind == "local_commit":
-        return (1, msg.view, log_canon(msg.log)), TWO_PHASE, cfg.commit_quorum
+        return (1, msg.view, log_canon(msg.log), msg.log), TWO_PHASE, cfg.commit_quorum
     return None
 
 

@@ -256,6 +256,29 @@ def _order_req_script(view):
     (dict(_ZYZZYVA, f=2, byzantine=[0, 0]), "duplicate byzantine ids in [0, 0]"),
     (dict(_ZYZZYVA, clients=[{"id": -1, "op": "a"}]), "clients[0].id must be at least 1, got -1"),
     (dict(_ZYZZYVA, clients=[{"id": 0, "op": "a"}]), "clients[0].id must be at least 1, got 0"),
+    (dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "x9"}]),
+     "directive 0 'client_request': bad node name: 'x9'"),
+    (dict(_ZYZZYVA, script=[{"do": "view_change", "view": 2, "nodes": ["r1", "x1"]}]),
+     "directive 0 'view_change': bad node name: 'x1'"),
+    (dict(_ZYZZYVA, script=[{"do": "timeout", "node": "c"}]),
+     "directive 0 'timeout': bad node name: 'c'"),
+    (dict(_PFAB, script=[{"do": "propose", "node": "1"}]),
+     "directive 0 'propose': bad node name: '1'"),
+    (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {
+        "kind": "view_change", "view": 2, "log": [], "cert": None, "to": "q1"}}]),
+     "directive 0 'adversary': bad node name: 'q1'"),
+    ({"protocol": "zyzzyva", "f": 1}, "missing scenario fields: ['name']"),
+    ({"description": "x"}, "missing scenario fields: ['name', 'protocol', 'f']"),
+    (dict(_ZYZZYVA, clients=[{"id": 1, "op": "a"}, {"id": 1, "op": "b"}]),
+     "duplicate client ids"),
+    (dict(_ZYZZYVA, expected=[{"property": "agreement", "status": "broken"}]),
+     "unknown expected status 'broken'"),
+    (dict(_PFAB, t=2), "pfab requires 0 <= t <= f, got t=2 f=1"),
+    (dict(_PFAB, f=0, byzantine=[]), "f must be >= 1, got 0"),
+    (dict(_ZYZZYVA, script=[{"do": "propose", "node": "r1"}]),
+     "directive 0 'propose': propose is a FaB directive"),
+    (dict(_ZYZZYVA, script=[{"do": "timeout", "node": "r1"}]),
+     "directive 0 'timeout': timeout target must be a client, got r1"),
 ], ids=["client-without-op", "client-not-an-object", "expected-not-an-object",
         "inputs-not-an-object", "top-level-array", "client-id-as-string",
         "actor-as-string", "nodes-as-string", "action-view-as-string", "action-view-as-list",
@@ -267,7 +290,10 @@ def _order_req_script(view):
         "misspelled-pattern-field-withhold-empty-pool", "input-at-r9", "input-at-a-client",
         "input-at-a-byzantine-replica", "zyzzyva-with-inputs", "pfab-with-clients",
         "fab5-with-a-client-request", "duplicate-byzantine-id", "negative-client-id",
-        "client-id-zero"])
+        "client-id-zero", "request-to-x9", "view-change-at-x1", "timeout-at-c",
+        "propose-at-1", "adversary-send-to-q1", "without-name", "without-required-fields",
+        "duplicate-client-ids", "unknown-expected-status", "pfab-t-above-f", "f-zero",
+        "propose-in-zyzzyva", "timeout-at-a-replica"])
 def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
     assert says in _assert_one_error_line(capsys, tmp_path, scenario)
 
@@ -301,10 +327,14 @@ _STUCK = {"view": 2, "leader": "r1",
     ([_HEADER, dict(_RECORD, stuck=dict(_STUCK, candidates=[
         dict(_STUCK["candidates"][0], blocked_prepare=[1])]))], [],
      "stuck report in record 1: candidate blocked_prepare must list values"),
+    ([_HEADER, _RECORD], ["--properties", "bogus"], "unknown property 'bogus'"),
+    ([dict(_HEADER, byzantine=[0]), _RECORD], [],
+     "trace header byzantine must list node names: [0]"),
 ], ids=["header-without-protocol", "commit-not-an-object", "commit-not-an-object-stuck-only",
         "commit-without-by", "record-not-an-object", "stuck-report-not-an-object",
         "stuck-report-without-candidates", "stuck-pc-entry-without-last-accepted",
-        "stuck-candidate-blocked-by-a-number"])
+        "stuck-candidate-blocked-by-a-number", "unknown-property",
+        "byzantine-as-a-number"])
 def test_malformed_traces_exit_one(capsys, tmp_path, records, args, says):
     path = tmp_path / "bad.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -419,10 +449,11 @@ _PFAB_STUCK = {"protocol": "pfab", "f": 1, "t": 0, "byzantine": [0], "max_views"
      "pfab exploration takes no requests"),
     ({"protocol": "zyzzyva", "requests": ["a"], "values": ["A"]},
      "zyzzyva exploration takes no values"),
+    ({"values": ["A", "B"]}, "missing explore config fields: ['protocol']"),
 ], ids=["byzantine-out-of-range", "byzantine-as-string", "request-as-integer",
         "duplicate-requests", "value-as-integer", "target", "values-as-string",
         "dedup-as-integer", "max-views-as-string", "top-level-array", "pfab-with-requests",
-        "zyzzyva-with-values"])
+        "zyzzyva-with-values", "without-protocol"])
 def test_malformed_explore_configs_exit_one(capsys, tmp_path, config, says):
     assert says in _assert_one_error_line(capsys, tmp_path, config, ("explore", "--explore-config"))
 

@@ -139,8 +139,8 @@ def _immutable_samples() -> dict:
         if isinstance(obj, tuple):
             for item in obj:
                 visit(item)
-        elif isinstance(obj, frozenset):  # a store: visited in a seed-free order
-            for item in sorted(obj, key=lambda o: o.canon()):
+        elif isinstance(obj, frozenset):  # a store or the sent marks, in a seed-free order
+            for item in sorted(obj, key=repr):
                 visit(item)
         elif "_hash" in getattr(type(obj), "__slots__", ()) and obj not in seen:
             seen.add(obj)

@@ -71,6 +71,33 @@ def test_dedup_changes_statistics_not_outcomes():
     assert on.counterexample.scenario.script == off.counterexample.scenario.script
 
 
+def _unpruned(m):
+    """Turn FaB's final-view pruning off: no state counts as settled, and
+    prepares are fated in every view."""
+    m.setattr(FabKernel, "settled", lambda self, st: False)
+    m.setattr(FabKernel, "eager_kinds", lambda self, st: ("propose", "commit_proof_msg"))
+
+
+@pytest.mark.parametrize("cfg, pruned, unpruned", [
+    (PFAB_SMALL, 4372, 98574),
+    (ExploreConfig(protocol="fab5", values=("A",), max_views=2), 6847, 9343),
+    # the view-2 leader is Byzantine: settled as soon as view 2 begins
+    (replace(PFAB_SMALL, byzantine=(1,)), 33, 54),
+], ids=["pfab-stuck", "fab5-one-value", "pfab-byzantine-view-2-leader"])
+def test_final_view_pruning_changes_statistics_not_outcomes(monkeypatch, cfg, pruned, unpruned):
+    on = explore(cfg)
+    with monkeypatch.context() as m:
+        _unpruned(m)
+        off = explore(cfg)
+    assert (on.stats["states"], off.stats["states"]) == (pruned, unpruned)
+    assert not on.stats["budget_exhausted"] and not off.stats["budget_exhausted"]
+    assert on.stats["found"] == off.stats["found"]
+    if on.counterexample is not None:
+        assert len(off.counterexample.scenario.script) == 38
+        verdicts = run_checkers(run_scenario(off.counterexample.scenario).records, ["stuck"])
+        assert verdicts[0].status == "occurred"
+
+
 def test_exploration_is_deterministic():
     # the second search in the process starts from its own empty intern table
     a, b = explore(PFAB_SMALL), explore(PFAB_SMALL)
@@ -207,3 +234,7 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
             assert_routed(sends, kernel.byz, fresh)
     # the tables hold messages that count toward a decision
     assert groups - {None}
+    # each distinct message's decision group is what a fresh call computes
+    assert kernel._groups
+    for msg, decides in kernel._groups.items():
+        assert decides == kernel.proto.decision_group(msg, kernel.qc)

@@ -340,6 +340,19 @@ def _commits_so_far(protocol, records):
     return out
 
 
+def _kernel_commits(protocol, state):
+    """The kernel's completed decision groups in _commits_so_far's forms."""
+    out = set()
+    for kind, view, *named in state.commits:
+        if protocol == ZYZZYVA:
+            track = (zyzzyva.FAST, zyzzyva.TWO_PHASE)[kind]
+            out.update((pos, "<null>" if entry is zyzzyva.NULL_REQUEST else entry.op.decode(),
+                        view, track) for pos, entry in enumerate(named[1], start=1))
+        else:
+            out.add((named[0].decode(), view, (fab.FAST, fab.COMMIT)[kind]))
+    return out
+
+
 def _kernel_stuck(state):
     """Has a correct FaB replica of the kernel state reported a stuck view?"""
     return any(getattr(r, "stuck_view", None) is not None for r in state.replicas)
@@ -347,10 +360,12 @@ def _kernel_stuck(state):
 
 def _assert_kernel_matches_simulator(cfg, state, sim):
     """The kernel's commits and stuck views are exactly what the lockstep
-    simulation's trace has recorded so far, and its replicas, clients and
-    Byzantine store hold what the simulation's do."""
+    simulation's trace has recorded so far, and its sent marks, replicas,
+    clients and Byzantine store hold what the simulation's do."""
     records = sim.trace.records
-    assert set(state.commits) == _commits_so_far(cfg.protocol, records), len(records)
+    assert state.sent_tab == sim.sent_tab, len(records)
+    assert _kernel_commits(cfg.protocol, state) == _commits_so_far(cfg.protocol, records), \
+        len(records)
     assert _kernel_stuck(state) == any(r.get("stuck") for r in records), len(records)
     assert state.replicas == tuple(sim.replicas.values()), len(records)
     assert state.clients == tuple(sim.clients.values()), len(records)
