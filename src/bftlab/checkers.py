@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import ZYZZYVA, make_request, parse_node
+from .core import ZYZZYVA, Obj, check_type, make_request, parse_node
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -31,67 +31,47 @@ class Verdict:
     details: dict = field(default_factory=dict)
 
 
-_NULL = type(None)
-# the fields of trace records that checking a trace reads -> their JSON types
-_HEADER = {"name": str, "protocol": str, "n": int, "f": int, "t": int, "byzantine": list}
-_RECORD = {"seq": int, "commits": (list, _NULL)}
+class TraceError(Exception):
+    """A trace the checkers cannot read, or a property they do not know."""
+
+
+# the fields of a trace that checking it reads, and their shapes
+_HEADER = Obj({"name": str, "protocol": str, "n": int, "f": int, "t": int,
+               "byzantine": list[str]}, open=True)
 _COMMIT = {"view": int, "track": str, "by": str}
-_FAB_COMMIT = {"value": str, **_COMMIT}
-_ZYZZYVA_COMMIT = {"position": int, "entry": (str, _NULL), "client": (str, _NULL),
-                   "token": (str, _NULL), "depth": (int, _NULL), **_COMMIT}
-_STUCK = {"view": int, "leader": str, "pc": list, "candidates": list}
-_STUCK_REP = {"replica": str, "last_accepted": (str, _NULL), "commit_proof": (dict, _NULL)}
-_STUCK_CANDIDATE = {"value": str, "vouched": bool, "blocked_prepare": list,
-                    "blocked_proof": list}
+_FAB_COMMIT = Obj({"value": str, **_COMMIT}, open=True)
+_ZYZZYVA_COMMIT = Obj({"position": int, "entry": str | None, "client": str | None,
+                       "token": str | None, "depth": int | None, **_COMMIT}, open=True)
+_STUCK = Obj({
+    "view": int, "leader": str,
+    "pc": list[Obj({"replica": str, "last_accepted": str | None,
+                    "commit_proof": Obj({"value": str}, open=True, null=True)},
+                   open=True)],
+    "candidates": list[Obj({"value": str, "vouched": bool, "blocked_prepare": list[str],
+                            "blocked_proof": list[str]}, open=True)],
+}, open=True, null=True)
+_FAB_RECORD = Obj({"seq": int, "commits": list[_FAB_COMMIT] | None},
+                  {"stuck": _STUCK}, open=True)
+_ZYZZYVA_RECORD = Obj({"seq": int, "commits": list[_ZYZZYVA_COMMIT] | None},
+                      {"stuck": _STUCK}, open=True)
 
 
-def _shaped(obj, fields: dict, what: str):
-    """obj, checked to be an object whose fields have the given JSON types."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be an object, got {obj!r}")
-    for name, kind in fields.items():
-        if name not in obj or not isinstance(obj[name], kind):
-            raise ValueError(f"{what} has a missing or mistyped {name!r}: {obj.get(name)!r}")
-    return obj
-
-
-def _header(records: list) -> dict:
-    if not records or not isinstance(records[0], dict) or records[0].get("kind") != "scenario":
-        raise ValueError("trace has no scenario header record")
-    return records[0]
-
-
-def _check_shape(records: list):
-    """Raise ValueError unless the trace has the shape `bftlab check` reads."""
-    header = _shaped(_header(records), _HEADER, "trace header")
-    if not all(isinstance(b, str) for b in header["byzantine"]):
-        raise ValueError(f"trace header byzantine must list node names: {header['byzantine']!r}")
-    for rec in records[1:]:
-        for c in _shaped(rec, _RECORD, "trace record")["commits"] or []:
-            fields = _ZYZZYVA_COMMIT if isinstance(c, dict) and "position" in c else _FAB_COMMIT
-            _shaped(c, fields, f"commit in record {rec['seq']}")
-        if rec.get("stuck") is not None:
-            _check_stuck_shape(rec["stuck"], f"stuck report in record {rec['seq']}")
-
-
-def _check_stuck_shape(stuck, what: str):
-    """A stuck report as `bftlab check` prints it: the leader's progress
-    certificate and why each candidate value was blocked."""
-    _shaped(stuck, _STUCK, what)
-    for rep in stuck["pc"]:
-        cp = _shaped(rep, _STUCK_REP, f"{what}: pc entry")["commit_proof"]
-        if cp is not None:
-            _shaped(cp, {"value": str}, f"{what}: commit proof")
-    for cand in stuck["candidates"]:
-        _shaped(cand, _STUCK_CANDIDATE, f"{what}: candidate")
-        for name in ("blocked_prepare", "blocked_proof"):
-            if not all(isinstance(v, str) for v in cand[name]):
-                raise ValueError(f"{what}: candidate {name} must list values: {cand[name]!r}")
+def check_trace(records: list):
+    """Raise TraceError unless the trace has the shape `bftlab check` reads:
+    a header, then records whose commits are of the header's protocol."""
+    header = records[0] if records else None
+    if not isinstance(header, dict) or header.get("kind") != "scenario":
+        raise TraceError("trace has no scenario header record")
+    check_type(header, _HEADER, "trace header", TraceError)
+    shape = _ZYZZYVA_RECORD if header["protocol"] == ZYZZYVA else _FAB_RECORD
+    # the records after the header by index, so that an error names its record
+    body = {i: rec for i, rec in enumerate(records) if i}
+    check_type(body, dict[int, shape], "trace", TraceError)
 
 
 def _commits(records: list):
     """(seq, commit) pairs from correct participants only."""
-    byz = set(_header(records)["byzantine"])
+    byz = set(records[0]["byzantine"])
     for rec in records[1:]:
         for c in rec.get("commits") or []:
             if c["by"] in byz:
@@ -135,7 +115,8 @@ def check_validity(records: list) -> Verdict:
         entry = c.get("entry")
         if entry is None:  # null entries (padding) and FaB values are exempt
             continue
-        if c["token"] != make_request(entry.encode(), parse_node(c["client"])).token.value:
+        cid = parse_node(c["client"], TraceError)
+        if c["token"] != make_request(entry.encode(), cid).token.value:
             bad.append(seq)
     if bad:
         return Verdict(VALIDITY, VIOLATED, sorted(set(bad)))
@@ -157,7 +138,7 @@ def check_stuck(records: list) -> Verdict:
 
 def check_fast_latency(records: list) -> Verdict:
     """Benign fast-track commits must complete in delivery-rank depth 3."""
-    header = _header(records)
+    header = records[0]
     if header["protocol"] != ZYZZYVA or header["byzantine"]:
         return Verdict(FAST_LATENCY, NOT_APPLICABLE)
     depths = []
@@ -187,16 +168,12 @@ def default_properties(protocol: str):
 
 
 def run_checkers(records: list, properties=None) -> list:
-    """Verdicts on a trace; a malformed one raises ValueError whatever is checked."""
-    _check_shape(records)
+    """Verdicts on a trace, of the named PROPERTIES or of its protocol's
+    defaults; a malformed trace raises TraceError whatever is checked."""
+    check_trace(records)
     if properties is None:
         properties = default_properties(records[0]["protocol"])
-    out = []
-    for prop in properties:
-        if prop not in _CHECKERS:
-            raise ValueError(f"unknown property {prop!r}")
-        out.append(_CHECKERS[prop](records))
-    return out
+    return [_CHECKERS[prop](records) for prop in properties]
 
 
 def any_violation(verdicts) -> bool:

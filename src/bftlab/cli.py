@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .checkers import any_violation, expected_mismatches, run_checkers
+from .checkers import PROPERTIES, TraceError, any_violation, expected_mismatches, run_checkers
 from .explorer import ExplorerError, explore, load_config
 from .netsim import SimError, Trace, run_scenario
 from .scenarios import ScenarioError, builtin_scenarios, get_builtin, load_scenario
@@ -99,13 +99,23 @@ def _summary(records, verdicts):
         print(f"{v.property}: {v.status.upper()}{extra}")
 
 
+def _properties(csv: str | None):
+    """The names in a --properties value (None: the defaults), checked
+    before any work is done."""
+    names = csv.split(",") if csv else None
+    for name in names or ():
+        if name not in PROPERTIES:
+            raise TraceError(f"unknown property {name!r}")
+    return names
+
+
 def _cmd_run(args) -> int:
+    props = _properties(args.properties)
     scenario = get_builtin(args.builtin) if args.builtin else load_scenario(args.scenario)
     trace = run_scenario(scenario)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.to_jsonl())
-    props = args.properties.split(",") if args.properties else None
     verdicts = run_checkers(trace.records, props)
     _summary(trace.records, verdicts)
     _emit_verdicts(verdicts)
@@ -118,9 +128,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    with open(args.trace, "r", encoding="utf-8") as fh:
+    props = _properties(args.properties)
+    with open(args.trace, "rb") as fh:
         records = Trace.parse(fh.read())
-    props = args.properties.split(",") if args.properties else None
     verdicts = run_checkers(records, props)
     _summary(records, verdicts)
     _emit_verdicts(verdicts)
@@ -172,7 +182,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ScenarioError, SimError, ExplorerError, OSError, ValueError) as e:
+    except (ScenarioError, SimError, ExplorerError, TraceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field, replace
+import re
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 ZYZZYVA = "zyzzyva"
 FAB5 = "fab5"
@@ -85,8 +88,8 @@ def client(i: int) -> NodeId:
     return NodeId("c", i)
 
 
-def parse_node(name: str, error=ValueError) -> NodeId:
-    if not isinstance(name, str) or name[:1] not in ("r", "c") or not name[1:].isdigit():
+def parse_node(name: str, error) -> NodeId:
+    if not isinstance(name, str) or not re.fullmatch("[rc][0-9]+", name):
         raise error(f"bad node name: {name!r}")
     return NodeId(name[0], int(name[1:]))
 
@@ -274,3 +277,136 @@ def leader_of(view: int, n: int) -> NodeId:
 def broadcast(msg, cfg: QuorumConfig) -> tuple:
     """Sends of msg to every replica, the sender included."""
     return tuple((replica(i), msg) for i in range(cfg.n))
+
+
+# --- JSON input shapes --------------------------------------------------------
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+class Obj:
+    """The shape of a JSON object whose `fields` must be present and whose
+    `optional` fields may be missing; any other field is an error unless the
+    object is `open`, and a `null` one may be null instead."""
+
+    def __init__(self, fields: dict, optional: dict | None = None, open=False, null=False):
+        self.fields, self.open, self.null = fields, open, null
+        self.shapes = {**fields, **(optional or {})}
+        self.checks = [(name, name in fields, *_plan(s)) for name, s in self.shapes.items()]
+
+
+class OneOf:
+    """The shape of a JSON object whose string field `tag` names its shape in
+    `shapes`, Obj that need not declare the tag; `what` is what it is."""
+
+    def __init__(self, tag: str, what: str, shapes: dict):
+        self.tag, self.what = tag, what
+        self.shapes = {name: Obj({tag: str, **s.fields}, s.shapes, s.open)
+                       for name, s in shapes.items()}
+
+
+class _Misfit(Exception):
+    """args: what is wrong with a value, then the steps that lead to it from
+    the checked value, innermost first."""
+
+
+def check_type(value, shape, where: str, error):
+    """Raise error unless value has the JSON shape, which is one of:
+      * bool, int, str, list or dict: a value of that JSON type (a boolean
+        is no integer);
+      * list[S] or tuple[S, ...]: a list of values of shape S; dict[str, S]:
+        an object whose values have shape S;
+      * S | None: a value of shape S, or null;
+      * an Obj or a OneOf.
+    The message names `where`, what the value is, then the path to the
+    misfit in it, as `scenario: clients[0].id` or `trace[3].commits`."""
+    exact, inner = _plan(shape)
+    if type(value) in exact:
+        return
+    try:
+        _fit(value, inner)
+    except _Misfit as e:
+        problem, *steps = e.args
+        path = "".join(reversed(steps))
+        where += f": {path[1:]}" if path.startswith(".") else path
+        raise error(f"{where} {problem}") from None
+
+
+@functools.cache
+def _plan(shape) -> tuple:
+    """(exact, inner): the exact types of the values that fit shape whatever
+    they hold (the type of a boolean is not int), and what any other value
+    must fit: a shape, not null, or for list[S], tuple[S, ...] and
+    dict[str, S] the tuple (container type, S's plan)."""
+    if type(shape) is type:
+        return frozenset({shape}), shape
+    if type(shape) is types.UnionType:  # S | None
+        exact, inner = _plan(shape.__args__[0])
+        return exact | {type(None)}, inner
+    if type(shape) is types.GenericAlias:
+        mapping = shape.__origin__ is dict
+        return frozenset(), (dict if mapping else list, *_plan(shape.__args__[1 if mapping else 0]))
+    return frozenset({type(None)} if type(shape) is Obj and shape.null else ()), shape
+
+
+def _fit(value, shape):
+    """Raise _Misfit unless value fits shape, an inner shape of `_plan`. The
+    steps to a misfit are added as it propagates, so a value that fits
+    formats no string."""
+    kind = type(shape)
+    if kind is Obj:
+        if type(value) is not dict:
+            _fit(value, dict)
+        if not shape.open and not value.keys() <= shape.shapes.keys():
+            raise _Misfit(f"has unknown fields {sorted(value.keys() - shape.shapes.keys())}")
+        for name, required, exact, inner in shape.checks:
+            if name in value:
+                if type(value[name]) not in exact:
+                    try:
+                        _fit(value[name], inner)
+                    except _Misfit as e:
+                        e.args += (f".{name}",)
+                        raise
+            elif required:
+                raise _Misfit(f"is missing fields {[n for n in shape.fields if n not in value]}")
+    elif kind is type:
+        if not isinstance(value, shape) or (shape is int and isinstance(value, bool)):
+            raise _Misfit(f"must be {_JSON_TYPES[shape]}, got {value!r}")
+    elif kind is OneOf:
+        tag = value.get(shape.tag) if isinstance(value, dict) else None
+        if not isinstance(tag, str) or tag not in shape.shapes:
+            raise _Misfit(f"is an unknown {shape.what} {tag!r}")
+        _fit(value, shape.shapes[tag])
+    else:  # (container type, exact, inner) from _plan
+        container, exact, inner = shape
+        if type(value) is not container:
+            _fit(value, container)
+        for key, item in value.items() if container is dict else enumerate(value):
+            if type(item) not in exact:
+                try:
+                    _fit(item, inner)
+                except _Misfit as e:
+                    e.args += (f"[{key!r}]",)
+                    raise
+
+
+@functools.cache
+def shape_of(cls) -> Obj:
+    """The shape of the JSON object that builds the dataclass cls: each
+    field's annotation is its shape, and a field with a default may be
+    missing."""
+    hints = typing.get_type_hints(cls)
+    required = {f.name: hints[f.name] for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    return Obj(required, hints)
+
+
+def read(cls, data, what: str, error):
+    """The dataclass cls built from data, the JSON object of a `what` (see
+    `shape_of`); a misfit raises error. A list becomes a tuple where the
+    class declares a tuple."""
+    shapes = shape_of(cls).shapes
+    check_type(data, shape_of(cls), what, error)
+    return cls(**{k: tuple(v) if typing.get_origin(shapes[k]) is tuple else v
+                  for k, v in data.items()})

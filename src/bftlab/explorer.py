@@ -50,11 +50,12 @@ from .core import (
     leader_of,
     log_ops,
     quorum_config,
+    read,
     replica,
     tally,
 )
 from .netsim import ArtifactError, Simulation, adversary_sends, artifacts, find_artifacts
-from .scenarios import Scenario, read, validate
+from .scenarios import Scenario, validate
 
 MENU_KINDS = ("equivocate", "withhold", "inject_stored")
 
@@ -68,11 +69,11 @@ class ExploreConfig:
     protocol: str
     f: int = 1
     t: int = 0
-    byzantine: tuple = (0,)
+    byzantine: tuple[int, ...] = (0,)
     max_views: int = 2
-    requests: tuple = ()  # zyzzyva: ops, one client per op
-    values: tuple = ()  # fab: proposal value domain
-    menu: tuple = ("equivocate", "withhold")
+    requests: tuple[str, ...] = ()  # zyzzyva: ops, one client per op
+    values: tuple[str, ...] = ()  # fab: proposal value domain
+    menu: tuple[str, ...] = ("equivocate", "withhold")
     dedup: bool = True
     max_states: int = 2_000_000
 
@@ -101,7 +102,7 @@ def validate_config(cfg: ExploreConfig) -> ExploreConfig:
         raise ExplorerError(f"{cfg.protocol} exploration takes no {other}")
     for name in ("requests", "values"):
         items = getattr(cfg, name)
-        if not all(isinstance(v, str) for v in items) or len(set(items)) != len(items):
+        if len(set(items)) != len(items):
             raise ExplorerError(f"{name} must be distinct strings, got {list(items)!r}")
     validate(_skeleton(cfg))
     return cfg
@@ -110,7 +111,10 @@ def validate_config(cfg: ExploreConfig) -> ExploreConfig:
 def load_config(path) -> ExploreConfig:
     """The validated explore config in the JSON file at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ExplorerError(f"invalid JSON: {e}") from None
     return validate_config(read(ExploreConfig, data, "explore config", ExplorerError))
 
 
@@ -147,7 +151,6 @@ class KState:
     store: frozenset = frozenset()  # artifacts observed by the Byzantine replica
     sent_tab: frozenset = frozenset()  # (decision group, sender) marks, core.tally
     commits: tuple = ()  # the completed decision groups, in completion order
-    timeouts: tuple = ()  # clients that timed out, in order
 
 
 class _Draft:
@@ -315,7 +318,7 @@ class _Kernel:
         if key not in self._sends:
             resolve = partial(find_artifacts, w.store)
             try:
-                sends = adversary_sends(self.byz, action, resolve, self.cfg.protocol)
+                sends = adversary_sends(self.byz, action, resolve)
             except ArtifactError:
                 sends = None
             else:
@@ -439,7 +442,6 @@ class ZyzzyvaKernel(_Kernel):
                 if cs.cert is None and self.transition(cs.cid, zyzzyva.on_timeout, cs)[1]]
 
     def apply_timeout(self, w, cid):
-        w.timeouts += (cid,)
         self.export("timeout", node=str(cid))
         self.run(w, cid, zyzzyva.on_timeout)
 

@@ -27,10 +27,14 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import fab, zyzzyva
+from .checkers import TraceError
 from .core import (
     NULL_REQUEST,
     ZYZZYVA,
     NodeId,
+    Obj,
+    OneOf,
+    check_type,
     digest,
     exec_result,
     is_null,
@@ -41,7 +45,6 @@ from .core import (
     signed,
     tally,
 )
-from .scenarios import check_type
 
 
 class SimError(Exception):
@@ -67,8 +70,12 @@ class Trace:
         return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in self.records)
 
     @staticmethod
-    def parse(text: str) -> list[dict]:
-        return [json.loads(line) for line in text.splitlines() if line.strip()]
+    def parse(data: bytes) -> list[dict]:
+        """The records of a JSONL trace file's bytes; else TraceError."""
+        try:
+            return [json.loads(line) for line in data.decode().splitlines() if line.strip()]
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise TraceError(f"invalid JSON: {e}") from None
 
 
 # --- message descriptors -----------------------------------------------------
@@ -254,119 +261,110 @@ def _field_match(obj, name, want):
 # certificates and commit proofs are named by content and resolved against
 # the actor's store; each builder yields (destination name, signed message).
 
-def _field(obj, name: str, kind: type, optional: bool = False):
-    """A field of an action or of one of its sends, of JSON type kind. An
-    optional field may be missing or null, and then reads as None."""
-    if optional and isinstance(obj, dict) and obj.get(name) is None:
-        return None
-    if not isinstance(obj, dict) or name not in obj:
-        raise SimError(f"adversary action field {name!r} missing in {obj!r}")
-    check_type(obj[name], kind, f"adversary action field {name!r}", SimError)
-    return obj[name]
-
-
-def _stored_log(actor, ops, resolve) -> tuple:
-    log = []
-    for op in ops:
-        if op is not None:
-            check_type(op, str, "adversary action field 'log' entry", SimError)
-        found = [NULL_REQUEST] if op is None else resolve("request", op=op)
-        if len(found) != 1:
-            raise ArtifactError(f"adversary {actor} has {len(found)} stored requests for op {op!r}")
-        log.append(found[0])
-    return tuple(log)
-
-
-# the fields a stored-artifact reference may name it by -> their JSON types
-_REFERENCE_FIELDS = {"view": int, "value": str}
-
-
-def _stored_ref(actor, action, name: str, kind: str, resolve):
-    """The one stored artifact of `kind` that the action's field `name`
-    references; None when that field is missing or null."""
-    ref = _field(action, name, dict, True)
+def _stored(actor, resolve, kind: str, ref: dict | None):
+    """The one artifact of `kind` in the actor's store whose fields have
+    ref's values; None for no ref."""
     if ref is None:
         return None
-    for key, value in ref.items():
-        if key not in _REFERENCE_FIELDS:
-            raise SimError(f"adversary action field {name!r}: unknown reference field {key!r}")
-        check_type(value, _REFERENCE_FIELDS[key], f"reference {name}.{key}", SimError)
     found = resolve(kind, **ref)
     if len(found) != 1:
-        raise ArtifactError(f"adversary {actor}: {kind} {ref} resolves to {len(found)} artifacts")
+        raise ArtifactError(f"adversary {actor} has {len(found)} stored {kind}s matching {ref}")
     return found[0]
 
 
+def _stored_log(actor, ops, resolve) -> tuple:
+    return tuple(NULL_REQUEST if op is None else _stored(actor, resolve, "request", {"op": op})
+                 for op in ops)
+
+
 def _order_req(actor, action, resolve):
-    view = _field(action, "view", int)
-    for send in _field(action, "sends", list):
-        log = _stored_log(actor, _field(send, "log", list), resolve)
-        yield _field(send, "to", str), signed(zyzzyva.OrderReq(view, log, None), actor)
+    for send in action["sends"]:
+        log = _stored_log(actor, send["log"], resolve)
+        yield send["to"], signed(zyzzyva.OrderReq(action["view"], log, None), actor)
 
 
 def _spec_response(actor, action, resolve):
-    log = _stored_log(actor, _field(action, "log", list), resolve)
-    msg = zyzzyva.SpecResponse(_field(action, "view", int), log, actor, exec_result(log), None)
-    yield _field(action, "to", str), signed(msg, actor)
+    log = _stored_log(actor, action["log"], resolve)
+    msg = zyzzyva.SpecResponse(action["view"], log, actor, exec_result(log), None)
+    yield action["to"], signed(msg, actor)
 
 
 def _local_commit(actor, action, resolve):
-    log = _stored_log(actor, _field(action, "log", list), resolve)
-    msg = zyzzyva.LocalCommit(_field(action, "view", int), log, actor, None)
-    yield _field(action, "to", str), signed(msg, actor)
+    log = _stored_log(actor, action["log"], resolve)
+    yield action["to"], signed(zyzzyva.LocalCommit(action["view"], log, actor, None), actor)
 
 
 def _view_change(actor, action, resolve):
-    cert = _stored_ref(actor, action, "cert", "commit_certificate", resolve)
-    log = _stored_log(actor, _field(action, "log", list), resolve)
-    msg = zyzzyva.ViewChangeMessage(_field(action, "view", int), actor, log, cert, None)
-    yield _field(action, "to", str), signed(msg, actor)
+    cert = _stored(actor, resolve, "commit_certificate", action.get("cert"))
+    log = _stored_log(actor, action["log"], resolve)
+    msg = zyzzyva.ViewChangeMessage(action["view"], actor, log, cert, None)
+    yield action["to"], signed(msg, actor)
 
 
 def _propose(actor, action, resolve):
-    view = _field(action, "view", int)
-    for send in _field(action, "sends", list):
-        msg = fab.Propose(view, _field(send, "value", str).encode(), None, None)
-        yield _field(send, "to", str), signed(msg, actor)
+    for send in action["sends"]:
+        msg = fab.Propose(action["view"], send["value"].encode(), None, None)
+        yield send["to"], signed(msg, actor)
 
 
 def _accepted(actor, action, resolve):
-    value = _field(action, "value", str).encode()
-    msg = signed(fab.Accepted(_field(action, "view", int), value, actor, None), actor)
-    for to in _field(action, "to", list):
+    value = action["value"].encode()
+    msg = signed(fab.Accepted(action["view"], value, actor, None), actor)
+    for to in action["to"]:
         yield to, msg
 
 
 def _rep(actor, action, resolve):
-    cp = _stored_ref(actor, action, "commit_proof", "commit_proof", resolve)
-    acc = _field(action, "last_accepted", str, True)
+    cp = _stored(actor, resolve, "commit_proof", action.get("commit_proof"))
+    acc = action.get("last_accepted")
     acc = None if acc is None else acc.encode()
-    msg = fab.Rep(_field(action, "view", int), actor, acc, cp, None)
-    yield _field(action, "to", str), signed(msg, actor)
+    yield action["to"], signed(fab.Rep(action["view"], actor, acc, cp, None), actor)
 
 
-_ZYZZYVA_ACTIONS = {
+_BUILDERS = {
     "order_req": _order_req,
     "spec_response": _spec_response,
     "local_commit": _local_commit,
     "view_change": _view_change,
+    "propose": _propose,
+    "accepted": _accepted,
+    "rep": _rep,
 }
-_FAB_ACTIONS = {"propose": _propose, "accepted": _accepted, "rep": _rep}
+
+# the shape of each protocol's actions: the fields their builders (and
+# `Simulation._withhold`) read. A stored artifact is named by its fields.
+_LOG = list[str | None]
+_REF = Obj({}, {"view": int, "value": str}, null=True)
+_WITHHOLD = Obj({}, {"match": dict | None}, open=True)
+_ZYZZYVA_ACTIONS = OneOf("kind", "zyzzyva action", {
+    "order_req": Obj({"view": int, "sends": list[Obj({"log": _LOG, "to": str}, open=True)]},
+                     open=True),
+    "spec_response": Obj({"view": int, "log": _LOG, "to": str}, open=True),
+    "local_commit": Obj({"view": int, "log": _LOG, "to": str}, open=True),
+    "view_change": Obj({"view": int, "log": _LOG, "to": str}, {"cert": _REF}, open=True),
+    "withhold": _WITHHOLD,
+})
+_FAB_ACTIONS = OneOf("kind", "fab action", {
+    "propose": Obj({"view": int, "sends": list[Obj({"value": str, "to": str}, open=True)]},
+                   open=True),
+    "accepted": Obj({"view": int, "value": str, "to": list}, open=True),
+    "rep": Obj({"view": int, "to": str}, {"commit_proof": _REF, "last_accepted": str | None},
+               open=True),
+    "withhold": _WITHHOLD,
+})
 
 
-def adversary_sends(actor: NodeId, action: dict, resolve, protocol: str) -> list:
-    """The (destination, signed message) pairs of a Byzantine actor's action.
+def adversary_sends(actor: NodeId, action: dict, resolve) -> list:
+    """The (destination, signed message) pairs of a Byzantine actor's action:
+    not a withhold, and of its protocol's shape (`Simulation.adversary`
+    checks it; the explorer builds only such actions).
 
     `resolve(kind, **fields)` lists the actor's stored artifacts of a kind
     whose fields match; the simulator resolves against its store, the
-    explorer against its state's store. Actions of another protocol, missing
-    fields and unresolvable references raise SimError.
+    explorer against its state's store. Unresolvable references raise
+    ArtifactError, a SimError.
     """
-    kind = _field(action, "kind", str)
-    builders = _ZYZZYVA_ACTIONS if protocol == ZYZZYVA else _FAB_ACTIONS
-    if kind not in builders:
-        raise SimError(f"unknown {protocol} adversary action {kind!r}")
-    return [(_node(to), msg) for to, msg in builders[kind](actor, action, resolve)]
+    return [(_node(to), msg) for to, msg in _BUILDERS[action["kind"]](actor, action, resolve)]
 
 
 # --- the simulator ---------------------------------------------------------------
@@ -644,21 +642,23 @@ class Simulation:
     def adversary(self, actor: NodeId, action: dict):
         if actor not in self.byzantine:
             raise SimError(f"adversary actor {actor} is not Byzantine")
-        kind = _field(action, "kind", str)
+        shape = _ZYZZYVA_ACTIONS if self.proto is zyzzyva else _FAB_ACTIONS
+        check_type(action, shape, "adversary action", SimError)
+        kind = action["kind"]
         rec = self._record("adversary", actor, action=kind)
         rank = self.node_rank.get(actor, 0) + 1
         if kind == "withhold":
             self._withhold(actor, action)
         else:
             resolve = partial(find_artifacts, self.stores[actor])
-            for dst, msg in adversary_sends(actor, action, resolve, self.scenario.protocol):
+            for dst, msg in adversary_sends(actor, action, resolve):
                 self._send(rec, actor, dst, msg, rank)
         self._scan_quorums(rec)
         rec["state"] = self._state_digest(actor)
 
     def _withhold(self, actor: NodeId, action: dict):
         """Drop the actor's own pending messages that match the action's pattern."""
-        pat = dict(_field(action, "match", dict, True) or {})
+        pat = dict(action.get("match") or {})
         pat["src"] = str(actor)
         for entry in self._matching(pat):
             entry.status = "dropped"

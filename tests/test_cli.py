@@ -205,37 +205,39 @@ def _order_req_script(view):
 
 
 @pytest.mark.parametrize("scenario, says", [
-    (dict(_ZYZZYVA, clients=[{"id": 1}]), "clients[0] must have the fields id and op"),
+    (dict(_ZYZZYVA, clients=[{"id": 1}]), "scenario: clients[0] is missing fields ['op']"),
     (dict(_ZYZZYVA, clients=[1]), "clients[0] must be an object"),
     (dict(_ZYZZYVA, expected=[1]), "expected[0] must be an object"),
     (dict(_PFAB, inputs=[1]), "inputs must be an object"),
-    ([1, 2], "a scenario is a JSON object"),
+    ([1, 2], "scenario must be an object, got [1, 2]"),
     (dict(_ZYZZYVA, script=[{"do": "client_request", "client": "1", "to": "r0"}]),
      "client must be an integer"),
     (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": "0", "action": {}}]),
      "actor must be an integer"),
     (dict(_ZYZZYVA, script=[{"do": "view_change", "view": 2, "nodes": "r1"}]),
      "nodes must be a list"),
-    (dict(_ZYZZYVA, script=_order_req_script("1")), "'view' must be an integer"),
-    (dict(_ZYZZYVA, script=_order_req_script([1])), "'view' must be an integer"),
+    (dict(_ZYZZYVA, script=_order_req_script("1")),
+     "adversary action: view must be an integer, got '1'"),
+    (dict(_ZYZZYVA, script=_order_req_script([1])),
+     "adversary action: view must be an integer, got [1]"),
     (dict(_ZYZZYVA, expected=[{"property": "agreement", "status": "violated", "positions": 3}]),
      "expected[0].positions must be a list"),
     (dict(_ZYZZYVA, script=[_view_change_citing({"kind": "x"}, actor=0)]),
-     "adversary action field 'cert': unknown reference field 'kind'"),
+     "adversary action: cert has unknown fields ['kind']"),
     (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0,
                              "action": {"kind": "withhold", "match": [1]}}]),
-     "'match' must be an object"),
+     "adversary action: match must be an object, got [1]"),
     (dict(_ZYZZYVA, byzantine=[3], script=[*_STORE_A_CERTIFICATE,
                                            _view_change_citing({"kind": "x"}, actor=3)]),
-     "adversary action field 'cert': unknown reference field 'kind'"),
+     "adversary action: cert has unknown fields ['kind']"),
     (dict(_ZYZZYVA, script=[{"do": "delay_all_except", "mtach": {"src": "c1"}}]),
-     "script[0] (delay_all_except): unknown fields ['mtach']"),
+     "scenario: script[0] has unknown fields ['mtach']"),
     (dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "r0"},
                             {"do": "deliver", "match": {"type": "request"}, "ordinal": 0}]),
-     "script[1] (deliver): unknown fields ['ordinal']"),
+     "scenario: script[1] has unknown fields ['ordinal']"),
     (dict(_ZYZZYVA, expected=[{"property": "agreement", "status": "violated",
                                "positons": [2]}]),
-     "expected[0]: unknown fields ['positons']"),
+     "scenario: expected[0] has unknown fields ['positons']"),
     (dict(_ZYZZYVA, script=[{"do": "drop", "match": {"tpye": "request"}}]),
      "directive 0 'drop': unknown pattern fields: ['tpye']"),
     (dict(_ZYZZYVA, script=[{"do": "delay_all_except", "match": {"tpye": "request"}}]),
@@ -262,13 +264,17 @@ def _order_req_script(view):
      "directive 0 'view_change': bad node name: 'x1'"),
     (dict(_ZYZZYVA, script=[{"do": "timeout", "node": "c"}]),
      "directive 0 'timeout': bad node name: 'c'"),
+    (dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "r\u00b2"}]),
+     "directive 0 'client_request': bad node name: 'r\u00b2'"),
+    (dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "r\u0663"}]),
+     "directive 0 'client_request': bad node name: 'r\u0663'"),
     (dict(_PFAB, script=[{"do": "propose", "node": "1"}]),
      "directive 0 'propose': bad node name: '1'"),
     (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {
         "kind": "view_change", "view": 2, "log": [], "cert": None, "to": "q1"}}]),
      "directive 0 'adversary': bad node name: 'q1'"),
-    ({"protocol": "zyzzyva", "f": 1}, "missing scenario fields: ['name']"),
-    ({"description": "x"}, "missing scenario fields: ['name', 'protocol', 'f']"),
+    ({"protocol": "zyzzyva", "f": 1}, "scenario is missing fields ['name']"),
+    ({"description": "x"}, "scenario is missing fields ['name', 'protocol', 'f']"),
     (dict(_ZYZZYVA, clients=[{"id": 1, "op": "a"}, {"id": 1, "op": "b"}]),
      "duplicate client ids"),
     (dict(_ZYZZYVA, expected=[{"property": "agreement", "status": "broken"}]),
@@ -291,6 +297,7 @@ def _order_req_script(view):
         "input-at-a-byzantine-replica", "zyzzyva-with-inputs", "pfab-with-clients",
         "fab5-with-a-client-request", "duplicate-byzantine-id", "negative-client-id",
         "client-id-zero", "request-to-x9", "view-change-at-x1", "timeout-at-c",
+        "request-to-superscript-two", "request-to-arabic-indic-three",
         "propose-at-1", "adversary-send-to-q1", "without-name", "without-required-fields",
         "duplicate-client-ids", "unknown-expected-status", "pfab-t-above-f", "f-zero",
         "propose-in-zyzzyva", "timeout-at-a-replica"])
@@ -311,30 +318,34 @@ _STUCK = {"view": 2, "leader": "r1",
 
 @pytest.mark.parametrize("records, args, says", [
     ([{k: v for k, v in _HEADER.items() if k != "protocol"}, _RECORD], [],
-     "trace header has a missing or mistyped 'protocol'"),
-    ([_HEADER, dict(_RECORD, commits=[1])], [], "commit in record 1 must be an object"),
+     "trace header is missing fields ['protocol']"),
+    ([_HEADER, dict(_RECORD, commits=[1])], [], "trace[1].commits[0] must be an object, got 1"),
     ([_HEADER, dict(_RECORD, commits=[1])], ["--properties", "stuck"],
-     "commit in record 1 must be an object"),
+     "trace[1].commits[0] must be an object, got 1"),
     ([_HEADER, dict(_RECORD, commits=[{"value": "A", "view": 1, "track": "fast"}])], [],
-     "commit in record 1 has a missing or mistyped 'by'"),
-    ([_HEADER, 1], [], "trace record must be an object"),
-    ([_HEADER, dict(_RECORD, stuck=1)], [], "stuck report in record 1 must be an object"),
+     "trace[1].commits[0] is missing fields ['by']"),
+    ([_HEADER, 1], [], "trace[1] must be an object, got 1"),
+    ([_HEADER, dict(_RECORD, stuck=1)], [], "trace[1].stuck must be an object, got 1"),
     ([_HEADER, dict(_RECORD, stuck=dict(_STUCK, candidates=None))], [],
-     "stuck report in record 1 has a missing or mistyped 'candidates'"),
+     "trace[1].stuck.candidates must be a list, got None"),
     ([_HEADER, dict(_RECORD, stuck=dict(_STUCK, pc=[{"replica": "r1"}]))],
      ["--properties", "agreement"],
-     "stuck report in record 1: pc entry has a missing or mistyped 'last_accepted'"),
+     "trace[1].stuck.pc[0] is missing fields ['last_accepted', 'commit_proof']"),
     ([_HEADER, dict(_RECORD, stuck=dict(_STUCK, candidates=[
         dict(_STUCK["candidates"][0], blocked_prepare=[1])]))], [],
-     "stuck report in record 1: candidate blocked_prepare must list values"),
+     "trace[1].stuck.candidates[0].blocked_prepare[0] must be a string, got 1"),
     ([_HEADER, _RECORD], ["--properties", "bogus"], "unknown property 'bogus'"),
     ([dict(_HEADER, byzantine=[0]), _RECORD], [],
-     "trace header byzantine must list node names: [0]"),
+     "trace header: byzantine[0] must be a string, got 0"),
+    ([dict(_HEADER, protocol="zyzzyva", byzantine=[]),
+      dict(_RECORD, commits=[{"value": "A", "view": 1, "track": "fast", "by": "c1"}])], [],
+     "trace[1].commits[0] is missing fields ['position', 'entry', 'client', 'token', "
+     "'depth']"),
 ], ids=["header-without-protocol", "commit-not-an-object", "commit-not-an-object-stuck-only",
         "commit-without-by", "record-not-an-object", "stuck-report-not-an-object",
         "stuck-report-without-candidates", "stuck-pc-entry-without-last-accepted",
         "stuck-candidate-blocked-by-a-number", "unknown-property",
-        "byzantine-as-a-number"])
+        "byzantine-as-a-number", "fab-commit-in-a-zyzzyva-trace"])
 def test_malformed_traces_exit_one(capsys, tmp_path, records, args, says):
     path = tmp_path / "bad.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -353,6 +364,49 @@ def test_check_prints_a_well_shaped_stuck_report(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "stuck: view 2 leader r1\n  rep r1: accepted=A proof(A)\n" in out
     assert "candidate B: blocked: commit proof for A" in out
+
+
+def test_unknown_property_is_rejected_before_the_run(capsys, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    argv = ["run", "--builtin", "zyzzyva-benign-fast", "-o", str(trace), "--properties", "bogus"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: unknown property 'bogus'\n"
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"a": '], ids=["not-utf-8", "truncated"])
+@pytest.mark.parametrize("command", [("run", "--scenario"), ("check",),
+                                     ("explore", "--explore-config")],
+                         ids=["run", "check", "explore"])
+def test_undecodable_input_exits_one(capsys, tmp_path, command, content):
+    path = tmp_path / "bad"
+    path.write_bytes(content)
+    assert main([*command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["trace-header", "trace-record", "adversary-action"])
+def test_extra_fields_are_ignored_where_the_format_allows(capsys, tmp_path, where):
+    if where == "adversary-action":
+        doc = json.loads(get_builtin("pfab-stuck").to_json())
+        for step in doc["script"]:
+            if step["do"] == "adversary":
+                step["action"]["note"] = "x"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "stuck: OCCURRED" in capsys.readouterr().out
+    else:
+        records = [_HEADER, dict(_RECORD, stuck=_STUCK)]
+        i = 0 if where == "trace-header" else 1
+        records[i] = dict(records[i], note="x")
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["check", str(path)]) == 2
+        assert "stuck: view 2 leader r1" in capsys.readouterr().out
 
 
 _JSON = st.recursive(
@@ -416,7 +470,7 @@ def _trace_places(records) -> dict:
 @given(data=st.data())
 def test_any_json_in_a_golden_trace_exits_zero_one_or_two(tmp_path, data):
     golden = data.draw(st.sampled_from(sorted(GOLDEN.glob("*.jsonl"))))
-    records = Trace.parse(golden.read_text())
+    records = Trace.parse(golden.read_bytes())
     places = _trace_places(records)
     i, path = data.draw(st.sampled_from(places[data.draw(st.sampled_from(sorted(places)))]))
     target = records[i]
@@ -437,19 +491,21 @@ _PFAB_STUCK = {"protocol": "pfab", "f": 1, "t": 0, "byzantine": [0], "max_views"
     ({"protocol": "pfab", "values": ["A", "B"], "byzantine": [7]}, "byzantine id 7 outside"),
     ({"protocol": "pfab", "values": ["A", "B"], "byzantine": ["0"]},
      "byzantine[0] must be an integer"),
-    ({"protocol": "zyzzyva", "requests": [1]}, "requests must be distinct strings"),
+    ({"protocol": "zyzzyva", "requests": [1]},
+     "explore config: requests[0] must be a string, got 1"),
     ({"protocol": "zyzzyva", "requests": ["a", "a"]}, "requests must be distinct strings"),
-    ({"protocol": "pfab", "values": ["A", 1]}, "values must be distinct strings"),
-    (dict(_PFAB_STUCK, target="stuck"), "unknown explore config fields: ['target']"),
+    ({"protocol": "pfab", "values": ["A", 1]},
+     "explore config: values[1] must be a string, got 1"),
+    (dict(_PFAB_STUCK, target="stuck"), "explore config has unknown fields ['target']"),
     (dict(_PFAB_STUCK, values="AB"), "values must be a list"),
     (dict(_PFAB_STUCK, dedup=1), "dedup must be a boolean"),
     (dict(_PFAB_STUCK, max_views="2"), "max_views must be an integer"),
-    ([_PFAB_STUCK], "an explore config is a JSON object"),
+    ([_PFAB_STUCK], "explore config must be an object, got [{"),
     ({"protocol": "pfab", "values": ["A", "B"], "requests": ["x"]},
      "pfab exploration takes no requests"),
     ({"protocol": "zyzzyva", "requests": ["a"], "values": ["A"]},
      "zyzzyva exploration takes no values"),
-    ({"values": ["A", "B"]}, "missing explore config fields: ['protocol']"),
+    ({"values": ["A", "B"]}, "explore config is missing fields ['protocol']"),
 ], ids=["byzantine-out-of-range", "byzantine-as-string", "request-as-integer",
         "duplicate-requests", "value-as-integer", "target", "values-as-string",
         "dedup-as-integer", "max-views-as-string", "top-level-array", "pfab-with-requests",

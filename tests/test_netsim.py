@@ -39,7 +39,7 @@ def test_traces_are_byte_identical_across_runs():
 
 def test_trace_round_trips_through_jsonl():
     trace = run_scenario(get_builtin("pfab-stuck"))
-    assert Trace.parse(trace.to_jsonl()) == trace.records
+    assert Trace.parse(trace.to_jsonl().encode()) == trace.records
 
 
 def test_deliver_unmatched_pattern_is_an_error():
@@ -401,7 +401,7 @@ def test_slot_choices_are_exported_verbatim(name):
                 else:
                     resolve = partial(find_artifacts, before.store)
                     with pytest.raises(ArtifactError):
-                        adversary_sends(replica(actor), action, resolve, cfg.protocol)
+                        adversary_sends(replica(actor), action, resolve)
             before = state
     assert verbatim
 

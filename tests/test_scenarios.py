@@ -97,7 +97,7 @@ def test_unknown_expected_property_rejected():
 
 
 def test_unknown_fields_rejected():
-    with pytest.raises(ScenarioError, match="unknown scenario fields"):
+    with pytest.raises(ScenarioError, match=r"scenario has unknown fields \['extra'\]"):
         from_dict(_base(extra=1))
 
 
