@@ -167,9 +167,20 @@ def default_properties(protocol: str):
     return (AGREEMENT, STUCK)
 
 
+def check_properties(names):
+    """names (None: a protocol's defaults), if each is one of PROPERTIES;
+    else TraceError."""
+    for name in names or ():
+        if name not in PROPERTIES:
+            raise TraceError(f"unknown property {name!r}")
+    return names
+
+
 def run_checkers(records: list, properties=None) -> list:
     """Verdicts on a trace, of the named PROPERTIES or of its protocol's
-    defaults; a malformed trace raises TraceError whatever is checked."""
+    defaults; a malformed trace or an unknown name raises TraceError,
+    whatever is checked."""
+    check_properties(properties)
     check_trace(records)
     if properties is None:
         properties = default_properties(records[0]["protocol"])

@@ -12,7 +12,8 @@ import json
 import sys
 from dataclasses import asdict
 
-from .checkers import PROPERTIES, TraceError, any_violation, expected_mismatches, run_checkers
+from .checkers import (TraceError, any_violation, check_properties, expected_mismatches,
+                       run_checkers)
 from .explorer import ExplorerError, explore, load_config
 from .netsim import SimError, Trace, run_scenario
 from .scenarios import ScenarioError, builtin_scenarios, get_builtin, load_scenario
@@ -99,18 +100,8 @@ def _summary(records, verdicts):
         print(f"{v.property}: {v.status.upper()}{extra}")
 
 
-def _properties(csv: str | None):
-    """The names in a --properties value (None: the defaults), checked
-    before any work is done."""
-    names = csv.split(",") if csv else None
-    for name in names or ():
-        if name not in PROPERTIES:
-            raise TraceError(f"unknown property {name!r}")
-    return names
-
-
 def _cmd_run(args) -> int:
-    props = _properties(args.properties)
+    props = check_properties(args.properties.split(",") if args.properties else None)
     scenario = get_builtin(args.builtin) if args.builtin else load_scenario(args.scenario)
     trace = run_scenario(scenario)
     if args.trace:
@@ -128,7 +119,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    props = _properties(args.properties)
+    props = check_properties(args.properties.split(",") if args.properties else None)
     with open(args.trace, "rb") as fh:
         records = Trace.parse(fh.read())
     verdicts = run_checkers(records, props)

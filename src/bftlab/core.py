@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import re
 import types
 import typing
@@ -89,9 +90,12 @@ def client(i: int) -> NodeId:
 
 
 def parse_node(name: str, error) -> NodeId:
-    if not isinstance(name, str) or not re.fullmatch("[rc][0-9]+", name):
-        raise error(f"bad node name: {name!r}")
-    return NodeId(name[0], int(name[1:]))
+    if isinstance(name, str) and re.fullmatch("[rc][0-9]+", name):
+        try:
+            return NodeId(name[0], int(name[1:]))
+        except ValueError:  # more digits than int() converts
+            pass
+    raise error(f"bad node name: {name!r}")
 
 
 # --- signature tokens -------------------------------------------------------
@@ -293,22 +297,36 @@ class Obj:
     def __init__(self, fields: dict, optional: dict | None = None, open=False, null=False):
         self.fields, self.open, self.null = fields, open, null
         self.shapes = {**fields, **(optional or {})}
-        self.checks = [(name, name in fields, *_plan(s)) for name, s in self.shapes.items()]
 
 
 class OneOf:
     """The shape of a JSON object whose string field `tag` names its shape in
-    `shapes`, Obj that need not declare the tag; `what` is what it is."""
+    `shapes`, Obj that need not declare the tag; `what` is what it is. An
+    `open` one lets each of them ignore unknown fields."""
 
-    def __init__(self, tag: str, what: str, shapes: dict):
+    def __init__(self, tag: str, what: str, shapes: dict, open=False):
         self.tag, self.what = tag, what
-        self.shapes = {name: Obj({tag: str, **s.fields}, s.shapes, s.open)
+        self.shapes = {name: Obj({tag: str, **s.fields}, s.shapes, open or s.open)
                        for name, s in shapes.items()}
 
 
 class _Misfit(Exception):
     """args: what is wrong with a value, then the steps that lead to it from
     the checked value, innermost first."""
+
+
+def parse_json(data, error):
+    """The JSON value in data, UTF-8 bytes or text. Malformed JSON, and a
+    string that UTF-8 cannot encode (a lone surrogate escape), raise error,
+    as does nesting too deep to decode."""
+    try:
+        value = json.loads(data.decode() if isinstance(data, bytes) else data)
+        json.dumps(value, ensure_ascii=False).encode()
+    except UnicodeEncodeError as e:
+        raise error(f"invalid string {e.object[e.start:e.end]!r}: {e.reason}") from None
+    except (ValueError, RecursionError) as e:
+        raise error(f"invalid JSON: {e}") from None
+    return value
 
 
 def check_type(value, shape, where: str, error):
@@ -321,11 +339,8 @@ def check_type(value, shape, where: str, error):
       * an Obj or a OneOf.
     The message names `where`, what the value is, then the path to the
     misfit in it, as `scenario: clients[0].id` or `trace[3].commits`."""
-    exact, inner = _plan(shape)
-    if type(value) in exact:
-        return
     try:
-        _fit(value, inner)
+        _fit(value, shape)
     except _Misfit as e:
         problem, *steps = e.args
         path = "".join(reversed(steps))
@@ -333,62 +348,40 @@ def check_type(value, shape, where: str, error):
         raise error(f"{where} {problem}") from None
 
 
-@functools.cache
-def _plan(shape) -> tuple:
-    """(exact, inner): the exact types of the values that fit shape whatever
-    they hold (the type of a boolean is not int), and what any other value
-    must fit: a shape, not null, or for list[S], tuple[S, ...] and
-    dict[str, S] the tuple (container type, S's plan)."""
-    if type(shape) is type:
-        return frozenset({shape}), shape
-    if type(shape) is types.UnionType:  # S | None
-        exact, inner = _plan(shape.__args__[0])
-        return exact | {type(None)}, inner
-    if type(shape) is types.GenericAlias:
-        mapping = shape.__origin__ is dict
-        return frozenset(), (dict if mapping else list, *_plan(shape.__args__[1 if mapping else 0]))
-    return frozenset({type(None)} if type(shape) is Obj and shape.null else ()), shape
-
-
 def _fit(value, shape):
-    """Raise _Misfit unless value fits shape, an inner shape of `_plan`. The
-    steps to a misfit are added as it propagates, so a value that fits
-    formats no string."""
+    """Raise _Misfit unless value fits shape. The steps to a misfit are
+    added as it propagates, so a value that fits formats no string."""
     kind = type(shape)
-    if kind is Obj:
-        if type(value) is not dict:
-            _fit(value, dict)
-        if not shape.open and not value.keys() <= shape.shapes.keys():
-            raise _Misfit(f"has unknown fields {sorted(value.keys() - shape.shapes.keys())}")
-        for name, required, exact, inner in shape.checks:
-            if name in value:
-                if type(value[name]) not in exact:
-                    try:
-                        _fit(value[name], inner)
-                    except _Misfit as e:
-                        e.args += (f".{name}",)
-                        raise
-            elif required:
-                raise _Misfit(f"is missing fields {[n for n in shape.fields if n not in value]}")
-    elif kind is type:
+    if value is None and (kind is types.UnionType or getattr(shape, "null", False)):
+        return
+    if kind is types.UnionType:  # S | None
+        shape = shape.__args__[0]
+        kind = type(shape)
+    if kind is type:
         if not isinstance(value, shape) or (shape is int and isinstance(value, bool)):
             raise _Misfit(f"must be {_JSON_TYPES[shape]}, got {value!r}")
-    elif kind is OneOf:
+        return
+    if kind is OneOf:
         tag = value.get(shape.tag) if isinstance(value, dict) else None
         if not isinstance(tag, str) or tag not in shape.shapes:
             raise _Misfit(f"is an unknown {shape.what} {tag!r}")
-        _fit(value, shape.shapes[tag])
-    else:  # (container type, exact, inner) from _plan
-        container, exact, inner = shape
-        if type(value) is not container:
-            _fit(value, container)
-        for key, item in value.items() if container is dict else enumerate(value):
-            if type(item) not in exact:
-                try:
-                    _fit(item, inner)
-                except _Misfit as e:
-                    e.args += (f"[{key!r}]",)
-                    raise
+        shape, kind = shape.shapes[tag], Obj
+    mapping = kind is Obj or shape.__origin__ is dict
+    _fit(value, dict if mapping else list)
+    if kind is Obj:
+        if not shape.open and not value.keys() <= shape.shapes.keys():
+            raise _Misfit(f"has unknown fields {sorted(value.keys() - shape.shapes.keys())}")
+        if not value.keys() >= shape.fields.keys():
+            raise _Misfit(f"is missing fields {[n for n in shape.fields if n not in value]}")
+    for key, item in value.items() if mapping else enumerate(value):
+        inner = shape.shapes.get(key) if kind is Obj else shape.__args__[1 if mapping else 0]
+        if inner is None:  # a field an open object ignores
+            continue
+        try:
+            _fit(item, inner)
+        except _Misfit as e:
+            e.args += (f".{key}" if kind is Obj else f"[{key!r}]",)
+            raise
 
 
 @functools.cache

@@ -49,6 +49,7 @@ from .core import (
     immutable,
     leader_of,
     log_ops,
+    parse_json,
     quorum_config,
     read,
     replica,
@@ -110,11 +111,8 @@ def validate_config(cfg: ExploreConfig) -> ExploreConfig:
 
 def load_config(path) -> ExploreConfig:
     """The validated explore config in the JSON file at path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ExplorerError(f"invalid JSON: {e}") from None
+    with open(path, "rb") as fh:
+        data = parse_json(fh.read(), ExplorerError)
     return validate_config(read(ExploreConfig, data, "explore config", ExplorerError))
 
 

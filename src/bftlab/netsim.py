@@ -39,6 +39,7 @@ from .core import (
     exec_result,
     is_null,
     log_ops,
+    parse_json,
     parse_node,
     quorum_config,
     replica,
@@ -72,10 +73,7 @@ class Trace:
     @staticmethod
     def parse(data: bytes) -> list[dict]:
         """The records of a JSONL trace file's bytes; else TraceError."""
-        try:
-            return [json.loads(line) for line in data.decode().splitlines() if line.strip()]
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise TraceError(f"invalid JSON: {e}") from None
+        return [parse_json(line, TraceError) for line in data.splitlines() if line.strip()]
 
 
 # --- message descriptors -----------------------------------------------------
@@ -332,26 +330,24 @@ _BUILDERS = {
 }
 
 # the shape of each protocol's actions: the fields their builders (and
-# `Simulation._withhold`) read. A stored artifact is named by its fields.
+# `Simulation._withhold`) read; other fields are ignored. A stored artifact
+# is named by its fields.
 _LOG = list[str | None]
 _REF = Obj({}, {"view": int, "value": str}, null=True)
-_WITHHOLD = Obj({}, {"match": dict | None}, open=True)
+_WITHHOLD = Obj({}, {"match": dict | None})
 _ZYZZYVA_ACTIONS = OneOf("kind", "zyzzyva action", {
-    "order_req": Obj({"view": int, "sends": list[Obj({"log": _LOG, "to": str}, open=True)]},
-                     open=True),
-    "spec_response": Obj({"view": int, "log": _LOG, "to": str}, open=True),
-    "local_commit": Obj({"view": int, "log": _LOG, "to": str}, open=True),
-    "view_change": Obj({"view": int, "log": _LOG, "to": str}, {"cert": _REF}, open=True),
+    "order_req": Obj({"view": int, "sends": list[Obj({"log": _LOG, "to": str}, open=True)]}),
+    "spec_response": Obj({"view": int, "log": _LOG, "to": str}),
+    "local_commit": Obj({"view": int, "log": _LOG, "to": str}),
+    "view_change": Obj({"view": int, "log": _LOG, "to": str}, {"cert": _REF}),
     "withhold": _WITHHOLD,
-})
+}, open=True)
 _FAB_ACTIONS = OneOf("kind", "fab action", {
-    "propose": Obj({"view": int, "sends": list[Obj({"value": str, "to": str}, open=True)]},
-                   open=True),
-    "accepted": Obj({"view": int, "value": str, "to": list}, open=True),
-    "rep": Obj({"view": int, "to": str}, {"commit_proof": _REF, "last_accepted": str | None},
-               open=True),
+    "propose": Obj({"view": int, "sends": list[Obj({"value": str, "to": str}, open=True)]}),
+    "accepted": Obj({"view": int, "value": str, "to": list}),
+    "rep": Obj({"view": int, "to": str}, {"commit_proof": _REF, "last_accepted": str | None}),
     "withhold": _WITHHOLD,
-})
+}, open=True)
 
 
 def adversary_sends(actor: NodeId, action: dict, resolve) -> list:

@@ -11,7 +11,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
-from .core import PROTOCOLS, ZYZZYVA, Obj, OneOf, check_type, quorum_config, read, replica, shape_of
+from .core import (ZYZZYVA, Obj, OneOf, check_type, parse_json, quorum_config,
+                   read, replica, shape_of)
 from .checkers import PROPERTIES
 
 STATUSES = ("holds", "violated", "occurred", "not_applicable")
@@ -56,8 +57,6 @@ def validate(sc: Scenario) -> Scenario:
     for i, c in enumerate(sc.clients):
         if c["id"] < 1:
             raise ScenarioError(f"clients[{i}].id must be at least 1, got {c['id']}")
-    if sc.protocol not in PROTOCOLS:
-        raise ScenarioError(f"unknown protocol {sc.protocol!r}")
     try:
         cfg = quorum_config(sc.protocol, sc.f, sc.t)
     except ValueError as e:
@@ -95,21 +94,13 @@ def from_dict(data: dict) -> Scenario:
     return validate(read(Scenario, data, "scenario", ScenarioError))
 
 
-def loads(text: str) -> Scenario:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ScenarioError(f"invalid JSON: {e}") from None
-    return from_dict(data)
+def loads(text: str | bytes) -> Scenario:
+    return from_dict(parse_json(text, ScenarioError))
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as e:
-            raise ScenarioError(f"invalid UTF-8: {e}") from None
-    return loads(text)
+    with open(path, "rb") as fh:
+        return loads(fh.read())
 
 
 BUILTIN_NAMES = (

@@ -1,7 +1,10 @@
 import copy
 from dataclasses import asdict
 
+import pytest
+
 from bftlab.checkers import (
+    TraceError,
     check_agreement,
     check_fast_latency,
     check_stuck,
@@ -124,6 +127,12 @@ def test_checkers_are_pure():
     first = [asdict(v) for v in run_checkers(records)]
     second = [asdict(v) for v in run_checkers(records)]
     assert first == second
+
+
+def test_unknown_property_raises_trace_error():
+    records = run_scenario(get_builtin("zyzzyva-benign-fast")).records
+    with pytest.raises(TraceError, match="unknown property 'agreemnt'"):
+        run_checkers(records, ["agreement", "agreemnt"])
 
 
 def test_expected_mismatch_reporting():

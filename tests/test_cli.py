@@ -268,6 +268,14 @@ def _order_req_script(view):
      "directive 0 'client_request': bad node name: 'r\u00b2'"),
     (dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "r\u0663"}]),
      "directive 0 'client_request': bad node name: 'r\u0663'"),
+    (dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "r" + "1" * 5000}]),
+     "directive 0 'client_request': bad node name: 'r111"),
+    (dict(_ZYZZYVA, clients=[{"id": 1, "op": "\ud800"}]),
+     "invalid string '\\ud800': surrogates not allowed"),
+    (dict(_PFAB, inputs={"r1": "\ud800"}), "invalid string '\\ud800': surrogates not allowed"),
+    (dict(_PFAB, script=[{"do": "adversary", "actor": 0, "action": {
+        "kind": "accepted", "view": 1, "value": "\ud800", "to": ["r1"]}}]),
+     "invalid string '\\ud800': surrogates not allowed"),
     (dict(_PFAB, script=[{"do": "propose", "node": "1"}]),
      "directive 0 'propose': bad node name: '1'"),
     (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {
@@ -298,6 +306,8 @@ def _order_req_script(view):
         "fab5-with-a-client-request", "duplicate-byzantine-id", "negative-client-id",
         "client-id-zero", "request-to-x9", "view-change-at-x1", "timeout-at-c",
         "request-to-superscript-two", "request-to-arabic-indic-three",
+        "request-to-a-node-of-5000-digits", "client-op-a-lone-surrogate",
+        "input-a-lone-surrogate", "adversary-value-a-lone-surrogate",
         "propose-at-1", "adversary-send-to-q1", "without-name", "without-required-fields",
         "duplicate-client-ids", "unknown-expected-status", "pfab-t-above-f", "f-zero",
         "propose-in-zyzzyva", "timeout-at-a-replica"])
@@ -341,11 +351,16 @@ _STUCK = {"view": 2, "leader": "r1",
       dict(_RECORD, commits=[{"value": "A", "view": 1, "track": "fast", "by": "c1"}])], [],
      "trace[1].commits[0] is missing fields ['position', 'entry', 'client', 'token', "
      "'depth']"),
+    ([dict(_HEADER, protocol="zyzzyva", byzantine=[]),
+      dict(_RECORD, commits=[{"position": 1, "entry": "\ud800", "client": "c1", "token": "x",
+                              "depth": 3, "view": 1, "track": "fast", "by": "c1"}])], [],
+     "invalid string '\\ud800': surrogates not allowed"),
 ], ids=["header-without-protocol", "commit-not-an-object", "commit-not-an-object-stuck-only",
         "commit-without-by", "record-not-an-object", "stuck-report-not-an-object",
         "stuck-report-without-candidates", "stuck-pc-entry-without-last-accepted",
         "stuck-candidate-blocked-by-a-number", "unknown-property",
-        "byzantine-as-a-number", "fab-commit-in-a-zyzzyva-trace"])
+        "byzantine-as-a-number", "fab-commit-in-a-zyzzyva-trace",
+        "commit-entry-a-lone-surrogate"])
 def test_malformed_traces_exit_one(capsys, tmp_path, records, args, says):
     path = tmp_path / "bad.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -375,7 +390,10 @@ def test_unknown_property_is_rejected_before_the_run(capsys, tmp_path):
     assert not trace.exists()
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"a": '], ids=["not-utf-8", "truncated"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"a": ', b'{"f": 1' + b"0" * 5000 + b"}",
+                                     b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf-8", "truncated", "integer-of-5001-digits",
+                              "lists-nested-100000-deep"])
 @pytest.mark.parametrize("command", [("run", "--scenario"), ("check",),
                                      ("explore", "--explore-config")],
                          ids=["run", "check", "explore"])
@@ -386,6 +404,16 @@ def test_undecodable_input_exits_one(capsys, tmp_path, command, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_check_reads_raw_unicode_line_separators(capsys, tmp_path):
+    """Only newlines end a trace line; U+2028 and U+0085 inside a string do not."""
+    records = [dict(_HEADER, name="a\u2028b\u0085c"), _RECORD]
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                    encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert "scenario: a\u2028b\u0085c  protocol: pfab" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("where", ["trace-header", "trace-record", "adversary-action"])
@@ -409,9 +437,11 @@ def test_extra_fields_are_ignored_where_the_format_allows(capsys, tmp_path, wher
         assert "stuck: view 2 leader r1" in capsys.readouterr().out
 
 
+# st.text draws no surrogates, so a lone one is sampled by hand
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 9) | st.text(max_size=3)
-    | st.sampled_from(["r0", "r1", "c1", "a", "A", "B", "view_change", "order_req", "stuck"]),
+    | st.sampled_from(["r0", "r1", "c1", "a", "A", "B", "view_change", "order_req", "stuck",
+                       "\ud800"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["kind", "view", "to", "log", "type", "id", "op"])
                       | st.text(max_size=3), inner, max_size=3),
@@ -506,10 +536,12 @@ _PFAB_STUCK = {"protocol": "pfab", "f": 1, "t": 0, "byzantine": [0], "max_views"
     ({"protocol": "zyzzyva", "requests": ["a"], "values": ["A"]},
      "zyzzyva exploration takes no values"),
     ({"values": ["A", "B"]}, "explore config is missing fields ['protocol']"),
+    ({"protocol": "zyzzyva", "requests": ["\ud800"]},
+     "invalid string '\\ud800': surrogates not allowed"),
 ], ids=["byzantine-out-of-range", "byzantine-as-string", "request-as-integer",
         "duplicate-requests", "value-as-integer", "target", "values-as-string",
         "dedup-as-integer", "max-views-as-string", "top-level-array", "pfab-with-requests",
-        "zyzzyva-with-values", "without-protocol"])
+        "zyzzyva-with-values", "without-protocol", "request-a-lone-surrogate"])
 def test_malformed_explore_configs_exit_one(capsys, tmp_path, config, says):
     assert says in _assert_one_error_line(capsys, tmp_path, config, ("explore", "--explore-config"))
 
@@ -517,7 +549,7 @@ def test_malformed_explore_configs_exit_one(capsys, tmp_path, config, says):
 _CONFIG_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 9) | st.text(max_size=3)
     | st.sampled_from(["pfab", "fab5", "zyzzyva", "A", "B", "a", "equivocate", "withhold",
-                       "inject_stored"]),
+                       "inject_stored", "\ud800"]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=6,
