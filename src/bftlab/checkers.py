@@ -2,13 +2,14 @@
 
 Checkers are pure functions over parsed trace records (the same dicts the
 JSONL trace serializes), so a stored trace re-checks to exactly the verdicts
-computed at run time.
+computed at run time. They trust the records: `read_trace` checks a stored
+trace's shape, and the simulator writes only traces of that shape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import ZYZZYVA, Obj, check_type, make_request, parse_node
+from .core import ZYZZYVA, Obj, check_type, make_request, parse_json, parse_node
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -67,6 +68,14 @@ def check_trace(records: list):
     # the records after the header by index, so that an error names its record
     body = {i: rec for i, rec in enumerate(records) if i}
     check_type(body, dict[int, shape], "trace", TraceError)
+
+
+def read_trace(data: bytes) -> list[dict]:
+    """The records of a JSONL trace file's bytes, if `check_trace` accepts
+    them; else TraceError."""
+    records = [parse_json(line, TraceError) for line in data.splitlines() if line.strip()]
+    check_trace(records)
+    return records
 
 
 def _commits(records: list):
@@ -177,11 +186,9 @@ def check_properties(names):
 
 
 def run_checkers(records: list, properties=None) -> list:
-    """Verdicts on a trace, of the named PROPERTIES or of its protocol's
-    defaults; a malformed trace or an unknown name raises TraceError,
-    whatever is checked."""
+    """Verdicts on a trace's records, of the named PROPERTIES or of its
+    protocol's defaults; an unknown name raises TraceError."""
     check_properties(properties)
-    check_trace(records)
     if properties is None:
         properties = default_properties(records[0]["protocol"])
     return [_CHECKERS[prop](records) for prop in properties]

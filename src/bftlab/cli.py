@@ -13,9 +13,9 @@ import sys
 from dataclasses import asdict
 
 from .checkers import (TraceError, any_violation, check_properties, expected_mismatches,
-                       run_checkers)
+                       read_trace, run_checkers)
 from .explorer import ExplorerError, explore, load_config
-from .netsim import SimError, Trace, run_scenario
+from .netsim import SimError, run_scenario
 from .scenarios import ScenarioError, builtin_scenarios, get_builtin, load_scenario
 
 
@@ -121,7 +121,7 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     props = check_properties(args.properties.split(",") if args.properties else None)
     with open(args.trace, "rb") as fh:
-        records = Trace.parse(fh.read())
+        records = read_trace(fh.read())
     verdicts = run_checkers(records, props)
     _summary(records, verdicts)
     _emit_verdicts(verdicts)

@@ -18,7 +18,8 @@ builds the signed messages of a scenario-JSON adversary action. The explorer
 emits its adversary moves as those actions, and exports a found run by
 executing its directives on a `Simulation` in lockstep with the search
 (`run_step`, `pattern`). Message ids and per-(type, src, dst) ordinals are
-therefore assigned here and nowhere else.
+therefore assigned here and nowhere else. Match patterns and adversary
+actions have their shapes here; a scenario's are checked when it is read.
 """
 from __future__ import annotations
 
@@ -27,19 +28,16 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import fab, zyzzyva
-from .checkers import TraceError
 from .core import (
     NULL_REQUEST,
     ZYZZYVA,
     NodeId,
     Obj,
     OneOf,
-    check_type,
     digest,
     exec_result,
     is_null,
     log_ops,
-    parse_json,
     parse_node,
     quorum_config,
     replica,
@@ -64,16 +62,8 @@ class Trace:
     def __init__(self):
         self.records: list[dict] = []
 
-    def append(self, record: dict):
-        self.records.append(record)
-
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in self.records)
-
-    @staticmethod
-    def parse(data: bytes) -> list[dict]:
-        """The records of a JSONL trace file's bytes; else TraceError."""
-        return [parse_json(line, TraceError) for line in data.splitlines() if line.strip()]
 
 
 # --- message descriptors -----------------------------------------------------
@@ -183,11 +173,29 @@ class PoolEntry:
         }
 
 
+# --- match patterns ------------------------------------------------------------
+
+# the shape of a directive's match pattern: `_match` selects the pending
+# messages whose named fields have the pattern's values (a null view: requests)
+PATTERN = Obj({}, {"type": str, "src": str, "dst": str, "view": int | None, "ordinal": int})
+# a pattern that may be null, where a directive's pattern is optional
+PATTERN_OR_NULL = Obj({}, PATTERN.shapes, null=True)
+
+
+def _match(entry: PoolEntry, pat: dict) -> bool:
+    if "type" in pat and entry.msg.kind != pat["type"]:
+        return False
+    if "view" in pat and msg_view(entry.msg) != pat["view"]:
+        return False
+    if "src" in pat and str(entry.src) != pat["src"]:
+        return False
+    if "dst" in pat and str(entry.dst) != pat["dst"]:
+        return False
+    return "ordinal" not in pat or entry.ordinal == pat["ordinal"]
+
+
 # a directive's or an adversary send's node name; a bad one is a SimError
 _node = partial(parse_node, error=SimError)
-
-# the fields a match pattern may constrain
-_PATTERN_FIELDS = frozenset({"type", "view", "src", "dst", "ordinal"})
 
 
 # --- adversary store ------------------------------------------------------------
@@ -220,7 +228,8 @@ def find_artifacts(items, kind: str, /, **fields) -> list:
         obj
         for obj in items
         if getattr(obj, "kind", None) == kind
-        and all(_field_match(obj, k, v) for k, v in fields.items())
+        and all(getattr(obj, k, None) == (v if k == "view" else v.encode())
+                for k, v in fields.items())
     ]
 
 
@@ -249,71 +258,67 @@ def _components(obj):
     return []
 
 
-def _field_match(obj, name, want):
-    return getattr(obj, name, None) == (want if name == "view" else want.encode())
-
-
 # --- adversary actions ----------------------------------------------------------
 #
 # An action is the "action" object of an adversary directive. Requests,
 # certificates and commit proofs are named by content and resolved against
 # the actor's store; each builder yields (destination name, signed message).
 
-def _stored(actor, resolve, kind: str, ref: dict | None):
+def _stored(actor, store, kind: str, ref: dict | None):
     """The one artifact of `kind` in the actor's store whose fields have
     ref's values; None for no ref."""
     if ref is None:
         return None
-    found = resolve(kind, **ref)
+    found = find_artifacts(store, kind, **ref)
     if len(found) != 1:
         raise ArtifactError(f"adversary {actor} has {len(found)} stored {kind}s matching {ref}")
     return found[0]
 
 
-def _stored_log(actor, ops, resolve) -> tuple:
-    return tuple(NULL_REQUEST if op is None else _stored(actor, resolve, "request", {"op": op})
+def _stored_log(actor, ops, store) -> tuple:
+    return tuple(NULL_REQUEST if op is None else _stored(actor, store, "request", {"op": op})
                  for op in ops)
 
 
-def _order_req(actor, action, resolve):
+def _order_req(actor, action, store):
     for send in action["sends"]:
-        log = _stored_log(actor, send["log"], resolve)
+        log = _stored_log(actor, send["log"], store)
         yield send["to"], signed(zyzzyva.OrderReq(action["view"], log, None), actor)
 
 
-def _spec_response(actor, action, resolve):
-    log = _stored_log(actor, action["log"], resolve)
+def _spec_response(actor, action, store):
+    log = _stored_log(actor, action["log"], store)
     msg = zyzzyva.SpecResponse(action["view"], log, actor, exec_result(log), None)
     yield action["to"], signed(msg, actor)
 
 
-def _local_commit(actor, action, resolve):
-    log = _stored_log(actor, action["log"], resolve)
+def _local_commit(actor, action, store):
+    log = _stored_log(actor, action["log"], store)
     yield action["to"], signed(zyzzyva.LocalCommit(action["view"], log, actor, None), actor)
 
 
-def _view_change(actor, action, resolve):
-    cert = _stored(actor, resolve, "commit_certificate", action.get("cert"))
-    log = _stored_log(actor, action["log"], resolve)
+def _view_change(actor, action, store):
+    cert = _stored(actor, store, "commit_certificate", action.get("cert"))
+    log = _stored_log(actor, action["log"], store)
     msg = zyzzyva.ViewChangeMessage(action["view"], actor, log, cert, None)
     yield action["to"], signed(msg, actor)
 
 
-def _propose(actor, action, resolve):
+def _propose(actor, action, store):
     for send in action["sends"]:
         msg = fab.Propose(action["view"], send["value"].encode(), None, None)
         yield send["to"], signed(msg, actor)
 
 
-def _accepted(actor, action, resolve):
+def _accepted(actor, action, store):
     value = action["value"].encode()
     msg = signed(fab.Accepted(action["view"], value, actor, None), actor)
     for to in action["to"]:
         yield to, msg
 
 
-def _rep(actor, action, resolve):
-    cp = _stored(actor, resolve, "commit_proof", action.get("commit_proof"))
+def _rep(actor, action, store):
+    cp = _stored(actor, store, "commit_proof", action.get("commit_proof"))
     acc = action.get("last_accepted")
     acc = None if acc is None else acc.encode()
     yield action["to"], signed(fab.Rep(action["view"], actor, acc, cp, None), actor)
@@ -329,20 +334,20 @@ _BUILDERS = {
     "rep": _rep,
 }
 
-# the shape of each protocol's actions: the fields their builders (and
-# `Simulation._withhold`) read; other fields are ignored. A stored artifact
-# is named by its fields.
+# the shape of each protocol's actions, which `scenarios.validate` checks:
+# the fields their builders (and `Simulation._withhold`) read; other fields
+# are ignored. A stored artifact is named by its fields.
 _LOG = list[str | None]
 _REF = Obj({}, {"view": int, "value": str}, null=True)
-_WITHHOLD = Obj({}, {"match": dict | None})
-_ZYZZYVA_ACTIONS = OneOf("kind", "zyzzyva action", {
+_WITHHOLD = Obj({}, {"match": PATTERN_OR_NULL})
+ZYZZYVA_ACTIONS = OneOf("kind", "zyzzyva action", {
     "order_req": Obj({"view": int, "sends": list[Obj({"log": _LOG, "to": str}, open=True)]}),
     "spec_response": Obj({"view": int, "log": _LOG, "to": str}),
     "local_commit": Obj({"view": int, "log": _LOG, "to": str}),
     "view_change": Obj({"view": int, "log": _LOG, "to": str}, {"cert": _REF}),
     "withhold": _WITHHOLD,
 }, open=True)
-_FAB_ACTIONS = OneOf("kind", "fab action", {
+FAB_ACTIONS = OneOf("kind", "fab action", {
     "propose": Obj({"view": int, "sends": list[Obj({"value": str, "to": str}, open=True)]}),
     "accepted": Obj({"view": int, "value": str, "to": list}),
     "rep": Obj({"view": int, "to": str}, {"commit_proof": _REF, "last_accepted": str | None}),
@@ -350,17 +355,16 @@ _FAB_ACTIONS = OneOf("kind", "fab action", {
 }, open=True)
 
 
-def adversary_sends(actor: NodeId, action: dict, resolve) -> list:
+def adversary_sends(actor: NodeId, action: dict, store) -> list:
     """The (destination, signed message) pairs of a Byzantine actor's action:
-    not a withhold, and of its protocol's shape (`Simulation.adversary`
-    checks it; the explorer builds only such actions).
+    not a withhold, and of its protocol's shape (a scenario's are checked
+    when it is read; the explorer builds only such actions).
 
-    `resolve(kind, **fields)` lists the actor's stored artifacts of a kind
-    whose fields match; the simulator resolves against its store, the
-    explorer against its state's store. Unresolvable references raise
-    ArtifactError, a SimError.
+    `store` holds the actor's artifacts: the simulator's store, or a search
+    state's. A reference to an artifact the store holds none or several of
+    raises ArtifactError, a SimError.
     """
-    return [(_node(to), msg) for to, msg in _BUILDERS[action["kind"]](actor, action, resolve)]
+    return [(_node(to), msg) for to, msg in _BUILDERS[action["kind"]](actor, action, store)]
 
 
 # --- the simulator ---------------------------------------------------------------
@@ -402,7 +406,7 @@ class Simulation:
             cid = NodeId("c", spec["id"])
             self.clients[cid] = zyzzyva.make_client(cid, self.cfg, spec["op"].encode())
 
-        self.trace.append(
+        self.trace.records.append(
             {
                 "seq": 0,
                 "kind": "scenario",
@@ -424,7 +428,7 @@ class Simulation:
         rec = {"seq": self.seq, "kind": kind, "node": None if node is None else str(node)}
         rec.update(fields)
         rec.update(emitted=[], commits=[], stuck=None, state=None)
-        self.trace.append(rec)
+        self.trace.records.append(rec)
         return rec
 
     def _state_digest(self, node: NodeId) -> str:
@@ -535,23 +539,8 @@ class Simulation:
         return [e for e in self.pool if e.status == "pending"]
 
     def _matching(self, pat: dict) -> list:
-        """The pending entries that pat matches; a pattern field other than
-        type, view, src, dst and ordinal raises, whatever is pending."""
-        unknown = set(pat) - _PATTERN_FIELDS
-        if unknown:
-            raise SimError(f"unknown pattern fields: {sorted(unknown)}")
-        return [e for e in self._pending() if self._match(e, pat)]
-
-    def _match(self, entry: PoolEntry, pat: dict) -> bool:
-        if "type" in pat and entry.msg.kind != pat["type"]:
-            return False
-        if "view" in pat and msg_view(entry.msg) != pat["view"]:
-            return False
-        if "src" in pat and str(entry.src) != pat["src"]:
-            return False
-        if "dst" in pat and str(entry.dst) != pat["dst"]:
-            return False
-        return "ordinal" not in pat or entry.ordinal == pat["ordinal"]
+        """The pending entries that pat, a PATTERN, matches."""
+        return [e for e in self._pending() if _match(e, pat)]
 
     # -- event primitives -----------------------------------------------------------
 
@@ -638,16 +627,13 @@ class Simulation:
     def adversary(self, actor: NodeId, action: dict):
         if actor not in self.byzantine:
             raise SimError(f"adversary actor {actor} is not Byzantine")
-        shape = _ZYZZYVA_ACTIONS if self.proto is zyzzyva else _FAB_ACTIONS
-        check_type(action, shape, "adversary action", SimError)
         kind = action["kind"]
         rec = self._record("adversary", actor, action=kind)
         rank = self.node_rank.get(actor, 0) + 1
         if kind == "withhold":
             self._withhold(actor, action)
         else:
-            resolve = partial(find_artifacts, self.stores[actor])
-            for dst, msg in adversary_sends(actor, action, resolve):
+            for dst, msg in adversary_sends(actor, action, self.stores[actor]):
                 self._send(rec, actor, dst, msg, rank)
         self._scan_quorums(rec)
         rec["state"] = self._state_digest(actor)

@@ -11,9 +11,10 @@ import json
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
-from .core import (ZYZZYVA, Obj, OneOf, check_type, parse_json, quorum_config,
-                   read, replica, shape_of)
+from .core import (ZYZZYVA, Obj, OneOf, check_type, parse_json, quorum_config, read,
+                   replica)
 from .checkers import PROPERTIES
+from .netsim import FAB_ACTIONS, PATTERN, PATTERN_OR_NULL, ZYZZYVA_ACTIONS
 
 STATUSES = ("holds", "violated", "occurred", "not_applicable")
 
@@ -21,9 +22,9 @@ _CLIENT = Obj({"id": int, "op": str})
 _EXPECTED = Obj({"property": str, "status": str}, {"positions": list[int]})
 _DIRECTIVE = OneOf("do", "directive", {
     "client_request": Obj({"client": int, "to": str}),
-    "deliver": Obj({"match": dict}),
-    "drop": Obj({"match": dict}),
-    "delay_all_except": Obj({}, {"match": dict | None}),  # none: delay everything
+    "deliver": Obj({"match": PATTERN}),
+    "drop": Obj({"match": PATTERN}),
+    "delay_all_except": Obj({}, {"match": PATTERN_OR_NULL}),  # none: delay everything
     "timeout": Obj({"node": str}),
     "view_change": Obj({"view": int, "nodes": list}),
     "propose": Obj({"node": str}),
@@ -53,7 +54,14 @@ class Scenario:
 
 
 def validate(sc: Scenario) -> Scenario:
-    check_type(vars(sc), shape_of(Scenario), "scenario", ScenarioError)
+    """sc, if `from_dict` accepts its fields; else ScenarioError."""
+    from_dict(vars(sc))
+    return sc
+
+
+def from_dict(data: dict) -> Scenario:
+    """The scenario of a JSON object, if it is one; else ScenarioError."""
+    sc = read(Scenario, data, "scenario", ScenarioError)
     for i, c in enumerate(sc.clients):
         if c["id"] < 1:
             raise ScenarioError(f"clients[{i}].id must be at least 1, got {c['id']}")
@@ -87,11 +95,12 @@ def validate(sc: Scenario) -> Scenario:
             raise ScenarioError(f"unknown expected property {e['property']!r}")
         if e["status"] not in STATUSES:
             raise ScenarioError(f"unknown expected status {e['status']!r}")
+    actions = ZYZZYVA_ACTIONS if sc.protocol == ZYZZYVA else FAB_ACTIONS
+    for i, step in enumerate(sc.script):
+        if step["do"] == "adversary":
+            check_type(step["action"], actions, f"directive {i} 'adversary': adversary action",
+                       ScenarioError)
     return sc
-
-
-def from_dict(data: dict) -> Scenario:
-    return validate(read(Scenario, data, "scenario", ScenarioError))
 
 
 def loads(text: str | bytes) -> Scenario:

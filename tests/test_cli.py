@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bftlab.cli import main
-from bftlab.netsim import Trace
+from bftlab.checkers import read_trace
 from bftlab.scenarios import BUILTIN_NAMES, get_builtin
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -220,6 +220,14 @@ def _order_req_script(view):
      "adversary action: view must be an integer, got '1'"),
     (dict(_ZYZZYVA, script=_order_req_script([1])),
      "adversary action: view must be an integer, got [1]"),
+    # directive 1 would fail when run: nothing of its pattern is pending
+    (dict(_ZYZZYVA, script=[
+        {"do": "client_request", "client": 1, "to": "r0"},
+        {"do": "deliver", "match": {"type": "order_req"}},
+        {"do": "timeout", "node": "c1"},
+        {"do": "adversary", "actor": 0, "action": {
+            "kind": "spec_response", "view": "2", "log": ["a"], "to": "c1"}}]),
+     "error: directive 3 'adversary': adversary action: view must be an integer, got '2'"),
     (dict(_ZYZZYVA, expected=[{"property": "agreement", "status": "violated", "positions": 3}]),
      "expected[0].positions must be a list"),
     (dict(_ZYZZYVA, script=[_view_change_citing({"kind": "x"}, actor=0)]),
@@ -239,12 +247,12 @@ def _order_req_script(view):
                                "positons": [2]}]),
      "scenario: expected[0] has unknown fields ['positons']"),
     (dict(_ZYZZYVA, script=[{"do": "drop", "match": {"tpye": "request"}}]),
-     "directive 0 'drop': unknown pattern fields: ['tpye']"),
+     "scenario: script[0].match has unknown fields ['tpye']"),
     (dict(_ZYZZYVA, script=[{"do": "delay_all_except", "match": {"tpye": "request"}}]),
-     "directive 0 'delay_all_except': unknown pattern fields: ['tpye']"),
+     "scenario: script[0].match has unknown fields ['tpye']"),
     (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {
         "kind": "withhold", "match": {"tpye": "order_req"}}}]),
-     "directive 0 'adversary': unknown pattern fields: ['tpye']"),
+     "directive 0 'adversary': adversary action: match has unknown fields ['tpye']"),
     (dict(_PFAB, inputs={"r9": "A"}), "inputs['r9'] names no correct replica"),
     (dict(_PFAB, inputs={"r1": "A", "c1": "B"}), "inputs['c1'] names no correct replica"),
     (dict(_PFAB, inputs={"r0": "A"}), "inputs['r0'] names no correct replica"),
@@ -296,6 +304,7 @@ def _order_req_script(view):
 ], ids=["client-without-op", "client-not-an-object", "expected-not-an-object",
         "inputs-not-an-object", "top-level-array", "client-id-as-string",
         "actor-as-string", "nodes-as-string", "action-view-as-string", "action-view-as-list",
+        "action-checked-before-an-earlier-directive-fails",
         "positions-as-integer", "artifact-reference-named-kind", "withhold-match-as-list",
         "artifact-reference-named-kind-beside-a-stored-certificate",
         "misspelled-directive-field", "ordinal-beside-match", "misspelled-expected-field",
@@ -313,6 +322,37 @@ def _order_req_script(view):
         "propose-in-zyzzyva", "timeout-at-a-replica"])
 def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
     assert says in _assert_one_error_line(capsys, tmp_path, scenario)
+
+
+def _pattern_step(do, pattern):
+    if do == "withhold":
+        return {"do": "adversary", "actor": 0, "action": {"kind": "withhold", "match": pattern}}
+    return {"do": do, "match": pattern}
+
+
+@pytest.mark.parametrize("field, value", [("view", "1"), ("ordinal", "0")])
+@pytest.mark.parametrize("do", ["deliver", "drop", "delay_all_except", "withhold"])
+def test_mistyped_pattern_values_exit_one(capsys, tmp_path, do, field, value):
+    # a pattern value of the wrong type would match nothing, silently
+    step = _pattern_step(do, {"type": "order_req", field: value})
+    err = _assert_one_error_line(capsys, tmp_path, dict(_ZYZZYVA, script=[
+        {"do": "client_request", "client": 1, "to": "r0"},
+        {"do": "deliver", "match": {"type": "request"}},
+        step,
+    ]))
+    assert f"match.{field} must be an integer, got {value!r}" in err
+
+
+@pytest.mark.parametrize("do", ["deliver", "drop", "delay_all_except", "withhold"])
+def test_a_null_pattern_view_is_accepted(capsys, tmp_path, do):
+    # the deliver exits 0 only if the null view matches the pending request
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(dict(_ZYZZYVA, script=[
+        {"do": "client_request", "client": 1, "to": "r1"},
+        _pattern_step(do, {"view": None}),
+    ])))
+    assert main(["run", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().err.startswith('{"property"')
 
 
 _HEADER = {"seq": 0, "kind": "scenario", "name": "t", "protocol": "pfab", "f": 1, "t": 0,
@@ -500,7 +540,7 @@ def _trace_places(records) -> dict:
 @given(data=st.data())
 def test_any_json_in_a_golden_trace_exits_zero_one_or_two(tmp_path, data):
     golden = data.draw(st.sampled_from(sorted(GOLDEN.glob("*.jsonl"))))
-    records = Trace.parse(golden.read_bytes())
+    records = read_trace(golden.read_bytes())
     places = _trace_places(records)
     i, path = data.draw(st.sampled_from(places[data.draw(st.sampled_from(sorted(places)))]))
     target = records[i]

@@ -18,7 +18,7 @@ from bftlab.explorer import (
     explore,
     validate_config,
 )
-from bftlab.netsim import ArtifactError, adversary_sends, find_artifacts, run_scenario
+from bftlab.netsim import ArtifactError, adversary_sends, run_scenario
 from bftlab.scenarios import loads
 
 PFAB_SMALL = ExploreConfig(protocol="pfab", f=1, t=0, values=("A", "B"), max_views=2,
@@ -231,7 +231,7 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
         assert_routed(sends, getattr(node, "cid", None) or node.rid, fresh_sends)
     for (store, action), sends in kernel._sends.items():
         try:
-            fresh = adversary_sends(kernel.byz, json.loads(action), partial(find_artifacts, store))
+            fresh = adversary_sends(kernel.byz, json.loads(action), store)
         except ArtifactError:
             assert sends is None
         else:

@@ -1,12 +1,11 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from functools import partial
 
 import pytest
 
 from bftlab import fab, zyzzyva
-from bftlab.checkers import run_checkers
+from bftlab.checkers import check_trace, read_trace, run_checkers
 from bftlab.core import ZYZZYVA, log_ops, replica
 from bftlab.explorer import ExploreConfig, _kernel_for, explore
 from bftlab.fab import check_decision
@@ -14,12 +13,10 @@ from bftlab.netsim import (
     ArtifactError,
     SimError,
     Simulation,
-    Trace,
     adversary_sends,
-    find_artifacts,
     run_scenario,
 )
-from bftlab.scenarios import BUILTIN_NAMES, Scenario, get_builtin, validate
+from bftlab.scenarios import BUILTIN_NAMES, Scenario, ScenarioError, get_builtin, validate
 from bftlab.zyzzyva import check_decisions
 
 
@@ -39,7 +36,7 @@ def test_traces_are_byte_identical_across_runs():
 
 def test_trace_round_trips_through_jsonl():
     trace = run_scenario(get_builtin("pfab-stuck"))
-    assert Trace.parse(trace.to_jsonl().encode()) == trace.records
+    assert read_trace(trace.to_jsonl().encode()) == trace.records
 
 
 def test_deliver_unmatched_pattern_is_an_error():
@@ -55,12 +52,11 @@ def test_drop_unmatched_pattern_is_a_noop():
 
 
 def test_unknown_pattern_field_rejected():
-    sc = _bare(script=[
-        {"do": "client_request", "client": 1, "to": "r0"},
-        {"do": "deliver", "match": {"sender": "c1"}},
-    ])
-    with pytest.raises(SimError, match="unknown pattern fields"):
-        run_scenario(sc)
+    with pytest.raises(ScenarioError, match=r"script\[1\]\.match has unknown fields \['sender'\]"):
+        _bare(script=[
+            {"do": "client_request", "client": 1, "to": "r0"},
+            {"do": "deliver", "match": {"sender": "c1"}},
+        ])
 
 
 def test_empty_script_produces_header_only_trace():
@@ -320,6 +316,12 @@ def _schedules():
             yield _walk_scenario(cfg, seed)
 
 
+def test_every_trace_the_simulator_writes_has_the_shape_the_trace_reader_checks():
+    # run_checkers trusts the traces the simulator writes; read_trace checks stored ones
+    for scenario in _schedules():
+        check_trace(run_scenario(scenario).records)
+
+
 def test_incremental_commits_equal_a_full_rescan():
     for scenario in _schedules():
         got = Simulation(scenario).run_script().records
@@ -399,9 +401,8 @@ def test_slot_choices_are_exported_verbatim(name):
                     assert new[0] == {"do": "adversary", "actor": actor, "action": action}
                     verbatim += 1
                 else:
-                    resolve = partial(find_artifacts, before.store)
                     with pytest.raises(ArtifactError):
-                        adversary_sends(replica(actor), action, resolve)
+                        adversary_sends(replica(actor), action, before.store)
             before = state
     assert verbatim
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from bftlab.checkers import expected_mismatches, run_checkers
@@ -10,6 +12,7 @@ from bftlab.scenarios import (
     get_builtin,
     load_scenario,
     loads,
+    validate,
 )
 
 
@@ -114,3 +117,11 @@ def test_empty_script_is_valid():
 def test_deliver_without_match_rejected():
     with pytest.raises(ScenarioError, match="missing fields"):
         from_dict(_base(script=[{"do": "deliver"}]))
+
+
+def test_validate_checks_the_actions_of_a_scenario_built_in_code():
+    sc = replace(get_builtin("pfab-stuck"), script=[
+        {"do": "adversary", "actor": 0, "action": {"kind": "rep", "view": 2}}])
+    with pytest.raises(ScenarioError, match=r"^directive 0 'adversary': adversary action is "
+                                            r"missing fields \['to'\]$"):
+        validate(sc)
