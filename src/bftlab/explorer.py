@@ -240,12 +240,6 @@ class _Kernel:
         "equivocate"); the action is the scenario-JSON dict exported."""
         raise NotImplementedError
 
-    def eligible_timeouts(self, st: KState):
-        return ()
-
-    def apply_timeout(self, w: _Draft, cid: NodeId) -> None:
-        raise NotImplementedError
-
     def violated(self, st: KState) -> bool:
         raise NotImplementedError
 
@@ -365,6 +359,12 @@ class _Kernel:
         """True when no remaining step can still reach the search target."""
         return False
 
+    def eligible_timeouts(self, st: KState) -> list:
+        """The clients (Zyzzyva clients, in every protocol) whose timeout sends
+        something; a client that timed out holds a commit certificate."""
+        return [cs.cid for cs in st.clients
+                if cs.cert is None and self.transition(cs.cid, zyzzyva.on_timeout, cs)[1]]
+
     def choices(self, st: KState) -> list:
         if self.settled(st):
             return []
@@ -390,7 +390,8 @@ class _Kernel:
             w.pool = w.pool[1:]
             self.export("drop", head)
         elif kind == "timeout":
-            self.apply_timeout(w, choice[1])
+            self.export("timeout", node=str(choice[1]))
+            self.run(w, choice[1], zyzzyva.on_timeout)
         elif kind == "advance":
             w.view = view = choice[1]
             order = self.signal_order(view)
@@ -431,15 +432,6 @@ class ZyzzyvaKernel(_Kernel):
             return
         self.act(w, {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
                      "to": str(sent.dst)})
-
-    def eligible_timeouts(self, st):
-        # a client that timed out holds a commit certificate
-        return [cs.cid for cs in st.clients
-                if cs.cert is None and self.transition(cs.cid, zyzzyva.on_timeout, cs)[1]]
-
-    def apply_timeout(self, w, cid):
-        self.export("timeout", node=str(cid))
-        self.run(w, cid, zyzzyva.on_timeout)
 
     def slot_choices(self, st):
         view, lead = st.view, leader_of(st.view, self.qc.n)

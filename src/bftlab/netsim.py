@@ -18,8 +18,9 @@ builds the signed messages of a scenario-JSON adversary action. The explorer
 emits its adversary moves as those actions, and exports a found run by
 executing its directives on a `Simulation` in lockstep with the search
 (`run_step`, `pattern`). Message ids and per-(type, src, dst) ordinals are
-therefore assigned here and nowhere else. Match patterns and adversary
-actions have their shapes here; a scenario's are checked when it is read.
+therefore assigned here and nowhere else. Each protocol's directives, match
+patterns and adversary actions included, have their shapes here; a
+scenario's script is checked against its protocol's when it is read.
 """
 from __future__ import annotations
 
@@ -334,31 +335,27 @@ _BUILDERS = {
     "rep": _rep,
 }
 
-# the shape of each protocol's actions, which `scenarios.validate` checks:
-# the fields their builders (and `Simulation._withhold`) read; other fields
-# are ignored. A stored artifact is named by its fields.
+# the shape of each protocol's actions: the fields their builders read; other
+# fields are ignored. A stored artifact is named by its fields.
 _LOG = list[str | None]
 _REF = Obj({}, {"view": int, "value": str}, null=True)
-_WITHHOLD = Obj({}, {"match": PATTERN_OR_NULL})
 ZYZZYVA_ACTIONS = OneOf("kind", "zyzzyva action", {
     "order_req": Obj({"view": int, "sends": list[Obj({"log": _LOG, "to": str}, open=True)]}),
     "spec_response": Obj({"view": int, "log": _LOG, "to": str}),
     "local_commit": Obj({"view": int, "log": _LOG, "to": str}),
     "view_change": Obj({"view": int, "log": _LOG, "to": str}, {"cert": _REF}),
-    "withhold": _WITHHOLD,
 }, open=True)
 FAB_ACTIONS = OneOf("kind", "fab action", {
     "propose": Obj({"view": int, "sends": list[Obj({"value": str, "to": str}, open=True)]}),
     "accepted": Obj({"view": int, "value": str, "to": list}),
     "rep": Obj({"view": int, "to": str}, {"commit_proof": _REF, "last_accepted": str | None}),
-    "withhold": _WITHHOLD,
 }, open=True)
 
 
 def adversary_sends(actor: NodeId, action: dict, store) -> list:
-    """The (destination, signed message) pairs of a Byzantine actor's action:
-    not a withhold, and of its protocol's shape (a scenario's are checked
-    when it is read; the explorer builds only such actions).
+    """The (destination, signed message) pairs of a Byzantine actor's action,
+    one of its protocol's shape (a scenario's are checked when it is read;
+    the explorer builds only such actions).
 
     `store` holds the actor's artifacts: the simulator's store, or a search
     state's. A reference to an artifact the store holds none or several of
@@ -375,9 +372,7 @@ class Simulation:
         self.cfg = quorum_config(scenario.protocol, scenario.f, scenario.t)
         self.byzantine = frozenset(replica(i) for i in scenario.byzantine)
         self.trace = Trace()
-        self.pool: list[PoolEntry] = []
-        self.next_mid = 1
-        self.seq = 0
+        self.pool: list[PoolEntry] = []  # every send, in send order: mid i at i - 1
         self.ordinals: dict[tuple, int] = {}
         self.proto = zyzzyva if scenario.protocol == ZYZZYVA else fab
         self.stores: dict[NodeId, dict] = {b: {} for b in self.byzantine}
@@ -424,8 +419,8 @@ class Simulation:
     # -- plumbing --------------------------------------------------------------
 
     def _record(self, kind: str, node: NodeId | None, **fields) -> dict:
-        self.seq += 1
-        rec = {"seq": self.seq, "kind": kind, "node": None if node is None else str(node)}
+        rec = {"seq": len(self.trace.records), "kind": kind,
+               "node": None if node is None else str(node)}
         rec.update(fields)
         rec.update(emitted=[], commits=[], stuck=None, state=None)
         self.trace.records.append(rec)
@@ -443,8 +438,7 @@ class Simulation:
         key = (msg.kind, str(src), str(dst))
         ordinal = self.ordinals.get(key, 0)
         self.ordinals[key] = ordinal + 1
-        entry = PoolEntry(self.next_mid, src, dst, msg, ordinal, rank)
-        self.next_mid += 1
+        entry = PoolEntry(len(self.pool) + 1, src, dst, msg, ordinal, rank)
         self.pool.append(entry)
         rec["emitted"].append(entry.describe())
         decides = self.proto.decision_group(msg, self.cfg)
@@ -548,16 +542,13 @@ class Simulation:
         if cid not in self.clients:
             raise SimError(f"unknown client {cid}")
         rec = self._record("client_request", cid, to=str(to))
-        st, sends, notes = zyzzyva.send_request(self.clients[cid], to)
-        # a spontaneous client send is delivery rank 1
-        self.node_rank.setdefault(cid, 0)
-        self._apply(rec, cid, (st, sends, notes))
+        self._apply(rec, cid, zyzzyva.send_request(self.clients[cid], to))
 
     def deliver(self, pattern: dict):
         matches = self._matching(pattern)
         if not matches:
             raise SimError(f"deliver pattern matched nothing: {pattern}")
-        for entry in sorted(matches, key=lambda e: e.mid):
+        for entry in matches:
             self._deliver_entry(entry)
 
     def _deliver_entry(self, entry: PoolEntry):
@@ -616,8 +607,6 @@ class Simulation:
             self._apply(rec, node, self.proto.on_view_change_signal(st, view))
 
     def propose(self, node: NodeId):
-        if self.scenario.protocol == ZYZZYVA:
-            raise SimError("propose is a FaB directive")
         st = self._correct_replica(node, "propose directives")
         rec = self._record("propose", node)
         self._apply(rec, node, fab.leader_propose(st))
@@ -627,23 +616,12 @@ class Simulation:
     def adversary(self, actor: NodeId, action: dict):
         if actor not in self.byzantine:
             raise SimError(f"adversary actor {actor} is not Byzantine")
-        kind = action["kind"]
-        rec = self._record("adversary", actor, action=kind)
+        rec = self._record("adversary", actor, action=action["kind"])
         rank = self.node_rank.get(actor, 0) + 1
-        if kind == "withhold":
-            self._withhold(actor, action)
-        else:
-            for dst, msg in adversary_sends(actor, action, self.stores[actor]):
-                self._send(rec, actor, dst, msg, rank)
+        for dst, msg in adversary_sends(actor, action, self.stores[actor]):
+            self._send(rec, actor, dst, msg, rank)
         self._scan_quorums(rec)
         rec["state"] = self._state_digest(actor)
-
-    def _withhold(self, actor: NodeId, action: dict):
-        """Drop the actor's own pending messages that match the action's pattern."""
-        pat = dict(action.get("match") or {})
-        pat["src"] = str(actor)
-        for entry in self._matching(pat):
-            entry.status = "dropped"
 
     # -- script execution --------------------------------------------------------------
 
@@ -685,10 +663,29 @@ class Simulation:
             self.view_change(step["view"], [_node(n) for n in step["nodes"]])
         elif do == "propose":
             self.propose(_node(step["node"]))
-        elif do == "adversary":
+        else:  # adversary
             self.adversary(replica(step["actor"]), step["action"])
-        else:
-            raise SimError(f"unknown directive {do!r}")
+
+
+# the directives `_step` runs, for each protocol; a scenario's script is
+# checked against its protocol's when it is read (`scenarios.from_dict`)
+_SHARED = {
+    "deliver": Obj({"match": PATTERN}),
+    "drop": Obj({"match": PATTERN}),
+    "delay_all_except": Obj({}, {"match": PATTERN_OR_NULL}),  # none: delay everything
+    "view_change": Obj({"view": int, "nodes": list}),
+}
+ZYZZYVA_DIRECTIVES = OneOf("do", "zyzzyva directive", {
+    **_SHARED,
+    "client_request": Obj({"client": int, "to": str}),
+    "timeout": Obj({"node": str}),
+    "adversary": Obj({"actor": int, "action": ZYZZYVA_ACTIONS}),
+})
+FAB_DIRECTIVES = OneOf("do", "fab directive", {
+    **_SHARED,
+    "propose": Obj({"node": str}),
+    "adversary": Obj({"actor": int, "action": FAB_ACTIONS}),
+})
 
 
 def run_scenario(scenario) -> Trace:

@@ -1,9 +1,10 @@
 """Scenario file format, loader/validator, and the built-in library.
 
 A scenario is a declarative JSON document: protocol parameters, the
-Byzantine set, client requests (or FaB leader inputs), an ordered directive
-script, and the verdicts the run is expected to produce. Directives execute
-in array order as the global event sequence.
+Byzantine set, client requests (or FaB leader inputs), an ordered script of
+its protocol's directives (declared in `netsim`), and the verdicts the run
+is expected to produce. Directives execute in array order as the global
+event sequence.
 """
 from __future__ import annotations
 
@@ -11,25 +12,14 @@ import json
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
-from .core import (ZYZZYVA, Obj, OneOf, check_type, parse_json, quorum_config, read,
-                   replica)
+from .core import ZYZZYVA, Obj, check_type, parse_json, quorum_config, read, replica
 from .checkers import PROPERTIES
-from .netsim import FAB_ACTIONS, PATTERN, PATTERN_OR_NULL, ZYZZYVA_ACTIONS
+from .netsim import FAB_DIRECTIVES, ZYZZYVA_DIRECTIVES
 
 STATUSES = ("holds", "violated", "occurred", "not_applicable")
 
 _CLIENT = Obj({"id": int, "op": str})
 _EXPECTED = Obj({"property": str, "status": str}, {"positions": list[int]})
-_DIRECTIVE = OneOf("do", "directive", {
-    "client_request": Obj({"client": int, "to": str}),
-    "deliver": Obj({"match": PATTERN}),
-    "drop": Obj({"match": PATTERN}),
-    "delay_all_except": Obj({}, {"match": PATTERN_OR_NULL}),  # none: delay everything
-    "timeout": Obj({"node": str}),
-    "view_change": Obj({"view": int, "nodes": list}),
-    "propose": Obj({"node": str}),
-    "adversary": Obj({"actor": int, "action": dict}),
-})
 
 
 class ScenarioError(ValueError):
@@ -46,7 +36,7 @@ class Scenario:
     clients: list[_CLIENT] = field(default_factory=list)
     inputs: dict[str, str] = field(default_factory=dict)
     description: str = ""
-    script: list[_DIRECTIVE] = field(default_factory=list)
+    script: list[dict] = field(default_factory=list)
     expected: list[_EXPECTED] = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -95,11 +85,8 @@ def from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"unknown expected property {e['property']!r}")
         if e["status"] not in STATUSES:
             raise ScenarioError(f"unknown expected status {e['status']!r}")
-    actions = ZYZZYVA_ACTIONS if sc.protocol == ZYZZYVA else FAB_ACTIONS
-    for i, step in enumerate(sc.script):
-        if step["do"] == "adversary":
-            check_type(step["action"], actions, f"directive {i} 'adversary': adversary action",
-                       ScenarioError)
+    directives = ZYZZYVA_DIRECTIVES if sc.protocol == ZYZZYVA else FAB_DIRECTIVES
+    check_type(sc.script, list[directives], "scenario: script", ScenarioError)
     return sc
 
 

@@ -217,9 +217,9 @@ def _order_req_script(view):
     (dict(_ZYZZYVA, script=[{"do": "view_change", "view": 2, "nodes": "r1"}]),
      "nodes must be a list"),
     (dict(_ZYZZYVA, script=_order_req_script("1")),
-     "adversary action: view must be an integer, got '1'"),
+     "scenario: script[2].action.view must be an integer, got '1'"),
     (dict(_ZYZZYVA, script=_order_req_script([1])),
-     "adversary action: view must be an integer, got [1]"),
+     "scenario: script[2].action.view must be an integer, got [1]"),
     # directive 1 would fail when run: nothing of its pattern is pending
     (dict(_ZYZZYVA, script=[
         {"do": "client_request", "client": 1, "to": "r0"},
@@ -227,17 +227,17 @@ def _order_req_script(view):
         {"do": "timeout", "node": "c1"},
         {"do": "adversary", "actor": 0, "action": {
             "kind": "spec_response", "view": "2", "log": ["a"], "to": "c1"}}]),
-     "error: directive 3 'adversary': adversary action: view must be an integer, got '2'"),
+     "error: scenario: script[3].action.view must be an integer, got '2'"),
     (dict(_ZYZZYVA, expected=[{"property": "agreement", "status": "violated", "positions": 3}]),
      "expected[0].positions must be a list"),
     (dict(_ZYZZYVA, script=[_view_change_citing({"kind": "x"}, actor=0)]),
-     "adversary action: cert has unknown fields ['kind']"),
+     "scenario: script[0].action.cert has unknown fields ['kind']"),
     (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0,
                              "action": {"kind": "withhold", "match": [1]}}]),
-     "adversary action: match must be an object, got [1]"),
+     "scenario: script[0].action is an unknown zyzzyva action 'withhold'"),
     (dict(_ZYZZYVA, byzantine=[3], script=[*_STORE_A_CERTIFICATE,
                                            _view_change_citing({"kind": "x"}, actor=3)]),
-     "adversary action: cert has unknown fields ['kind']"),
+     "scenario: script[6].action.cert has unknown fields ['kind']"),
     (dict(_ZYZZYVA, script=[{"do": "delay_all_except", "mtach": {"src": "c1"}}]),
      "scenario: script[0] has unknown fields ['mtach']"),
     (dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "r0"},
@@ -252,7 +252,7 @@ def _order_req_script(view):
      "scenario: script[0].match has unknown fields ['tpye']"),
     (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {
         "kind": "withhold", "match": {"tpye": "order_req"}}}]),
-     "directive 0 'adversary': adversary action: match has unknown fields ['tpye']"),
+     "scenario: script[0].action is an unknown zyzzyva action 'withhold'"),
     (dict(_PFAB, inputs={"r9": "A"}), "inputs['r9'] names no correct replica"),
     (dict(_PFAB, inputs={"r1": "A", "c1": "B"}), "inputs['c1'] names no correct replica"),
     (dict(_PFAB, inputs={"r0": "A"}), "inputs['r0'] names no correct replica"),
@@ -298,7 +298,19 @@ def _order_req_script(view):
     (dict(_PFAB, t=2), "pfab requires 0 <= t <= f, got t=2 f=1"),
     (dict(_PFAB, f=0, byzantine=[]), "f must be >= 1, got 0"),
     (dict(_ZYZZYVA, script=[{"do": "propose", "node": "r1"}]),
-     "directive 0 'propose': propose is a FaB directive"),
+     "scenario: script[0] is an unknown zyzzyva directive 'propose'"),
+    # the other protocol's directive is named when read, before an earlier
+    # directive fails when run
+    (dict(_ZYZZYVA, script=[{"do": "deliver", "match": {"type": "order_req"}},
+                            {"do": "propose", "node": "r1"}]),
+     "error: scenario: script[1] is an unknown zyzzyva directive 'propose'\n"),
+    (dict(_PFAB, script=[{"do": "view_change", "view": 2, "nodes": ["r0"]},
+                         {"do": "client_request", "client": 1, "to": "r1"}]),
+     "error: scenario: script[1] is an unknown fab directive 'client_request'\n"),
+    # `drop` with the actor as "src" says what a withhold action said
+    (dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "r0"},
+                            {"do": "adversary", "actor": 0, "action": {"kind": "withhold"}}]),
+     "error: scenario: script[1].action is an unknown zyzzyva action 'withhold'\n"),
     (dict(_ZYZZYVA, script=[{"do": "timeout", "node": "r1"}]),
      "directive 0 'timeout': timeout target must be a client, got r1"),
 ], ids=["client-without-op", "client-not-an-object", "expected-not-an-object",
@@ -319,22 +331,18 @@ def _order_req_script(view):
         "input-a-lone-surrogate", "adversary-value-a-lone-surrogate",
         "propose-at-1", "adversary-send-to-q1", "without-name", "without-required-fields",
         "duplicate-client-ids", "unknown-expected-status", "pfab-t-above-f", "f-zero",
-        "propose-in-zyzzyva", "timeout-at-a-replica"])
+        "propose-in-zyzzyva", "propose-in-zyzzyva-after-a-failing-deliver",
+        "client-request-in-pfab-after-a-failing-view-change", "withhold-action",
+        "timeout-at-a-replica"])
 def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
     assert says in _assert_one_error_line(capsys, tmp_path, scenario)
 
 
-def _pattern_step(do, pattern):
-    if do == "withhold":
-        return {"do": "adversary", "actor": 0, "action": {"kind": "withhold", "match": pattern}}
-    return {"do": do, "match": pattern}
-
-
 @pytest.mark.parametrize("field, value", [("view", "1"), ("ordinal", "0")])
-@pytest.mark.parametrize("do", ["deliver", "drop", "delay_all_except", "withhold"])
+@pytest.mark.parametrize("do", ["deliver", "drop", "delay_all_except"])
 def test_mistyped_pattern_values_exit_one(capsys, tmp_path, do, field, value):
     # a pattern value of the wrong type would match nothing, silently
-    step = _pattern_step(do, {"type": "order_req", field: value})
+    step = {"do": do, "match": {"type": "order_req", field: value}}
     err = _assert_one_error_line(capsys, tmp_path, dict(_ZYZZYVA, script=[
         {"do": "client_request", "client": 1, "to": "r0"},
         {"do": "deliver", "match": {"type": "request"}},
@@ -343,13 +351,13 @@ def test_mistyped_pattern_values_exit_one(capsys, tmp_path, do, field, value):
     assert f"match.{field} must be an integer, got {value!r}" in err
 
 
-@pytest.mark.parametrize("do", ["deliver", "drop", "delay_all_except", "withhold"])
+@pytest.mark.parametrize("do", ["deliver", "drop", "delay_all_except"])
 def test_a_null_pattern_view_is_accepted(capsys, tmp_path, do):
     # the deliver exits 0 only if the null view matches the pending request
     path = tmp_path / "s.json"
     path.write_text(json.dumps(dict(_ZYZZYVA, script=[
         {"do": "client_request", "client": 1, "to": "r1"},
-        _pattern_step(do, {"view": None}),
+        {"do": do, "match": {"view": None}},
     ])))
     assert main(["run", "--scenario", str(path)]) == 0
     assert capsys.readouterr().err.startswith('{"property"')

@@ -172,25 +172,25 @@ def test_agreement_witnesses_suffice_to_rederive_the_verdict():
     assert again.details["positions"] == verdict.details["positions"]
 
 
-def test_withhold_drops_only_the_actors_messages():
+def test_a_drop_with_a_source_spares_other_senders():
     sc = validate(Scenario(
-        name="withhold", protocol="zyzzyva", f=1, byzantine=[0],
-        clients=[{"id": 1, "op": "a"}],
+        name="drop-src", protocol="zyzzyva", f=1, byzantine=[0],
+        clients=[{"id": 1, "op": "a"}, {"id": 2, "op": "b"}],
         script=[
             {"do": "client_request", "client": 1, "to": "r0"},
             {"do": "deliver", "match": {"type": "request"}},
             {"do": "adversary", "actor": 0,
              "action": {"kind": "order_req", "view": 1,
                         "sends": [{"to": "r1", "log": ["a"]}, {"to": "r2", "log": ["a"]}]}},
-            {"do": "adversary", "actor": 0,
-             "action": {"kind": "withhold", "match": {"dst": "r2"}}},
-            {"do": "deliver", "match": {"type": "order_req"}},
+            {"do": "client_request", "client": 2, "to": "r2"},
+            {"do": "drop", "match": {"src": "r0", "dst": "r2"}},
         ],
     ))
-    trace = run_scenario(sc)
-    delivered = [r["node"] for r in trace.records if r["kind"] == "deliver"
-                 and r["msg"]["type"] == "order_req"]
-    assert delivered == ["r1"]
+    sim = Simulation(sc)
+    sim.run_script()
+    pending = [(e.msg.kind, str(e.src), str(e.dst)) for e in sim._pending()]
+    assert pending == [("order_req", "r0", "r1"), ("request", "c2", "r2")]
+    assert sim.trace.records[-1]["mids"] == [3]
 
 
 def test_delay_all_except_pattern_spares_matches():

@@ -75,7 +75,8 @@ def test_byzantine_id_out_of_range():
 
 
 def test_unknown_directive_rejected():
-    with pytest.raises(ScenarioError, match="unknown directive"):
+    with pytest.raises(ScenarioError, match=r"script\[0\] is an unknown zyzzyva directive "
+                                            r"'teleport'$"):
         from_dict(_base(script=[{"do": "teleport"}]))
 
 
@@ -122,6 +123,6 @@ def test_deliver_without_match_rejected():
 def test_validate_checks_the_actions_of_a_scenario_built_in_code():
     sc = replace(get_builtin("pfab-stuck"), script=[
         {"do": "adversary", "actor": 0, "action": {"kind": "rep", "view": 2}}])
-    with pytest.raises(ScenarioError, match=r"^directive 0 'adversary': adversary action is "
-                                            r"missing fields \['to'\]$"):
+    with pytest.raises(ScenarioError, match=r"^scenario: script\[0\]\.action is missing "
+                                            r"fields \['to'\]$"):
         validate(sc)
