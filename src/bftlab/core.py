@@ -43,25 +43,28 @@ def _memoized(fn, slot: str):
 
 
 def immutable(cls=None, /, **options):
-    """A frozen, slotted dataclass that computes canon, payload, verify and
-    hash once per instance; `options` pass through to `dataclass`.
+    """A frozen, slotted dataclass that computes canon, payload, verify, hash
+    and repr once per instance; `options` pass through to `dataclass`.
 
     Each result is kept in a slot declared `field(init=False, repr=False,
     compare=False)`, so repr, eq and hash are those of the plain dataclass
-    (trace state digests hash repr) and `dataclasses.replace` starts the new
-    instance with empty caches. Mutating an instance through
+    and `dataclasses.replace` starts the new instance with empty caches. The
+    cached repr is the plain dataclass repr, so trace state digests
+    (`sha256(repr(state))`) keep their bytes, and a state's repr reuses the
+    strings of the values it holds. Mutating an instance through
     `object.__setattr__` is unsupported: cached results would go stale.
     """
 
     def wrap(cls):
         methods = [m for m in ("canon", "payload", "verify") if hasattr(cls, m)]
-        for name in methods + ["hash"]:
+        for name in methods + ["hash", "repr"]:
             cls.__annotations__[f"_{name}"] = "object"
             setattr(cls, f"_{name}", field(init=False, repr=False, compare=False))
         cls = dataclass(frozen=True, slots=True, **options)(cls)
         for name in methods:
             setattr(cls, name, _memoized(getattr(cls, name), f"_{name}"))
         cls.__hash__ = _memoized(cls.__hash__, "_hash")
+        cls.__repr__ = _memoized(cls.__repr__, "_repr")
         return cls
 
     return wrap if cls is None else wrap(cls)

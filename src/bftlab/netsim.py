@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from . import fab, zyzzyva
 from .core import (
@@ -163,7 +163,8 @@ class PoolEntry:
     rank: int
     status: str = "pending"
 
-    def describe(self) -> dict:
+    @cached_property
+    def description(self) -> dict:  # built at send, shared with the deliver record
         return {
             "mid": self.mid,
             "type": self.msg.kind,
@@ -440,7 +441,7 @@ class Simulation:
         self.ordinals[key] = ordinal + 1
         entry = PoolEntry(len(self.pool) + 1, src, dst, msg, ordinal, rank)
         self.pool.append(entry)
-        rec["emitted"].append(entry.describe())
+        rec["emitted"].append(entry.description)
         decides = self.proto.decision_group(msg, self.cfg)
         if decides is not None:  # count the send toward its decision group
             group, track, quorum = decides
@@ -556,7 +557,7 @@ class Simulation:
         msg, dst = entry.msg, entry.dst
         if not msg.verify():
             raise SimError(f"delivered message fails token verification: {msg.kind}")
-        rec = self._record("deliver", dst, mid=entry.mid, msg=entry.describe())
+        rec = self._record("deliver", dst, mid=entry.mid, msg=entry.description)
         self.node_rank[dst] = max(self.node_rank.get(dst, 0), entry.rank)
         self.delivered_rank[(str(dst), msg)] = entry.rank
         if dst in self.byzantine:

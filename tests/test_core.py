@@ -167,7 +167,11 @@ def _immutable_samples() -> dict:
 @pytest.mark.parametrize("name", IMMUTABLE_TYPES)
 def test_memoized_results_stay_out_of_repr_eq_and_hash(name):
     sample = _immutable_samples()[name]
+    repr(sample)  # the sample's repr is cached; its replaced twins start without it
     value, twin = replace(sample), replace(sample)  # equal, with empty caches
+    plain = type(value).__repr__.__wrapped__  # the plain dataclass repr
+    assert getattr(value, "_repr", None) is None and getattr(twin, "_repr", None) is None
+    assert repr(value) == plain(value)  # computed: the cache was empty
     before = (repr(value), value == twin, hash(twin))
     for method in ("canon", "payload", "verify"):
         if hasattr(value, method):
@@ -175,6 +179,7 @@ def test_memoized_results_stay_out_of_repr_eq_and_hash(name):
     hash(value)
     assert (repr(value), value == twin, hash(value)) == before
     assert twin == value and value == sample and repr(value) == repr(sample)
+    assert value._repr == repr(value) == plain(value)  # served from the filled cache
 
 
 def test_values_are_equal_exactly_when_their_canonical_bytes_are():

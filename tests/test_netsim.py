@@ -1,10 +1,11 @@
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from bftlab import fab, zyzzyva
+from bftlab import core, explorer, fab, zyzzyva
 from bftlab.checkers import check_trace, read_trace, run_checkers
 from bftlab.core import ZYZZYVA, log_ops, replica
 from bftlab.explorer import ExploreConfig, _kernel_for, explore
@@ -314,6 +315,33 @@ def _schedules():
     for seed in range(20):
         for cfg in _WALK_CONFIGS.values():
             yield _walk_scenario(cfg, seed)
+
+
+def test_memoized_repr_changes_no_trace_byte(monkeypatch):
+    # state digests hash repr: with every repr computed afresh on each call,
+    # the built-ins and the first three seeds of each protocol's benign
+    # schedules write the same traces
+    schedules = list(itertools.islice(_schedules(), len(BUILTIN_NAMES) + 3 * 3))
+    memoized = [run_scenario(sc).to_jsonl() for sc in schedules]
+    classes = {obj for mod in (core, zyzzyva, fab, explorer) for obj in vars(mod).values()
+               if isinstance(obj, type) and "_repr" in getattr(obj, "__slots__", ())}
+    names = {cls.__name__ for cls in classes}
+    assert {"QuorumConfig", "ReplicaState", "ClientState", "FabReplicaState"} <= names
+    for cls in classes:
+        monkeypatch.setattr(cls, "__repr__", cls.__repr__.__wrapped__)
+    assert [run_scenario(sc).to_jsonl() for sc in schedules] == memoized
+
+
+def test_a_delivery_records_the_description_its_send_emitted():
+    for name in BUILTIN_NAMES:
+        emitted, delivered = {}, 0
+        for rec in run_scenario(get_builtin(name)).records:
+            if rec["kind"] == "deliver":
+                assert rec["msg"] is emitted[rec["mid"]], (name, rec["seq"])
+                delivered += 1
+            for desc in rec.get("emitted") or []:
+                emitted[desc["mid"]] = desc
+        assert delivered, name
 
 
 def test_every_trace_the_simulator_writes_has_the_shape_the_trace_reader_checks():
