@@ -22,7 +22,7 @@ store, a set of values; messages addressed to Byzantine nodes deliver
 immediately into it. Commits are decision groups: `core.tally` counts each
 sent message's (group, sender) mark, as the simulator does, and a group
 whose quorum fills joins the state's commits.
-The search starts from the simulator's initial replicas and clients. Each
+The search starts from the simulator's initial node table. Each
 protocol transition and adversary action is computed once per search, its
 sends kept in routed form (message and decision group), and looked up by
 its interned inputs afterwards; each distinct message's decision group is
@@ -100,6 +100,8 @@ def validate_config(cfg: ExploreConfig) -> ExploreConfig:
     other = "values" if cfg.protocol == ZYZZYVA else "requests"
     if getattr(cfg, other):
         raise ExplorerError(f"{cfg.protocol} exploration takes no {other}")
+    if cfg.protocol != ZYZZYVA and "inject_stored" in cfg.menu:
+        raise ExplorerError(f"{cfg.protocol} exploration takes no inject_stored")
     for name in ("requests", "values"):
         items = getattr(cfg, name)
         if len(set(items)) != len(items):
@@ -140,8 +142,7 @@ class KMsg:
 
 @immutable
 class KState:
-    replicas: tuple
-    clients: tuple = ()
+    nodes: tuple  # replicas by index (None at the Byzantine one), then clients
     pool: tuple = ()
     view: int = 1
     slots: tuple = ()  # (kind, view) of the adversary actions already chosen
@@ -245,15 +246,15 @@ class _Kernel:
 
     # shared mechanics ------------------------------------------------------------
     def initial(self, sim: Simulation | None = None) -> KState:
-        """The root state: the replicas and clients of sim, or of a fresh
-        simulation of the export skeleton, with each client's request sent to
-        the view-1 leader. With sim, every later directive is exported to it."""
+        """The root state: the nodes of sim, or of a fresh simulation of the
+        export skeleton, with each client's request sent to the view-1
+        leader. With sim, every later directive is exported to it."""
         self.sim = sim
         world = sim or Simulation(_skeleton(self.cfg))
         w = _Draft(_BLANK)
-        w.replicas, w.clients = tuple(world.replicas.values()), tuple(world.clients.values())
+        w.nodes = tuple(None if n == self.byz else st for n, st in world.nodes.items())
         lead = leader_of(1, self.qc.n)
-        for cl in w.clients:
+        for cl in w.nodes[self.qc.n:]:
             self.export("client_request", client=cl.cid.index, to=str(lead))
             self.route(w, self.routed(cl.cid, ((lead, cl.request),)))
         return self.normalize(w)
@@ -292,10 +293,10 @@ class _Kernel:
     def run(self, w: _Draft, node: NodeId, hook, *args) -> None:
         """Run hook at node with *args: store the node's new state, route the
         sends."""
-        name, i = ("clients", node.index - 1) if node.kind == "c" else ("replicas", node.index)
-        nodes = list(getattr(w, name))
+        i = node.index if node.kind == "r" else self.qc.n + node.index - 1
+        nodes = list(w.nodes)
         nodes[i], sends = self.transition(node, hook, nodes[i], *args)
-        setattr(w, name, tuple(nodes))
+        w.nodes = tuple(nodes)
         self.route(w, sends)
 
     def act(self, w: _Draft, action: dict) -> None:
@@ -360,9 +361,9 @@ class _Kernel:
         return False
 
     def eligible_timeouts(self, st: KState) -> list:
-        """The clients (Zyzzyva clients, in every protocol) whose timeout sends
-        something; a client that timed out holds a commit certificate."""
-        return [cs.cid for cs in st.clients
+        """The clients whose timeout sends something; a client that timed out
+        holds a commit certificate."""
+        return [cs.cid for cs in st.nodes[self.qc.n:]
                 if cs.cert is None and self.transition(cs.cid, zyzzyva.on_timeout, cs)[1]]
 
     def choices(self, st: KState) -> list:
@@ -480,7 +481,7 @@ class FabKernel(_Kernel):
         lead = leader_of(st.view, self.qc.n)
         if lead == self.byz:
             return True
-        return st.view in st.replicas[lead.index].chosen_done
+        return st.view in st.nodes[lead.index].chosen_done
 
     def slot_choices(self, st):
         view, lead = st.view, leader_of(st.view, self.qc.n)
@@ -500,7 +501,7 @@ class FabKernel(_Kernel):
 
     def violated(self, st):
         # on_rep sets stuck_view in the transition that reports the stuck view
-        return any(r is not None and r.stuck_view is not None for r in st.replicas)
+        return any(r is not None and r.stuck_view is not None for r in st.nodes)
 
 
 def _kernel_for(cfg: ExploreConfig) -> _Kernel:

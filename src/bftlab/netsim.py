@@ -2,25 +2,27 @@
 
 Every run is driven entirely by an ordered directive list: message delivery,
 drops and delays, client timeouts, view-change signals, and Byzantine
-actions. The scheduler owns all node state machines, keeps an append-only
-trace of every step, and records commits omnisciently the moment a quorum of
-sent messages exists. Re-running a scenario reproduces the trace byte for
-byte.
+actions. The scheduler keeps one node table (`nodes`), applies each event at
+a node as a transition (state', sends, notes), a Byzantine replica's too,
+keeps an append-only trace of every step, and records commits omnisciently
+the moment a quorum of sent messages exists. Re-running a scenario
+reproduces the trace byte for byte.
 
 The simulator and the explorer's kernels are two drivers of one rulebook.
 The protocol modules own delivery dispatch (`step`) and decision groups
 (`decision_group`); `core.tally` counts a sent message's (group, sender)
 mark for both, and the simulator renders each completed group as commit
 records. This module owns the adversary: `artifacts` is what a Byzantine
-node learns from a message it receives, told apart by value, so
-both drivers keep a node's store as a set of artifacts; `adversary_sends`
-builds the signed messages of a scenario-JSON adversary action. The explorer
-emits its adversary moves as those actions, and exports a found run by
-executing its directives on a `Simulation` in lockstep with the search
-(`run_step`, `pattern`). Message ids and per-(type, src, dst) ordinals are
-therefore assigned here and nowhere else. Each protocol's directives, match
-patterns and adversary actions included, have their shapes here; a
-scenario's script is checked against its protocol's when it is read.
+node learns from a message it receives, read off its fields and told apart
+by value, so both drivers keep a node's store as a set of artifacts;
+`adversary_sends` builds the signed messages of a scenario-JSON adversary
+action. The explorer emits its adversary moves as those actions, and
+exports a found run by executing its directives on a `Simulation` in
+lockstep with the search (`run_step`, `pattern`). Message ids and
+per-(type, src, dst) ordinals are therefore assigned here and nowhere else.
+Each protocol's directives, match patterns and adversary actions included,
+have their shapes here; a scenario's script is checked against its
+protocol's when it is read.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .core import (
     NodeId,
     Obj,
     OneOf,
+    client,
     digest,
     exec_result,
     is_null,
@@ -236,28 +239,13 @@ def find_artifacts(items, kind: str, /, **fields) -> list:
 
 
 def _components(obj):
-    kind = getattr(obj, "kind", None)
-    if kind in ("order_req", "spec_response"):
-        return [e for e in obj.log if not is_null(e)]
-    if kind == "commit_certificate":
-        return list(obj.responses)
-    if kind == "commit_request":
-        return [obj.cert]
-    if kind == "view_change":
-        return ([] if obj.cert is None else [obj.cert]) + [e for e in obj.log if not is_null(e)]
-    if kind == "new_view":
-        return list(obj.proof) + [e for e in obj.log if not is_null(e)]
-    if kind == "propose":
-        return [] if obj.pc is None else [obj.pc]
-    if kind == "commit_proof":
-        return list(obj.accepted)
-    if kind == "commit_proof_msg":
-        return [obj.proof]
-    if kind == "rep":
-        return [] if obj.last_commit_proof is None else [obj.last_commit_proof]
-    if kind == "progress_certificate":
-        return list(obj.reps)
-    return []
+    """The artifacts among obj's fields and the entries of its tuple fields,
+    in field order: the values whose class declares a string `kind`."""
+    for name in getattr(obj, "__match_args__", ()):
+        value = getattr(obj, name)
+        for v in value if type(value) is tuple else (value,):
+            if isinstance(getattr(type(v), "kind", None), str):
+                yield v
 
 
 # --- adversary actions ----------------------------------------------------------
@@ -376,7 +364,6 @@ class Simulation:
         self.pool: list[PoolEntry] = []  # every send, in send order: mid i at i - 1
         self.ordinals: dict[tuple, int] = {}
         self.proto = zyzzyva if scenario.protocol == ZYZZYVA else fab
-        self.stores: dict[NodeId, dict] = {b: {} for b in self.byzantine}
         self.node_rank: dict[NodeId, int] = {}
         self.delivered_rank: dict[tuple, int] = {}
         # incremental decision accounting, as in the explorer: the
@@ -385,22 +372,22 @@ class Simulation:
         self.sent_tab: frozenset = frozenset()
         self.ripe: list = []
 
-        self.replicas: dict[NodeId, object] = {}
+        # each node's state; a Byzantine replica's is its store, in first-seen order
+        self.nodes: dict[NodeId, object] = {}
         for i in range(self.cfg.n):
             rid = replica(i)
             if rid in self.byzantine:
-                self.replicas[rid] = None
+                self.nodes[rid] = {}
             elif scenario.protocol == ZYZZYVA:
-                self.replicas[rid] = zyzzyva.ReplicaState(rid, self.cfg)
+                self.nodes[rid] = zyzzyva.ReplicaState(rid, self.cfg)
             else:
                 value = scenario.inputs.get(str(rid))
-                self.replicas[rid] = fab.FabReplicaState(
+                self.nodes[rid] = fab.FabReplicaState(
                     rid, self.cfg, input_value=None if value is None else value.encode()
                 )
-        self.clients: dict[NodeId, zyzzyva.ClientState] = {}
         for spec in scenario.clients:
-            cid = NodeId("c", spec["id"])
-            self.clients[cid] = zyzzyva.make_client(cid, self.cfg, spec["op"].encode())
+            cid = client(spec["id"])
+            self.nodes[cid] = zyzzyva.make_client(cid, self.cfg, spec["op"].encode())
 
         self.trace.records.append(
             {
@@ -413,7 +400,7 @@ class Simulation:
                 "n": self.cfg.n,
                 "byzantine": sorted(str(b) for b in self.byzantine),
                 "nodes": [str(replica(i)) for i in range(self.cfg.n)]
-                + sorted(str(c) for c in self.clients),
+                + sorted(str(c) for c in self.nodes if c.kind == "c"),
             }
         )
 
@@ -428,13 +415,13 @@ class Simulation:
         return rec
 
     def _state_digest(self, node: NodeId) -> str:
+        st = self.nodes[node]
         if node in self.byzantine:
-            return digest(b"".join(o.canon() for o in self.stores[node]))[:12]
-        st = self.clients[node] if node.kind == "c" else self.replicas[node]
+            return digest(b"".join(o.canon() for o in st))[:12]
         return digest(repr(st).encode())[:12]
 
     def _send(self, rec: dict, src: NodeId, dst: NodeId, msg, rank: int):
-        if dst not in self.replicas and dst not in self.clients:
+        if dst not in self.nodes:
             raise SimError(f"no node {dst} in this scenario")
         key = (msg.kind, str(src), str(dst))
         ordinal = self.ordinals.get(key, 0)
@@ -453,10 +440,7 @@ class Simulation:
     def _apply(self, rec: dict, node: NodeId, result):
         """Commit a transition result: new state, sends, notes."""
         state, sends, notes = result
-        if node.kind == "c":
-            self.clients[node] = state
-        else:
-            self.replicas[node] = state
+        self.nodes[node] = state
         rank = self.node_rank.get(node, 0) + 1
         for dst, msg in sends:
             self._send(rec, node, dst, msg, rank)
@@ -540,10 +524,10 @@ class Simulation:
     # -- event primitives -----------------------------------------------------------
 
     def client_request(self, cid: NodeId, to: NodeId):
-        if cid not in self.clients:
+        if cid not in self.nodes:
             raise SimError(f"unknown client {cid}")
         rec = self._record("client_request", cid, to=str(to))
-        self._apply(rec, cid, zyzzyva.send_request(self.clients[cid], to))
+        self._apply(rec, cid, zyzzyva.send_request(self.nodes[cid], to))
 
     def deliver(self, pattern: dict):
         matches = self._matching(pattern)
@@ -560,15 +544,11 @@ class Simulation:
         rec = self._record("deliver", dst, mid=entry.mid, msg=entry.description)
         self.node_rank[dst] = max(self.node_rank.get(dst, 0), entry.rank)
         self.delivered_rank[(str(dst), msg)] = entry.rank
-        if dst in self.byzantine:
-            store = self.stores[dst]
-            store.update(dict.fromkeys(artifacts(msg, store)))
-            rec["state"] = self._state_digest(dst)
-            return
-        if dst.kind == "c":  # clients are Zyzzyva clients in every protocol
-            result = zyzzyva.step(self.clients[dst], msg)
+        st = self.nodes[dst]
+        if dst in self.byzantine:  # a Byzantine replica learns the message's artifacts
+            result = st | dict.fromkeys(artifacts(msg, st)), (), ()
         else:
-            result = self.proto.step(self.replicas[dst], msg)
+            result = self.proto.step(st, msg)
         if result is None:
             raise SimError(f"{dst} cannot handle {msg.kind}")
         self._apply(rec, dst, result)
@@ -590,16 +570,15 @@ class Simulation:
         self._record("delay", None, mids=mids)
 
     def timeout(self, node: NodeId):
-        if node.kind != "c" or node not in self.clients:
+        if node.kind != "c" or node not in self.nodes:
             raise SimError(f"timeout target must be a client, got {node}")
         rec = self._record("timeout", node)
-        self._apply(rec, node, zyzzyva.on_timeout(self.clients[node]))
+        self._apply(rec, node, zyzzyva.on_timeout(self.nodes[node]))
 
     def _correct_replica(self, node: NodeId, what: str):
-        st = self.replicas.get(node)  # None for a Byzantine replica
-        if st is None:
+        if node.kind != "r" or node not in self.nodes or node in self.byzantine:
             raise SimError(f"{what} target correct replicas, not {node}")
-        return st
+        return self.nodes[node]
 
     def view_change(self, view: int, nodes):
         for node in nodes:
@@ -618,11 +597,8 @@ class Simulation:
         if actor not in self.byzantine:
             raise SimError(f"adversary actor {actor} is not Byzantine")
         rec = self._record("adversary", actor, action=action["kind"])
-        rank = self.node_rank.get(actor, 0) + 1
-        for dst, msg in adversary_sends(actor, action, self.stores[actor]):
-            self._send(rec, actor, dst, msg, rank)
-        self._scan_quorums(rec)
-        rec["state"] = self._state_digest(actor)
+        store = self.nodes[actor]
+        self._apply(rec, actor, (store, adversary_sends(actor, action, store), ()))
 
     # -- script execution --------------------------------------------------------------
 
@@ -651,7 +627,7 @@ class Simulation:
     def _step(self, step: dict):
         do = step["do"]
         if do == "client_request":
-            self.client_request(NodeId("c", step["client"]), _node(step["to"]))
+            self.client_request(client(step["client"]), _node(step["to"]))
         elif do == "deliver":
             self.deliver(step["match"])
         elif do == "drop":

@@ -313,6 +313,29 @@ def _order_req_script(view):
      "error: scenario: script[1].action is an unknown zyzzyva action 'withhold'\n"),
     (dict(_ZYZZYVA, script=[{"do": "timeout", "node": "r1"}]),
      "directive 0 'timeout': timeout target must be a client, got r1"),
+    # each directive that targets a node checks its kind in the one node table
+    (dict(_ZYZZYVA, script=[{"do": "view_change", "view": 2, "nodes": ["c1"]}]),
+     "directive 0 'view_change': view-change signals target correct replicas, not c1"),
+    (dict(_ZYZZYVA, script=[{"do": "view_change", "view": 2, "nodes": ["r9"]}]),
+     "directive 0 'view_change': view-change signals target correct replicas, not r9"),
+    (dict(_PFAB, script=[{"do": "propose", "node": "r9"}]),
+     "directive 0 'propose': propose directives target correct replicas, not r9"),
+    (dict(_PFAB, script=[{"do": "propose", "node": "r0"}]),
+     "directive 0 'propose': propose directives target correct replicas, not r0"),
+    (dict(_PFAB, script=[{"do": "propose", "node": "c1"}]),
+     "directive 0 'propose': propose directives target correct replicas, not c1"),
+    (dict(_ZYZZYVA, script=[{"do": "client_request", "client": 2, "to": "r0"}]),
+     "directive 0 'client_request': unknown client c2"),
+    (dict(_ZYZZYVA, script=[{"do": "client_request", "client": 1, "to": "r9"}]),
+     "directive 0 'client_request': no node r9 in this scenario"),
+    (dict(_ZYZZYVA, script=[{"do": "timeout", "node": "c2"}]),
+     "directive 0 'timeout': timeout target must be a client, got c2"),
+    (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 0, "action": {
+        "kind": "view_change", "view": 2, "log": [], "to": "c9"}}]),
+     "directive 0 'adversary': no node c9 in this scenario"),
+    (dict(_ZYZZYVA, script=[{"do": "adversary", "actor": 1, "action": {
+        "kind": "view_change", "view": 2, "log": [], "to": "r2"}}]),
+     "directive 0 'adversary': adversary actor r1 is not Byzantine"),
 ], ids=["client-without-op", "client-not-an-object", "expected-not-an-object",
         "inputs-not-an-object", "top-level-array", "client-id-as-string",
         "actor-as-string", "nodes-as-string", "action-view-as-string", "action-view-as-list",
@@ -333,7 +356,10 @@ def _order_req_script(view):
         "duplicate-client-ids", "unknown-expected-status", "pfab-t-above-f", "f-zero",
         "propose-in-zyzzyva", "propose-in-zyzzyva-after-a-failing-deliver",
         "client-request-in-pfab-after-a-failing-view-change", "withhold-action",
-        "timeout-at-a-replica"])
+        "timeout-at-a-replica", "view-change-at-c1", "view-change-at-r9", "propose-at-r9",
+        "propose-at-the-byzantine-r0", "propose-at-c1", "request-by-an-unknown-client",
+        "request-to-r9-says-so", "timeout-at-an-unknown-client", "adversary-send-to-c9",
+        "adversary-actor-not-byzantine"])
 def test_malformed_scenario_shapes_exit_one(capsys, tmp_path, scenario, says):
     assert says in _assert_one_error_line(capsys, tmp_path, scenario)
 
@@ -583,13 +609,18 @@ _PFAB_STUCK = {"protocol": "pfab", "f": 1, "t": 0, "byzantine": [0], "max_views"
      "pfab exploration takes no requests"),
     ({"protocol": "zyzzyva", "requests": ["a"], "values": ["A"]},
      "zyzzyva exploration takes no values"),
+    (dict(_PFAB_STUCK, menu=["equivocate", "inject_stored"]),
+     "pfab exploration takes no inject_stored"),
+    ({"protocol": "fab5", "values": ["A"], "menu": ["inject_stored"]},
+     "fab5 exploration takes no inject_stored"),
     ({"values": ["A", "B"]}, "explore config is missing fields ['protocol']"),
     ({"protocol": "zyzzyva", "requests": ["\ud800"]},
      "invalid string '\\ud800': surrogates not allowed"),
 ], ids=["byzantine-out-of-range", "byzantine-as-string", "request-as-integer",
         "duplicate-requests", "value-as-integer", "target", "values-as-string",
         "dedup-as-integer", "max-views-as-string", "top-level-array", "pfab-with-requests",
-        "zyzzyva-with-values", "without-protocol", "request-a-lone-surrogate"])
+        "zyzzyva-with-values", "pfab-with-inject-stored", "fab5-with-inject-stored",
+        "without-protocol", "request-a-lone-surrogate"])
 def test_malformed_explore_configs_exit_one(capsys, tmp_path, config, says):
     assert says in _assert_one_error_line(capsys, tmp_path, config, ("explore", "--explore-config"))
 

@@ -149,9 +149,10 @@ def _immutable_samples() -> dict:
                 if f.init:
                     visit(getattr(obj, f.name))
 
-    menu = ("equivocate", "withhold", "inject_stored")
+    menu = ("equivocate", "withhold")
     for cfg in (ExploreConfig(protocol="pfab", values=("A", "B"), menu=menu),
-                ExploreConfig(protocol="zyzzyva", requests=("a", "b"), byzantine=(3,), menu=menu)):
+                ExploreConfig(protocol="zyzzyva", requests=("a", "b"), byzantine=(3,),
+                              menu=(*menu, "inject_stored"))):
         kernel, rng = _kernel_for(cfg), random.Random(1)
         for _ in range(5):
             state = kernel.initial(None)

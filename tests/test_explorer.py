@@ -163,7 +163,7 @@ def test_one_search_shares_one_instance_per_sent_value():
 
 def test_intern_table_belongs_to_its_kernel():
     first, second = _kernel_for(PFAB_SMALL), _kernel_for(PFAB_SMALL)
-    value = first.initial(None).replicas[1]
+    value = first.initial(None).nodes[1]
     copy = replace(value)
     assert first.intern(value) is value and first.intern(copy) is value
     assert second.intern(copy) is copy

@@ -15,6 +15,7 @@ from bftlab.netsim import (
     SimError,
     Simulation,
     adversary_sends,
+    artifacts,
     run_scenario,
 )
 from bftlab.scenarios import BUILTIN_NAMES, Scenario, ScenarioError, get_builtin, validate
@@ -95,6 +96,47 @@ def test_view_change_signal_rejects_byzantine_targets():
     sc = _bare(byzantine=[0], script=[{"do": "view_change", "view": 2, "nodes": ["r0"]}])
     with pytest.raises(SimError, match="correct replicas"):
         run_scenario(sc)
+
+
+def _pooled(name: str, mid: int):
+    """The message sent as `mid` in the run of the built-in `name`."""
+    sim = Simulation(get_builtin(name))
+    sim.run_script()
+    return sim.pool[mid - 1].msg
+
+
+def test_artifacts_of_each_kind_in_first_seen_order():
+    # a Byzantine replica learns a message, then, depth first, each value its
+    # fields and tuple fields hold whose class declares a kind, once each; the
+    # simulator's state digest hashes a store in this order
+    order = _pooled("zyzzyva-benign-fast", 2)
+    (a,) = order.log
+    assert artifacts(order) == [order, a]
+    spec = _pooled("zyzzyva-benign-fast", 6)
+    assert artifacts(spec) == [spec, a]
+    commit = _pooled("zyzzyva-benign-two-phase", 9)
+    cert = commit.cert
+    assert artifacts(commit) == [commit, cert, a, *cert.responses]
+    vc = _pooled("zyzzyva-cc-priority", 29)  # log [b], certificate of view 1's [a]
+    (b,) = vc.log
+    assert vc.cert.log == (a,)
+    assert artifacts(vc) == [vc, b, vc.cert, a, *vc.cert.responses]
+    nv = _pooled("zyzzyva-cc-priority", 18)  # three view-change logs: [a], [b], [b]
+    r1, r3, r0 = nv.proof
+    assert (r1.log, r3.log, r0.log, nv.log) == ((a,), (b,), (b,), (b,))
+    assert artifacts(nv) == [nv, r1, a, r3, b, r0]
+    proof_msg = _pooled("pfab-benign", 21)
+    proof = proof_msg.proof
+    assert artifacts(proof_msg) == [proof_msg, proof, *proof.accepted]
+    rep = _pooled("pfab-stuck", 21)  # r1's REP to itself, with its commit proof
+    cp = rep.last_commit_proof
+    assert artifacts(rep) == [rep, cp, *cp.accepted]
+    # no built-in run proposes in view 2, so r1 proposes over the REPs it was
+    # delivered in pfab-stuck, where it got stuck instead
+    reps = (rep, _pooled("pfab-stuck", 23), _pooled("pfab-stuck", 24))
+    pc = fab.ProgressCertificate(2, reps)
+    propose = core.signed(fab.Propose(2, b"A", pc, None), replica(1))
+    assert artifacts(propose) == [propose, pc, rep, cp, *cp.accepted, *reps[1:]]
 
 
 def test_ordinals_distinguish_repeated_sends():
@@ -291,14 +333,15 @@ def _walk_scenario(cfg, seed):
     return validate(sim.scenario)
 
 
-_WALK_MENU = ("equivocate", "withhold", "inject_stored")
+_FAB_MENU = ("equivocate", "withhold")  # FaB searches take no inject_stored
+_ZYZZYVA_MENU = (*_FAB_MENU, "inject_stored")
 _WALK_CONFIGS = {
-    "zyzzyva": ExploreConfig(protocol="zyzzyva", requests=("a", "b"), menu=_WALK_MENU,
+    "zyzzyva": ExploreConfig(protocol="zyzzyva", requests=("a", "b"), menu=_ZYZZYVA_MENU,
                              max_views=3),
-    "pfab": ExploreConfig(protocol="pfab", values=("A", "B"), menu=_WALK_MENU),
-    "fab5": ExploreConfig(protocol="fab5", values=("A", "B"), menu=_WALK_MENU),
+    "pfab": ExploreConfig(protocol="pfab", values=("A", "B"), menu=_FAB_MENU),
+    "fab5": ExploreConfig(protocol="fab5", values=("A", "B"), menu=_FAB_MENU),
     "zyzzyva-three-requests": ExploreConfig(protocol="zyzzyva", requests=("a", "b", "c"),
-                                            menu=_WALK_MENU, max_views=3),
+                                            menu=_ZYZZYVA_MENU, max_views=3),
 }
 
 
@@ -385,22 +428,21 @@ def _kernel_commits(protocol, state):
 
 def _kernel_stuck(state):
     """Has a correct FaB replica of the kernel state reported a stuck view?"""
-    return any(getattr(r, "stuck_view", None) is not None for r in state.replicas)
+    return any(getattr(r, "stuck_view", None) is not None for r in state.nodes)
 
 
 def _assert_kernel_matches_simulator(cfg, state, sim):
     """The kernel's commits and stuck views are exactly what the lockstep
-    simulation's trace has recorded so far, and its sent marks, replicas,
-    clients and Byzantine store hold what the simulation's do."""
+    simulation's trace has recorded so far, and its sent marks and nodes,
+    the Byzantine replica's store in place of its None, hold what the
+    simulation's do."""
     records = sim.trace.records
     assert state.sent_tab == sim.sent_tab, len(records)
     assert _kernel_commits(cfg.protocol, state) == _commits_so_far(cfg.protocol, records), \
         len(records)
     assert _kernel_stuck(state) == any(r.get("stuck") for r in records), len(records)
-    assert state.replicas == tuple(sim.replicas.values()), len(records)
-    assert state.clients == tuple(sim.clients.values()), len(records)
-    (store,) = sim.stores.values()
-    assert state.store == set(store), len(records)
+    assert [state.store if st is None else st for st in state.nodes] == [
+        set(st) if n in sim.byzantine else st for n, st in sim.nodes.items()], len(records)
 
 
 @pytest.mark.parametrize("name", _WALK_CONFIGS)
@@ -462,7 +504,7 @@ def test_the_adversary_echoes_each_correct_client_bound_response_once(name):
 
 def test_kernel_and_simulator_agree_along_a_found_stuck_run():
     # the seeded walks never get stuck; the explorer's PFaB counterexample does
-    cfg = replace(_WALK_CONFIGS["pfab"], menu=("equivocate", "withhold"))
+    cfg = _WALK_CONFIGS["pfab"]
     stuck = []
     for _, state, sim in _explorer_walk(cfg, None, path=explore(cfg).counterexample.choices):
         _assert_kernel_matches_simulator(cfg, state, sim)
