@@ -25,8 +25,12 @@ whose quorum fills joins the state's commits.
 The search starts from the simulator's initial node table. Each
 protocol transition and adversary action is computed once per search, its
 sends kept in routed form (message and decision group), and looked up by
-its interned inputs afterwards; each distinct message's decision group is
-computed once.
+its interned inputs afterwards; a supportive echo is looked up by its
+content (store, kind, view, log, destination), so its action is built only
+on a miss or for the export. Each distinct message's decision group and
+artifact list are computed once, and so is each tally of a message against
+a set of sent marks. Every store is closed under its artifacts' components,
+so a store that holds a message already holds everything it carries.
 A found run is exported by taking its choices again with a `Simulation`
 attached, which executes each directive as the kernel takes it: message ids
 and ordinals are the simulator's alone, and its trace is the run's trace.
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import time
 from dataclasses import dataclass
 
@@ -151,6 +156,9 @@ class KState:
     commits: tuple = ()  # the completed decision groups, in completion order
 
 
+_fields = operator.attrgetter(*KState.__match_args__)  # of a KState or a draft, in order
+
+
 class _Draft:
     """A state under construction: KState's fields, each assignable.
 
@@ -162,11 +170,11 @@ class _Draft:
     __slots__ = KState.__match_args__
 
     def __init__(self, st: KState):
-        for name in self.__slots__:
-            setattr(self, name, getattr(st, name))
+        (self.nodes, self.pool, self.view, self.slots, self.store, self.sent_tab,
+         self.commits) = _fields(st)
 
     def freeze(self) -> KState:
-        return KState(*[getattr(self, name) for name in self.__slots__])
+        return KState(*_fields(self))
 
 
 _BLANK = KState(())  # every field at its default: the draft of a root state
@@ -187,8 +195,12 @@ class _Kernel:
         self.correct = tuple(replica(i) for i in range(self.qc.n) if replica(i) != self.byz)
         self._interned: dict = {}
         self._transitions: dict = {}  # (hook, state, *args) -> (state', routed sends)
-        self._sends: dict = {}  # (store, action JSON) -> routed adversary sends, or None
+        # (store, action JSON, or an echo's (kind, view, log, destination))
+        # -> routed adversary sends, or None
+        self._sends: dict = {}
         self._groups: dict = {}  # interned message -> its decision group, or None
+        self._artifacts: dict = {}  # interned message -> tuple(artifacts(message))
+        self._tallies: dict = {}  # (sent marks, interned message) -> core.tally's result
         self.reused = 0  # transitions answered from the table
         self.sim: Simulation | None = None  # the export target, set by initial
 
@@ -260,9 +272,17 @@ class _Kernel:
         return self.normalize(w)
 
     def _store_add(self, w: _Draft, msg) -> None:
-        new = artifacts(msg, w.store)
-        if new:
-            w.store = w.store.union(new)
+        """Add what the Byzantine replica learns from msg to the store.
+
+        Every store is closed under `netsim._components`: it grows only by a
+        message's whole artifact list, computed once per message. A store
+        that holds msg therefore holds all of msg's artifacts already.
+        """
+        if msg not in w.store:
+            learned = self._artifacts.get(msg)
+            if learned is None:
+                learned = self._artifacts[msg] = tuple(artifacts(msg))
+            w.store = w.store.union(learned)
 
     def export(self, do: str, head: KMsg | None = None, **fields):
         """Take directive `do` on the export simulation, if any. A deliver or
@@ -279,10 +299,17 @@ class _Kernel:
         pool it for a correct target or store it at once for a Byzantine one."""
         for sent, decides in sends:
             if decides is not None:
-                group, _, quorum = decides
-                w.sent_tab, done = tally(w.sent_tab, group, sent.msg.replica, quorum)
+                # the message fixes its group and its sender, so a tally is
+                # computed once per marks and message
+                key = (w.sent_tab, sent.msg)
+                counted = self._tallies.get(key)
+                if counted is None:
+                    group, _, quorum = decides
+                    marks, done = tally(w.sent_tab, group, sent.msg.replica, quorum)
+                    counted = self._tallies[key] = (self.intern(marks), done)
+                w.sent_tab, done = counted
                 if done:
-                    w.commits += (group,)
+                    w.commits += (decides[0],)
             if sent.dst == self.byz:
                 self._store_add(w, sent.msg)
                 self.export("deliver", sent)
@@ -299,17 +326,19 @@ class _Kernel:
         w.nodes = tuple(nodes)
         self.route(w, sends)
 
-    def act(self, w: _Draft, action: dict) -> None:
-        """Perform an adversary action; exported as the directive replay runs.
+    def act(self, w: _Draft, key, build) -> None:
+        """Perform the adversary action `build()`; exported as the directive
+        replay runs.
 
         An action naming an artifact the store lacks, or holds twice, sends
-        nothing and is not exported. The sends are built once per distinct
-        store and action.
+        nothing and is not exported. The sends are built once per store and
+        action, which `key` names; `build` runs only on a table miss or for
+        the export.
         """
-        key = (w.store, json.dumps(action, sort_keys=True))
+        key = (w.store, key)
         if key not in self._sends:
             try:
-                sends = adversary_sends(self.byz, action, w.store)
+                sends = adversary_sends(self.byz, build(), w.store)
             except ArtifactError:
                 sends = None
             else:
@@ -317,7 +346,8 @@ class _Kernel:
             self._sends[key] = sends
         sends = self._sends[key]
         if sends is not None:
-            self.export("adversary", actor=self.byz.index, action=action)
+            if self.sim is not None:
+                self.export("adversary", actor=self.byz.index, action=build())
             self.route(w, sends)
 
     def per_replica_sends(self, name: str, options) -> list:
@@ -340,10 +370,9 @@ class _Kernel:
 
     def normalize(self, w: _Draft) -> KState:
         """Deliver the eager messages at the pool's head, then freeze w."""
+        eager = self.eager_kinds(w)  # deliveries leave the view alone
         # self-addressed messages are local and always processed immediately
-        while w.pool and (
-            w.pool[0].msg.kind in self.eager_kinds(w) or w.pool[0].src == w.pool[0].dst
-        ):
+        while w.pool and (w.pool[0].msg.kind in eager or w.pool[0].src == w.pool[0].dst):
             self.deliver_head(w)
         # states holding one store, or one set of sent marks, share one set
         w.store, w.sent_tab = self.intern(w.store), self.intern(w.sent_tab)
@@ -402,7 +431,7 @@ class _Kernel:
         else:
             action = choice[1]
             w.slots = tuple(sorted(w.slots + ((action["kind"], action["view"]),)))
-            self.act(w, action)
+            self.act(w, json.dumps(action, sort_keys=True), lambda: action)
         return self.normalize(w)
 
 
@@ -431,8 +460,9 @@ class ZyzzyvaKernel(_Kernel):
             return
         if (decides[0], self.byz) in w.sent_tab:
             return
-        self.act(w, {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
-                     "to": str(sent.dst)})
+        self.act(w, (msg.kind, msg.view, msg.log, sent.dst),
+                 lambda: {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
+                          "to": str(sent.dst)})
 
     def slot_choices(self, st):
         view, lead = st.view, leader_of(st.view, self.qc.n)

@@ -228,15 +228,14 @@ def reconstruct_log(proof, cfg: QuorumConfig) -> Log:
     if certs:
         best = min(certs, key=lambda c: (-len(c.log), -c.view, c.canon()))
         g = best.log
-    counts: dict[bytes, tuple] = {}
-    seen: dict[bytes, int] = {}
+    # logs are equal exactly when their canonical bytes are: count by value,
+    # encode only the supported logs, to order them
+    seen: dict[Log, int] = {}
     for vc in proof:
-        key = log_canon(vc.log)
-        counts[key] = vc.log
-        seen[key] = seen.get(key, 0) + 1
-    supported = sorted(k for k, c in seen.items() if c >= cfg.f + 1)
+        seen[vc.log] = seen.get(vc.log, 0) + 1
+    supported = [log for log, c in seen.items() if c >= cfg.f + 1]
     if supported:
-        tail = counts[supported[0]]
+        tail = min(supported, key=log_canon)
         if len(tail) > len(g):
             g = g + tuple(tail[len(g):])
     longest = max((len(vc.log) for vc in proof), default=0)

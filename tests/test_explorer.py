@@ -6,6 +6,7 @@ import pytest
 from dataclasses import replace
 
 from bftlab.checkers import run_checkers
+from bftlab.core import ZYZZYVA, log_ops, tally
 from bftlab.explorer import (
     ExploreConfig,
     ExplorerError,
@@ -18,7 +19,7 @@ from bftlab.explorer import (
     explore,
     validate_config,
 )
-from bftlab.netsim import ArtifactError, adversary_sends, run_scenario
+from bftlab.netsim import ArtifactError, adversary_sends, artifacts, run_scenario
 from bftlab.scenarios import loads
 
 PFAB_SMALL = ExploreConfig(protocol="pfab", f=1, t=0, values=("A", "B"), max_views=2,
@@ -229,16 +230,57 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
         fresh_ns, fresh_sends, _ = hook(node, *args)
         assert ns == fresh_ns
         assert_routed(sends, getattr(node, "cid", None) or node.rid, fresh_sends)
+    echoes = 0
     for (store, action), sends in kernel._sends.items():
+        if isinstance(action, tuple):
+            # a supportive echo, keyed by content: rebuild the action it sends
+            kind, view, log, dst = action
+            action = {"kind": kind, "view": view, "log": log_ops(log), "to": str(dst)}
+            echoes += 1
+        else:
+            action = json.loads(action)
         try:
-            fresh = adversary_sends(kernel.byz, json.loads(action), store)
+            fresh = adversary_sends(kernel.byz, action, store)
         except ArtifactError:
             assert sends is None
         else:
             assert_routed(sends, kernel.byz, fresh)
+    assert bool(echoes) == (cfg.protocol == ZYZZYVA)
     # the tables hold messages that count toward a decision
     assert groups - {None}
     # each distinct message's decision group is what a fresh call computes
     assert kernel._groups
     for msg, decides in kernel._groups.items():
         assert decides == kernel.proto.decision_group(msg, kernel.qc)
+    # so are each message's artifacts and each tally of a sent message
+    assert kernel._artifacts and kernel._tallies
+    for msg, learned in kernel._artifacts.items():
+        assert learned == tuple(artifacts(msg))
+    for (marks, msg), counted in kernel._tallies.items():
+        group, _, quorum = kernel.proto.decision_group(msg, kernel.qc)
+        assert counted == tally(marks, group, msg.replica, quorum)
+
+
+def _pruned_store_add(kernel, w, msg):
+    """The store update without the artifact table: msg's artifact walk,
+    pruned at every artifact the store already holds, on every call."""
+    new = artifacts(msg, w.store)
+    if new:
+        w.store = w.store.union(new)
+
+
+@pytest.mark.parametrize("cfg", [PFAB_SMALL, ZYZZYVA_SMALL, replace(ZYZZYVA_SMALL, max_views=3)],
+                         ids=["pfab-stuck", "zyzzyva-two-views", "zyzzyva-three-views"])
+def test_artifact_table_changes_work_not_outcomes(monkeypatch, cfg):
+    tabled = explore(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(_Kernel, "_store_add", _pruned_store_add)
+        walked = explore(cfg)
+    tabled.stats.pop("elapsed"), walked.stats.pop("elapsed")
+    assert tabled.stats == walked.stats
+    if cfg.protocol == ZYZZYVA and cfg.max_views == 2:
+        assert tabled.counterexample is None and walked.counterexample is None
+    else:
+        tabled, walked = tabled.counterexample, walked.counterexample
+        assert tabled.scenario.to_json() == walked.scenario.to_json()
+        assert tabled.trace.to_jsonl() == walked.trace.to_jsonl()

@@ -14,6 +14,7 @@ from bftlab.netsim import (
     ArtifactError,
     SimError,
     Simulation,
+    _components,
     adversary_sends,
     artifacts,
     run_scenario,
@@ -451,6 +452,21 @@ def test_kernel_and_simulator_agree_after_every_choice(name):
     for seed in range(20):
         for _, state, sim in _explorer_walk(cfg, seed):
             _assert_kernel_matches_simulator(cfg, state, sim)
+
+
+@pytest.mark.parametrize("name", _WALK_CONFIGS)
+def test_every_kernel_store_is_closed_under_components(name):
+    # the kernel adds a message's whole artifact list to a store, or nothing
+    # when the store holds the list: sound only while every store holds the
+    # components of each artifact it holds
+    cfg, nested = _WALK_CONFIGS[name], 0
+    for seed in range(20):
+        for _, state, _ in _explorer_walk(cfg, seed):
+            for artifact in state.store:
+                for sub in _components(artifact):
+                    assert sub in state.store, seed
+                    nested += 1
+    assert nested
 
 
 @pytest.mark.parametrize("name", _WALK_CONFIGS)

@@ -3,18 +3,22 @@ import itertools
 from hypothesis import given, strategies as st
 
 from bftlab.core import (
+    NULL_REQUEST,
     ZYZZYVA,
     client,
     exec_result,
     is_null,
+    log_canon,
     make_request,
     quorum_config,
     replica,
 )
+from bftlab.explorer import ExploreConfig, _dfs, _kernel_for
 from bftlab.zyzzyva import (
     FAST,
     TWO_PHASE,
     CommitRequest,
+    NewViewMessage,
     OrderReq,
     ReplicaState,
     SpecResponse,
@@ -33,6 +37,7 @@ from bftlab.zyzzyva import (
     on_view_change_signal,
     reconstruct_log,
     signed,
+    valid_cert,
 )
 
 CFG = quorum_config(ZYZZYVA, 1)
@@ -321,11 +326,55 @@ def test_reconstruct_is_deterministic_on_certificate_ties():
     assert len(results) == 1
 
 
+def _reconstruct_by_bytes(proof, cfg):
+    """reconstruct_log with its view-change logs grouped by canonical bytes:
+    the reference for grouping them by value."""
+    g = ()
+    certs = [c for vc in proof if (c := valid_cert(vc, cfg)) is not None]
+    if certs:
+        g = min(certs, key=lambda c: (-len(c.log), -c.view, c.canon())).log
+    counts, seen = {}, {}
+    for vc in proof:
+        key = log_canon(vc.log)
+        counts[key] = vc.log
+        seen[key] = seen.get(key, 0) + 1
+    supported = sorted(k for k, c in seen.items() if c >= cfg.f + 1)
+    if supported:
+        tail = counts[supported[0]]
+        if len(tail) > len(g):
+            g = g + tuple(tail[len(g):])
+    longest = max((len(vc.log) for vc in proof), default=0)
+    if longest > len(g):
+        g = g + (NULL_REQUEST,) * (longest - len(g))
+    return g
+
+
+def test_reconstruct_orders_two_supported_logs_by_canonical_bytes():
+    # 2f+2 view-change messages: two logs with f+1 supporters each, the one
+    # case where the supported logs' order decides
+    msgs = (vc(2, 0, (A,)), vc(2, 1, (B, A)), vc(2, 2, (A,)), vc(2, 3, (B, A)))
+    first = min([(A,), (B, A)], key=log_canon)
+    for proof in itertools.permutations(msgs):
+        assert reconstruct_log(proof, CFG) == _reconstruct_by_bytes(proof, CFG)
+        assert reconstruct_log(proof, CFG)[:len(first)] == first
+
+
+def test_reconstruct_keeps_its_rule_on_every_searched_new_view():
+    cfg = ExploreConfig(protocol=ZYZZYVA, requests=("a", "b"), max_views=3,
+                        menu=("equivocate", "withhold", "inject_stored"))
+    kernel = _kernel_for(cfg)
+    root = kernel.initial(None)
+    assert _dfs(kernel, root, {root}, {"states": 0, "deduped": 0, "max_depth": 0}, cfg)
+    proofs = {args[0].proof for _, _, *args in kernel._transitions
+              if args and isinstance(args[0], NewViewMessage)}
+    assert len(proofs) > 10
+    for proof in proofs:
+        assert reconstruct_log(proof, kernel.qc) == _reconstruct_by_bytes(proof, kernel.qc)
+
+
 # --- new-view adoption ------------------------------------------------------
 
 def _new_view_msg(view, proof, leader, g=None):
-    from bftlab.zyzzyva import NewViewMessage
-
     g = reconstruct_log(proof, CFG) if g is None else g
     return signed(NewViewMessage(view, proof, g, None), replica(leader))
 
