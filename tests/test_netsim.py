@@ -457,8 +457,8 @@ def test_kernel_and_simulator_agree_after_every_choice(name):
 @pytest.mark.parametrize("name", _WALK_CONFIGS)
 def test_every_kernel_store_is_closed_under_components(name):
     # the kernel adds a message's whole artifact list to a store, or nothing
-    # when the store holds the list: sound only while every store holds the
-    # components of each artifact it holds
+    # when the store holds the message: sound only while every store holds
+    # the components of each artifact it holds
     cfg, nested = _WALK_CONFIGS[name], 0
     for seed in range(20):
         for _, state, _ in _explorer_walk(cfg, seed):
