@@ -25,12 +25,10 @@ whose quorum fills joins the state's commits.
 The search starts from the simulator's initial node table. Each
 protocol transition and adversary action is computed once per search, its
 sends kept in routed form (message and decision group), and looked up by
-its interned inputs afterwards; a supportive echo is looked up by its
-content (store, kind, view, log, destination), so its action is built only
-on a miss or for the export. Each distinct message's decision group and
-artifact list are computed once, and so is each tally of a message against
-a set of sent marks. Every store is closed under its artifacts' components,
-so a store that holds a message already holds everything it carries.
+its interned inputs afterwards. Each distinct message's decision group
+and artifact list are computed once, and so is each tally of a message
+against a set of sent marks. Every store is closed under its artifacts'
+components, so a store that holds a message holds everything it carries.
 A found run is exported by taking its choices again with a `Simulation`
 attached, which executes each directive as the kernel takes it: message ids
 and ordinals are the simulator's alone, and its trace is the run's trace.
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import time
 from dataclasses import dataclass
 
@@ -156,9 +153,6 @@ class KState:
     commits: tuple = ()  # the completed decision groups, in completion order
 
 
-_fields = operator.attrgetter(*KState.__match_args__)  # of a KState or a draft, in order
-
-
 class _Draft:
     """A state under construction: KState's fields, each assignable.
 
@@ -170,11 +164,11 @@ class _Draft:
     __slots__ = KState.__match_args__
 
     def __init__(self, st: KState):
-        (self.nodes, self.pool, self.view, self.slots, self.store, self.sent_tab,
-         self.commits) = _fields(st)
+        for name in self.__slots__:
+            setattr(self, name, getattr(st, name))
 
     def freeze(self) -> KState:
-        return KState(*_fields(self))
+        return KState(*[getattr(self, name) for name in self.__slots__])
 
 
 _BLANK = KState(())  # every field at its default: the draft of a root state
@@ -195,9 +189,7 @@ class _Kernel:
         self.correct = tuple(replica(i) for i in range(self.qc.n) if replica(i) != self.byz)
         self._interned: dict = {}
         self._transitions: dict = {}  # (hook, state, *args) -> (state', routed sends)
-        # (store, action JSON, or an echo's (kind, view, log, destination))
-        # -> routed adversary sends, or None
-        self._sends: dict = {}
+        self._sends: dict = {}  # (store, action JSON) -> routed adversary sends, or None
         self._groups: dict = {}  # interned message -> its decision group, or None
         self._artifacts: dict = {}  # interned message -> tuple(artifacts(message))
         self._tallies: dict = {}  # (sent marks, interned message) -> core.tally's result
@@ -326,19 +318,17 @@ class _Kernel:
         w.nodes = tuple(nodes)
         self.route(w, sends)
 
-    def act(self, w: _Draft, key, build) -> None:
-        """Perform the adversary action `build()`; exported as the directive
-        replay runs.
+    def act(self, w: _Draft, action: dict) -> None:
+        """Perform an adversary action; exported as the directive replay runs.
 
         An action naming an artifact the store lacks, or holds twice, sends
-        nothing and is not exported. The sends are built once per store and
-        action, which `key` names; `build` runs only on a table miss or for
-        the export.
+        nothing and is not exported. The sends are built once per distinct
+        store and action.
         """
-        key = (w.store, key)
+        key = (w.store, json.dumps(action, sort_keys=True))
         if key not in self._sends:
             try:
-                sends = adversary_sends(self.byz, build(), w.store)
+                sends = adversary_sends(self.byz, action, w.store)
             except ArtifactError:
                 sends = None
             else:
@@ -346,8 +336,7 @@ class _Kernel:
             self._sends[key] = sends
         sends = self._sends[key]
         if sends is not None:
-            if self.sim is not None:
-                self.export("adversary", actor=self.byz.index, action=build())
+            self.export("adversary", actor=self.byz.index, action=action)
             self.route(w, sends)
 
     def per_replica_sends(self, name: str, options) -> list:
@@ -370,9 +359,10 @@ class _Kernel:
 
     def normalize(self, w: _Draft) -> KState:
         """Deliver the eager messages at the pool's head, then freeze w."""
-        eager = self.eager_kinds(w)  # deliveries leave the view alone
         # self-addressed messages are local and always processed immediately
-        while w.pool and (w.pool[0].msg.kind in eager or w.pool[0].src == w.pool[0].dst):
+        while w.pool and (
+            w.pool[0].msg.kind in self.eager_kinds(w) or w.pool[0].src == w.pool[0].dst
+        ):
             self.deliver_head(w)
         # states holding one store, or one set of sent marks, share one set
         w.store, w.sent_tab = self.intern(w.store), self.intern(w.sent_tab)
@@ -431,7 +421,7 @@ class _Kernel:
         else:
             action = choice[1]
             w.slots = tuple(sorted(w.slots + ((action["kind"], action["view"]),)))
-            self.act(w, json.dumps(action, sort_keys=True), lambda: action)
+            self.act(w, action)
         return self.normalize(w)
 
 
@@ -460,9 +450,8 @@ class ZyzzyvaKernel(_Kernel):
             return
         if (decides[0], self.byz) in w.sent_tab:
             return
-        self.act(w, (msg.kind, msg.view, msg.log, sent.dst),
-                 lambda: {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
-                          "to": str(sent.dst)})
+        self.act(w, {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
+                     "to": str(sent.dst)})
 
     def slot_choices(self, st):
         view, lead = st.view, leader_of(st.view, self.qc.n)

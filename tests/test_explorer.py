@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from bftlab.checkers import run_checkers
-from bftlab.core import ZYZZYVA, log_ops, tally
+from bftlab.core import tally
 from bftlab.explorer import (
     ExploreConfig,
     ExplorerError,
@@ -182,22 +182,34 @@ def _direct_transition(kernel, src, hook, state, *args):
     return ns, kernel.routed(src, sends)
 
 
+def _pruned_store_add(kernel, w, msg):
+    """The store update without the artifact table: msg's artifact walk,
+    pruned at every artifact the store already holds, on every call."""
+    new = artifacts(msg, w.store)
+    if new:
+        w.store = w.store.union(new)
+
+
 def _uncached(cfg, monkeypatch):
+    """explore(cfg) with neither the transition table nor the artifact table."""
     with monkeypatch.context() as m:
         m.setattr(_Kernel, "transition", _direct_transition)
+        m.setattr(_Kernel, "_store_add", _pruned_store_add)
         return explore(cfg)
 
 
 @pytest.mark.parametrize("cfg, counts, directives", [
-    (PFAB_SMALL, (4372, 1502, 16), 38),
-    (ZYZZYVA_SMALL, (15554, 7513, 14), None),
-    (replace(ZYZZYVA_SMALL, max_views=3), (42232, 20493, 19), 61),
+    (PFAB_SMALL, (4372, 1502, 16, 2379, 17491), 38),
+    (ZYZZYVA_SMALL, (15554, 7513, 14, 5790, 32718), None),
+    (replace(ZYZZYVA_SMALL, max_views=3), (42232, 20493, 19, 6952, 107689), 61),
 ], ids=["pfab-stuck", "zyzzyva-two-views", "zyzzyva-three-views"])
-def test_transition_table_changes_work_not_outcomes(monkeypatch, cfg, counts, directives):
-    cached, direct = explore(cfg), _uncached(cfg, monkeypatch)
-    searched = ("states", "deduped", "max_depth", "budget_exhausted", "found")
-    assert [cached.stats[k] for k in searched] == [direct.stats[k] for k in searched]
-    assert (cached.stats["states"], cached.stats["deduped"], cached.stats["max_depth"]) == counts
+def test_transition_table_changes_work_not_outcomes(monkeypatch, searched, cfg, counts,
+                                                   directives):
+    (cached, _), direct = searched(cfg), _uncached(cfg, monkeypatch)
+    outcome = ("states", "deduped", "max_depth", "budget_exhausted", "found")
+    assert [cached.stats[k] for k in outcome] == [direct.stats[k] for k in outcome]
+    counted = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
+    assert tuple(cached.stats[k] for k in counted) == counts
     assert cached.stats["transitions_reused"] > cached.stats["transitions"]
     assert direct.stats["transitions"] == direct.stats["transitions_reused"] == 0
     if directives is None:
@@ -230,22 +242,13 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
         fresh_ns, fresh_sends, _ = hook(node, *args)
         assert ns == fresh_ns
         assert_routed(sends, getattr(node, "cid", None) or node.rid, fresh_sends)
-    echoes = 0
     for (store, action), sends in kernel._sends.items():
-        if isinstance(action, tuple):
-            # a supportive echo, keyed by content: rebuild the action it sends
-            kind, view, log, dst = action
-            action = {"kind": kind, "view": view, "log": log_ops(log), "to": str(dst)}
-            echoes += 1
-        else:
-            action = json.loads(action)
         try:
-            fresh = adversary_sends(kernel.byz, action, store)
+            fresh = adversary_sends(kernel.byz, json.loads(action), store)
         except ArtifactError:
             assert sends is None
         else:
             assert_routed(sends, kernel.byz, fresh)
-    assert bool(echoes) == (cfg.protocol == ZYZZYVA)
     # the tables hold messages that count toward a decision
     assert groups - {None}
     # each distinct message's decision group is what a fresh call computes
@@ -259,28 +262,3 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
     for (marks, msg), counted in kernel._tallies.items():
         group, _, quorum = kernel.proto.decision_group(msg, kernel.qc)
         assert counted == tally(marks, group, msg.replica, quorum)
-
-
-def _pruned_store_add(kernel, w, msg):
-    """The store update without the artifact table: msg's artifact walk,
-    pruned at every artifact the store already holds, on every call."""
-    new = artifacts(msg, w.store)
-    if new:
-        w.store = w.store.union(new)
-
-
-@pytest.mark.parametrize("cfg", [PFAB_SMALL, ZYZZYVA_SMALL, replace(ZYZZYVA_SMALL, max_views=3)],
-                         ids=["pfab-stuck", "zyzzyva-two-views", "zyzzyva-three-views"])
-def test_artifact_table_changes_work_not_outcomes(monkeypatch, cfg):
-    tabled = explore(cfg)
-    with monkeypatch.context() as m:
-        m.setattr(_Kernel, "_store_add", _pruned_store_add)
-        walked = explore(cfg)
-    tabled.stats.pop("elapsed"), walked.stats.pop("elapsed")
-    assert tabled.stats == walked.stats
-    if cfg.protocol == ZYZZYVA and cfg.max_views == 2:
-        assert tabled.counterexample is None and walked.counterexample is None
-    else:
-        tabled, walked = tabled.counterexample, walked.counterexample
-        assert tabled.scenario.to_json() == walked.scenario.to_json()
-        assert tabled.trace.to_jsonl() == walked.trace.to_jsonl()

@@ -13,7 +13,7 @@ from bftlab.core import (
     quorum_config,
     replica,
 )
-from bftlab.explorer import ExploreConfig, _dfs, _kernel_for
+from bftlab.explorer import ExploreConfig
 from bftlab.zyzzyva import (
     FAST,
     TWO_PHASE,
@@ -359,12 +359,10 @@ def test_reconstruct_orders_two_supported_logs_by_canonical_bytes():
         assert reconstruct_log(proof, CFG)[:len(first)] == first
 
 
-def test_reconstruct_keeps_its_rule_on_every_searched_new_view():
-    cfg = ExploreConfig(protocol=ZYZZYVA, requests=("a", "b"), max_views=3,
-                        menu=("equivocate", "withhold", "inject_stored"))
-    kernel = _kernel_for(cfg)
-    root = kernel.initial(None)
-    assert _dfs(kernel, root, {root}, {"states": 0, "deduped": 0, "max_depth": 0}, cfg)
+def test_reconstruct_keeps_its_rule_on_every_searched_new_view(searched):
+    # the 3-view search's transition table, shared with the explorer tests
+    _, kernel = searched(ExploreConfig(protocol=ZYZZYVA, f=1, requests=("a", "b"), max_views=3,
+                                       menu=("equivocate", "withhold", "inject_stored")))
     proofs = {args[0].proof for _, _, *args in kernel._transitions
               if args and isinstance(args[0], NewViewMessage)}
     assert len(proofs) > 10

@@ -3,19 +3,18 @@ BENCH_searches.json.
 
 Run from the repository root, on the checkout's own sources:
 
-    python3 tools/bench_searches.py [--runs 5] [--out BENCH_searches.json]
+    python3 tools/bench_searches.py
 
 The file has two sections. `counters` holds what each search or replay
 computes: states, deduped, max_depth, transitions, transitions_reused and
 the exported script's length for a search, the trace's record count for a
 replay. They are deterministic, the same on every host, and every run must
-reproduce them. `timings` holds the median wall time in seconds of --runs
+reproduce them. `timings` holds the median wall time in seconds of RUNS (5)
 runs of each, with the host, the Python version and the commit measured
 (`src_dirty` says whether `src/` differed from that commit).
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
@@ -44,6 +43,7 @@ SEARCHES = {  # f=1, t=0, two views and menu equivocate+withhold unless stated
     "fab5-1-value-exhaustion": ExploreConfig(protocol="fab5", values=("A",)),
     "fab5-2-value-exhaustion": ExploreConfig(protocol="fab5", values=("A", "B")),
 }
+RUNS = 5
 SEARCH_COUNTERS = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
 
 
@@ -59,11 +59,11 @@ def replay(name: str) -> dict:
     return {"records": len(run_scenario(get_builtin(name)).records)}
 
 
-def timed(fn, arg, runs: int) -> tuple:
-    """fn(arg)'s counters, the same on each of `runs` runs, and the median
+def timed(fn, arg) -> tuple:
+    """fn(arg)'s counters, the same on each of RUNS runs, and the median
     time of one run."""
     counters, times = None, []
-    for _ in range(runs):
+    for _ in range(RUNS):
         gc.collect()
         started = time.perf_counter()
         out = fn(arg)
@@ -83,25 +83,18 @@ def _git(*args) -> str | None:
     return done.stdout.strip()
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--out", default=str(ROOT / "BENCH_searches.json"))
-    args = p.parse_args(argv)
-    if args.runs < 1:
-        p.error("--runs must be positive")
+def main() -> int:
     counters, timings = {}, {}
     jobs = [(f"search/{name}", search, cfg) for name, cfg in SEARCHES.items()]
     jobs += [(f"replay/{name}", replay, name) for name in BUILTIN_NAMES]
     for key, fn, arg in jobs:
-        counters[key], timings[key] = timed(fn, arg, args.runs)
+        counters[key], timings[key] = timed(fn, arg)
         print(f"{key}: {timings[key]} s {counters[key]}", file=sys.stderr)
     status = _git("status", "--porcelain", "--", "src")
     bench = {
         "counters": counters,
         "timings": {
             "median_s": timings,
-            "runs": args.runs,
             "host": {"machine": platform.machine(), "system": platform.system(),
                      "cpus": os.cpu_count()},
             "python": f"{platform.python_implementation()} {platform.python_version()}",
@@ -109,7 +102,7 @@ def main(argv=None) -> int:
             "src_dirty": None if status is None else bool(status),
         },
     }
-    Path(args.out).write_text(json.dumps(bench, indent=2) + "\n")
+    (ROOT / "BENCH_searches.json").write_text(json.dumps(bench, indent=2) + "\n")
     return 0
 
 
