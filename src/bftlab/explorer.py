@@ -29,6 +29,13 @@ its interned inputs afterwards. Each distinct message's decision group
 and artifact list are computed once, and so is each tally of a message
 against a set of sent marks. Every store is closed under its artifacts'
 components, so a store that holds a message holds everything it carries.
+Each adversary move is built once as well: the slot-menu table keeps the
+slot choices per view, used slots and stored artifacts the menu names,
+each with its action's JSON key; the echo table keeps the supportive echo
+of each routed client-bound response; and the named-artifact table keeps
+an action's routed sends per action key and the stored artifacts the
+action names, so each distinct resolved action is built and signed once
+however many stores hold those artifacts.
 A found run is exported by taking its choices again with a `Simulation`
 attached, which executes each directive as the kernel takes it: message ids
 and ordinals are the simulator's alone, and its trace is the run's trace.
@@ -56,7 +63,14 @@ from .core import (
     replica,
     tally,
 )
-from .netsim import ArtifactError, Simulation, adversary_sends, artifacts, find_artifacts
+from .netsim import (
+    ArtifactError,
+    Simulation,
+    adversary_sends,
+    artifacts,
+    find_artifacts,
+    named_artifacts,
+)
 from .scenarios import Scenario, validate
 
 MENU_KINDS = ("equivocate", "withhold", "inject_stored")
@@ -189,7 +203,9 @@ class _Kernel:
         self.correct = tuple(replica(i) for i in range(self.qc.n) if replica(i) != self.byz)
         self._interned: dict = {}
         self._transitions: dict = {}  # (hook, state, *args) -> (state', routed sends)
-        self._sends: dict = {}  # (store, action JSON) -> routed adversary sends, or None
+        self._sends: dict = {}  # (store, action key) -> routed adversary sends, or None
+        self._built: dict = {}  # (action key, named artifacts) -> the same, built once
+        self._menus: dict = {}  # (view, slots, menu artifacts) -> keyed slot choices
         self._groups: dict = {}  # interned message -> its decision group, or None
         self._artifacts: dict = {}  # interned message -> tuple(artifacts(message))
         self._tallies: dict = {}  # (sent marks, interned message) -> core.tally's result
@@ -242,8 +258,13 @@ class _Kernel:
 
     def slot_choices(self, st: KState) -> list:
         """The adversary's ("slot", action) choices at an empty pool (menu
-        "equivocate"); the action is the scenario-JSON dict exported."""
+        "equivocate"); the action is the scenario-JSON dict exported. They
+        follow from the view, the used slots and `menu_artifacts` alone."""
         raise NotImplementedError
+
+    def menu_artifacts(self, st: KState) -> frozenset:
+        """The stored artifacts that slot_choices(st) reads: none."""
+        return frozenset()
 
     def violated(self, st: KState) -> bool:
         raise NotImplementedError
@@ -318,23 +339,29 @@ class _Kernel:
         w.nodes = tuple(nodes)
         self.route(w, sends)
 
-    def act(self, w: _Draft, action: dict) -> None:
-        """Perform an adversary action; exported as the directive replay runs.
+    def act(self, w: _Draft, action: dict, key: str) -> None:
+        """Perform an adversary action, `key` its JSON (`_keyed`); exported
+        as the directive replay runs.
 
         An action naming an artifact the store lacks, or holds twice, sends
-        nothing and is not exported. The sends are built once per distinct
-        store and action.
+        nothing and is not exported. The artifacts an action names are
+        looked up once per distinct store and action, and its sends are
+        built once per distinct action and named artifacts: resolving
+        against those is resolving against the store.
         """
-        key = (w.store, json.dumps(action, sort_keys=True))
-        if key not in self._sends:
-            try:
-                sends = adversary_sends(self.byz, action, w.store)
-            except ArtifactError:
-                sends = None
-            else:
-                sends = self.routed(self.byz, sends)
-            self._sends[key] = sends
-        sends = self._sends[key]
+        at = (w.store, key)
+        if at not in self._sends:
+            named = named_artifacts(action, w.store)
+            if (key, named) not in self._built:
+                try:
+                    sends = adversary_sends(self.byz, action, named)
+                except ArtifactError:
+                    sends = None
+                else:
+                    sends = self.routed(self.byz, sends)
+                self._built[key, named] = sends
+            self._sends[at] = self._built[key, named]
+        sends = self._sends[at]
         if sends is not None:
             self.export("adversary", actor=self.byz.index, action=action)
             self.route(w, sends)
@@ -396,8 +423,18 @@ class _Kernel:
         if st.view < self.cfg.max_views:
             out.append(("advance", st.view + 1))
         if "equivocate" in self.cfg.menu:
-            out.extend(self.slot_choices(st))
+            out.extend(self.slot_menu(st))
         return out
+
+    def slot_menu(self, st: KState) -> list:
+        """slot_choices(st), each choice ("slot", action, key) with its
+        action's key: built once per view, used slots and menu artifacts."""
+        at = (st.view, st.slots, self.menu_artifacts(st))
+        menu = self._menus.get(at)
+        if menu is None:
+            menu = self._menus[at] = [(kind, *_keyed(action))
+                                      for kind, action in self.slot_choices(st)]
+        return menu
 
     def apply(self, st: KState, choice) -> KState:
         """The successor of st under choice, built in one draft."""
@@ -419,9 +456,9 @@ class _Kernel:
             for rid in order:
                 self.run(w, rid, self.proto.on_view_change_signal, view)
         else:
-            action = choice[1]
+            _, action, key = choice
             w.slots = tuple(sorted(w.slots + ((action["kind"], action["view"]),)))
-            self.act(w, action)
+            self.act(w, action, key)
         return self.normalize(w)
 
 
@@ -434,6 +471,8 @@ class ZyzzyvaKernel(_Kernel):
         # adversary log templates: single-request logs (plus the empty log in
         # view-change messages); multi-entry fabrications are out of bounds
         self.logs = [[op] for op in cfg.requests]
+        self._certs: dict = {}  # store -> its commit certificates
+        self._echoes: dict = {}  # routed client-bound response -> its echo, keyed
 
     def after_send(self, w, sent, decides):
         """Supportive echo: the adversary matches a correct replica's
@@ -443,15 +482,30 @@ class ZyzzyvaKernel(_Kernel):
         echoed that response, because of two invariants:
         it sends `spec_response` and `local_commit` only as echoes, and a
         response's (kind, view, log) fixes its client, so the group names
-        the echo's destination.
+        the echo's destination. Each response's echo is planned once.
         """
-        msg = sent.msg
         if sent.src == self.byz or sent.dst.kind != "c" or decides is None:
             return
         if (decides[0], self.byz) in w.sent_tab:
             return
-        self.act(w, {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
-                     "to": str(sent.dst)})
+        echo = self._echoes.get(sent)
+        if echo is None:
+            msg = sent.msg
+            echo = self._echoes[sent] = _keyed({
+                "kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
+                "to": str(sent.dst)})
+        self.act(w, *echo)
+
+    def menu_artifacts(self, st):
+        """The stored commit certificates, which an inject_stored menu's
+        view-change choices name; found once per store."""
+        if "inject_stored" not in self.cfg.menu:
+            return frozenset()
+        certs = self._certs.get(st.store)
+        if certs is None:
+            certs = self._certs[st.store] = frozenset(
+                find_artifacts(st.store, "commit_certificate"))
+        return certs
 
     def slot_choices(self, st):
         view, lead = st.view, leader_of(st.view, self.qc.n)
@@ -460,10 +514,8 @@ class ZyzzyvaKernel(_Kernel):
             out += [{"kind": "order_req", "view": view, "sends": s}
                     for s in self.per_replica_sends("log", self.logs)]
         if view >= 2 and ("view_change", view) not in st.slots:
-            certs = [None]
-            if "inject_stored" in self.cfg.menu:
-                stored = find_artifacts(st.store, "commit_certificate")
-                certs += [{"view": c.view} for c in sorted(stored, key=lambda c: c.canon())]
+            stored = sorted(self.menu_artifacts(st), key=lambda c: c.canon())
+            certs = [None, *({"view": c.view} for c in stored)]
             out += [{"kind": "view_change", "view": view, "log": log, "cert": cert, "to": str(lead)}
                     for log in [[], *self.logs] for cert in certs]
         return [("slot", action) for action in out]
@@ -521,6 +573,12 @@ class FabKernel(_Kernel):
     def violated(self, st):
         # on_rep sets stuck_view in the transition that reports the stuck view
         return any(r is not None and r.stuck_view is not None for r in st.nodes)
+
+
+def _keyed(action: dict) -> tuple:
+    """(action, key): the key is the action's JSON with sorted keys, which
+    the kernel's adversary tables are keyed by."""
+    return action, json.dumps(action, sort_keys=True)
 
 
 def _kernel_for(cfg: ExploreConfig) -> _Kernel:

@@ -324,6 +324,27 @@ _BUILDERS = {
     "rep": _rep,
 }
 
+# the action fields that name stored artifacts, and the kind each names: a
+# log's ops name requests (None is the null request, never stored), in the
+# action or in each of its sends; a cert or commit proof is named by its fields
+_NAMED = {"log": "request", "cert": "commit_certificate", "commit_proof": "commit_proof"}
+
+
+def named_artifacts(action: dict, store) -> frozenset:
+    """The artifacts in `store` that the action's references match, every
+    match kept: `adversary_sends` resolves the action against them exactly
+    as against the whole store, a missing or ambiguous reference included."""
+    refs = []
+    for part in (action, *action.get("sends", ())):
+        for field, kind in _NAMED.items():
+            value = part.get(field)
+            if field == "log":
+                refs += [(kind, {"op": op}) for op in value or () if op is not None]
+            elif value is not None:
+                refs.append((kind, value))
+    return frozenset(a for kind, ref in refs for a in find_artifacts(store, kind, **ref))
+
+
 # the shape of each protocol's actions: the fields their builders read; other
 # fields are ignored. A stored artifact is named by its fields.
 _LOG = list[str | None]

@@ -391,9 +391,11 @@ def send_request(st: ClientState, to: NodeId):
 
 
 def _groups(msgs):
+    """msgs grouped by (view, log), in first-seen order. Logs are equal
+    exactly when their canonical bytes are, so they group by value."""
     by_key: dict[tuple, list] = {}
     for m in msgs:
-        by_key.setdefault((m.view, log_canon(m.log)), []).append(m)
+        by_key.setdefault((m.view, m.log), []).append(m)
     return by_key
 
 

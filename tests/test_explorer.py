@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from bftlab.checkers import run_checkers
-from bftlab.core import tally
+from bftlab.core import log_ops, tally
 from bftlab.explorer import (
     ExploreConfig,
     ExplorerError,
@@ -19,7 +19,13 @@ from bftlab.explorer import (
     explore,
     validate_config,
 )
-from bftlab.netsim import ArtifactError, adversary_sends, artifacts, run_scenario
+from bftlab.netsim import (
+    ArtifactError,
+    adversary_sends,
+    artifacts,
+    named_artifacts,
+    run_scenario,
+)
 from bftlab.scenarios import loads
 
 PFAB_SMALL = ExploreConfig(protocol="pfab", f=1, t=0, values=("A", "B"), max_views=2,
@@ -262,3 +268,31 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
     for (marks, msg), counted in kernel._tallies.items():
         group, _, quorum = kernel.proto.decision_group(msg, kernel.qc)
         assert counted == tally(marks, group, msg.replica, quorum)
+    # an action's sends, built from the artifacts it names, are what a fresh
+    # call computes from them; each store's entry is its named artifacts' one
+    assert kernel._built
+    for (action, named), sends in kernel._built.items():
+        try:
+            fresh = adversary_sends(kernel.byz, json.loads(action), named)
+        except ArtifactError:
+            assert sends is None
+        else:
+            assert_routed(sends, kernel.byz, fresh)
+    for (store, action), sends in kernel._sends.items():
+        assert sends is kernel._built[action, named_artifacts(json.loads(action), store)]
+    # each slot menu is slot_choices of a state with its key, each choice
+    # carrying its action's JSON
+    assert kernel._menus
+    for (view, slots, stored), menu in kernel._menus.items():
+        fresh = kernel.slot_choices(KState((), view=view, slots=slots, store=stored))
+        assert [choice[:2] for choice in menu] == fresh
+        assert [key for _, action, key in menu] == [
+            json.dumps(action, sort_keys=True) for _, action in fresh]
+    # each planned echo (Zyzzyva's alone) is its response's action, and its JSON
+    echoes = getattr(kernel, "_echoes", {})
+    assert bool(echoes) == (cfg.protocol == "zyzzyva")
+    for sent, (action, key) in echoes.items():
+        msg = sent.msg
+        assert action == {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
+                          "to": str(sent.dst)}
+        assert key == json.dumps(action, sort_keys=True)
