@@ -7,7 +7,7 @@ import json
 import re
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 ZYZZYVA = "zyzzyva"
 FAB5 = "fab5"
@@ -48,11 +48,12 @@ def immutable(cls=None, /, **options):
 
     Each result is kept in a slot declared `field(init=False, repr=False,
     compare=False)`, so repr, eq and hash are those of the plain dataclass
-    and `dataclasses.replace` starts the new instance with empty caches. The
-    cached repr is the plain dataclass repr, so trace state digests
-    (`sha256(repr(state))`) keep their bytes, and a state's repr reuses the
-    strings of the values it holds. Mutating an instance through
-    `object.__setattr__` is unsupported: cached results would go stale.
+    and `replace` starts the new instance with empty caches. The cached
+    repr is the plain dataclass repr without its recursion guard (values
+    are acyclic), so trace state digests (`sha256(repr(state))`) keep their
+    bytes, and a state's repr reuses the strings of the values it holds.
+    Mutating an instance through `object.__setattr__` is unsupported:
+    cached results would go stale.
     """
 
     def wrap(cls):
@@ -64,10 +65,17 @@ def immutable(cls=None, /, **options):
         for name in methods:
             setattr(cls, name, _memoized(getattr(cls, name), f"_{name}"))
         cls.__hash__ = _memoized(cls.__hash__, "_hash")
-        cls.__repr__ = _memoized(cls.__repr__, "_repr")
+        cls.__repr__ = _memoized(cls.__repr__.__wrapped__, "_repr")
         return cls
 
     return wrap if cls is None else wrap(cls)
+
+
+def replace(value, /, **changes):
+    """`dataclasses.replace` for an immutable value: a new instance, built
+    positionally, with `changes` to its fields and empty caches."""
+    return type(value)(*[changes.get(name, getattr(value, name))
+                         for name in value.__match_args__])
 
 
 @immutable(order=True)
@@ -117,8 +125,13 @@ def token_ok(token: "SignatureToken", signer: NodeId, payload: bytes) -> bool:
 
 
 def signed(msg, signer: NodeId):
-    """Fill in the token field by minting over the message payload."""
-    return replace(msg, token=mint(signer, msg.payload()))
+    """Fill in the token field by minting over the message payload. The
+    token is not part of the payload, so the signed message keeps the one
+    minted over: verifying it mints again, over the same bytes."""
+    payload = msg.payload()
+    msg = replace(msg, token=mint(signer, payload))
+    object.__setattr__(msg, "_payload", payload)
+    return msg
 
 
 @immutable

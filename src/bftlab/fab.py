@@ -7,7 +7,7 @@ sends, notes) contract as the Zyzzyva module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     FAB5,
@@ -20,6 +20,7 @@ from .core import (
     immutable,
     leader_of,
     pack,
+    replace,
     signed,
     token_ok,
 )

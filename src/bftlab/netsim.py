@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 from . import fab, zyzzyva
 from .core import (
@@ -164,18 +164,8 @@ class PoolEntry:
     msg: object
     ordinal: int
     rank: int
+    description: dict  # built at send, shared with the deliver record
     status: str = "pending"
-
-    @cached_property
-    def description(self) -> dict:  # built at send, shared with the deliver record
-        return {
-            "mid": self.mid,
-            "type": self.msg.kind,
-            "view": msg_view(self.msg),
-            "src": str(self.src),
-            "dst": str(self.dst),
-            "body": _body(self.msg),
-        }
 
 
 # --- match patterns ------------------------------------------------------------
@@ -188,14 +178,12 @@ PATTERN_OR_NULL = Obj({}, PATTERN.shapes, null=True)
 
 
 def _match(entry: PoolEntry, pat: dict) -> bool:
-    if "type" in pat and entry.msg.kind != pat["type"]:
-        return False
-    if "view" in pat and msg_view(entry.msg) != pat["view"]:
-        return False
-    if "src" in pat and str(entry.src) != pat["src"]:
-        return False
-    if "dst" in pat and str(entry.dst) != pat["dst"]:
-        return False
+    """Does pat, a PATTERN, match the entry? Its type, view, src and dst are
+    compared with the description the send built, its ordinal with the entry's."""
+    desc = entry.description
+    for name in ("type", "view", "src", "dst"):
+        if name in pat and desc[name] != pat[name]:
+            return False
     return "ordinal" not in pat or entry.ordinal == pat["ordinal"]
 
 
@@ -383,10 +371,11 @@ class Simulation:
         self.byzantine = frozenset(replica(i) for i in scenario.byzantine)
         self.trace = Trace()
         self.pool: list[PoolEntry] = []  # every send, in send order: mid i at i - 1
+        self.pending: dict[int, PoolEntry] = {}  # the pool's pending entries by mid
         self.ordinals: dict[tuple, int] = {}
         self.proto = zyzzyva if scenario.protocol == ZYZZYVA else fab
         self.node_rank: dict[NodeId, int] = {}
-        self.delivered_rank: dict[tuple, int] = {}
+        self.delivered_rank: dict[tuple, int] = {}  # (client, message) -> its send's rank
         # incremental decision accounting, as in the explorer: the
         # (decision group, sender) marks of the sent messages (core.tally),
         # and the (group, track) of each group completed since the last scan
@@ -444,12 +433,17 @@ class Simulation:
     def _send(self, rec: dict, src: NodeId, dst: NodeId, msg, rank: int):
         if dst not in self.nodes:
             raise SimError(f"no node {dst} in this scenario")
-        key = (msg.kind, str(src), str(dst))
+        src_name, dst_name = str(src), str(dst)
+        key = (msg.kind, src_name, dst_name)
         ordinal = self.ordinals.get(key, 0)
         self.ordinals[key] = ordinal + 1
-        entry = PoolEntry(len(self.pool) + 1, src, dst, msg, ordinal, rank)
+        mid = len(self.pool) + 1
+        desc = {"mid": mid, "type": msg.kind, "view": msg_view(msg), "src": src_name,
+                "dst": dst_name, "body": _body(msg)}
+        entry = PoolEntry(mid, src, dst, msg, ordinal, rank, desc)
         self.pool.append(entry)
-        rec["emitted"].append(entry.description)
+        self.pending[mid] = entry
+        rec["emitted"].append(desc)
         decides = self.proto.decision_group(msg, self.cfg)
         if decides is not None:  # count the send toward its decision group
             group, track, quorum = decides
@@ -474,9 +468,7 @@ class Simulation:
         if isinstance(note, zyzzyva.Decision):
             depth = None
             if note.track == zyzzyva.FAST:
-                ranks = [
-                    self.delivered_rank.get((str(node), m), 0) for m in note.quorum
-                ]
+                ranks = [self.delivered_rank.get((node, m), 0) for m in note.quorum]
                 depth = max(ranks) if ranks else None
             rec["commits"].extend(
                 self._zyz_commits(note.view, note.log, note.track, str(node), depth)
@@ -535,12 +527,9 @@ class Simulation:
 
     # -- pattern matching ---------------------------------------------------------
 
-    def _pending(self):
-        return [e for e in self.pool if e.status == "pending"]
-
     def _matching(self, pat: dict) -> list:
-        """The pending entries that pat, a PATTERN, matches."""
-        return [e for e in self._pending() if _match(e, pat)]
+        """The pending entries that pat, a PATTERN, matches, in send order."""
+        return [e for e in self.pending.values() if _match(e, pat)]
 
     # -- event primitives -----------------------------------------------------------
 
@@ -558,13 +547,14 @@ class Simulation:
             self._deliver_entry(entry)
 
     def _deliver_entry(self, entry: PoolEntry):
-        entry.status = "delivered"
+        self.pending.pop(entry.mid).status = "delivered"
         msg, dst = entry.msg, entry.dst
         if not msg.verify():
             raise SimError(f"delivered message fails token verification: {msg.kind}")
         rec = self._record("deliver", dst, mid=entry.mid, msg=entry.description)
         self.node_rank[dst] = max(self.node_rank.get(dst, 0), entry.rank)
-        self.delivered_rank[(str(dst), msg)] = entry.rank
+        if dst.kind == "c":  # only a client's fast decision reads it (`_note`)
+            self.delivered_rank[(dst, msg)] = entry.rank
         st = self.nodes[dst]
         if dst in self.byzantine:  # a Byzantine replica learns the message's artifacts
             result = st | dict.fromkeys(artifacts(msg, st)), (), ()
@@ -575,19 +565,16 @@ class Simulation:
         self._apply(rec, dst, result)
 
     def drop(self, pattern: dict):
-        mids = []
-        for entry in self._matching(pattern):
-            entry.status = "dropped"
-            mids.append(entry.mid)
+        mids = [e.mid for e in self._matching(pattern)]
+        for mid in mids:
+            self.pending.pop(mid).status = "dropped"
         self._record("drop", None, mids=mids)
 
     def delay_all_except(self, pattern: dict | None):
         spared = set() if pattern is None else {e.mid for e in self._matching(pattern)}
-        mids = []
-        for entry in self._pending():
-            if entry.mid not in spared:
-                entry.status = "delayed"
-                mids.append(entry.mid)
+        mids = [mid for mid in self.pending if mid not in spared]
+        for mid in mids:
+            self.pending.pop(mid).status = "delayed"
         self._record("delay", None, mids=mids)
 
     def timeout(self, node: NodeId):
@@ -625,9 +612,10 @@ class Simulation:
 
     def pattern(self, kind: str, src: NodeId, dst: NodeId) -> dict:
         """The match pattern of the oldest pending message of (kind, src, dst)."""
-        entry = next(e for e in self._pending() if (e.msg.kind, e.src, e.dst) == (kind, src, dst))
+        entry = next(e for e in self.pending.values()
+                     if (e.msg.kind, e.src, e.dst) == (kind, src, dst))
         pat = {"type": kind, "src": str(src), "dst": str(dst), "ordinal": entry.ordinal}
-        view = msg_view(entry.msg)
+        view = entry.description["view"]
         if view is not None:
             pat["view"] = view
         return pat

@@ -7,7 +7,7 @@ live in the simulator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     NULL_REQUEST,
@@ -28,6 +28,7 @@ from .core import (
     log_key,
     make_request,
     pack,
+    replace,
     signed,
     token_ok,
 )
@@ -229,13 +230,13 @@ def reconstruct_log(proof, cfg: QuorumConfig) -> Log:
         best = min(certs, key=lambda c: (-len(c.log), -c.view, c.canon()))
         g = best.log
     # logs are equal exactly when their canonical bytes are: count by value,
-    # encode only the supported logs, to order them
+    # encode the supported logs only to order two or more of them
     seen: dict[Log, int] = {}
     for vc in proof:
         seen[vc.log] = seen.get(vc.log, 0) + 1
     supported = [log for log, c in seen.items() if c >= cfg.f + 1]
     if supported:
-        tail = min(supported, key=log_canon)
+        tail = supported[0] if len(supported) == 1 else min(supported, key=log_canon)
         if len(tail) > len(g):
             g = g + tuple(tail[len(g):])
     longest = max((len(vc.log) for vc in proof), default=0)

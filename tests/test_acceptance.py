@@ -175,7 +175,7 @@ def _random_benign_zyzzyva(seed: int):
         sim.client_request(client(i + 1), replica(0))
     todo_timeouts = [client(i + 1) for i in range(len(ops)) if rng.random() < 0.5]
     while True:
-        pending = sim._pending()
+        pending = list(sim.pending.values())
         if not pending:
             if todo_timeouts:
                 sim.timeout(todo_timeouts.pop())
@@ -194,7 +194,7 @@ def _random_benign_fab(seed: int, protocol: str):
     sim = Simulation(sc)
     sim.propose(replica(0))
     while True:
-        pending = sim._pending()
+        pending = list(sim.pending.values())
         if not pending:
             break
         sim._deliver_entry(rng.choice(pending))

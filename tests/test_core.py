@@ -6,10 +6,12 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, strategies as st
 
+from bftlab import core
 from bftlab.core import (
     FAB5,
     PFAB,
     ZYZZYVA,
+    NodeId,
     SignatureToken,
     client,
     is_prefix,
@@ -18,6 +20,7 @@ from bftlab.core import (
     mint,
     quorum_config,
     replica,
+    signed,
     token_ok,
 )
 from bftlab.explorer import ExploreConfig, _kernel_for
@@ -200,3 +203,68 @@ def test_a_replaced_token_is_verified_afresh(name):
     assert msg.verify()
     forged = replace(msg, token=SignatureToken(msg.token.signer, "0" * 64))
     assert not forged.verify()
+
+
+_CACHES = ("_canon", "_payload", "_verify", "_hash", "_repr")
+
+
+def _fill_caches(value):
+    for method in ("canon", "payload", "verify", "__hash__", "__repr__"):
+        if hasattr(value, method):
+            getattr(value, method)()
+
+
+@pytest.mark.parametrize("name", IMMUTABLE_TYPES)
+def test_positional_replace_equals_dataclasses_replace(name):
+    # the protocols' replace builds a value positionally; each field lands
+    # where dataclasses.replace puts it, and the new value starts with no
+    # cached result, even when the one it replaces has them all
+    sample = _immutable_samples()[name]
+    _fill_caches(sample)
+    changes = [{}] + [{f.name: None} for f in fields(sample) if f.init]
+    for change in changes:
+        got, want = core.replace(sample, **change), replace(sample, **change)
+        assert type(got) is type(want) and got == want and repr(got) == repr(want), change
+        fresh = core.replace(sample, **change)
+        assert all(getattr(fresh, slot, None) is None for slot in _CACHES), change
+
+
+@pytest.mark.parametrize("name", SIGNED_TYPES)
+def test_the_payload_a_signed_message_keeps_equals_a_fresh_one(name):
+    sample = _immutable_samples()[name]
+    msg = signed(replace(sample, token=None), sample.token.signer)
+    assert msg == sample and msg.verify()
+    assert msg._payload is not None and msg._payload == replace(msg).payload()
+
+
+def _altered(value):
+    """A different value of value's type, or None for a type left alone."""
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, bytes):
+        return value + b"x"
+    if isinstance(value, NodeId):
+        return NodeId(value.kind, value.index + 1)
+    if isinstance(value, tuple) and value:
+        return value[:-1]
+    return None
+
+
+@pytest.mark.parametrize("name", SIGNED_TYPES)
+def test_a_token_copied_onto_a_message_with_another_field_fails_verify(name):
+    # signed messages keep the payload they were minted over, but a message
+    # built with another field value computes its own, and the copied token
+    # does not sign it
+    sample = _immutable_samples()[name]
+    msg = signed(replace(sample, token=None), sample.token.signer)
+    assert msg.verify()
+    altered = 0
+    for f in fields(msg):
+        new = _altered(getattr(msg, f.name)) if f.init and f.name != "token" else None
+        if new is not None:
+            forged = core.replace(msg, **{f.name: new})
+            assert forged.token == msg.token and not forged.verify(), f.name
+            altered += 1
+    assert altered

@@ -1,5 +1,6 @@
 import itertools
 import random
+import reprlib
 from collections import Counter
 from dataclasses import replace
 
@@ -15,8 +16,10 @@ from bftlab.netsim import (
     SimError,
     Simulation,
     _components,
+    _match,
     adversary_sends,
     artifacts,
+    msg_view,
     named_artifacts,
     run_scenario,
 )
@@ -233,7 +236,7 @@ def test_a_drop_with_a_source_spares_other_senders():
     ))
     sim = Simulation(sc)
     sim.run_script()
-    pending = [(e.msg.kind, str(e.src), str(e.dst)) for e in sim._pending()]
+    pending = [(e.msg.kind, str(e.src), str(e.dst)) for e in sim.pending.values()]
     assert pending == [("order_req", "r0", "r1"), ("request", "c2", "r2")]
     assert sim.trace.records[-1]["mids"] == [3]
 
@@ -295,7 +298,7 @@ def _benign_script(scenario, seed):
         do({"do": "propose", "node": "r0"})
     timeouts = [f"c{c['id']}" for c in scenario.clients if rng.random() < 0.5]
     while True:
-        pending = sim._pending()
+        pending = list(sim.pending.values())
         if not pending:
             if not timeouts:
                 return script
@@ -362,10 +365,83 @@ def _schedules():
             yield _walk_scenario(cfg, seed)
 
 
+def _pending_in_pool(sim):
+    return [e for e in sim.pool if e.status == "pending"]
+
+
+def test_the_pending_index_lists_the_pending_pool_entries_in_mid_order():
+    # after every directive of the schedules, and along the lockstep walks
+    # that export them, the index holds exactly the entries whose status is
+    # pending, keyed by their mids, in send order
+    checked = 0
+    for scenario in _schedules():
+        sim = Simulation(scenario)
+        for step in scenario.script:
+            sim._step(step)
+            assert list(sim.pending.values()) == _pending_in_pool(sim), scenario.name
+            assert list(sim.pending) == [e.mid for e in sim.pending.values()]
+            checked += 1
+    for cfg in _WALK_CONFIGS.values():
+        for seed in range(5):
+            for _, _, sim in _explorer_walk(cfg, seed):
+                assert list(sim.pending.values()) == _pending_in_pool(sim), seed
+    assert checked
+
+
+def _reference_match(entry, pat: dict) -> bool:
+    """The field-by-field match the simulator made before it read the
+    description its send built: each named field recomputed from the entry."""
+    if "type" in pat and entry.msg.kind != pat["type"]:
+        return False
+    if "view" in pat and msg_view(entry.msg) != pat["view"]:
+        return False
+    if "src" in pat and str(entry.src) != pat["src"]:
+        return False
+    if "dst" in pat and str(entry.dst) != pat["dst"]:
+        return False
+    return "ordinal" not in pat or entry.ordinal == pat["ordinal"]
+
+
+def _hand_built_patterns(entry):
+    """Each subset of the entry's own pattern fields; its full pattern with
+    a wrong ordinal; and each subset with a null view (requests)."""
+    full = {"type": entry.msg.kind, "view": msg_view(entry.msg), "src": str(entry.src),
+            "dst": str(entry.dst), "ordinal": entry.ordinal}
+    for n in range(len(full) + 1):
+        for names in itertools.combinations(full, n):
+            pat = {name: full[name] for name in names}
+            yield pat
+            yield {**pat, "view": None}
+    yield {**full, "ordinal": entry.ordinal + 1}
+
+
+def test_matching_on_descriptions_agrees_with_the_field_by_field_match():
+    # every entry of the pool, delivered, dropped and delayed ones too,
+    # against patterns built from every pending or settled entry
+    statuses = Counter()
+    scenarios = [get_builtin(name) for name in BUILTIN_NAMES]
+    scenarios += [_walk_scenario(cfg, seed) for cfg in _WALK_CONFIGS.values() for seed in (0, 1)]
+    for scenario in scenarios:
+        sim = Simulation(scenario)
+        for i, step in enumerate(scenario.script):
+            sim._step(step)
+            if i % 4 and i != len(scenario.script) - 1:  # every fourth step, and the last
+                continue
+            pats = {tuple(sorted(p.items())) for e in sim.pool for p in _hand_built_patterns(e)}
+            for pat in map(dict, pats):
+                assert [_match(e, pat) for e in sim.pool] == \
+                    [_reference_match(e, pat) for e in sim.pool], pat
+                assert sim._matching(pat) == [e for e in _pending_in_pool(sim)
+                                              if _reference_match(e, pat)], pat
+        statuses.update(e.status for e in sim.pool)
+    assert {"pending", "delivered", "dropped", "delayed"} <= set(statuses)
+
+
 def test_memoized_repr_changes_no_trace_byte(monkeypatch):
     # state digests hash repr: with every repr computed afresh on each call,
-    # the built-ins and the first three seeds of each protocol's benign
-    # schedules write the same traces
+    # by the dataclass's own repr, recursion guard included, the built-ins
+    # and the first three seeds of each protocol's benign schedules write
+    # the same traces as the memoized repr, which drops the guard
     schedules = list(itertools.islice(_schedules(), len(BUILTIN_NAMES) + 3 * 3))
     memoized = [run_scenario(sc).to_jsonl() for sc in schedules]
     classes = {obj for mod in (core, zyzzyva, fab, explorer) for obj in vars(mod).values()
@@ -373,7 +449,10 @@ def test_memoized_repr_changes_no_trace_byte(monkeypatch):
     names = {cls.__name__ for cls in classes}
     assert {"QuorumConfig", "ReplicaState", "ClientState", "FabReplicaState"} <= names
     for cls in classes:
-        monkeypatch.setattr(cls, "__repr__", cls.__repr__.__wrapped__)
+        unguarded = cls.__repr__.__wrapped__  # the repr dataclass generated
+        assert not hasattr(unguarded, "__wrapped__")
+        # the guard dataclass puts around it (a copy of this one before 3.13)
+        monkeypatch.setattr(cls, "__repr__", reprlib.recursive_repr()(unguarded))
     assert [run_scenario(sc).to_jsonl() for sc in schedules] == memoized
 
 
