@@ -21,7 +21,8 @@ only ever adds commit evidence. Actions resolve against the state's artifact
 store, a set of values; messages addressed to Byzantine nodes deliver
 immediately into it. Commits are decision groups: `core.tally` counts each
 sent message's (group, sender) mark, as the simulator does, and a group
-whose quorum fills joins the state's commits.
+whose quorum fills joins the state's commits. A state is a named tuple: C
+builds, hashes and compares it, reading the hashes its values keep.
 The search starts from the simulator's initial node table. Each
 protocol transition and adversary action is computed once per search, its
 sends kept in routed form (message and decision group), and looked up by
@@ -46,6 +47,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fab, zyzzyva
 from .checkers import AGREEMENT, OCCURRED, STUCK, VIOLATED, run_checkers
@@ -156,8 +158,7 @@ class KMsg:
     msg: object
 
 
-@immutable
-class KState:
+class KState(NamedTuple):
     nodes: tuple  # replicas by index (None at the Byzantine one), then clients
     pool: tuple = ()
     view: int = 1
@@ -165,24 +166,25 @@ class KState:
     store: frozenset = frozenset()  # artifacts observed by the Byzantine replica
     sent_tab: frozenset = frozenset()  # (decision group, sender) marks, core.tally
     commits: tuple = ()  # the completed decision groups, in completion order
+    __hash__, __eq__ = tuple.__hash__, tuple.__eq__  # tuple's C slots, named for tracers
 
 
 class _Draft:
     """A state under construction: KState's fields, each assignable.
 
-    A choice copies its parent's field objects into one draft, the kernel
-    writes new values into it, and `freeze` makes the one KState of the
-    choice, sharing every field the choice left unchanged.
+    A choice unpacks its parent's field objects into one draft, the kernel
+    writes new values into it, and `freeze` builds the one KState of the
+    choice positionally, sharing every field the choice left unchanged.
     """
 
-    __slots__ = KState.__match_args__
+    __slots__ = KState._fields
 
     def __init__(self, st: KState):
-        for name in self.__slots__:
-            setattr(self, name, getattr(st, name))
+        self.nodes, self.pool, self.view, self.slots, self.store, self.sent_tab, self.commits = st
 
     def freeze(self) -> KState:
-        return KState(*[getattr(self, name) for name in self.__slots__])
+        return KState(self.nodes, self.pool, self.view, self.slots, self.store,
+                      self.sent_tab, self.commits)
 
 
 _BLANK = KState(())  # every field at its default: the draft of a root state
@@ -610,10 +612,11 @@ def _dfs(kernel, st, seen, stats, cfg):
             continue
         child = kernel.apply(state, choice)
         if seen is not None:
-            if child in seen:
+            known = len(seen)
+            seen.add(child)  # hashed once: a tuple keeps no hash
+            if len(seen) == known:
                 stats["deduped"] += 1
                 continue
-            seen.add(child)
         stats["states"] += 1
         if stats["states"] > cfg.max_states:
             raise _Budget()

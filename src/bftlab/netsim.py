@@ -384,6 +384,7 @@ class Simulation:
 
         # each node's state; a Byzantine replica's is its store, in first-seen order
         self.nodes: dict[NodeId, object] = {}
+        self.digested: dict = {}  # node -> (state, its digest): states are replaced, never mutated
         for i in range(self.cfg.n):
             rid = replica(i)
             if rid in self.byzantine:
@@ -425,10 +426,11 @@ class Simulation:
         return rec
 
     def _state_digest(self, node: NodeId) -> str:
-        st = self.nodes[node]
-        if node in self.byzantine:
-            return digest(b"".join(o.canon() for o in st))[:12]
-        return digest(repr(st).encode())[:12]
+        st, last = self.nodes[node], self.digested.get(node)
+        if last is None or last[0] is not st:
+            blob = b"".join(o.canon() for o in st) if isinstance(st, dict) else repr(st).encode()
+            last = self.digested[node] = (st, digest(blob)[:12])
+        return last[1]
 
     def _send(self, rec: dict, src: NodeId, dst: NodeId, msg, rank: int):
         if dst not in self.nodes:

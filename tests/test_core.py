@@ -23,7 +23,7 @@ from bftlab.core import (
     signed,
     token_ok,
 )
-from bftlab.explorer import ExploreConfig, _kernel_for
+from bftlab.explorer import ExploreConfig, KState, _Draft, _kernel_for
 
 
 def test_zyzzyva_thresholds():
@@ -122,7 +122,7 @@ IMMUTABLE_TYPES = (
     "OrderReq", "SpecResponse", "CommitCertificate", "CommitRequest", "LocalCommit",
     "ViewChangeMessage", "NewViewMessage", "ReplicaState", "ClientState",
     "Propose", "Accepted", "CommitProof", "CommitProofMsg", "Rep", "ProgressCertificate",
-    "FabReplicaState", "KState", "KMsg",
+    "FabReplicaState", "KMsg",
 )
 SIGNED_TYPES = (
     "Request", "OrderReq", "SpecResponse", "CommitRequest", "LocalCommit",
@@ -184,6 +184,38 @@ def test_memoized_results_stay_out_of_repr_eq_and_hash(name):
     assert (repr(value), value == twin, hash(value)) == before
     assert twin == value and value == sample and repr(value) == repr(sample)
     assert value._repr == repr(value) == plain(value)  # served from the filled cache
+
+
+def _twin_states():
+    """Two distinct KState objects of one value, reached along two choice
+    paths of the PFaB search, and every state met on the way."""
+    kernel = _kernel_for(ExploreConfig(protocol="pfab", values=("A", "B")))
+    frontier, first = [kernel.initial(None)], {}
+    while frontier:
+        state = frontier.pop(0)
+        for choice in kernel.choices(state):
+            child = kernel.apply(state, choice)
+            twin = first.setdefault(child, child)
+            if twin is not child:
+                return twin, child, list(first)
+            frontier.append(child)
+    raise AssertionError("the search reached no state twice")
+
+
+def test_kstates_compare_and_hash_by_value():
+    # KState is a named tuple: the search's seen set compares states by
+    # the values of their seven fields, whatever path built them
+    a, b, met = _twin_states()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    for name in KState._fields:
+        other = next(getattr(s, name) for s in met if getattr(s, name) != getattr(a, name))
+        changed = a._replace(**{name: other})
+        assert changed != a and changed != b and len({a, changed}) == 2, name
+    # a draft freezes to an equal state that shares every field object
+    frozen = _Draft(a).freeze()
+    assert type(frozen) is KState and frozen == a and frozen is not a
+    assert all(x is y for x, y in zip(frozen, a))
 
 
 def test_values_are_equal_exactly_when_their_canonical_bytes_are():

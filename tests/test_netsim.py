@@ -456,6 +456,38 @@ def test_memoized_repr_changes_no_trace_byte(monkeypatch):
     assert [run_scenario(sc).to_jsonl() for sc in schedules] == memoized
 
 
+def _fresh_digest(sim, node) -> str:
+    """The state digest of node, computed from its state as it is now."""
+    st = sim.nodes[node]
+    if node in sim.byzantine:
+        return core.digest(b"".join(o.canon() for o in st))[:12]
+    return core.digest(repr(st).encode())[:12]
+
+
+def test_every_record_digests_the_state_its_node_has_then(monkeypatch):
+    # a digest is reused while its node keeps the same state object; on the
+    # built-ins and along the lockstep walks, each record's state digest
+    # equals one taken afresh when the record is written
+    checked, reused = 0, 0
+    apply = Simulation._apply
+
+    def checked_apply(sim, rec, node, result):
+        nonlocal checked, reused
+        reused += sim.digested.get(node, (None,))[0] is result[0]
+        apply(sim, rec, node, result)
+        assert rec["state"] == _fresh_digest(sim, node), rec
+        checked += 1
+
+    monkeypatch.setattr(Simulation, "_apply", checked_apply)
+    for name in BUILTIN_NAMES:
+        run_scenario(get_builtin(name))
+    for cfg in _WALK_CONFIGS.values():
+        for seed in range(5):
+            for _ in _explorer_walk(cfg, seed):
+                pass
+    assert 0 < reused < checked
+
+
 def test_a_delivery_records_the_description_its_send_emitted():
     for name in BUILTIN_NAMES:
         emitted, delivered = {}, 0
