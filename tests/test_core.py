@@ -122,7 +122,7 @@ IMMUTABLE_TYPES = (
     "OrderReq", "SpecResponse", "CommitCertificate", "CommitRequest", "LocalCommit",
     "ViewChangeMessage", "NewViewMessage", "ReplicaState", "ClientState",
     "Propose", "Accepted", "CommitProof", "CommitProofMsg", "Rep", "ProgressCertificate",
-    "FabReplicaState", "KMsg",
+    "FabReplicaState", "KState", "KMsg",
 )
 SIGNED_TYPES = (
     "Request", "OrderReq", "SpecResponse", "CommitRequest", "LocalCommit",
@@ -139,6 +139,8 @@ def _immutable_samples() -> dict:
     samples, seen = {}, set()
 
     def visit(obj):
+        if isinstance(obj, KState):
+            samples.setdefault("KState", obj)
         if isinstance(obj, tuple):
             for item in obj:
                 visit(item)
@@ -171,6 +173,18 @@ def _immutable_samples() -> dict:
 @pytest.mark.parametrize("name", IMMUTABLE_TYPES)
 def test_memoized_results_stay_out_of_repr_eq_and_hash(name):
     sample = _immutable_samples()[name]
+    if name == "KState":
+        # a named tuple has no instance storage to memoize a result in: its
+        # repr, equality and hash are those of its seven field values
+        assert KState.__slots__ == () and not hasattr(sample, "__dict__")
+        value, twin = sample._replace(), KState(*sample)
+        assert value is not sample and twin is not sample
+        before = (repr(value), value == twin, hash(twin))
+        hash(value)
+        assert (repr(value), value == twin, hash(value)) == before
+        assert twin == value == sample and hash(value) == hash(sample)
+        assert repr(value) == repr(sample) == repr(tuple.__new__(KState, tuple(sample)))
+        return
     repr(sample)  # the sample's repr is cached; its replaced twins start without it
     value, twin = replace(sample), replace(sample)  # equal, with empty caches
     plain = type(value).__repr__.__wrapped__  # the plain dataclass repr
@@ -253,9 +267,14 @@ def test_positional_replace_equals_dataclasses_replace(name):
     # cached result, even when the one it replaces has them all
     sample = _immutable_samples()[name]
     _fill_caches(sample)
-    changes = [{}] + [{f.name: None} for f in fields(sample) if f.init]
+    if name == "KState":  # a named tuple: its own _replace is the reference
+        names, reference = sample._fields, sample._replace
+    else:
+        names = [f.name for f in fields(sample) if f.init]
+        reference = functools.partial(replace, sample)
+    changes = [{}] + [{name: None} for name in names]
     for change in changes:
-        got, want = core.replace(sample, **change), replace(sample, **change)
+        got, want = core.replace(sample, **change), reference(**change)
         assert type(got) is type(want) and got == want and repr(got) == repr(want), change
         fresh = core.replace(sample, **change)
         assert all(getattr(fresh, slot, None) is None for slot in _CACHES), change
