@@ -28,8 +28,12 @@ protocol transition and adversary action is computed once per search, its
 sends kept in routed form (message and decision group), and looked up by
 its interned inputs afterwards. Each distinct message's decision group
 and artifact list are computed once, and so is each tally of a message
-against a set of sent marks. Every store is closed under its artifacts'
-components, so a store that holds a message holds everything it carries.
+against a set of sent marks. The derivation table keeps each result of a
+`core.derived` function (Zyzzyva's NEW-VIEW base log and its replicas'
+spec responses) that a computed transition asked for, so a base log or a
+response set shared by many node states is derived and signed once.
+Every store is closed under its artifacts' components, so a store that
+holds a message holds everything it carries.
 Each adversary move is built once as well: the slot-menu table keeps the
 slot choices per view, used slots and stored artifacts the menu names,
 each with its action's JSON key; the echo table keeps the supportive echo
@@ -56,6 +60,7 @@ from .core import (
     PROTOCOLS,
     ZYZZYVA,
     NodeId,
+    derivations,
     immutable,
     leader_of,
     log_ops,
@@ -211,6 +216,7 @@ class _Kernel:
         self._groups: dict = {}  # interned message -> its decision group, or None
         self._artifacts: dict = {}  # interned message -> tuple(artifacts(message))
         self._tallies: dict = {}  # (sent marks, interned message) -> core.tally's result
+        self._derived: dict = {}  # (function, *args) -> its result: core.derived
         self.reused = 0  # transitions answered from the table
         self.sim: Simulation | None = None  # the export target, set by initial
 
@@ -230,14 +236,19 @@ class _Kernel:
         The table is keyed by the hook and its inputs, so only pure hooks may
         come here: a result must follow from the node state and arguments
         alone. The state names its node, so src adds nothing to the key. The
-        hook's notes are dropped: `route` counts every decision.
+        hook's notes are dropped: `route` counts every decision. While the
+        hook runs, the kernel's derivation table is installed.
         """
         key = (hook, state, *args)
         out = self._transitions.get(key)
         if out is not None:
             self.reused += 1
             return out
-        ns, sends, _ = hook(state, *args)
+        installed = derivations.set(self._derived)
+        try:
+            ns, sends, _ = hook(state, *args)
+        finally:
+            derivations.reset(installed)
         out = (self.intern(ns), self.routed(src, sends))
         self._transitions[key] = out
         return out

@@ -5,8 +5,9 @@ from functools import partial
 import pytest
 from dataclasses import replace
 
+from bftlab import zyzzyva
 from bftlab.checkers import run_checkers
-from bftlab.core import log_ops, tally
+from bftlab.core import derivations, log_ops, tally
 from bftlab.explorer import (
     ExploreConfig,
     ExplorerError,
@@ -297,3 +298,54 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
         assert action == {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
                           "to": str(sent.dst)}
         assert key == json.dumps(action, sort_keys=True)
+    # each derived result (Zyzzyva's alone) is what a fresh call, made
+    # outside any table, computes
+    assert derivations.get() is None
+    assert bool(kernel._derived) == (cfg.protocol == "zyzzyva")
+    for (fn, *args), out in kernel._derived.items():
+        assert out == fn(*args)
+
+
+def _derived_responses(kernel):
+    """The (args, result) pairs of kernel's table for zyzzyva._responses
+    that sent something."""
+    return [(key[1:], out) for key, out in kernel._derived.items()
+            if key[0] is zyzzyva._responses.__wrapped__ and out]
+
+
+def test_derivation_tables_are_installed_only_while_a_kernel_computes():
+    # however explore ends, it leaves no table installed
+    for cfg, ends in [(PFAB_SMALL, "found"),
+                      (replace(ZYZZYVA_SMALL, requests=("a",)), "exhausted"),
+                      (replace(ZYZZYVA_SMALL, max_states=300), "budget_exhausted")]:
+        res = explore(cfg)
+        assert (res.stats["found"], res.stats["budget_exhausted"]) == (
+            ends == "found", ends == "budget_exhausted")
+        assert derivations.get() is None
+    # nor does a hook that raises
+    kernel = _kernel_for(ZYZZYVA_SMALL)
+
+    def failing(state):
+        assert derivations.get() is kernel._derived
+        raise RuntimeError(state)
+
+    with pytest.raises(RuntimeError):
+        kernel.transition(kernel.byz, failing, None)
+    assert derivations.get() is None
+    # two kernels share no entries: each search derives and signs its own
+    first, second = _kernel_for(ZYZZYVA_SMALL), _kernel_for(ZYZZYVA_SMALL)
+    for k in (first, second):
+        root = k.initial(None)
+        with pytest.raises(_Budget):
+            _dfs(k, root, {root}, {"states": 0, "deduped": 0, "max_depth": 0},
+                 replace(ZYZZYVA_SMALL, max_states=1500))
+    assert first._derived is not second._derived
+    ours, theirs = dict(_derived_responses(first)), dict(_derived_responses(second))
+    assert ours and ours.keys() == theirs.keys()
+    for args, out in ours.items():
+        assert out == theirs[args] and out[0][1] is not theirs[args][0][1]
+    # outside a search, a derived function computes on every call
+    args, out = next(iter(ours.items()))
+    again, more = zyzzyva._responses(*args), zyzzyva._responses(*args)
+    assert again == more == out
+    assert again[0][1] is not more[0][1] and again[0][1] is not out[0][1]

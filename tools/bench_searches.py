@@ -1,77 +1,120 @@
 """Measure the committed explorer searches and the built-in replays; write
 BENCH_searches.json.
 
-Run from the repository root, on the checkout's own sources:
+Run from the repository root:
 
-    python3 tools/bench_searches.py
+    python3 tools/bench_searches.py              # this checkout alone
+    python3 tools/bench_searches.py --base REV   # paired with commit REV
 
-The file has two sections. `counters` holds what each search or replay
-computes: states, deduped, max_depth, transitions, transitions_reused and
-the exported script's length for a search, the trace's record count for a
-replay. They are deterministic, the same on every host, and every run must
-reproduce them. `timings` holds the median wall time in seconds of RUNS (5)
-runs of each, with the host, the Python version and the commit measured
-(`src_dirty` says whether `src/` differed from that commit).
+Every run of a search or a replay is its own process, which times the one
+call, so no run inherits another's interned values or warm caches.
+
+The file has up to three sections. `counters` holds what each search or
+replay computes: states, deduped, max_depth, transitions, transitions_reused
+and the exported script's length for a search, the trace's record count for
+a replay. They are deterministic, the same on every host, and every run must
+reproduce them. `timings` holds the checkout's median wall time in seconds
+of RUNS (5) runs of each, with the host, the Python version and the commit
+measured (`src_dirty` says whether `src/` differed from that commit).
+
+The host's speed drifts between runs minutes apart, so a lone median
+compares hosts as much as code. With --base, REV's `src/` is extracted with
+`git archive` into a temporary directory, and each of the RUNS rounds runs
+REV and the checkout back to back on every job, the side that goes first
+alternating. `paired` then records REV's commit and, per job, REV's median,
+the ratio of the checkout's median to REV's (below 1: the checkout is
+faster) and the number of pairs the checkout won. `counter_changes` lists
+every job whose counters differ between the two, and the script names each
+on stderr: a change that moves them changes behaviour, not only speed.
 """
 from __future__ import annotations
 
+import argparse
 import gc
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+SRC = ROOT / "src"
 
-from bftlab.explorer import ExploreConfig, explore  # noqa: E402
-from bftlab.netsim import run_scenario  # noqa: E402
-from bftlab.scenarios import BUILTIN_NAMES, get_builtin  # noqa: E402
-
-_ZYZZYVA = ExploreConfig(protocol="zyzzyva", requests=("a", "b"),
-                         menu=("equivocate", "withhold", "inject_stored"))
-SEARCHES = {  # f=1, t=0, two views and menu equivocate+withhold unless stated
-    "pfab-stuck": ExploreConfig(protocol="pfab", values=("A", "B")),
+_ZYZZYVA = {"protocol": "zyzzyva", "requests": ("a", "b"),
+            "menu": ("equivocate", "withhold", "inject_stored")}
+SEARCHES = {  # ExploreConfig fields; f=1, t=0, two views, equivocate+withhold unless stated
+    "pfab-stuck": {"protocol": "pfab", "values": ("A", "B")},
     "zyzzyva-2-view-exhaustion": _ZYZZYVA,
-    "zyzzyva-3-view-violation": replace(_ZYZZYVA, max_views=3),
-    "pfab-1-value-exhaustion": ExploreConfig(protocol="pfab", values=("A",)),
-    "fab5-1-value-exhaustion": ExploreConfig(protocol="fab5", values=("A",)),
-    "fab5-2-value-exhaustion": ExploreConfig(protocol="fab5", values=("A", "B")),
+    "zyzzyva-3-view-violation": {**_ZYZZYVA, "max_views": 3},
+    "pfab-1-value-exhaustion": {"protocol": "pfab", "values": ("A",)},
+    "fab5-1-value-exhaustion": {"protocol": "fab5", "values": ("A",)},
+    "fab5-2-value-exhaustion": {"protocol": "fab5", "values": ("A", "B")},
 }
 RUNS = 5
 SEARCH_COUNTERS = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
 
 
-def search(cfg: ExploreConfig) -> dict:
-    res = explore(cfg)
-    counters = {k: res.stats[k] for k in SEARCH_COUNTERS}
-    ce = res.counterexample
-    counters["export_length"] = None if ce is None else len(ce.scenario.script)
-    return counters
+def _import_from(src: Path):
+    """bftlab's explorer, netsim and scenarios modules, imported from src."""
+    sys.path.insert(0, str(src))
+    from bftlab import explorer, netsim, scenarios
+
+    if not Path(explorer.__file__).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"error: bftlab imported from {explorer.__file__}, not {src}")
+    return explorer, netsim, scenarios
 
 
-def replay(name: str) -> dict:
-    return {"records": len(run_scenario(get_builtin(name)).records)}
+def run_one(src: Path, job: str) -> dict:
+    """One timed run of job ("search/NAME" or "replay/NAME") on the bftlab in
+    src: its counters and its wall time in seconds."""
+    explorer, netsim, scenarios = _import_from(src)
+    kind, name = job.split("/", 1)
+    gc.collect()
+    started = time.perf_counter()
+    if kind == "search":
+        res = explorer.explore(explorer.ExploreConfig(**SEARCHES[name]))
+    else:
+        records = netsim.run_scenario(scenarios.get_builtin(name)).records
+    seconds = time.perf_counter() - started
+    if kind == "search":
+        counters = {k: res.stats[k] for k in SEARCH_COUNTERS}
+        ce = res.counterexample
+        counters["export_length"] = None if ce is None else len(ce.scenario.script)
+    else:
+        counters = {"records": len(records)}
+    return {"counters": counters, "seconds": seconds}
 
 
-def timed(fn, arg) -> tuple:
-    """fn(arg)'s counters, the same on each of RUNS runs, and the median
-    time of one run."""
-    counters, times = None, []
-    for _ in range(RUNS):
-        gc.collect()
-        started = time.perf_counter()
-        out = fn(arg)
-        times.append(time.perf_counter() - started)
-        if counters not in (None, out):
-            raise SystemExit(f"error: counters changed between runs: {counters} != {out}")
-        counters = out
-    return counters, round(statistics.median(times), 4)
+def _run_in_child(src: Path, job: str) -> dict:
+    done = subprocess.run([sys.executable, __file__, "--run", job, "--src", str(src)],
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"error: {job} on {src} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def measure(trees: dict, jobs: list) -> tuple:
+    """Per side of trees (name -> src), each job's counters, the same on
+    every run, and its RUNS wall times. Each round runs every job on each
+    side back to back, the first side alternating between rounds."""
+    counters = {side: {} for side in trees}
+    times = {side: {job: [] for job in jobs} for side in trees}
+    sides = list(trees)
+    for r in range(RUNS):
+        for job in jobs:
+            for side in sides if r % 2 == 0 else sides[::-1]:
+                out = _run_in_child(trees[side], job)
+                if counters[side].setdefault(job, out["counters"]) != out["counters"]:
+                    raise SystemExit(f"error: {side} {job} counters changed between runs: "
+                                     f"{counters[side][job]} != {out['counters']}")
+                times[side][job].append(out["seconds"])
+    return counters, times
 
 
 def _git(*args) -> str | None:
@@ -83,18 +126,43 @@ def _git(*args) -> str | None:
     return done.stdout.strip()
 
 
-def main() -> int:
-    counters, timings = {}, {}
-    jobs = [(f"search/{name}", search, cfg) for name, cfg in SEARCHES.items()]
-    jobs += [(f"replay/{name}", replay, name) for name in BUILTIN_NAMES]
-    for key, fn, arg in jobs:
-        counters[key], timings[key] = timed(fn, arg)
-        print(f"{key}: {timings[key]} s {counters[key]}", file=sys.stderr)
+def _extract_src(rev: str, into: Path) -> Path:
+    """REV's src/ tree, extracted with `git archive` under into."""
+    try:
+        tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError) as e:
+        raise SystemExit(f"error: cannot archive {rev!r}: {getattr(e, 'stderr', e)}")
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        archive.extractall(into, **safe)
+    return into / "src"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", metavar="REV", help="pair every run with one of commit REV")
+    p.add_argument("--run", help=argparse.SUPPRESS)  # one timed job, in this process
+    p.add_argument("--src", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.run:
+        print(json.dumps(run_one(args.src, args.run)))
+        return 0
+    _, _, scenarios = _import_from(SRC)
+    jobs = [f"search/{name}" for name in SEARCHES]
+    jobs += [f"replay/{name}" for name in scenarios.BUILTIN_NAMES]
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"head": SRC}
+        if args.base:
+            trees = {"base": _extract_src(args.base, Path(tmp)), **trees}
+        counters, times = measure(trees, jobs)
+    median = {side: {job: round(statistics.median(ts), 4) for job, ts in by_job.items()}
+              for side, by_job in times.items()}
     status = _git("status", "--porcelain", "--", "src")
     bench = {
-        "counters": counters,
+        "counters": counters["head"],
         "timings": {
-            "median_s": timings,
+            "median_s": median["head"],
             "host": {"machine": platform.machine(), "system": platform.system(),
                      "cpus": os.cpu_count()},
             "python": f"{platform.python_implementation()} {platform.python_version()}",
@@ -102,6 +170,28 @@ def main() -> int:
             "src_dirty": None if status is None else bool(status),
         },
     }
+    for job in jobs:
+        print(f"{job}: {median['head'][job]} s {counters['head'][job]}", file=sys.stderr)
+    if args.base:
+        ratio = {job: round(median["head"][job] / median["base"][job], 3) for job in jobs}
+        won = {job: sum(h < b for h, b in zip(times["head"][job], times["base"][job]))
+               for job in jobs}
+        changed = {job: {"base": counters["base"][job], "head": counters["head"][job]}
+                   for job in jobs if counters["base"][job] != counters["head"][job]}
+        bench["paired"] = {
+            "base": _git("rev-parse", "--short", args.base),
+            "base_median_s": median["base"],
+            "ratio": ratio,
+            "pairs_won": won,
+            "pairs": RUNS,
+            "counter_changes": changed,
+        }
+        for job in jobs:
+            print(f"{job}: {median['base'][job]} -> {median['head'][job]} s, "
+                  f"ratio {ratio[job]}, won {won[job]} of {RUNS}", file=sys.stderr)
+        for job, sides in changed.items():
+            print(f"counters changed: {job}: {sides['base']} -> {sides['head']}",
+                  file=sys.stderr)
     (ROOT / "BENCH_searches.json").write_text(json.dumps(bench, indent=2) + "\n")
     return 0
 
