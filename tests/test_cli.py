@@ -94,7 +94,7 @@ def test_explore_cli_roundtrip(capsys, tmp_path):
     assert main(["explore", "--explore-config", str(cfg), "--out", str(out_path)]) == 2
     out = capsys.readouterr().out
     assert out.startswith("explored 4372 states (deduped 1502, depth 16) in ")
-    assert "s; 2379 transitions computed, 17491 reused\n" in out
+    assert "s; 465 transitions computed, 7246 reused\n" in out
     assert "counterexample found: stuck occurred" in out
     assert main(["run", "--scenario", str(out_path)]) == 2
     assert "stuck: OCCURRED" in capsys.readouterr().out

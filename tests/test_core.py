@@ -24,6 +24,7 @@ from bftlab.core import (
     token_ok,
 )
 from bftlab.explorer import ExploreConfig, KState, _Draft, _kernel_for
+from test_explorer import _cascading_normalize
 
 
 def test_zyzzyva_thresholds():
@@ -135,7 +136,9 @@ def _immutable_samples() -> dict:
     """The first value of each immutable type met on seeded random walks
     through both explorer kernels. Their states hold every message,
     certificate and state type: the Byzantine replica's store keeps what it
-    was sent, such as the correct leaders' OrderReq and NEW-VIEW."""
+    was sent, such as the correct leaders' OrderReq and NEW-VIEW. The walks
+    take every eager delivery, as an export does: a search leaves a settled
+    PFaB state's commit proofs unbuilt."""
     samples, seen = {}, set()
 
     def visit(obj):
@@ -159,6 +162,7 @@ def _immutable_samples() -> dict:
                 ExploreConfig(protocol="zyzzyva", requests=("a", "b"), byzantine=(3,),
                               menu=(*menu, "inject_stored"))):
         kernel, rng = _kernel_for(cfg), random.Random(1)
+        kernel.normalize = functools.partial(_cascading_normalize, kernel)
         for _ in range(5):
             state = kernel.initial(None)
             for _ in range(30):
@@ -168,6 +172,11 @@ def _immutable_samples() -> dict:
                 state = kernel.apply(state, rng.choice(options))
                 visit(state)
     return samples
+
+
+def test_the_samples_cover_every_immutable_type():
+    assert set(IMMUTABLE_TYPES) <= set(_immutable_samples())
+    assert set(SIGNED_TYPES) <= set(IMMUTABLE_TYPES)
 
 
 @pytest.mark.parametrize("name", IMMUTABLE_TYPES)
@@ -202,8 +211,10 @@ def test_memoized_results_stay_out_of_repr_eq_and_hash(name):
 
 def _twin_states():
     """Two distinct KState objects of one value, reached along two choice
-    paths of the PFaB search, and every state met on the way."""
+    paths of the PFaB search, and every state met on the way. Every eager
+    delivery is taken, so settled states hold their commits."""
     kernel = _kernel_for(ExploreConfig(protocol="pfab", values=("A", "B")))
+    kernel.normalize = functools.partial(_cascading_normalize, kernel)
     frontier, first = [kernel.initial(None)], {}
     while frontier:
         state = frontier.pop(0)

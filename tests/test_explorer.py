@@ -117,7 +117,7 @@ def test_exploration_is_deterministic():
     a.stats.pop("elapsed"), b.stats.pop("elapsed")
     assert a.stats == b.stats
     assert (a.stats["states"], a.stats["deduped"], a.stats["max_depth"]) == (4372, 1502, 16)
-    assert (a.stats["transitions"], a.stats["transitions_reused"]) == (2379, 17491)
+    assert (a.stats["transitions"], a.stats["transitions_reused"]) == (465, 7246)
     assert a.counterexample.scenario.to_json() == b.counterexample.scenario.to_json()
 
 
@@ -207,7 +207,7 @@ def _uncached(cfg, monkeypatch):
 
 
 @pytest.mark.parametrize("cfg, counts, directives", [
-    (PFAB_SMALL, (4372, 1502, 16, 2379, 17491), 38),
+    (PFAB_SMALL, (4372, 1502, 16, 465, 7246), 38),
     (ZYZZYVA_SMALL, (15554, 7513, 14, 5790, 32718), None),
     (replace(ZYZZYVA_SMALL, max_views=3), (42232, 20493, 19, 6952, 107689), 61),
 ], ids=["pfab-stuck", "zyzzyva-two-views", "zyzzyva-three-views"])
@@ -226,6 +226,45 @@ def test_transition_table_changes_work_not_outcomes(monkeypatch, searched, cfg, 
         assert len(cached.counterexample.scenario.script) == directives
         assert cached.counterexample.scenario.to_json() == direct.counterexample.scenario.to_json()
         assert cached.counterexample.trace.to_jsonl() == direct.counterexample.trace.to_jsonl()
+
+
+def _cascading_normalize(kernel, w):
+    """A kernel's normalize without the leaf rule: every eager delivery is
+    taken, whether or not the draft is settled."""
+    while w.pool and (
+        w.pool[0].msg.kind in kernel.eager_kinds(w) or w.pool[0].src == w.pool[0].dst
+    ):
+        kernel.deliver_head(w)
+    w.store, w.sent_tab = kernel.intern(w.store), kernel.intern(w.sent_tab)
+    return w.freeze()
+
+
+@pytest.mark.parametrize("cfg, transitions", [
+    (PFAB_SMALL, (465, 2379)),
+    (ExploreConfig(protocol="pfab", values=("A",)), (763, 3085)),
+    (ExploreConfig(protocol="fab5", values=("A",)), (437, 2165)),
+    (replace(PFAB_SMALL, dedup=False), (465, 2379)),
+    # the view-2 leader is Byzantine: its replicas' REPs go to its store,
+    # so a settled state has no eager delivery left to skip
+    (replace(PFAB_SMALL, byzantine=(1,)), (15, 15)),
+    (ZYZZYVA_SMALL, (5790, 5790)),  # never settled
+], ids=["pfab-stuck", "pfab-one-value", "fab5-one-value", "pfab-stuck-no-dedup",
+        "pfab-byzantine-view-2-leader", "zyzzyva-two-views"])
+def test_leaf_rule_changes_work_not_outcomes(monkeypatch, searched, cfg, transitions):
+    leaf, _ = searched(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(_Kernel, "normalize", _cascading_normalize)
+        full = explore(cfg)
+    outcome = ("states", "deduped", "max_depth", "found", "budget_exhausted")
+    assert [leaf.stats[k] for k in outcome] == [full.stats[k] for k in outcome]
+    assert (leaf.stats["transitions"], full.stats["transitions"]) == transitions
+    if cfg.protocol == "zyzzyva":
+        assert leaf.stats["transitions_reused"] == full.stats["transitions_reused"]
+    if full.counterexample is None:
+        assert leaf.counterexample is None
+    else:
+        assert leaf.counterexample.scenario.to_json() == full.counterexample.scenario.to_json()
+        assert leaf.counterexample.trace.to_jsonl() == full.counterexample.trace.to_jsonl()
 
 
 @pytest.mark.parametrize("cfg", [PFAB_SMALL, ZYZZYVA_SMALL], ids=["pfab", "zyzzyva"])

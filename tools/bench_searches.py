@@ -6,15 +6,18 @@ Run from the repository root:
     python3 tools/bench_searches.py              # this checkout alone
     python3 tools/bench_searches.py --base REV   # paired with commit REV
 
-Every run of a search or a replay is its own process, which times the one
-call, so no run inherits another's interned values or warm caches.
+Every run of a search or a replay is its own process, so no run inherits
+another's interned values or warm caches. A search run times its one call.
+A replay takes only a few milliseconds, too short to compare as one call,
+so a replay run makes one untimed call and then times REPLAY_CALLS (25)
+calls, each reading and running the built-in, and reports their median.
 
 The file has up to three sections. `counters` holds what each search or
 replay computes: states, deduped, max_depth, transitions, transitions_reused
 and the exported script's length for a search, the trace's record count for
 a replay. They are deterministic, the same on every host, and every run must
 reproduce them. `timings` holds the checkout's median wall time in seconds
-of RUNS (5) runs of each, with the host, the Python version and the commit
+of RUNS (5) runs of each (for a replay, the median of the runs' medians), with the host, the Python version and the commit
 measured (`src_dirty` says whether `src/` differed from that commit).
 
 The host's speed drifts between runs minutes apart, so a lone median
@@ -57,6 +60,7 @@ SEARCHES = {  # ExploreConfig fields; f=1, t=0, two views, equivocate+withhold u
     "fab5-2-value-exhaustion": {"protocol": "fab5", "values": ("A", "B")},
 }
 RUNS = 5
+REPLAY_CALLS = 25
 SEARCH_COUNTERS = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
 
 
@@ -70,25 +74,33 @@ def _import_from(src: Path):
     return explorer, netsim, scenarios
 
 
-def run_one(src: Path, job: str) -> dict:
-    """One timed run of job ("search/NAME" or "replay/NAME") on the bftlab in
-    src: its counters and its wall time in seconds."""
-    explorer, netsim, scenarios = _import_from(src)
-    kind, name = job.split("/", 1)
+def _timed(call) -> tuple:
+    """call()'s result and its wall time in seconds."""
     gc.collect()
     started = time.perf_counter()
+    out = call()
+    return out, time.perf_counter() - started
+
+
+def run_one(src: Path, job: str) -> dict:
+    """One run of job ("search/NAME" or "replay/NAME") on the bftlab in src:
+    its counters and its wall time in seconds, a search's one call or the
+    median of a replay's REPLAY_CALLS calls after an untimed one."""
+    explorer, netsim, scenarios = _import_from(src)
+    kind, name = job.split("/", 1)
     if kind == "search":
-        res = explorer.explore(explorer.ExploreConfig(**SEARCHES[name]))
-    else:
-        records = netsim.run_scenario(scenarios.get_builtin(name)).records
-    seconds = time.perf_counter() - started
-    if kind == "search":
+        res, seconds = _timed(lambda: explorer.explore(explorer.ExploreConfig(**SEARCHES[name])))
         counters = {k: res.stats[k] for k in SEARCH_COUNTERS}
         ce = res.counterexample
         counters["export_length"] = None if ce is None else len(ce.scenario.script)
-    else:
-        counters = {"records": len(records)}
-    return {"counters": counters, "seconds": seconds}
+        return {"counters": counters, "seconds": seconds}
+
+    def replay():
+        return netsim.run_scenario(scenarios.get_builtin(name)).records
+
+    records = replay()
+    seconds = statistics.median(_timed(replay)[1] for _ in range(REPLAY_CALLS))
+    return {"counters": {"records": len(records)}, "seconds": seconds}
 
 
 def _run_in_child(src: Path, job: str) -> dict:
@@ -156,7 +168,7 @@ def main(argv=None) -> int:
         if args.base:
             trees = {"base": _extract_src(args.base, Path(tmp)), **trees}
         counters, times = measure(trees, jobs)
-    median = {side: {job: round(statistics.median(ts), 4) for job, ts in by_job.items()}
+    median = {side: {job: round(statistics.median(ts), 6) for job, ts in by_job.items()}
               for side, by_job in times.items()}
     status = _git("status", "--porcelain", "--", "src")
     bench = {
