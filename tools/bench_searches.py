@@ -17,8 +17,9 @@ replay computes: states, deduped, max_depth, transitions, transitions_reused
 and the exported script's length for a search, the trace's record count for
 a replay. They are deterministic, the same on every host, and every run must
 reproduce them. `timings` holds the checkout's median wall time in seconds
-of RUNS (5) runs of each (for a replay, the median of the runs' medians), with the host, the Python version and the commit
-measured (`src_dirty` says whether `src/` differed from that commit).
+of RUNS (5) runs of each (for a replay, the median of the runs' medians),
+with the host, the Python version and the commit measured (`src_dirty`
+says whether `src/` differed from that commit).
 
 The host's speed drifts between runs minutes apart, so a lone median
 compares hosts as much as code. With --base, REV's `src/` is extracted with
