@@ -41,14 +41,13 @@ of each routed client-bound response; and the named-artifact table keeps
 an action's routed sends per action key and the stored artifacts the
 action names, so each distinct resolved action is built and signed once
 however many stores hold those artifacts.
-A settled state is a leaf (`_Kernel.settled`): the search freezes it as
-soon as it is settled, without its pending eager deliveries, which cannot
-change its verdict. The rule never changes an outcome; at most it counts
-separately two leaves that those deliveries would have made equal.
+A settled state is a leaf (`_Kernel.settled`): it is frozen as soon as it
+is settled, without its pending eager deliveries, which cannot change its
+verdict. The rule never changes an outcome; at most it counts separately
+two leaves that those deliveries would have made equal.
 A found run is exported by taking its choices again with a `Simulation`
 attached, which executes each directive as the kernel takes it: message ids
 and ordinals are the simulator's alone, and its trace is the run's trace.
-An export takes every eager delivery, settled or not.
 """
 from __future__ import annotations
 
@@ -403,12 +402,12 @@ class _Kernel:
         return self.eager
 
     def normalize(self, w: _Draft) -> KState:
-        """Deliver the eager messages at the pool's head, then freeze w. A
-        search stops once w is `settled`, a leaf; an export takes them all."""
+        """Deliver the eager messages at the pool's head until w is
+        `settled`, a leaf, then freeze w."""
         # self-addressed messages are local and always processed immediately
         while w.pool and (
             w.pool[0].msg.kind in self.eager_kinds(w) or w.pool[0].src == w.pool[0].dst
-        ) and (self.sim is not None or not self.settled(w)):
+        ) and not self.settled(w):
             self.deliver_head(w)
         # states holding one store, or one set of sent marks, share one set
         w.store, w.sent_tab = self.intern(w.store), self.intern(w.sent_tab)
@@ -425,7 +424,7 @@ class _Kernel:
         """True when no remaining step can still reach the search target.
 
         A settled state is a leaf: it offers no choices, and `normalize`
-        takes none of its pending eager deliveries during a search. It may
+        takes none of its pending eager deliveries. It may
         read only `view` and `nodes`, so that a `_Draft` can be asked, and
         must stay True as further deliveries are taken.
         """
@@ -572,8 +571,8 @@ class FabKernel(_Kernel):
     def settled(self, st):
         """After the last view's leader evaluated its certificate, stuck-ness
         is decided; nothing later can trigger another evaluation. So the
-        search leaves the state's eager cascade (the proposal, the prepares,
-        the commit proofs) untaken: only an export builds it."""
+        state's eager cascade (the proposal, the prepares, the commit
+        proofs) is left untaken."""
         if not self._final_stuck_view(st):
             return False
         lead = leader_of(st.view, self.qc.n)

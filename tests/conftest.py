@@ -25,3 +25,18 @@ def searched():
         return done[cfg]
 
     return search
+
+
+@pytest.fixture(scope="session")
+def cascading_normalize():
+    """A kernel's normalize without the leaf rule, as normalize(kernel, w):
+    every eager delivery is taken, whether or not the draft is settled."""
+    def normalize(kernel, w):
+        while w.pool and (
+            w.pool[0].msg.kind in kernel.eager_kinds(w) or w.pool[0].src == w.pool[0].dst
+        ):
+            kernel.deliver_head(w)
+        w.store, w.sent_tab = kernel.intern(w.store), kernel.intern(w.sent_tab)
+        return w.freeze()
+
+    return normalize

@@ -24,7 +24,6 @@ from bftlab.core import (
     token_ok,
 )
 from bftlab.explorer import ExploreConfig, KState, _Draft, _kernel_for
-from test_explorer import _cascading_normalize
 
 
 def test_zyzzyva_thresholds():
@@ -132,13 +131,13 @@ SIGNED_TYPES = (
 
 
 @functools.cache
-def _immutable_samples() -> dict:
+def _immutable_samples(cascading_normalize) -> dict:
     """The first value of each immutable type met on seeded random walks
     through both explorer kernels. Their states hold every message,
     certificate and state type: the Byzantine replica's store keeps what it
     was sent, such as the correct leaders' OrderReq and NEW-VIEW. The walks
-    take every eager delivery, as an export does: a search leaves a settled
-    PFaB state's commit proofs unbuilt."""
+    take every eager delivery (`cascading_normalize`): a kernel's own
+    normalize leaves a settled PFaB state's commit proofs unbuilt."""
     samples, seen = {}, set()
 
     def visit(obj):
@@ -162,7 +161,7 @@ def _immutable_samples() -> dict:
                 ExploreConfig(protocol="zyzzyva", requests=("a", "b"), byzantine=(3,),
                               menu=(*menu, "inject_stored"))):
         kernel, rng = _kernel_for(cfg), random.Random(1)
-        kernel.normalize = functools.partial(_cascading_normalize, kernel)
+        kernel.normalize = functools.partial(cascading_normalize, kernel)
         for _ in range(5):
             state = kernel.initial(None)
             for _ in range(30):
@@ -174,14 +173,14 @@ def _immutable_samples() -> dict:
     return samples
 
 
-def test_the_samples_cover_every_immutable_type():
-    assert set(IMMUTABLE_TYPES) <= set(_immutable_samples())
+def test_the_samples_cover_every_immutable_type(cascading_normalize):
+    assert set(IMMUTABLE_TYPES) <= set(_immutable_samples(cascading_normalize))
     assert set(SIGNED_TYPES) <= set(IMMUTABLE_TYPES)
 
 
 @pytest.mark.parametrize("name", IMMUTABLE_TYPES)
-def test_memoized_results_stay_out_of_repr_eq_and_hash(name):
-    sample = _immutable_samples()[name]
+def test_memoized_results_stay_out_of_repr_eq_and_hash(name, cascading_normalize):
+    sample = _immutable_samples(cascading_normalize)[name]
     if name == "KState":
         # a named tuple has no instance storage to memoize a result in: its
         # repr, equality and hash are those of its seven field values
@@ -209,12 +208,12 @@ def test_memoized_results_stay_out_of_repr_eq_and_hash(name):
     assert value._repr == repr(value) == plain(value)  # served from the filled cache
 
 
-def _twin_states():
+def _twin_states(cascading_normalize):
     """Two distinct KState objects of one value, reached along two choice
     paths of the PFaB search, and every state met on the way. Every eager
     delivery is taken, so settled states hold their commits."""
     kernel = _kernel_for(ExploreConfig(protocol="pfab", values=("A", "B")))
-    kernel.normalize = functools.partial(_cascading_normalize, kernel)
+    kernel.normalize = functools.partial(cascading_normalize, kernel)
     frontier, first = [kernel.initial(None)], {}
     while frontier:
         state = frontier.pop(0)
@@ -227,10 +226,10 @@ def _twin_states():
     raise AssertionError("the search reached no state twice")
 
 
-def test_kstates_compare_and_hash_by_value():
+def test_kstates_compare_and_hash_by_value(cascading_normalize):
     # KState is a named tuple: the search's seen set compares states by
     # the values of their seven fields, whatever path built them
-    a, b, met = _twin_states()
+    a, b, met = _twin_states(cascading_normalize)
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     for name in KState._fields:
@@ -243,10 +242,11 @@ def test_kstates_compare_and_hash_by_value():
     assert all(x is y for x, y in zip(frozen, a))
 
 
-def test_values_are_equal_exactly_when_their_canonical_bytes_are():
+def test_values_are_equal_exactly_when_their_canonical_bytes_are(cascading_normalize):
     # the adversary's stores are sets of artifacts: equal values must be
     # the same artifact, and distinct ones distinct artifacts
-    values = [v for v in _immutable_samples().values() if hasattr(v, "canon")]
+    samples = _immutable_samples(cascading_normalize)
+    values = [v for v in samples.values() if hasattr(v, "canon")]
     values += [replace(v) for v in values]  # equal twins, with empty caches
     values += [replace(v, token=SignatureToken(v.token.signer, "0" * 64))
                for v in values if hasattr(v, "token")]
@@ -255,8 +255,8 @@ def test_values_are_equal_exactly_when_their_canonical_bytes_are():
 
 
 @pytest.mark.parametrize("name", SIGNED_TYPES)
-def test_a_replaced_token_is_verified_afresh(name):
-    msg = _immutable_samples()[name]
+def test_a_replaced_token_is_verified_afresh(name, cascading_normalize):
+    msg = _immutable_samples(cascading_normalize)[name]
     assert msg.verify()
     forged = replace(msg, token=SignatureToken(msg.token.signer, "0" * 64))
     assert not forged.verify()
@@ -272,11 +272,11 @@ def _fill_caches(value):
 
 
 @pytest.mark.parametrize("name", IMMUTABLE_TYPES)
-def test_positional_replace_equals_dataclasses_replace(name):
+def test_positional_replace_equals_dataclasses_replace(name, cascading_normalize):
     # the protocols' replace builds a value positionally; each field lands
     # where dataclasses.replace puts it, and the new value starts with no
     # cached result, even when the one it replaces has them all
-    sample = _immutable_samples()[name]
+    sample = _immutable_samples(cascading_normalize)[name]
     _fill_caches(sample)
     if name == "KState":  # a named tuple: its own _replace is the reference
         names, reference = sample._fields, sample._replace
@@ -292,8 +292,8 @@ def test_positional_replace_equals_dataclasses_replace(name):
 
 
 @pytest.mark.parametrize("name", SIGNED_TYPES)
-def test_the_payload_a_signed_message_keeps_equals_a_fresh_one(name):
-    sample = _immutable_samples()[name]
+def test_the_payload_a_signed_message_keeps_equals_a_fresh_one(name, cascading_normalize):
+    sample = _immutable_samples(cascading_normalize)[name]
     msg = signed(replace(sample, token=None), sample.token.signer)
     assert msg == sample and msg.verify()
     assert msg._payload is not None and msg._payload == replace(msg).payload()
@@ -315,11 +315,11 @@ def _altered(value):
 
 
 @pytest.mark.parametrize("name", SIGNED_TYPES)
-def test_a_token_copied_onto_a_message_with_another_field_fails_verify(name):
+def test_a_token_copied_onto_a_message_with_another_field_fails_verify(name, cascading_normalize):
     # signed messages keep the payload they were minted over, but a message
     # built with another field value computes its own, and the copied token
     # does not sign it
-    sample = _immutable_samples()[name]
+    sample = _immutable_samples(cascading_normalize)[name]
     msg = signed(replace(sample, token=None), sample.token.signer)
     assert msg.verify()
     altered = 0

@@ -228,17 +228,6 @@ def test_transition_table_changes_work_not_outcomes(monkeypatch, searched, cfg, 
         assert cached.counterexample.trace.to_jsonl() == direct.counterexample.trace.to_jsonl()
 
 
-def _cascading_normalize(kernel, w):
-    """A kernel's normalize without the leaf rule: every eager delivery is
-    taken, whether or not the draft is settled."""
-    while w.pool and (
-        w.pool[0].msg.kind in kernel.eager_kinds(w) or w.pool[0].src == w.pool[0].dst
-    ):
-        kernel.deliver_head(w)
-    w.store, w.sent_tab = kernel.intern(w.store), kernel.intern(w.sent_tab)
-    return w.freeze()
-
-
 @pytest.mark.parametrize("cfg, transitions", [
     (PFAB_SMALL, (465, 2379)),
     (ExploreConfig(protocol="pfab", values=("A",)), (763, 3085)),
@@ -250,10 +239,11 @@ def _cascading_normalize(kernel, w):
     (ZYZZYVA_SMALL, (5790, 5790)),  # never settled
 ], ids=["pfab-stuck", "pfab-one-value", "fab5-one-value", "pfab-stuck-no-dedup",
         "pfab-byzantine-view-2-leader", "zyzzyva-two-views"])
-def test_leaf_rule_changes_work_not_outcomes(monkeypatch, searched, cfg, transitions):
+def test_leaf_rule_changes_work_not_outcomes(monkeypatch, searched, cascading_normalize,
+                                            cfg, transitions):
     leaf, _ = searched(cfg)
     with monkeypatch.context() as m:
-        m.setattr(_Kernel, "normalize", _cascading_normalize)
+        m.setattr(_Kernel, "normalize", cascading_normalize)
         full = explore(cfg)
     outcome = ("states", "deduped", "max_depth", "found", "budget_exhausted")
     assert [leaf.stats[k] for k in outcome] == [full.stats[k] for k in outcome]

@@ -6,30 +6,29 @@ Run from the repository root:
     python3 tools/bench_searches.py              # this checkout alone
     python3 tools/bench_searches.py --base REV   # paired with commit REV
 
-Every run of a search or a replay is its own process, so no run inherits
-another's interned values or warm caches. A search run times its one call.
-A replay takes only a few milliseconds, too short to compare as one call,
-so a replay run makes one untimed call and then times REPLAY_CALLS (25)
-calls, each reading and running the built-in, and reports their median.
+Every run of a search or a replay is its own process, which times the one
+call, so no run inherits another's interned values or warm caches.
 
 The file has up to three sections. `counters` holds what each search or
 replay computes: states, deduped, max_depth, transitions, transitions_reused
 and the exported script's length for a search, the trace's record count for
 a replay. They are deterministic, the same on every host, and every run must
 reproduce them. `timings` holds the checkout's median wall time in seconds
-of RUNS (5) runs of each (for a replay, the median of the runs' medians),
-with the host, the Python version and the commit measured (`src_dirty`
-says whether `src/` differed from that commit).
+of RUNS (5) runs of each, with the host, the Python version and the commit
+measured (`src_dirty` says whether `src/` differed from that commit).
 
 The host's speed drifts between runs minutes apart, so a lone median
 compares hosts as much as code. With --base, REV's `src/` is extracted with
 `git archive` into a temporary directory, and each of the RUNS rounds runs
 REV and the checkout back to back on every job, the side that goes first
-alternating. `paired` then records REV's commit and, per job, REV's median,
-the ratio of the checkout's median to REV's (below 1: the checkout is
-faster) and the number of pairs the checkout won. `counter_changes` lists
-every job whose counters differ between the two, and the script names each
-on stderr: a change that moves them changes behaviour, not only speed.
+alternating. `paired` then records REV's commit and, per search, REV's
+median, the ratio of the checkout's median to REV's (below 1: the checkout
+is faster) and the number of pairs the checkout won. A replay takes only a
+few milliseconds, too short for a pair of processes to tell code from the
+host's drift, so replays are not paired: perfbench's `simulate` workload
+compares the simulator's speed. `counter_changes` lists every job, search
+or replay, whose counters differ between the two, and the script names
+each on stderr: a change that moves them changes behaviour, not only speed.
 """
 from __future__ import annotations
 
@@ -61,7 +60,6 @@ SEARCHES = {  # ExploreConfig fields; f=1, t=0, two views, equivocate+withhold u
     "fab5-2-value-exhaustion": {"protocol": "fab5", "values": ("A", "B")},
 }
 RUNS = 5
-REPLAY_CALLS = 25
 SEARCH_COUNTERS = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
 
 
@@ -75,33 +73,25 @@ def _import_from(src: Path):
     return explorer, netsim, scenarios
 
 
-def _timed(call) -> tuple:
-    """call()'s result and its wall time in seconds."""
-    gc.collect()
-    started = time.perf_counter()
-    out = call()
-    return out, time.perf_counter() - started
-
-
 def run_one(src: Path, job: str) -> dict:
-    """One run of job ("search/NAME" or "replay/NAME") on the bftlab in src:
-    its counters and its wall time in seconds, a search's one call or the
-    median of a replay's REPLAY_CALLS calls after an untimed one."""
+    """One timed run of job ("search/NAME" or "replay/NAME") on the bftlab in
+    src: its counters and its wall time in seconds."""
     explorer, netsim, scenarios = _import_from(src)
     kind, name = job.split("/", 1)
+    gc.collect()
+    started = time.perf_counter()
     if kind == "search":
-        res, seconds = _timed(lambda: explorer.explore(explorer.ExploreConfig(**SEARCHES[name])))
+        res = explorer.explore(explorer.ExploreConfig(**SEARCHES[name]))
+    else:
+        records = netsim.run_scenario(scenarios.get_builtin(name)).records
+    seconds = time.perf_counter() - started
+    if kind == "search":
         counters = {k: res.stats[k] for k in SEARCH_COUNTERS}
         ce = res.counterexample
         counters["export_length"] = None if ce is None else len(ce.scenario.script)
-        return {"counters": counters, "seconds": seconds}
-
-    def replay():
-        return netsim.run_scenario(scenarios.get_builtin(name)).records
-
-    records = replay()
-    seconds = statistics.median(_timed(replay)[1] for _ in range(REPLAY_CALLS))
-    return {"counters": {"records": len(records)}, "seconds": seconds}
+    else:
+        counters = {"records": len(records)}
+    return {"counters": counters, "seconds": seconds}
 
 
 def _run_in_child(src: Path, job: str) -> dict:
@@ -169,7 +159,7 @@ def main(argv=None) -> int:
         if args.base:
             trees = {"base": _extract_src(args.base, Path(tmp)), **trees}
         counters, times = measure(trees, jobs)
-    median = {side: {job: round(statistics.median(ts), 6) for job, ts in by_job.items()}
+    median = {side: {job: round(statistics.median(ts), 4) for job, ts in by_job.items()}
               for side, by_job in times.items()}
     status = _git("status", "--porcelain", "--", "src")
     bench = {
@@ -186,20 +176,21 @@ def main(argv=None) -> int:
     for job in jobs:
         print(f"{job}: {median['head'][job]} s {counters['head'][job]}", file=sys.stderr)
     if args.base:
-        ratio = {job: round(median["head"][job] / median["base"][job], 3) for job in jobs}
+        searches = jobs[:len(SEARCHES)]
+        ratio = {job: round(median["head"][job] / median["base"][job], 3) for job in searches}
         won = {job: sum(h < b for h, b in zip(times["head"][job], times["base"][job]))
-               for job in jobs}
+               for job in searches}
         changed = {job: {"base": counters["base"][job], "head": counters["head"][job]}
                    for job in jobs if counters["base"][job] != counters["head"][job]}
         bench["paired"] = {
             "base": _git("rev-parse", "--short", args.base),
-            "base_median_s": median["base"],
+            "base_median_s": {job: median["base"][job] for job in searches},
             "ratio": ratio,
             "pairs_won": won,
             "pairs": RUNS,
             "counter_changes": changed,
         }
-        for job in jobs:
+        for job in searches:
             print(f"{job}: {median['base'][job]} -> {median['head'][job]} s, "
                   f"ratio {ratio[job]}, won {won[job]} of {RUNS}", file=sys.stderr)
         for job, sides in changed.items():
