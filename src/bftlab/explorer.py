@@ -8,20 +8,25 @@ canonical order:
 
   * while messages are in flight, the lowest-sequence pending message is
     processed next: "eager" classes always deliver, "fated" classes branch
-    between deliver and drop (the schedule's freedom to delay);
+    between deliver and drop (the schedule's freedom to delay). The eager
+    classes are fixed per protocol: Zyzzyva's requests, orders, responses
+    and NEW-VIEWs; FaB's proposals and commit proofs, and FaB5's prepares,
+    which are receipt no-ops there;
   * at an empty pool: eligible client timeouts, then advancing every correct
     replica to the next view, then adversary actions.
 
 Adversary behavior is a finite template menu. Each adversary choice is the
 scenario-JSON action it exports, at most one per (kind, view); a composite
 action assigns one option or silence to each correct replica, so one choice
-point covers a whole equivocation. The adversary also supportively echoes
-correct replicas' client-bound responses, once per decision group, which
-only ever adds commit evidence. Actions resolve against the state's artifact
-store, a set of values; messages addressed to Byzantine nodes deliver
-immediately into it. Commits are decision groups: `core.tally` counts each
-sent message's (group, sender) mark, as the simulator does, and a group
-whose quorum fills joins the state's commits. A state is a named tuple: C
+point covers a whole equivocation, and an action is offered only if it
+sends something (FaB5's prepare, say, needs a correct leader). The
+adversary also supportively echoes correct replicas' client-bound
+responses, once per decision group, which only ever adds commit evidence.
+Actions resolve against the state's artifact store, a set of values;
+messages addressed to Byzantine nodes deliver immediately into it.
+Commits are decision groups: `core.tally` counts each sent message's
+(group, sender) mark, as the simulator does, and a group whose quorum
+fills joins the state's commits. A state is a named tuple: C
 builds, hashes and compares it, reading the hashes its values keep.
 The search starts from the simulator's initial node table. Each
 protocol transition and adversary action is computed once per search, its
@@ -205,7 +210,7 @@ class _Kernel:
     """Shared search mechanics; protocol specifics live in the subclasses."""
 
     proto = None  # the protocol module: step, decision_group, on_view_change_signal
-    eager: tuple = ()
+    eager: tuple = ()  # the message kinds delivered at once: fixed per protocol
 
     def __init__(self, cfg: ExploreConfig):
         self.cfg = cfg
@@ -398,15 +403,12 @@ class _Kernel:
         self.export("deliver", head)
         self.run(w, head.dst, self.proto.step, head.msg)
 
-    def eager_kinds(self, st) -> tuple:
-        return self.eager
-
     def normalize(self, w: _Draft) -> KState:
         """Deliver the eager messages at the pool's head until w is
         `settled`, a leaf, then freeze w."""
         # self-addressed messages are local and always processed immediately
         while w.pool and (
-            w.pool[0].msg.kind in self.eager_kinds(w) or w.pool[0].src == w.pool[0].dst
+            w.pool[0].msg.kind in self.eager or w.pool[0].src == w.pool[0].dst
         ) and not self.settled(w):
             self.deliver_head(w)
         # states holding one store, or one set of sent marks, share one set
@@ -557,23 +559,18 @@ class ZyzzyvaKernel(_Kernel):
 class FabKernel(_Kernel):
     proto = fab
 
-    def _final_stuck_view(self, st) -> bool:
-        return st.view == self.cfg.max_views
-
-    def eager_kinds(self, st):
-        # FaB5 has no commit-proof track, so prepares are receipt no-ops; in
-        # the last view of a stuck search only REP handling can matter:
-        # prepares cannot feed any further progress certificate
-        if self.cfg.protocol == FAB5 or self._final_stuck_view(st):
-            return ("propose", "commit_proof_msg", "accepted")
-        return ("propose", "commit_proof_msg")
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        # FaB5 has no commit-proof track, so its prepares are receipt no-ops
+        self.eager = (("propose", "commit_proof_msg", "accepted") if cfg.protocol == FAB5
+                      else ("propose", "commit_proof_msg"))
 
     def settled(self, st):
         """After the last view's leader evaluated its certificate, stuck-ness
         is decided; nothing later can trigger another evaluation. So the
         state's eager cascade (the proposal, the prepares, the commit
         proofs) is left untaken."""
-        if not self._final_stuck_view(st):
+        if st.view != self.cfg.max_views:
             return False
         lead = leader_of(st.view, self.qc.n)
         if lead == self.byz:
@@ -586,11 +583,12 @@ class FabKernel(_Kernel):
         if lead == self.byz and ("propose", view) not in st.slots:
             out += [{"kind": "propose", "view": view, "sends": s}
                     for s in self.per_replica_sends("value", self.cfg.values)]
-        if ("accepted", view) not in st.slots and not self._final_stuck_view(st):
+        if ("accepted", view) not in st.slots and view < self.cfg.max_views:
             dsts = [lead] if self.cfg.protocol == FAB5 else self.correct
             to = [str(d) for d in dsts if d != self.byz]
-            out += [{"kind": "accepted", "view": view, "value": v, "to": to}
-                    for v in self.cfg.values]
+            if to:  # a FaB5 prepare goes to the leader alone: none if it is Byzantine
+                out += [{"kind": "accepted", "view": view, "value": v, "to": to}
+                        for v in self.cfg.values]
         if view >= 2 and ("rep", view) not in st.slots:
             out += [{"kind": "rep", "view": view, "last_accepted": v, "commit_proof": None,
                      "to": str(lead)} for v in [*self.cfg.values, None]]

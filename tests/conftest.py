@@ -1,6 +1,6 @@
 import pytest
 
-from bftlab import explorer
+from bftlab import explorer, fab
 
 
 @pytest.fixture(scope="session")
@@ -30,10 +30,18 @@ def searched():
 @pytest.fixture(scope="session")
 def cascading_normalize():
     """A kernel's normalize without the leaf rule, as normalize(kernel, w):
-    every eager delivery is taken, whether or not the draft is settled."""
+    every eager delivery is taken, whether or not the draft is settled.
+    Its eager classes are the kernel's, and in a FaB search's final view
+    the prepares too, as the kernel's were while settled states went on
+    taking their deliveries."""
+    def eager(kernel, w):
+        if kernel.proto is fab and w.view == kernel.cfg.max_views:
+            return ("propose", "commit_proof_msg", "accepted")
+        return kernel.eager
+
     def normalize(kernel, w):
         while w.pool and (
-            w.pool[0].msg.kind in kernel.eager_kinds(w) or w.pool[0].src == w.pool[0].dst
+            w.pool[0].msg.kind in eager(kernel, w) or w.pool[0].src == w.pool[0].dst
         ):
             kernel.deliver_head(w)
         w.store, w.sent_tab = kernel.intern(w.store), kernel.intern(w.sent_tab)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 from bftlab import zyzzyva
 from bftlab.checkers import run_checkers
-from bftlab.core import derivations, log_ops, tally
+from bftlab.core import FAB5, derivations, leader_of, log_ops, tally
 from bftlab.explorer import (
     ExploreConfig,
     ExplorerError,
@@ -86,14 +86,20 @@ def test_dedup_changes_statistics_not_outcomes():
 
 def _unpruned(m):
     """Turn FaB's final-view pruning off: no state counts as settled, and
-    prepares are fated in every view."""
+    prepares are fated in every view, FaB5's too."""
+    init = FabKernel.__init__
+
+    def fated_prepares(self, cfg):
+        init(self, cfg)
+        self.eager = ("propose", "commit_proof_msg")
+
     m.setattr(FabKernel, "settled", lambda self, st: False)
-    m.setattr(FabKernel, "eager_kinds", lambda self, st: ("propose", "commit_proof_msg"))
+    m.setattr(FabKernel, "__init__", fated_prepares)
 
 
 @pytest.mark.parametrize("cfg, pruned, unpruned", [
     (PFAB_SMALL, 4372, 98574),
-    (ExploreConfig(protocol="fab5", values=("A",), max_views=2), 6847, 9343),
+    (ExploreConfig(protocol="fab5", values=("A",), max_views=2), 3423, 4671),
     # the view-2 leader is Byzantine: settled as soon as view 2 begins
     (replace(PFAB_SMALL, byzantine=(1,)), 33, 54),
 ], ids=["pfab-stuck", "fab5-one-value", "pfab-byzantine-view-2-leader"])
@@ -109,6 +115,68 @@ def test_final_view_pruning_changes_statistics_not_outcomes(monkeypatch, cfg, pr
         assert len(off.counterexample.scenario.script) == 38
         verdicts = run_checkers(run_scenario(off.counterexample.scenario).records, ["stuck"])
         assert verdicts[0].status == "occurred"
+
+
+FAB_SEARCHES = {  # the committed FaB searches: f=1, t=0, two views, equivocate+withhold
+    "pfab-stuck": PFAB_SMALL,
+    "pfab-one-value": ExploreConfig(protocol="pfab", values=("A",)),
+    "fab5-one-value": ExploreConfig(protocol="fab5", values=("A",)),
+    "fab5-two-values": ExploreConfig(protocol="fab5", values=("A", "B")),
+}
+
+
+@pytest.mark.parametrize("name", FAB_SEARCHES)
+def test_no_prepare_is_in_flight_in_an_unsettled_final_view(monkeypatch, name):
+    # why FaB's eager classes need no rule for the final view: until its
+    # leader has evaluated its certificate, which settles the state, no
+    # prepare is pooled there, so none waits to be delivered or dropped
+    cfg, normalize = FAB_SEARCHES[name], _Kernel.normalize
+    unsettled, holding = 0, 0
+
+    def checked(kernel, w):
+        nonlocal unsettled, holding
+        st = normalize(kernel, w)
+        if st.view == cfg.max_views and not kernel.settled(st):
+            unsettled += 1
+            holding += any(sent.msg.kind == "accepted" for sent in st.pool)
+        return st
+
+    monkeypatch.setattr(_Kernel, "normalize", checked)
+    assert not explore(cfg).stats["budget_exhausted"]
+    assert unsettled and not holding
+
+
+def _with_noop_accepted(m):
+    """Offer FaB5's `accepted` slot also when it sends nothing: its one
+    recipient is the view's leader, none when the Byzantine replica leads."""
+    offered = FabKernel.slot_choices
+
+    def slot_choices(self, st):
+        out = offered(self, st)
+        if (self.cfg.protocol == FAB5 and leader_of(st.view, self.qc.n) == self.byz
+                and st.view < self.cfg.max_views and ("accepted", st.view) not in st.slots):
+            at = sum(action["kind"] == "propose" for _, action in out)  # proposals first
+            out[at:at] = [("slot", {"kind": "accepted", "view": st.view, "value": v, "to": []})
+                          for v in self.cfg.values]
+        return out
+
+    m.setattr(FabKernel, "slot_choices", slot_choices)
+
+
+def test_a_choice_that_sends_nothing_changes_statistics_not_outcomes(monkeypatch, searched):
+    # the no-op choice's child differs from its parent in its slots alone,
+    # so its subtree repeats its sibling's: the same transitions, the same
+    # outcome, twice the states
+    cfg = FAB_SEARCHES["fab5-one-value"]
+    kept, _ = searched(cfg)
+    with monkeypatch.context() as m:
+        _with_noop_accepted(m)
+        noop = explore(cfg)
+    counted = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
+    assert tuple(kept.stats[k] for k in counted) == (3423, 480, 8, 437, 1275)
+    assert tuple(noop.stats[k] for k in counted) == (6847, 991, 9, 437, 2987)
+    assert kept.counterexample is None and noop.counterexample is None
+    assert not kept.stats["budget_exhausted"] and not noop.stats["budget_exhausted"]
 
 
 def test_exploration_is_deterministic():

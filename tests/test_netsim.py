@@ -347,6 +347,9 @@ _WALK_CONFIGS = {
     "fab5": ExploreConfig(protocol="fab5", values=("A", "B"), menu=_FAB_MENU),
     "zyzzyva-three-requests": ExploreConfig(protocol="zyzzyva", requests=("a", "b", "c"),
                                             menu=_ZYZZYVA_MENU, max_views=3),
+    # its view-change slots cite no stored certificate
+    "zyzzyva-no-inject": ExploreConfig(protocol="zyzzyva", requests=("a", "b"), menu=_FAB_MENU,
+                                       max_views=3),
 }
 
 
