@@ -18,10 +18,14 @@ canonical order:
 Adversary behavior is a finite template menu. Each adversary choice is the
 scenario-JSON action it exports, at most one per (kind, view); a composite
 action assigns one option or silence to each correct replica, so one choice
-point covers a whole equivocation, and an action is offered only if it
-sends something (FaB5's prepare, say, needs a correct leader). The
-adversary also supportively echoes correct replicas' client-bound
-responses, once per decision group, which only ever adds commit evidence.
+point covers a whole equivocation. An action is offered only if it reaches
+a correct replica and every artifact it names is stored exactly once: a
+FaB5 prepare, a view-change and a REP go to the view's leader alone, so
+none is offered while the Byzantine replica leads; a commit certificate is
+named by its view, so a view with two stored certificates offers neither,
+and a negative result does not cover injecting those. The adversary also
+supportively echoes correct replicas' client-bound responses, once per
+decision group, which only ever adds commit evidence.
 Actions resolve against the state's artifact store, a set of values;
 messages addressed to Byzantine nodes deliver immediately into it.
 Commits are decision groups: `core.tally` counts each sent message's
@@ -80,7 +84,6 @@ from .core import (
     tally,
 )
 from .netsim import (
-    ArtifactError,
     Simulation,
     adversary_sends,
     artifacts,
@@ -219,7 +222,7 @@ class _Kernel:
         self.correct = tuple(replica(i) for i in range(self.qc.n) if replica(i) != self.byz)
         self._interned: dict = {}
         self._transitions: dict = {}  # (hook, state, *args) -> (state', routed sends)
-        self._sends: dict = {}  # (store, action key) -> routed adversary sends, or None
+        self._sends: dict = {}  # (store, action key) -> routed adversary sends
         self._built: dict = {}  # (action key, named artifacts) -> the same, built once
         self._menus: dict = {}  # (view, slots, menu artifacts) -> keyed slot choices
         self._groups: dict = {}  # interned message -> its decision group, or None
@@ -365,8 +368,9 @@ class _Kernel:
         """Perform an adversary action, `key` its JSON (`_keyed`); exported
         as the directive replay runs.
 
-        An action naming an artifact the store lacks, or holds twice, sends
-        nothing and is not exported. The artifacts an action names are
+        The kernel offers only actions whose every named artifact the store
+        holds exactly once; one that does not resolve is an internal fault,
+        and its ArtifactError propagates. The artifacts an action names are
         looked up once per distinct store and action, and its sends are
         built once per distinct action and named artifacts: resolving
         against those is resolving against the store.
@@ -375,18 +379,11 @@ class _Kernel:
         if at not in self._sends:
             named = named_artifacts(action, w.store)
             if (key, named) not in self._built:
-                try:
-                    sends = adversary_sends(self.byz, action, named)
-                except ArtifactError:
-                    sends = None
-                else:
-                    sends = self.routed(self.byz, sends)
-                self._built[key, named] = sends
+                self._built[key, named] = self.routed(
+                    self.byz, adversary_sends(self.byz, action, named))
             self._sends[at] = self._built[key, named]
-        sends = self._sends[at]
-        if sends is not None:
-            self.export("adversary", actor=self.byz.index, action=action)
-            self.route(w, sends)
+        self.export("adversary", actor=self.byz.index, action=action)
+        self.route(w, self._sends[at])
 
     def per_replica_sends(self, name: str, options) -> list:
         """The `sends` lists of a composite action: each correct replica gets
@@ -539,9 +536,10 @@ class ZyzzyvaKernel(_Kernel):
         if lead == self.byz and ("order_req", view) not in st.slots:
             out += [{"kind": "order_req", "view": view, "sends": s}
                     for s in self.per_replica_sends("log", self.logs)]
-        if view >= 2 and ("view_change", view) not in st.slots:
-            stored = sorted(self.menu_artifacts(st), key=lambda c: c.canon())
-            certs = [None, *({"view": c.view} for c in stored)]
+        if view >= 2 and lead != self.byz and ("view_change", view) not in st.slots:
+            # a certificate is named by its view: one that shares it has no name
+            views = [c.view for c in sorted(self.menu_artifacts(st), key=lambda c: c.canon())]
+            certs = [None, *({"view": v} for v in views if views.count(v) == 1)]
             out += [{"kind": "view_change", "view": view, "log": log, "cert": cert, "to": str(lead)}
                     for log in [[], *self.logs] for cert in certs]
         return [("slot", action) for action in out]
@@ -589,7 +587,7 @@ class FabKernel(_Kernel):
             if to:  # a FaB5 prepare goes to the leader alone: none if it is Byzantine
                 out += [{"kind": "accepted", "view": view, "value": v, "to": to}
                         for v in self.cfg.values]
-        if view >= 2 and ("rep", view) not in st.slots:
+        if view >= 2 and lead != self.byz and ("rep", view) not in st.slots:
             out += [{"kind": "rep", "view": view, "last_accepted": v, "commit_proof": None,
                      "to": str(lead)} for v in [*self.cfg.values, None]]
         return [("slot", action) for action in out]

@@ -13,6 +13,7 @@ from bftlab.explorer import (
     ExplorerError,
     FabKernel,
     KState,
+    ZyzzyvaKernel,
     _Budget,
     _dfs,
     _Kernel,
@@ -101,7 +102,7 @@ def _unpruned(m):
     (PFAB_SMALL, 4372, 98574),
     (ExploreConfig(protocol="fab5", values=("A",), max_views=2), 3423, 4671),
     # the view-2 leader is Byzantine: settled as soon as view 2 begins
-    (replace(PFAB_SMALL, byzantine=(1,)), 33, 54),
+    (replace(PFAB_SMALL, byzantine=(1,)), 33, 36),
 ], ids=["pfab-stuck", "fab5-one-value", "pfab-byzantine-view-2-leader"])
 def test_final_view_pruning_changes_statistics_not_outcomes(monkeypatch, cfg, pruned, unpruned):
     on = explore(cfg)
@@ -177,6 +178,113 @@ def test_a_choice_that_sends_nothing_changes_statistics_not_outcomes(monkeypatch
     assert tuple(noop.stats[k] for k in counted) == (6847, 991, 9, 437, 2987)
     assert kept.counterexample is None and noop.counterexample is None
     assert not kept.stats["budget_exhausted"] and not noop.stats["budget_exhausted"]
+
+
+def _with_noop_menus(m):
+    """The menus and `act` as they were before every choice had to send
+    something: a `view_change` or `rep` also went to a Byzantine leader,
+    which stores it at once, and a view-change cited each stored commit
+    certificate by its view, also one that shares its view with another,
+    which does not resolve; `act` kept such an action as sending nothing,
+    not exported."""
+    zyzzyva_menu, fab_menu = ZyzzyvaKernel.slot_choices, FabKernel.slot_choices
+
+    def zyzzyva_choices(self, st):
+        view, lead = st.view, leader_of(st.view, self.qc.n)
+        out = [c for c in zyzzyva_menu(self, st) if c[1]["kind"] != "view_change"]
+        if view >= 2 and ("view_change", view) not in st.slots:  # view changes last
+            stored = sorted(self.menu_artifacts(st), key=lambda c: c.canon())
+            certs = [None, *({"view": c.view} for c in stored)]
+            out += [("slot", {"kind": "view_change", "view": view, "log": log, "cert": cert,
+                              "to": str(lead)}) for log in [[], *self.logs] for cert in certs]
+        return out
+
+    def fab_choices(self, st):
+        view, lead = st.view, leader_of(st.view, self.qc.n)
+        out = fab_menu(self, st)
+        if view >= 2 and lead == self.byz and ("rep", view) not in st.slots:  # reps last
+            out += [("slot", {"kind": "rep", "view": view, "last_accepted": v,
+                              "commit_proof": None, "to": str(lead)})
+                    for v in [*self.cfg.values, None]]
+        return out
+
+    def act(self, w, action, key):
+        at = (w.store, key)
+        if at not in self._sends:
+            named = named_artifacts(action, w.store)
+            if (key, named) not in self._built:
+                try:
+                    sends = self.routed(self.byz, adversary_sends(self.byz, action, named))
+                except ArtifactError:
+                    sends = None
+                self._built[key, named] = sends
+            self._sends[at] = self._built[key, named]
+        if self._sends[at] is not None:
+            self.export("adversary", actor=self.byz.index, action=action)
+            self.route(w, self._sends[at])
+
+    m.setattr(ZyzzyvaKernel, "slot_choices", zyzzyva_choices)
+    m.setattr(FabKernel, "slot_choices", fab_choices)
+    m.setattr(_Kernel, "act", act)
+
+
+_PFAB_THREE_VIEWS = replace(PFAB_SMALL, max_views=3)
+_FAB5_ONE_VALUE = FAB_SEARCHES["fab5-one-value"]
+
+
+def _placed(cfg, i):
+    return replace(cfg, byzantine=(i,))
+
+
+# every Byzantine placement: (states, deduped) with every choice sending
+# something, then with the no-op menus. Only a Byzantine leader of a later,
+# unsettled view, or two stored certificates of one view, move the counters.
+# PFaB's three-view search with r0 Byzantine is left out: it does not settle
+# within its 2M-state budget.
+_PLACEMENTS = {
+    "zyzzyva-two-views-r0": (ZYZZYVA_SMALL, (15554, 7513), (15554, 7513)),
+    "zyzzyva-two-views-r1": (_placed(ZYZZYVA_SMALL, 1), (911, 4881), (4777, 35589)),
+    "zyzzyva-two-views-r2": (_placed(ZYZZYVA_SMALL, 2), (16256, 7541), (16256, 11471)),
+    "zyzzyva-two-views-r3": (_placed(ZYZZYVA_SMALL, 3), (16256, 7541), (16256, 11471)),
+    "pfab-two-views-r0": (PFAB_SMALL, (4372, 1502), (4372, 1502)),
+    "pfab-two-views-r1": (_placed(PFAB_SMALL, 1), (33, 14), (33, 14)),
+    "pfab-two-views-r2": (_placed(PFAB_SMALL, 2), (114, 32), (114, 32)),
+    "pfab-two-views-r3": (_placed(PFAB_SMALL, 3), (114, 32), (114, 32)),
+    "pfab-three-views-r1": (_placed(_PFAB_THREE_VIEWS, 1), (720, 1529), (2790, 6371)),
+    "pfab-three-views-r2": (_placed(_PFAB_THREE_VIEWS, 2), (95883, 63470), (95883, 63470)),
+    "pfab-three-views-r3": (_placed(_PFAB_THREE_VIEWS, 3), (137274, 72668), (137274, 72668)),
+    "fab5-one-value-r0": (_FAB5_ONE_VALUE, (3423, 480), (3423, 480)),
+    "fab5-one-value-r1": (_placed(_FAB5_ONE_VALUE, 1), (3, 0), (3, 0)),
+    **{f"fab5-one-value-r{i}": (_placed(_FAB5_ONE_VALUE, i), (213, 30), (213, 30))
+       for i in range(2, 6)},
+}
+
+
+@pytest.mark.parametrize("name", _PLACEMENTS)
+def test_every_adversary_choice_sends_to_a_correct_replica(monkeypatch, searched, name):
+    cfg, counts, noop_counts = _PLACEMENTS[name]
+    res, kernel = searched(cfg)
+    assert not res.stats["budget_exhausted"]
+    assert kernel._sends
+    for sends in kernel._sends.values():
+        assert type(sends) is tuple and sends
+        assert all(sent.dst != kernel.byz for sent, _ in sends)
+    # the no-op choices change statistics, not outcomes: a no-op child
+    # repeats its parent's subtree, with the same transitions
+    with monkeypatch.context() as m:
+        _with_noop_menus(m)
+        noop = explore(cfg)
+    assert (res.stats["states"], res.stats["deduped"]) == counts
+    assert (noop.stats["states"], noop.stats["deduped"]) == noop_counts
+    same = ("found", "budget_exhausted", "transitions")
+    assert [res.stats[k] for k in same] == [noop.stats[k] for k in same]
+    if counts == noop_counts:
+        assert res.stats == {**noop.stats, "elapsed": res.stats["elapsed"]}
+    if res.counterexample is None:
+        assert noop.counterexample is None
+    else:
+        assert res.counterexample.scenario.to_json() == noop.counterexample.scenario.to_json()
+        assert res.counterexample.trace.to_jsonl() == noop.counterexample.trace.to_jsonl()
 
 
 def test_exploration_is_deterministic():
@@ -348,12 +456,7 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
         assert ns == fresh_ns
         assert_routed(sends, getattr(node, "cid", None) or node.rid, fresh_sends)
     for (store, action), sends in kernel._sends.items():
-        try:
-            fresh = adversary_sends(kernel.byz, json.loads(action), store)
-        except ArtifactError:
-            assert sends is None
-        else:
-            assert_routed(sends, kernel.byz, fresh)
+        assert_routed(sends, kernel.byz, adversary_sends(kernel.byz, json.loads(action), store))
     # the tables hold messages that count toward a decision
     assert groups - {None}
     # each distinct message's decision group is what a fresh call computes
@@ -371,12 +474,7 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
     # call computes from them; each store's entry is its named artifacts' one
     assert kernel._built
     for (action, named), sends in kernel._built.items():
-        try:
-            fresh = adversary_sends(kernel.byz, json.loads(action), named)
-        except ArtifactError:
-            assert sends is None
-        else:
-            assert_routed(sends, kernel.byz, fresh)
+        assert_routed(sends, kernel.byz, adversary_sends(kernel.byz, json.loads(action), named))
     for (store, action), sends in kernel._sends.items():
         assert sends is kernel._built[action, named_artifacts(json.loads(action), store)]
     # each slot menu is slot_choices of a state with its key, each choice

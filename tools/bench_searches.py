@@ -58,6 +58,8 @@ SEARCHES = {  # ExploreConfig fields; f=1, t=0, two views, equivocate+withhold u
     "pfab-1-value-exhaustion": {"protocol": "pfab", "values": ("A",)},
     "fab5-1-value-exhaustion": {"protocol": "fab5", "values": ("A",)},
     "fab5-2-value-exhaustion": {"protocol": "fab5", "values": ("A", "B")},
+    # r1 leads view 2, where no view-change slot goes to it
+    "zyzzyva-2-view-byzantine-leader": {**_ZYZZYVA, "byzantine": (1,)},
 }
 RUNS = 5
 SEARCH_COUNTERS = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
