@@ -54,6 +54,8 @@ A settled state is a leaf (`_Kernel.settled`): it is frozen as soon as it
 is settled, without its pending eager deliveries, which cannot change its
 verdict. The rule never changes an outcome; at most it counts separately
 two leaves that those deliveries would have made equal.
+The budget, `max_states`, bounds the search's work: every child built
+counts against it, a new state or a deduped one.
 A found run is exported by taking its choices again with a `Simulation`
 attached, which executes each directive as the kernel takes it: message ids
 and ordinals are the simulator's alone, and its trace is the run's trace.
@@ -618,7 +620,8 @@ def _dfs(kernel, st, seen, stats, cfg):
 
     The stack holds one iterator over the remaining choices of each state on
     the current path, so the search depth is not bounded by Python's
-    recursion limit.
+    recursion limit. It raises _Budget rather than build a child past
+    cfg.max_states, counting new and deduped children alike.
     """
     path: list = []  # the choices that lead from st to the top of the stack
     stack = [(st, iter(kernel.choices(st)))]
@@ -630,6 +633,8 @@ def _dfs(kernel, st, seen, stats, cfg):
             if path:
                 path.pop()
             continue
+        if stats["states"] + stats["deduped"] >= cfg.max_states:
+            raise _Budget()
         child = kernel.apply(state, choice)
         if seen is not None:
             known = len(seen)
@@ -638,8 +643,6 @@ def _dfs(kernel, st, seen, stats, cfg):
                 stats["deduped"] += 1
                 continue
         stats["states"] += 1
-        if stats["states"] > cfg.max_states:
-            raise _Budget()
         if kernel.violated(child):
             return tuple(path) + (choice,)
         path.append(choice)

@@ -1,6 +1,16 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from bftlab import explorer, fab
+from bftlab.core import read
+
+GOLDEN = Path(__file__).parent / "golden"
+# the committed searches (searches.json) by name, each config read as `bftlab explore` reads it
+SEARCHES = {name: {**entry, "config": read(explorer.ExploreConfig, entry["config"],
+                                           "explore config", explorer.ExplorerError)}
+            for name, entry in json.loads(GOLDEN.with_name("searches.json").read_text()).items()}
 
 
 @pytest.fixture(scope="session")

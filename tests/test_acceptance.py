@@ -6,7 +6,6 @@ lines alongside the pytest verdicts.
 import itertools
 import random
 import time
-from pathlib import Path
 
 from bftlab.checkers import (
     check_agreement,
@@ -16,12 +15,10 @@ from bftlab.checkers import (
     run_checkers,
 )
 from bftlab.core import FAB5, client, quorum_config, replica
-from bftlab.explorer import ExploreConfig, explore
 from bftlab.fab import STUCK, ProgressCertificate, Rep, leader_choose, signed
 from bftlab.netsim import Simulation, run_scenario
 from bftlab.scenarios import Scenario, get_builtin, validate
-
-GOLDEN = Path(__file__).parent / "golden"
+from conftest import GOLDEN, SEARCHES
 
 
 def _passed(criterion, detail):
@@ -128,39 +125,19 @@ def test_criterion_5_fab5_never_stuck_exhaustive():
     _passed(5, f"{checked} certificates, all vouch, {elapsed:.1f}s")
 
 
-def test_criterion_6_explorer_rediscovers_both_bugs():
+def test_criterion_6_explorer_rediscovers_both_bugs(searched):
     """Bounded search finds the stuck state and the agreement violation."""
-    started = time.monotonic()
-    pfab = explore(ExploreConfig(
-        protocol="pfab", f=1, t=0, values=("A", "B"), max_views=2,
-        menu=("equivocate", "withhold"),
-    ))
-    pfab_elapsed = time.monotonic() - started
-    assert pfab.counterexample is not None
-    want = (GOLDEN / "explored-pfab-stuck.json").read_text()
-    assert pfab.counterexample.scenario.to_json() == want, "exported pfab script drifted"
-    replay = run_checkers(
-        run_scenario(pfab.counterexample.scenario).records, ["stuck"]
-    )
-    assert replay[0].status == "occurred"
-    assert pfab_elapsed < 60.0
-
-    started = time.monotonic()
-    zyz = explore(ExploreConfig(
-        protocol="zyzzyva", f=1, requests=("a", "b"), max_views=3,
-        menu=("equivocate", "withhold", "inject_stored"),
-    ))
-    zyz_elapsed = time.monotonic() - started
-    assert zyz.counterexample is not None
-    want = (GOLDEN / "explored-zyzzyva-agreement.json").read_text()
-    assert zyz.counterexample.scenario.to_json() == want, "exported zyzzyva script drifted"
-    replay = run_checkers(
-        run_scenario(zyz.counterexample.scenario).records, ["agreement"]
-    )
-    assert replay[0].status == "violated"
-    assert zyz_elapsed < 600.0
-    _passed(6, f"pfab stuck {pfab_elapsed:.1f}s ({pfab.stats['states']} states), "
-               f"zyzzyva violation {zyz_elapsed:.1f}s ({zyz.stats['states']} states)")
+    done = []
+    for name, verdict, bound_s in [("pfab-stuck", ("stuck", "occurred"), 60.0),
+                                   ("zyzzyva-3-view-violation", ("agreement", "violated"), 600.0)]:
+        res, _ = searched(SEARCHES[name]["config"])  # elapsed: the search's own time
+        got = res.counterexample.scenario
+        assert got.to_json() == (GOLDEN / SEARCHES[name]["golden"]).read_text(), name
+        replay = run_checkers(run_scenario(got).records, [verdict[0]])
+        assert (replay[0].property, replay[0].status) == verdict
+        assert res.stats["elapsed"] < bound_s
+        done.append(f"{name} {res.stats['elapsed']:.1f}s ({res.stats['states']} states)")
+    _passed(6, ", ".join(done))
 
 
 def _random_benign_zyzzyva(seed: int):

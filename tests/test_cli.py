@@ -1,5 +1,5 @@
 import json
-from pathlib import Path
+from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from bftlab.cli import main
 from bftlab.checkers import read_trace
 from bftlab.scenarios import BUILTIN_NAMES, get_builtin
-
-GOLDEN = Path(__file__).parent / "golden"
+from conftest import GOLDEN, SEARCHES
 
 
 def test_list_prints_builtins(capsys):
@@ -86,15 +85,15 @@ def test_invalid_scenario_exits_one(capsys, tmp_path):
 
 def test_explore_cli_roundtrip(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "protocol": "pfab", "f": 1, "t": 0, "values": ["A", "B"],
-        "max_views": 2, "menu": ["equivocate", "withhold"],
-    }))
+    stuck = SEARCHES["pfab-stuck"]
+    cfg.write_text(json.dumps(asdict(stuck["config"])))
     out_path = tmp_path / "found.json"
     assert main(["explore", "--explore-config", str(cfg), "--out", str(out_path)]) == 2
     out = capsys.readouterr().out
-    assert out.startswith("explored 4372 states (deduped 1502, depth 16) in ")
-    assert "s; 465 transitions computed, 7246 reused\n" in out
+    assert out.startswith("explored {states} states (deduped {deduped}, depth {max_depth}) in "
+                          .format(**stuck["counters"]))
+    assert "s; {transitions} transitions computed, {transitions_reused} reused\n".format(
+        **stuck["counters"]) in out
     assert "counterexample found: stuck occurred" in out
     assert main(["run", "--scenario", str(out_path)]) == 2
     assert "stuck: OCCURRED" in capsys.readouterr().out
@@ -102,7 +101,7 @@ def test_explore_cli_roundtrip(capsys, tmp_path):
 
 def test_explore_cli_exhaustion_exits_zero(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"protocol": "pfab", "values": ["A"], "max_views": 2}))
+    cfg.write_text(json.dumps(asdict(SEARCHES["pfab-1-value-exhaustion"]["config"])))
     assert main(["explore", "--explore-config", str(cfg)]) == 0
     assert "no counterexample" in capsys.readouterr().out
 
@@ -586,9 +585,7 @@ def test_any_json_in_a_golden_trace_exits_zero_one_or_two(tmp_path, data):
     assert main(["check", str(mutated)]) in (0, 1, 2)
 
 
-_PFAB_STUCK = {"protocol": "pfab", "f": 1, "t": 0, "byzantine": [0], "max_views": 2,
-               "values": ["A", "B"], "requests": [], "menu": ["equivocate", "withhold"],
-               "dedup": True, "max_states": 300}
+_PFAB_STUCK = asdict(SEARCHES["pfab-stuck"]["config"]) | {"max_states": 300}  # every field
 
 
 @pytest.mark.parametrize("config, says", [

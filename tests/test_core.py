@@ -23,7 +23,8 @@ from bftlab.core import (
     signed,
     token_ok,
 )
-from bftlab.explorer import ExploreConfig, KState, _Draft, _kernel_for
+from bftlab.explorer import KState, _Draft, _kernel_for
+from conftest import SEARCHES
 
 
 def test_zyzzyva_thresholds():
@@ -156,10 +157,8 @@ def _immutable_samples(cascading_normalize) -> dict:
                 if f.init:
                     visit(getattr(obj, f.name))
 
-    menu = ("equivocate", "withhold")
-    for cfg in (ExploreConfig(protocol="pfab", values=("A", "B"), menu=menu),
-                ExploreConfig(protocol="zyzzyva", requests=("a", "b"), byzantine=(3,),
-                              menu=(*menu, "inject_stored"))):
+    for cfg in (SEARCHES["pfab-stuck"]["config"],
+                replace(SEARCHES["zyzzyva-2-view-exhaustion"]["config"], byzantine=(3,))):
         kernel, rng = _kernel_for(cfg), random.Random(1)
         kernel.normalize = functools.partial(cascading_normalize, kernel)
         for _ in range(5):
@@ -212,7 +211,7 @@ def _twin_states(cascading_normalize):
     """Two distinct KState objects of one value, reached along two choice
     paths of the PFaB search, and every state met on the way. Every eager
     delivery is taken, so settled states hold their commits."""
-    kernel = _kernel_for(ExploreConfig(protocol="pfab", values=("A", "B")))
+    kernel = _kernel_for(SEARCHES["pfab-stuck"]["config"])
     kernel.normalize = functools.partial(cascading_normalize, kernel)
     frontier, first = [kernel.initial(None)], {}
     while frontier:

@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from bftlab import zyzzyva
-from bftlab.checkers import run_checkers
+from bftlab.checkers import any_violation, run_checkers
 from bftlab.core import FAB5, derivations, leader_of, log_ops, tally
 from bftlab.explorer import (
     ExploreConfig,
@@ -29,11 +29,57 @@ from bftlab.netsim import (
     run_scenario,
 )
 from bftlab.scenarios import loads
+from conftest import GOLDEN, SEARCHES
 
-PFAB_SMALL = ExploreConfig(protocol="pfab", f=1, t=0, values=("A", "B"), max_views=2,
-                           menu=("equivocate", "withhold"))
-ZYZZYVA_SMALL = ExploreConfig(protocol="zyzzyva", f=1, requests=("a", "b"), max_views=2,
-                              menu=("equivocate", "withhold", "inject_stored"))
+PFAB_SMALL = SEARCHES["pfab-stuck"]["config"]
+ZYZZYVA_SMALL = SEARCHES["zyzzyva-2-view-exhaustion"]["config"]
+COUNTERS = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
+FAB_SEARCHES = {  # the committed FaB searches, by test id
+    "pfab-stuck": SEARCHES["pfab-stuck"]["config"],
+    "pfab-one-value": SEARCHES["pfab-1-value-exhaustion"]["config"],
+    "fab5-one-value": SEARCHES["fab5-1-value-exhaustion"]["config"],
+    "fab5-two-values": SEARCHES["fab5-2-value-exhaustion"]["config"],
+}
+
+
+def _counts(name, *keys):
+    """The committed search's counters named by keys, from the registry."""
+    return tuple(SEARCHES[name]["counters"][k] for k in keys)
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_committed_search(searched, name):
+    """Each committed search (searches.json) ends in its outcome with its
+    counters; a found one exports its golden scenario byte for byte, whose
+    replay gives its verdict. CI runs this under each hash seed: stores,
+    sent marks and the kernel's table keys are frozensets, and PFaB stuck
+    stops at its first hit, so its counters depend on the order it visits
+    states in. Zyzzyva's 3-view search runs the most view changes, whose
+    base logs and spec responses each kernel derives once. With r1
+    Byzantine, r1 leads view 2, where no view-change slot is offered. FaB5
+    never gets stuck: its settled leaves take no eager deliveries, and no
+    `accepted` slot is offered while the Byzantine replica, its one
+    recipient, leads."""
+    want = SEARCHES[name]
+    res, _ = searched(want["config"])
+    assert [res.stats[k] for k in ("found", "budget_exhausted")] == [
+        want["found"], want["budget_exhausted"]]
+    assert {k: res.stats[k] for k in COUNTERS} == want["counters"]
+    ce = res.counterexample
+    assert (None if ce is None else len(ce.scenario.script)) == want["export_length"]
+    if want["golden"] is None:
+        assert ce is None
+        return
+    golden = (GOLDEN / want["golden"]).read_text()
+    assert ce.scenario.to_json() == golden == loads(golden).to_json()
+    assert ce.verdict.property == want["config"].resolved_target()
+    assert any_violation([ce.verdict])
+    assert run_checkers(run_scenario(loads(golden)).records, [ce.verdict.property]) == [ce.verdict]
+
+
+def test_every_golden_export_is_a_committed_search():
+    named = [s["golden"] for s in SEARCHES.values() if s["golden"] is not None]
+    assert sorted(named) == sorted(path.name for path in GOLDEN.glob("explored-*.json"))
 
 
 def test_config_validation():
@@ -51,27 +97,9 @@ def test_config_validation():
         validate_config(replace(PFAB_SMALL, max_views=0))
 
 
-def test_pfab_two_values_get_stuck():
-    res = explore(PFAB_SMALL)
-    assert res.stats["found"] and not res.stats["budget_exhausted"]
-    ce = res.counterexample
-    assert ce.verdict.property == "stuck" and ce.verdict.status == "occurred"
-    # the exported scenario is a valid, canonical scenario document
-    sc = ce.scenario
-    assert loads(sc.to_json()).to_json() == sc.to_json()
-    # replaying it independently reproduces the verdict
-    verdicts = run_checkers(run_scenario(sc).records, ["stuck"])
-    assert verdicts[0].status == "occurred"
-
-
-def test_pfab_single_value_cannot_get_stuck():
-    res = explore(ExploreConfig(protocol="pfab", values=("A",), max_views=2))
-    assert res.counterexample is None and not res.stats["budget_exhausted"]
-
-
 def test_dedup_changes_statistics_not_outcomes():
     # exhaustion case
-    base = ExploreConfig(protocol="fab5", values=("A",), max_views=2)
+    base = FAB_SEARCHES["fab5-one-value"]
     on, off = explore(base), explore(replace(base, dedup=False))
     assert on.counterexample is None and off.counterexample is None
     assert off.stats["states"] > on.stats["states"]
@@ -81,7 +109,8 @@ def test_dedup_changes_statistics_not_outcomes():
     # Zyzzyva 2-view exhaustion: dedup changes how many states are visited,
     # not whether a counterexample exists
     on, off = explore(ZYZZYVA_SMALL), explore(replace(ZYZZYVA_SMALL, dedup=False))
-    assert (on.stats["states"], off.stats["states"]) == (15554, 27789)
+    assert (on.stats["states"], off.stats["states"]) == (
+        *_counts("zyzzyva-2-view-exhaustion", "states"), 27789)
     assert on.counterexample is None and off.counterexample is None
 
 
@@ -99,8 +128,8 @@ def _unpruned(m):
 
 
 @pytest.mark.parametrize("cfg, pruned, unpruned", [
-    (PFAB_SMALL, 4372, 98574),
-    (ExploreConfig(protocol="fab5", values=("A",), max_views=2), 3423, 4671),
+    (PFAB_SMALL, *_counts("pfab-stuck", "states"), 98574),
+    (FAB_SEARCHES["fab5-one-value"], *_counts("fab5-1-value-exhaustion", "states"), 4671),
     # the view-2 leader is Byzantine: settled as soon as view 2 begins
     (replace(PFAB_SMALL, byzantine=(1,)), 33, 36),
 ], ids=["pfab-stuck", "fab5-one-value", "pfab-byzantine-view-2-leader"])
@@ -113,17 +142,9 @@ def test_final_view_pruning_changes_statistics_not_outcomes(monkeypatch, cfg, pr
     assert not on.stats["budget_exhausted"] and not off.stats["budget_exhausted"]
     assert on.stats["found"] == off.stats["found"]
     if on.counterexample is not None:
-        assert len(off.counterexample.scenario.script) == 38
+        assert len(off.counterexample.scenario.script) == SEARCHES["pfab-stuck"]["export_length"]
         verdicts = run_checkers(run_scenario(off.counterexample.scenario).records, ["stuck"])
         assert verdicts[0].status == "occurred"
-
-
-FAB_SEARCHES = {  # the committed FaB searches: f=1, t=0, two views, equivocate+withhold
-    "pfab-stuck": PFAB_SMALL,
-    "pfab-one-value": ExploreConfig(protocol="pfab", values=("A",)),
-    "fab5-one-value": ExploreConfig(protocol="fab5", values=("A",)),
-    "fab5-two-values": ExploreConfig(protocol="fab5", values=("A", "B")),
-}
 
 
 @pytest.mark.parametrize("name", FAB_SEARCHES)
@@ -173,9 +194,8 @@ def test_a_choice_that_sends_nothing_changes_statistics_not_outcomes(monkeypatch
     with monkeypatch.context() as m:
         _with_noop_accepted(m)
         noop = explore(cfg)
-    counted = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
-    assert tuple(kept.stats[k] for k in counted) == (3423, 480, 8, 437, 1275)
-    assert tuple(noop.stats[k] for k in counted) == (6847, 991, 9, 437, 2987)
+    assert tuple(kept.stats[k] for k in COUNTERS) == _counts("fab5-1-value-exhaustion", *COUNTERS)
+    assert tuple(noop.stats[k] for k in COUNTERS) == (6847, 991, 9, 437, 2987)
     assert kept.counterexample is None and noop.counterexample is None
     assert not kept.stats["budget_exhausted"] and not noop.stats["budget_exhausted"]
 
@@ -241,19 +261,22 @@ def _placed(cfg, i):
 # unsettled view, or two stored certificates of one view, move the counters.
 # PFaB's three-view search with r0 Byzantine is left out: it does not settle
 # within its 2M-state budget.
+_ZYZZYVA_R0, _ZYZZYVA_R1, _PFAB_R0, _FAB5_R0 = (_counts(name, "states", "deduped") for name in (
+    "zyzzyva-2-view-exhaustion", "zyzzyva-2-view-byzantine-leader", "pfab-stuck",
+    "fab5-1-value-exhaustion"))
 _PLACEMENTS = {
-    "zyzzyva-two-views-r0": (ZYZZYVA_SMALL, (15554, 7513), (15554, 7513)),
-    "zyzzyva-two-views-r1": (_placed(ZYZZYVA_SMALL, 1), (911, 4881), (4777, 35589)),
+    "zyzzyva-two-views-r0": (ZYZZYVA_SMALL, _ZYZZYVA_R0, _ZYZZYVA_R0),
+    "zyzzyva-two-views-r1": (_placed(ZYZZYVA_SMALL, 1), _ZYZZYVA_R1, (4777, 35589)),
     "zyzzyva-two-views-r2": (_placed(ZYZZYVA_SMALL, 2), (16256, 7541), (16256, 11471)),
     "zyzzyva-two-views-r3": (_placed(ZYZZYVA_SMALL, 3), (16256, 7541), (16256, 11471)),
-    "pfab-two-views-r0": (PFAB_SMALL, (4372, 1502), (4372, 1502)),
+    "pfab-two-views-r0": (PFAB_SMALL, _PFAB_R0, _PFAB_R0),
     "pfab-two-views-r1": (_placed(PFAB_SMALL, 1), (33, 14), (33, 14)),
     "pfab-two-views-r2": (_placed(PFAB_SMALL, 2), (114, 32), (114, 32)),
     "pfab-two-views-r3": (_placed(PFAB_SMALL, 3), (114, 32), (114, 32)),
     "pfab-three-views-r1": (_placed(_PFAB_THREE_VIEWS, 1), (720, 1529), (2790, 6371)),
     "pfab-three-views-r2": (_placed(_PFAB_THREE_VIEWS, 2), (95883, 63470), (95883, 63470)),
     "pfab-three-views-r3": (_placed(_PFAB_THREE_VIEWS, 3), (137274, 72668), (137274, 72668)),
-    "fab5-one-value-r0": (_FAB5_ONE_VALUE, (3423, 480), (3423, 480)),
+    "fab5-one-value-r0": (_FAB5_ONE_VALUE, _FAB5_R0, _FAB5_R0),
     "fab5-one-value-r1": (_placed(_FAB5_ONE_VALUE, 1), (3, 0), (3, 0)),
     **{f"fab5-one-value-r{i}": (_placed(_FAB5_ONE_VALUE, i), (213, 30), (213, 30))
        for i in range(2, 6)},
@@ -292,8 +315,7 @@ def test_exploration_is_deterministic():
     a, b = explore(PFAB_SMALL), explore(PFAB_SMALL)
     a.stats.pop("elapsed"), b.stats.pop("elapsed")
     assert a.stats == b.stats
-    assert (a.stats["states"], a.stats["deduped"], a.stats["max_depth"]) == (4372, 1502, 16)
-    assert (a.stats["transitions"], a.stats["transitions_reused"]) == (465, 7246)
+    assert tuple(a.stats[k] for k in COUNTERS) == _counts("pfab-stuck", *COUNTERS)
     assert a.counterexample.scenario.to_json() == b.counterexample.scenario.to_json()
 
 
@@ -313,8 +335,9 @@ def test_each_choice_builds_one_state(monkeypatch):
     monkeypatch.setattr(_Kernel, "apply", counted("apply", _Kernel.apply))
     monkeypatch.setattr(FabKernel, "initial", counted("initial", FabKernel.initial))
     assert explore(PFAB_SMALL).stats["found"]
+    states, deduped = _counts("pfab-stuck", "states", "deduped")
     # the search and the export of its 16-choice run
-    assert (calls["apply"], calls["initial"]) == (4372 + 1502 + 16, 2)
+    assert (calls["apply"], calls["initial"]) == (states + deduped + 16, 2)
     assert calls["KState"] == calls["apply"] + calls["initial"]
 
 
@@ -355,8 +378,11 @@ def test_intern_table_belongs_to_its_kernel():
 
 
 def test_budget_exhaustion_reports_no_counterexample():
-    res = explore(replace(PFAB_SMALL, max_states=50))
-    assert res.counterexample is None and res.stats["budget_exhausted"]
+    # a deduped child costs a transition and a hash too: the budget counts it
+    for cfg, budget in [(PFAB_SMALL, 50), (ZYZZYVA_SMALL, 1500)]:
+        res = explore(replace(cfg, max_states=budget))
+        assert res.counterexample is None and res.stats["budget_exhausted"]
+        assert res.stats["states"] + res.stats["deduped"] <= budget + 1
 
 
 def _direct_transition(kernel, src, hook, state, *args):
@@ -382,37 +408,33 @@ def _uncached(cfg, monkeypatch):
         return explore(cfg)
 
 
-@pytest.mark.parametrize("cfg, counts, directives", [
-    (PFAB_SMALL, (4372, 1502, 16, 465, 7246), 38),
-    (ZYZZYVA_SMALL, (15554, 7513, 14, 5790, 32718), None),
-    (replace(ZYZZYVA_SMALL, max_views=3), (42232, 20493, 19, 6952, 107689), 61),
+@pytest.mark.parametrize("name", [
+    "pfab-stuck", "zyzzyva-2-view-exhaustion", "zyzzyva-3-view-violation",
 ], ids=["pfab-stuck", "zyzzyva-two-views", "zyzzyva-three-views"])
-def test_transition_table_changes_work_not_outcomes(monkeypatch, searched, cfg, counts,
-                                                   directives):
+def test_transition_table_changes_work_not_outcomes(monkeypatch, searched, name):
+    # the committed side's counters and export are the registry test's
+    cfg = SEARCHES[name]["config"]
     (cached, _), direct = searched(cfg), _uncached(cfg, monkeypatch)
     outcome = ("states", "deduped", "max_depth", "budget_exhausted", "found")
     assert [cached.stats[k] for k in outcome] == [direct.stats[k] for k in outcome]
-    counted = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
-    assert tuple(cached.stats[k] for k in counted) == counts
     assert cached.stats["transitions_reused"] > cached.stats["transitions"]
     assert direct.stats["transitions"] == direct.stats["transitions_reused"] == 0
-    if directives is None:
-        assert cached.counterexample is None and direct.counterexample is None
+    if cached.counterexample is None:
+        assert direct.counterexample is None
     else:
-        assert len(cached.counterexample.scenario.script) == directives
         assert cached.counterexample.scenario.to_json() == direct.counterexample.scenario.to_json()
         assert cached.counterexample.trace.to_jsonl() == direct.counterexample.trace.to_jsonl()
 
 
 @pytest.mark.parametrize("cfg, transitions", [
-    (PFAB_SMALL, (465, 2379)),
-    (ExploreConfig(protocol="pfab", values=("A",)), (763, 3085)),
-    (ExploreConfig(protocol="fab5", values=("A",)), (437, 2165)),
+    (PFAB_SMALL, (*_counts("pfab-stuck", "transitions"), 2379)),
+    (FAB_SEARCHES["pfab-one-value"], (*_counts("pfab-1-value-exhaustion", "transitions"), 3085)),
+    (FAB_SEARCHES["fab5-one-value"], (*_counts("fab5-1-value-exhaustion", "transitions"), 2165)),
     (replace(PFAB_SMALL, dedup=False), (465, 2379)),
     # the view-2 leader is Byzantine: its replicas' REPs go to its store,
     # so a settled state has no eager delivery left to skip
     (replace(PFAB_SMALL, byzantine=(1,)), (15, 15)),
-    (ZYZZYVA_SMALL, (5790, 5790)),  # never settled
+    (ZYZZYVA_SMALL, _counts("zyzzyva-2-view-exhaustion", "transitions") * 2),  # never settled
 ], ids=["pfab-stuck", "pfab-one-value", "fab5-one-value", "pfab-stuck-no-dedup",
         "pfab-byzantine-view-2-leader", "zyzzyva-two-views"])
 def test_leaf_rule_changes_work_not_outcomes(monkeypatch, searched, cascading_normalize,

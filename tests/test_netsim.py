@@ -9,7 +9,7 @@ import pytest
 from bftlab import core, explorer, fab, zyzzyva
 from bftlab.checkers import check_trace, read_trace, run_checkers
 from bftlab.core import ZYZZYVA, log_ops, replica
-from bftlab.explorer import ExploreConfig, _kernel_for, explore
+from bftlab.explorer import _kernel_for, explore
 from bftlab.fab import check_decision
 from bftlab.netsim import (
     ArtifactError,
@@ -25,6 +25,7 @@ from bftlab.netsim import (
 )
 from bftlab.scenarios import BUILTIN_NAMES, Scenario, ScenarioError, get_builtin, validate
 from bftlab.zyzzyva import check_decisions
+from conftest import SEARCHES
 
 
 def _bare(protocol="zyzzyva", **kw):
@@ -338,23 +339,17 @@ def _walk_scenario(cfg, seed):
     return validate(sim.scenario)
 
 
-_FAB_MENU = ("equivocate", "withhold")  # FaB searches take no inject_stored
-_ZYZZYVA_MENU = (*_FAB_MENU, "inject_stored")
-_WALK_CONFIGS = {
-    "zyzzyva": ExploreConfig(protocol="zyzzyva", requests=("a", "b"), menu=_ZYZZYVA_MENU,
-                             max_views=3),
-    "pfab": ExploreConfig(protocol="pfab", values=("A", "B"), menu=_FAB_MENU),
-    "fab5": ExploreConfig(protocol="fab5", values=("A", "B"), menu=_FAB_MENU),
-    "zyzzyva-three-requests": ExploreConfig(protocol="zyzzyva", requests=("a", "b", "c"),
-                                            menu=_ZYZZYVA_MENU, max_views=3),
+_ZYZZYVA = SEARCHES["zyzzyva-3-view-violation"]["config"]
+_WALK_CONFIGS = {  # the committed searches' configs, three views for Zyzzyva's
+    "zyzzyva": _ZYZZYVA,
+    "pfab": SEARCHES["pfab-stuck"]["config"],
+    "fab5": SEARCHES["fab5-2-value-exhaustion"]["config"],
+    "zyzzyva-three-requests": replace(_ZYZZYVA, requests=("a", "b", "c")),
     # its view-change slots cite no stored certificate
-    "zyzzyva-no-inject": ExploreConfig(protocol="zyzzyva", requests=("a", "b"), menu=_FAB_MENU,
-                                       max_views=3),
+    "zyzzyva-no-inject": replace(_ZYZZYVA, menu=("equivocate", "withhold")),
     # the Byzantine replica leads view 2: it orders there, and no view-change
     # slot is offered in that view
-    "zyzzyva-byzantine-view-2-leader": ExploreConfig(
-        protocol="zyzzyva", requests=("a", "b"), menu=_ZYZZYVA_MENU, max_views=3,
-        byzantine=(1,)),
+    "zyzzyva-byzantine-view-2-leader": replace(_ZYZZYVA, byzantine=(1,)),
 }
 
 

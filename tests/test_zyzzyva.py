@@ -13,7 +13,6 @@ from bftlab.core import (
     quorum_config,
     replica,
 )
-from bftlab.explorer import ExploreConfig
 from bftlab.zyzzyva import (
     FAST,
     TWO_PHASE,
@@ -39,6 +38,7 @@ from bftlab.zyzzyva import (
     signed,
     valid_cert,
 )
+from conftest import SEARCHES
 
 CFG = quorum_config(ZYZZYVA, 1)
 
@@ -361,8 +361,7 @@ def test_reconstruct_orders_two_supported_logs_by_canonical_bytes():
 
 def test_reconstruct_keeps_its_rule_on_every_searched_new_view(searched):
     # the 3-view search's transition table, shared with the explorer tests
-    _, kernel = searched(ExploreConfig(protocol=ZYZZYVA, f=1, requests=("a", "b"), max_views=3,
-                                       menu=("equivocate", "withhold", "inject_stored")))
+    _, kernel = searched(SEARCHES["zyzzyva-3-view-violation"]["config"])
     proofs = {args[0].proof for _, _, *args in kernel._transitions
               if args and isinstance(args[0], NewViewMessage)}
     assert len(proofs) > 10

@@ -6,15 +6,17 @@ Run from the repository root:
     python3 tools/bench_searches.py              # this checkout alone
     python3 tools/bench_searches.py --base REV   # paired with commit REV
 
-Every run of a search or a replay is its own process, which times the one
-call, so no run inherits another's interned values or warm caches.
+The searches are the committed ones, each with its explore config, read
+from tests/searches.json. Every run of a search or a replay is its own
+process, which times the one call, so no run inherits another's interned
+values or warm caches.
 
 The file has up to three sections. `counters` holds what each search or
 replay computes: states, deduped, max_depth, transitions, transitions_reused
 and the exported script's length for a search, the trace's record count for
 a replay. They are deterministic, the same on every host, and every run must
 reproduce them. `timings` holds the checkout's median wall time in seconds
-of RUNS (5) runs of each, with the host, the Python version and the commit
+of RUNS (10) runs of each, with the host, the Python version and the commit
 measured (`src_dirty` says whether `src/` differed from that commit).
 
 The host's speed drifts between runs minutes apart, so a lone median
@@ -49,41 +51,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-_ZYZZYVA = {"protocol": "zyzzyva", "requests": ("a", "b"),
-            "menu": ("equivocate", "withhold", "inject_stored")}
-SEARCHES = {  # ExploreConfig fields; f=1, t=0, two views, equivocate+withhold unless stated
-    "pfab-stuck": {"protocol": "pfab", "values": ("A", "B")},
-    "zyzzyva-2-view-exhaustion": _ZYZZYVA,
-    "zyzzyva-3-view-violation": {**_ZYZZYVA, "max_views": 3},
-    "pfab-1-value-exhaustion": {"protocol": "pfab", "values": ("A",)},
-    "fab5-1-value-exhaustion": {"protocol": "fab5", "values": ("A",)},
-    "fab5-2-value-exhaustion": {"protocol": "fab5", "values": ("A", "B")},
-    # r1 leads view 2, where no view-change slot goes to it
-    "zyzzyva-2-view-byzantine-leader": {**_ZYZZYVA, "byzantine": (1,)},
-}
-RUNS = 5
+SEARCHES = {name: entry["config"] for name, entry in
+            json.loads((ROOT / "tests" / "searches.json").read_text()).items()}
+RUNS = 10
 SEARCH_COUNTERS = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
 
 
 def _import_from(src: Path):
-    """bftlab's explorer, netsim and scenarios modules, imported from src."""
+    """bftlab's core, explorer, netsim and scenarios modules, imported from src."""
     sys.path.insert(0, str(src))
-    from bftlab import explorer, netsim, scenarios
+    from bftlab import core, explorer, netsim, scenarios
 
     if not Path(explorer.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"error: bftlab imported from {explorer.__file__}, not {src}")
-    return explorer, netsim, scenarios
+    return core, explorer, netsim, scenarios
 
 
 def run_one(src: Path, job: str) -> dict:
     """One timed run of job ("search/NAME" or "replay/NAME") on the bftlab in
     src: its counters and its wall time in seconds."""
-    explorer, netsim, scenarios = _import_from(src)
+    core, explorer, netsim, scenarios = _import_from(src)
     kind, name = job.split("/", 1)
     gc.collect()
     started = time.perf_counter()
     if kind == "search":
-        res = explorer.explore(explorer.ExploreConfig(**SEARCHES[name]))
+        cfg = core.read(explorer.ExploreConfig, SEARCHES[name], name, explorer.ExplorerError)
+        res = explorer.explore(cfg)
     else:
         records = netsim.run_scenario(scenarios.get_builtin(name)).records
     seconds = time.perf_counter() - started
@@ -153,7 +146,7 @@ def main(argv=None) -> int:
     if args.run:
         print(json.dumps(run_one(args.src, args.run)))
         return 0
-    _, _, scenarios = _import_from(SRC)
+    *_, scenarios = _import_from(SRC)
     jobs = [f"search/{name}" for name in SEARCHES]
     jobs += [f"replay/{name}" for name in scenarios.BUILTIN_NAMES]
     with tempfile.TemporaryDirectory() as tmp:
