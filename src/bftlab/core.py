@@ -284,10 +284,11 @@ class QuorumConfig:
         return self.f + self.t + 1
 
 
-def quorum_config(protocol: str, f: int, t: int = 0) -> QuorumConfig:
-    """Derive all thresholds for the minimal n of the given protocol."""
+def quorum_config(protocol: str, f: int, t: int = 0, error=ValueError) -> QuorumConfig:
+    """Derive all thresholds for the minimal n of the given protocol; a
+    parameter it has none for raises error."""
     if f < 1:
-        raise ValueError(f"f must be >= 1, got {f}")
+        raise error(f"f must be >= 1, got {f}")
     if protocol == ZYZZYVA:
         n = 3 * f + 1
         return QuorumConfig(protocol, f, 0, n, n, 2 * f + 1, 2 * f + 1, 2 * f + 1)
@@ -298,10 +299,10 @@ def quorum_config(protocol: str, f: int, t: int = 0) -> QuorumConfig:
         return QuorumConfig(protocol, f, t, n, n - t, n - f - t, n - f - t, n - f)
     if protocol == PFAB:
         if not 0 <= t <= f:
-            raise ValueError(f"pfab requires 0 <= t <= f, got t={t} f={f}")
+            raise error(f"pfab requires 0 <= t <= f, got t={t} f={f}")
         n = 3 * f + 2 * t + 1
         return QuorumConfig(protocol, f, t, n, n - t, n - f - t, n - f - t, n - f)
-    raise ValueError(f"unknown protocol: {protocol!r}")
+    raise error(f"unknown protocol: {protocol!r}")
 
 
 def distinct_quorum(msgs, size: int) -> bool:

@@ -18,14 +18,18 @@ canonical order:
 Adversary behavior is a finite template menu. Each adversary choice is the
 scenario-JSON action it exports, at most one per (kind, view); a composite
 action assigns one option or silence to each correct replica, so one choice
-point covers a whole equivocation. An action is offered only if it reaches
-a correct replica and every artifact it names is stored exactly once: a
-FaB5 prepare, a view-change and a REP go to the view's leader alone, so
-none is offered while the Byzantine replica leads; a commit certificate is
-named by its view, so a view with two stored certificates offers neither,
-and a negative result does not cover injecting those. The adversary also
-supportively echoes correct replicas' client-bound responses, once per
-decision group, which only ever adds commit evidence.
+point covers a whole equivocation. An action is offered only if some
+correct recipient can accept it and every artifact it names is stored
+exactly once: a FaB5 prepare, a view-change and a REP go to the view's
+leader alone, so none is offered while the Byzantine replica leads, and a
+view-change or REP only until that leader has started its view (`started`);
+a Byzantine leader's order or proposal is offered in view 1 alone, since a
+later view's needs a NEW-VIEW or a progress certificate, which the menu
+cannot build; a commit certificate is named by its view, so a view with two
+stored certificates offers neither, and a negative result does not cover
+injecting those. The adversary also supportively echoes correct replicas'
+client-bound responses, once per decision group, which only ever adds
+commit evidence.
 Actions resolve against the state's artifact store, a set of values;
 messages addressed to Byzantine nodes deliver immediately into it.
 Commits are decision groups: `core.tally` counts each sent message's
@@ -44,12 +48,13 @@ response set shared by many node states is derived and signed once.
 Every store is closed under its artifacts' components, so a store that
 holds a message holds everything it carries.
 Each adversary move is built once as well: the slot-menu table keeps the
-slot choices per view, used slots and stored artifacts the menu names,
-each with its action's JSON key; the echo table keeps the supportive echo
-of each routed client-bound response; and the named-artifact table keeps
-an action's routed sends per action key and the stored artifacts the
-action names, so each distinct resolved action is built and signed once
-however many stores hold those artifacts.
+slot choices per view, used slots, stored artifacts the menu names and
+whether the view's leader has started it, each with its action's JSON
+key; the echo table keeps the supportive echo of each routed client-bound
+response; and the named-artifact table keeps an action's routed sends per
+action key and the stored artifacts the action names, so each distinct
+resolved action is built and signed once however many stores hold those
+artifacts.
 A settled state is a leaf (`_Kernel.settled`): it is frozen as soon as it
 is settled, without its pending eager deliveries, which cannot change its
 verdict. The rule never changes an outcome; at most it counts separately
@@ -216,6 +221,7 @@ class _Kernel:
 
     proto = None  # the protocol module: step, decision_group, on_view_change_signal
     eager: tuple = ()  # the message kinds delivered at once: fixed per protocol
+    started_views = ""  # the leader state's field that lists the views it started
 
     def __init__(self, cfg: ExploreConfig):
         self.cfg = cfg
@@ -226,7 +232,7 @@ class _Kernel:
         self._transitions: dict = {}  # (hook, state, *args) -> (state', routed sends)
         self._sends: dict = {}  # (store, action key) -> routed adversary sends
         self._built: dict = {}  # (action key, named artifacts) -> the same, built once
-        self._menus: dict = {}  # (view, slots, menu artifacts) -> keyed slot choices
+        self._menus: dict = {}  # (view, slots, menu artifacts, started) -> keyed slot choices
         self._groups: dict = {}  # interned message -> its decision group, or None
         self._artifacts: dict = {}  # interned message -> tuple(artifacts(message))
         self._tallies: dict = {}  # (sent marks, interned message) -> core.tally's result
@@ -286,7 +292,8 @@ class _Kernel:
     def slot_choices(self, st: KState) -> list:
         """The adversary's ("slot", action) choices at an empty pool (menu
         "equivocate"); the action is the scenario-JSON dict exported. They
-        follow from the view, the used slots and `menu_artifacts` alone."""
+        follow from the view, the used slots, `menu_artifacts` and `started`
+        alone."""
         raise NotImplementedError
 
     def menu_artifacts(self, st: KState) -> frozenset:
@@ -295,6 +302,17 @@ class _Kernel:
 
     def violated(self, st: KState) -> bool:
         raise NotImplementedError
+
+    def started(self, st: KState) -> bool:
+        """Whether the view's leader is correct and has started the view: sent
+        its NEW-VIEW (Zyzzyva) or evaluated its progress certificate (FaB).
+        It then rejects every view-change message or REP of the view. False
+        in view 1, which starts without either. Reads only `view` and
+        `nodes`."""
+        if st.view == 1:
+            return False
+        node = st.nodes[(st.view - 1) % self.qc.n]  # leader_of's; None if Byzantine
+        return node is not None and st.view in getattr(node, self.started_views)
 
     # shared mechanics ------------------------------------------------------------
     def initial(self, sim: Simulation | None = None) -> KState:
@@ -453,8 +471,9 @@ class _Kernel:
 
     def slot_menu(self, st: KState) -> list:
         """slot_choices(st), each choice ("slot", action, key) with its
-        action's key: built once per view, used slots and menu artifacts."""
-        at = (st.view, st.slots, self.menu_artifacts(st))
+        action's key: built once per view, used slots, menu artifacts and
+        leader's start."""
+        at = (st.view, st.slots, self.menu_artifacts(st), self.started(st))
         menu = self._menus.get(at)
         if menu is None:
             menu = self._menus[at] = [(kind, *_keyed(action))
@@ -490,6 +509,7 @@ class _Kernel:
 class ZyzzyvaKernel(_Kernel):
     proto = zyzzyva
     eager = ("request", "order_req", "spec_response", "local_commit", "new_view")
+    started_views = "nv_done"
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -535,10 +555,11 @@ class ZyzzyvaKernel(_Kernel):
     def slot_choices(self, st):
         view, lead = st.view, leader_of(st.view, self.qc.n)
         out = []
-        if lead == self.byz and ("order_req", view) not in st.slots:
+        if view == 1 and lead == self.byz and ("order_req", view) not in st.slots:
             out += [{"kind": "order_req", "view": view, "sends": s}
                     for s in self.per_replica_sends("log", self.logs)]
-        if view >= 2 and lead != self.byz and ("view_change", view) not in st.slots:
+        if (view >= 2 and lead != self.byz and ("view_change", view) not in st.slots
+                and not self.started(st)):
             # a certificate is named by its view: one that shares it has no name
             views = [c.view for c in sorted(self.menu_artifacts(st), key=lambda c: c.canon())]
             certs = [None, *({"view": v} for v in views if views.count(v) == 1)]
@@ -558,6 +579,7 @@ class ZyzzyvaKernel(_Kernel):
 
 class FabKernel(_Kernel):
     proto = fab
+    started_views = "chosen_done"
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -572,15 +594,12 @@ class FabKernel(_Kernel):
         proofs) is left untaken."""
         if st.view != self.cfg.max_views:
             return False
-        lead = leader_of(st.view, self.qc.n)
-        if lead == self.byz:
-            return True
-        return st.view in st.nodes[lead.index].chosen_done
+        return self.started(st) or leader_of(st.view, self.qc.n) == self.byz
 
     def slot_choices(self, st):
         view, lead = st.view, leader_of(st.view, self.qc.n)
         out = []
-        if lead == self.byz and ("propose", view) not in st.slots:
+        if view == 1 and lead == self.byz and ("propose", view) not in st.slots:
             out += [{"kind": "propose", "view": view, "sends": s}
                     for s in self.per_replica_sends("value", self.cfg.values)]
         if ("accepted", view) not in st.slots and view < self.cfg.max_views:
@@ -589,7 +608,8 @@ class FabKernel(_Kernel):
             if to:  # a FaB5 prepare goes to the leader alone: none if it is Byzantine
                 out += [{"kind": "accepted", "view": view, "value": v, "to": to}
                         for v in self.cfg.values]
-        if view >= 2 and lead != self.byz and ("rep", view) not in st.slots:
+        if (view >= 2 and lead != self.byz and ("rep", view) not in st.slots
+                and not self.started(st)):
             out += [{"kind": "rep", "view": view, "last_accepted": v, "commit_proof": None,
                      "to": str(lead)} for v in [*self.cfg.values, None]]
         return [("slot", action) for action in out]

@@ -55,10 +55,7 @@ def from_dict(data: dict) -> Scenario:
     for i, c in enumerate(sc.clients):
         if c["id"] < 1:
             raise ScenarioError(f"clients[{i}].id must be at least 1, got {c['id']}")
-    try:
-        cfg = quorum_config(sc.protocol, sc.f, sc.t)
-    except ValueError as e:
-        raise ScenarioError(str(e)) from None
+    cfg = quorum_config(sc.protocol, sc.f, sc.t, ScenarioError)
     if len(sc.byzantine) > sc.f:
         raise ScenarioError(f"{len(sc.byzantine)} byzantine replicas exceeds f={sc.f}")
     for b in sc.byzantine:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -55,6 +56,22 @@ def test_quorum_config_rejects_bad_parameters():
         quorum_config(PFAB, 2, -1)
     with pytest.raises(ValueError):
         quorum_config("paxos", 1)
+
+
+def test_quorum_config_raises_its_readers_error():
+    # as parse_node and parse_json do: a reader gets its own class, no
+    # conversion, and the message is the one ValueError carries
+    class ReaderError(Exception):
+        pass
+
+    for args, message in [((ZYZZYVA, 0), "f must be >= 1, got 0"),
+                          ((PFAB, 1, 2), "pfab requires 0 <= t <= f, got t=2 f=1"),
+                          (("paxos", 1), "unknown protocol: 'paxos'")]:
+        with pytest.raises(ReaderError) as raised:
+            quorum_config(*args, error=ReaderError)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quorum_config(*args)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3])

@@ -56,7 +56,10 @@ def test_committed_search(searched, name):
     stops at its first hit, so its counters depend on the order it visits
     states in. Zyzzyva's 3-view search runs the most view changes, whose
     base logs and spec responses each kernel derives once. With r1
-    Byzantine, r1 leads view 2, where no view-change slot is offered. FaB5
+    Byzantine, r1 leads view 2, where no slot is offered: a view-change
+    would go to r1, and no correct replica takes an order without a
+    NEW-VIEW; that also makes the f=2 search, with 4^6 - 1 orders per
+    view-2 state, small enough to exhaust. FaB5
     never gets stuck: its settled leaves take no eager deliveries, and no
     `accepted` slot is offered while the Byzantine replica, its one
     recipient, leads."""
@@ -110,7 +113,7 @@ def test_dedup_changes_statistics_not_outcomes():
     # not whether a counterexample exists
     on, off = explore(ZYZZYVA_SMALL), explore(replace(ZYZZYVA_SMALL, dedup=False))
     assert (on.stats["states"], off.stats["states"]) == (
-        *_counts("zyzzyva-2-view-exhaustion", "states"), 27789)
+        *_counts("zyzzyva-2-view-exhaustion", "states"), 22254)
     assert on.counterexample is None and off.counterexample is None
 
 
@@ -128,10 +131,10 @@ def _unpruned(m):
 
 
 @pytest.mark.parametrize("cfg, pruned, unpruned", [
-    (PFAB_SMALL, *_counts("pfab-stuck", "states"), 98574),
-    (FAB_SEARCHES["fab5-one-value"], *_counts("fab5-1-value-exhaustion", "states"), 4671),
+    (PFAB_SMALL, *_counts("pfab-stuck", "states"), 77326),
+    (FAB_SEARCHES["fab5-one-value"], *_counts("fab5-1-value-exhaustion", "states"), 4575),
     # the view-2 leader is Byzantine: settled as soon as view 2 begins
-    (replace(PFAB_SMALL, byzantine=(1,)), 33, 36),
+    (replace(PFAB_SMALL, byzantine=(1,)), 33, 33),
 ], ids=["pfab-stuck", "fab5-one-value", "pfab-byzantine-view-2-leader"])
 def test_final_view_pruning_changes_statistics_not_outcomes(monkeypatch, cfg, pruned, unpruned):
     on = explore(cfg)
@@ -206,13 +209,15 @@ def _with_noop_menus(m):
     which stores it at once, and a view-change cited each stored commit
     certificate by its view, also one that shares its view with another,
     which does not resolve; `act` kept such an action as sending nothing,
-    not exported."""
+    not exported. A view-change is still offered only until a correct
+    leader has started its view; `_with_late_menus` restores that cut."""
     zyzzyva_menu, fab_menu = ZyzzyvaKernel.slot_choices, FabKernel.slot_choices
 
     def zyzzyva_choices(self, st):
         view, lead = st.view, leader_of(st.view, self.qc.n)
         out = [c for c in zyzzyva_menu(self, st) if c[1]["kind"] != "view_change"]
-        if view >= 2 and ("view_change", view) not in st.slots:  # view changes last
+        # view changes last
+        if view >= 2 and ("view_change", view) not in st.slots and not self.started(st):
             stored = sorted(self.menu_artifacts(st), key=lambda c: c.canon())
             certs = [None, *({"view": c.view} for c in stored)]
             out += [("slot", {"kind": "view_change", "view": view, "log": log, "cert": cert,
@@ -266,16 +271,16 @@ _ZYZZYVA_R0, _ZYZZYVA_R1, _PFAB_R0, _FAB5_R0 = (_counts(name, "states", "deduped
     "fab5-1-value-exhaustion"))
 _PLACEMENTS = {
     "zyzzyva-two-views-r0": (ZYZZYVA_SMALL, _ZYZZYVA_R0, _ZYZZYVA_R0),
-    "zyzzyva-two-views-r1": (_placed(ZYZZYVA_SMALL, 1), _ZYZZYVA_R1, (4777, 35589)),
-    "zyzzyva-two-views-r2": (_placed(ZYZZYVA_SMALL, 2), (16256, 7541), (16256, 11471)),
-    "zyzzyva-two-views-r3": (_placed(ZYZZYVA_SMALL, 3), (16256, 7541), (16256, 11471)),
+    "zyzzyva-two-views-r1": (_placed(ZYZZYVA_SMALL, 1), _ZYZZYVA_R1, (2510, 1682)),
+    "zyzzyva-two-views-r2": (_placed(ZYZZYVA_SMALL, 2), (13702, 3726), (13702, 6444)),
+    "zyzzyva-two-views-r3": (_placed(ZYZZYVA_SMALL, 3), (13702, 3726), (13702, 6444)),
     "pfab-two-views-r0": (PFAB_SMALL, _PFAB_R0, _PFAB_R0),
     "pfab-two-views-r1": (_placed(PFAB_SMALL, 1), (33, 14), (33, 14)),
     "pfab-two-views-r2": (_placed(PFAB_SMALL, 2), (114, 32), (114, 32)),
     "pfab-two-views-r3": (_placed(PFAB_SMALL, 3), (114, 32), (114, 32)),
-    "pfab-three-views-r1": (_placed(_PFAB_THREE_VIEWS, 1), (720, 1529), (2790, 6371)),
-    "pfab-three-views-r2": (_placed(_PFAB_THREE_VIEWS, 2), (95883, 63470), (95883, 63470)),
-    "pfab-three-views-r3": (_placed(_PFAB_THREE_VIEWS, 3), (137274, 72668), (137274, 72668)),
+    "pfab-three-views-r1": (_placed(_PFAB_THREE_VIEWS, 1), (375, 110), (1410, 542)),
+    "pfab-three-views-r2": (_placed(_PFAB_THREE_VIEWS, 2), (80067, 40886), (80067, 40886)),
+    "pfab-three-views-r3": (_placed(_PFAB_THREE_VIEWS, 3), (119514, 49652), (119514, 49652)),
     "fab5-one-value-r0": (_FAB5_ONE_VALUE, _FAB5_R0, _FAB5_R0),
     "fab5-one-value-r1": (_placed(_FAB5_ONE_VALUE, 1), (3, 0), (3, 0)),
     **{f"fab5-one-value-r{i}": (_placed(_FAB5_ONE_VALUE, i), (213, 30), (213, 30))
@@ -308,6 +313,144 @@ def test_every_adversary_choice_sends_to_a_correct_replica(monkeypatch, searched
     else:
         assert res.counterexample.scenario.to_json() == noop.counterexample.scenario.to_json()
         assert res.counterexample.trace.to_jsonl() == noop.counterexample.trace.to_jsonl()
+
+
+_MENUS = {ZyzzyvaKernel: ZyzzyvaKernel.slot_choices, FabKernel: FabKernel.slot_choices}
+
+
+def _late_zyzzyva_menu(self, st):
+    view, lead = st.view, leader_of(st.view, self.qc.n)
+    out = []
+    if lead == self.byz and ("order_req", view) not in st.slots:
+        out += [{"kind": "order_req", "view": view, "sends": s}
+                for s in self.per_replica_sends("log", self.logs)]
+    if view >= 2 and lead != self.byz and ("view_change", view) not in st.slots:
+        views = [c.view for c in sorted(self.menu_artifacts(st), key=lambda c: c.canon())]
+        certs = [None, *({"view": v} for v in views if views.count(v) == 1)]
+        out += [{"kind": "view_change", "view": view, "log": log, "cert": cert, "to": str(lead)}
+                for log in [[], *self.logs] for cert in certs]
+    return [("slot", action) for action in out]
+
+
+def _late_fab_menu(self, st):
+    view, lead = st.view, leader_of(st.view, self.qc.n)
+    out = []
+    if lead == self.byz and ("propose", view) not in st.slots:
+        out += [{"kind": "propose", "view": view, "sends": s}
+                for s in self.per_replica_sends("value", self.cfg.values)]
+    if ("accepted", view) not in st.slots and view < self.cfg.max_views:
+        dsts = [lead] if self.cfg.protocol == FAB5 else self.correct
+        to = [str(d) for d in dsts if d != self.byz]
+        if to:
+            out += [{"kind": "accepted", "view": view, "value": v, "to": to}
+                    for v in self.cfg.values]
+    if view >= 2 and lead != self.byz and ("rep", view) not in st.slots:
+        out += [{"kind": "rep", "view": view, "last_accepted": v, "commit_proof": None,
+                 "to": str(lead)} for v in [*self.cfg.values, None]]
+    return [("slot", action) for action in out]
+
+
+def _with_late_menus(m):
+    """The menus as they were before a choice had to be one that some
+    correct recipient can accept: a `view_change` or `rep` was offered also
+    after the view's correct leader had started its view, and a Byzantine
+    leader's `order_req` or `propose` in every view it leads, not in view 1
+    alone."""
+    m.setattr(ZyzzyvaKernel, "slot_choices", _late_zyzzyva_menu)
+    m.setattr(FabKernel, "slot_choices", _late_fab_menu)
+
+
+# the registry's counters under the late menus, where they differ. The f=2
+# search is left out: under the late menus it spends its 2M-child budget on
+# rejected orders (about 45 s), so its outcome would differ too
+_LATE_COUNTERS = {
+    "zyzzyva-2-view-exhaustion": (15554, 7513, 14, 5790, 32718),
+    "zyzzyva-3-view-violation": (42232, 20493, 19, 6952, 107689),
+    "zyzzyva-2-view-byzantine-leader": (911, 4881, 10, 89, 11045),
+}
+
+
+@pytest.mark.parametrize("name", [n for n in SEARCHES if SEARCHES[n]["config"].f == 1])
+def test_a_choice_every_correct_replica_rejects_changes_statistics_not_outcomes(
+        monkeypatch, searched, name):
+    # a rejected choice's child repeats its parent's subtree, so the late
+    # menus search more states with the same outcome and export
+    res, _ = searched(SEARCHES[name]["config"])
+    with monkeypatch.context() as m:
+        _with_late_menus(m)
+        late = explore(SEARCHES[name]["config"])
+    assert tuple(late.stats[k] for k in COUNTERS) == _LATE_COUNTERS.get(
+        name, _counts(name, *COUNTERS))
+    same = ("found", "budget_exhausted")
+    assert [res.stats[k] for k in same] == [late.stats[k] for k in same]
+    if res.counterexample is None:
+        assert late.counterexample is None
+    else:
+        assert res.counterexample.scenario.to_json() == late.counterexample.scenario.to_json()
+        assert res.counterexample.trace.to_jsonl() == late.counterexample.trace.to_jsonl()
+
+
+_LATE_KINDS = {  # searches where the late menus offer each removed kind, by test id
+    "zyzzyva-two-views-r0": (ZYZZYVA_SMALL, "view_change"),
+    "zyzzyva-two-views-r1": (_placed(ZYZZYVA_SMALL, 1), "order_req"),
+    "pfab-three-views-r1": (_placed(_PFAB_THREE_VIEWS, 1), "propose"),
+    "fab5-three-views-r2": (_placed(replace(_FAB5_ONE_VALUE, max_views=3), 2), "rep"),
+}
+
+
+@pytest.mark.parametrize("name", _LATE_KINDS)
+def test_every_removed_choice_is_rejected_by_every_correct_recipient(monkeypatch, name):
+    # at every state where the late menus offer a choice the current ones do
+    # not: a view-change or REP comes back from its leader unchanged with
+    # nothing sent, and a later view's order or proposal, eager, leaves the
+    # child its parent with the slot used
+    cfg, kind = _LATE_KINDS[name]
+    slot_menu, removed = _Kernel.slot_menu, []
+
+    def checked(self, st):
+        offered = _MENUS[type(self)](self, st)
+        late = self.slot_choices(st)
+        assert [c for c in late if c in offered] == offered
+        for _, action in (c for c in late if c not in offered):
+            removed.append(action["kind"])
+            if action["kind"] in ("view_change", "rep"):
+                (lead, msg), = adversary_sends(self.byz, action,
+                                               named_artifacts(action, st.store))
+                assert lead == leader_of(st.view, self.qc.n)
+                node = st.nodes[lead.index]
+                ns, sends, _ = self.proto.step(node, msg)
+                assert ns is node and sends == ()
+            else:
+                child = self.apply(st, ("slot", action, json.dumps(action, sort_keys=True)))
+                slots = tuple(sorted(st.slots + ((action["kind"], st.view),)))
+                assert child == st._replace(slots=slots)
+        return slot_menu(self, st)
+
+    with monkeypatch.context() as m:
+        _with_late_menus(m)
+        m.setattr(_Kernel, "slot_menu", checked)
+        assert not explore(cfg).stats["budget_exhausted"]
+    assert removed and set(removed) == {kind}
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_every_cached_slot_menu_is_what_a_fresh_call_computes(monkeypatch, name):
+    # on every state that reaches the menu: a key that left out something
+    # slot_choices reads, such as whether the leader has started its view,
+    # would serve one state's menu to another
+    slot_menu, states = _Kernel.slot_menu, []
+
+    def checked(self, st):
+        menu = slot_menu(self, st)
+        assert menu == [(kind, action, json.dumps(action, sort_keys=True))
+                        for kind, action in self.slot_choices(st)]
+        states.append(st)
+        return menu
+
+    monkeypatch.setattr(_Kernel, "slot_menu", checked)
+    res = explore(SEARCHES[name]["config"])
+    assert {k: res.stats[k] for k in COUNTERS} == SEARCHES[name]["counters"]
+    assert any(st.view > 1 for st in states)
 
 
 def test_exploration_is_deterministic():
@@ -502,11 +645,13 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
     # each slot menu is slot_choices of a state with its key, each choice
     # carrying its action's JSON
     assert kernel._menus
-    for (view, slots, stored), menu in kernel._menus.items():
+    for (view, slots, stored, started), menu in kernel._menus.items():
+        kernel.started = lambda st, started=started: started  # what the key's nodes give
         fresh = kernel.slot_choices(KState((), view=view, slots=slots, store=stored))
         assert [choice[:2] for choice in menu] == fresh
         assert [key for _, action, key in menu] == [
             json.dumps(action, sort_keys=True) for _, action in fresh]
+    del kernel.started
     # each planned echo (Zyzzyva's alone) is its response's action, and its JSON
     echoes = getattr(kernel, "_echoes", {})
     assert bool(echoes) == (cfg.protocol == "zyzzyva")
