@@ -55,10 +55,15 @@ response; and the named-artifact table keeps an action's routed sends per
 action key and the stored artifacts the action names, so each distinct
 resolved action is built and signed once however many stores hold those
 artifacts.
-A settled state is a leaf (`_Kernel.settled`): it is frozen as soon as it
-is settled, without its pending eager deliveries, which cannot change its
-verdict. The rule never changes an outcome; at most it counts separately
-two leaves that those deliveries would have made equal.
+A settled state is a leaf (`_Kernel.settled`): no step below it can reach
+the target. FaB's final view settles once its leader has evaluated its
+progress certificate or is the Byzantine replica; Zyzzyva's final view, if
+not the first, once its leader is the Byzantine replica or has adopted its
+own NEW-VIEW, whose base log agrees with every commit. A settled state
+offers no choices and is frozen as soon as it is settled, without its
+pending eager deliveries. The rule never changes an outcome; the frozen
+deliveries can at most count separately two leaves they would have made
+equal.
 The budget, `max_states`, bounds the search's work: every child built
 counts against it, a new state or a deduped one.
 A found run is exported by taking its choices again with a `Simulation`
@@ -443,9 +448,10 @@ class _Kernel:
         """True when no remaining step can still reach the search target.
 
         A settled state is a leaf: it offers no choices, and `normalize`
-        takes none of its pending eager deliveries. It may
-        read only `view` and `nodes`, so that a `_Draft` can be asked, and
-        must stay True as further deliveries are taken.
+        takes none of its pending eager deliveries. It may read only
+        `view`, `nodes` and `commits`, all of which a `_Draft` holds, so
+        that a draft can be asked, and must stay True as further
+        deliveries are taken.
         """
         return False
 
@@ -540,6 +546,23 @@ class ZyzzyvaKernel(_Kernel):
                 "kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
                 "to": str(sent.dst)})
         self.act(w, *echo)
+
+    def settled(self, st):
+        """A final view, if not the first, that the Byzantine replica leads
+        never starts. Once a correct leader has adopted its own NEW-VIEW,
+        correct replicas commit only prefixes of its base log G, and an
+        earlier view's certificate gets no local commit: while G agrees
+        with every commit, no later commit can conflict with one."""
+        view = st.view
+        if view < 2 or view != self.cfg.max_views:
+            return False
+        lead = st.nodes[(view - 1) % self.qc.n]  # leader_of's; None if Byzantine
+        if lead is None:
+            return True
+        if lead.view != view or lead.awaiting_new_view:
+            return False
+        g = lead.log
+        return all(log[:len(g)] == g[:len(log)] for *_, log in st.commits)
 
     def menu_artifacts(self, st):
         """The stored commit certificates, which an inject_stored menu's

@@ -33,6 +33,7 @@ from conftest import GOLDEN, SEARCHES
 
 PFAB_SMALL = SEARCHES["pfab-stuck"]["config"]
 ZYZZYVA_SMALL = SEARCHES["zyzzyva-2-view-exhaustion"]["config"]
+ZYZZYVA_THREE_VIEWS = SEARCHES["zyzzyva-3-view-violation"]["config"]
 COUNTERS = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
 FAB_SEARCHES = {  # the committed FaB searches, by test id
     "pfab-stuck": SEARCHES["pfab-stuck"]["config"],
@@ -45,6 +46,15 @@ FAB_SEARCHES = {  # the committed FaB searches, by test id
 def _counts(name, *keys):
     """The committed search's counters named by keys, from the registry."""
     return tuple(SEARCHES[name]["counters"][k] for k in keys)
+
+
+def _assert_same_export(a, b):
+    """Two explore results export the same run with the same trace, or none."""
+    if a.counterexample is None:
+        assert b.counterexample is None
+    else:
+        assert a.counterexample.scenario.to_json() == b.counterexample.scenario.to_json()
+        assert a.counterexample.trace.to_jsonl() == b.counterexample.trace.to_jsonl()
 
 
 @pytest.mark.parametrize("name", SEARCHES)
@@ -113,7 +123,7 @@ def test_dedup_changes_statistics_not_outcomes():
     # not whether a counterexample exists
     on, off = explore(ZYZZYVA_SMALL), explore(replace(ZYZZYVA_SMALL, dedup=False))
     assert (on.stats["states"], off.stats["states"]) == (
-        *_counts("zyzzyva-2-view-exhaustion", "states"), 22254)
+        *_counts("zyzzyva-2-view-exhaustion", "states"), 17184)
     assert on.counterexample is None and off.counterexample is None
 
 
@@ -171,6 +181,71 @@ def test_no_prepare_is_in_flight_in_an_unsettled_final_view(monkeypatch, name):
     assert unsettled and not holding
 
 
+# the registry's Zyzzyva counters without its final-view leaf rule
+_UNSETTLED_COUNTERS = {
+    "zyzzyva-2-view-exhaustion": (13780, 4802, 14, 4953, 31474),
+    "zyzzyva-3-view-violation": (35184, 11419, 19, 6670, 97594),
+    "zyzzyva-2-view-byzantine-leader": (577, 147, 9, 71, 1019),
+    "zyzzyva-f2-2-view-byzantine-leader": (30751, 4247, 15, 234, 92778),
+}
+
+
+@pytest.mark.parametrize("name", _UNSETTLED_COUNTERS)
+def test_zyzzyva_leaf_rule_changes_statistics_not_outcomes(monkeypatch, searched, name):
+    cfg = SEARCHES[name]["config"]
+    res, _ = searched(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(ZyzzyvaKernel, "settled", _Kernel.settled)
+        off = explore(cfg)
+    assert tuple(off.stats[k] for k in COUNTERS) == _UNSETTLED_COUNTERS[name]
+    same = ("found", "budget_exhausted")
+    assert [res.stats[k] for k in same] == [off.stats[k] for k in same]
+    _assert_same_export(res, off)
+
+
+@pytest.mark.parametrize("name", [
+    "zyzzyva-2-view-exhaustion", "zyzzyva-3-view-violation", "zyzzyva-2-view-byzantine-leader",
+])
+def test_a_settled_zyzzyva_state_commits_only_prefixes_of_its_base_log(monkeypatch, name):
+    # why the rule is sound, checked with it off: at every state and every
+    # draft where it holds, each choice's child and each delivery keep it,
+    # and add no commit but prefixes of the final view's base log G, none
+    # with a Byzantine leader; so nothing below it is violated
+    rule, apply, deliver_head = ZyzzyvaKernel.settled, _Kernel.apply, _Kernel.deliver_head
+    seen = {"settled": 0, "commits": 0}
+
+    def check(kernel, before, after):
+        lead = before.nodes[(before.view - 1) % kernel.qc.n]
+        added = after.commits[len(before.commits):]
+        assert rule(kernel, after) and not kernel.violated(after)
+        assert all(lead is not None and log == lead.log[:len(log)] for *_, log in added)
+        seen["settled"] += 1
+        seen["commits"] += len(added)
+
+    def holds(kernel, st):
+        return rule(kernel, st) and not kernel.violated(st)  # a violation ends the search
+
+    def checked_apply(self, st, choice):
+        child = apply(self, st, choice)
+        if holds(self, st):
+            check(self, st, child)
+        return child
+
+    def checked_delivery(self, w):
+        before = w.freeze() if holds(self, w) else None
+        deliver_head(self, w)
+        if before is not None:
+            check(self, before, w)
+
+    with monkeypatch.context() as m:
+        m.setattr(ZyzzyvaKernel, "settled", _Kernel.settled)
+        m.setattr(_Kernel, "apply", checked_apply)
+        m.setattr(_Kernel, "deliver_head", checked_delivery)
+        res = explore(SEARCHES[name]["config"])
+    assert tuple(res.stats[k] for k in COUNTERS) == _UNSETTLED_COUNTERS[name]
+    assert seen["settled"] and bool(seen["commits"]) == (name != "zyzzyva-2-view-byzantine-leader")
+
+
 def _with_noop_accepted(m):
     """Offer FaB5's `accepted` slot also when it sends nothing: its one
     recipient is the view's leader, none when the Byzantine replica leads."""
@@ -203,6 +278,51 @@ def test_a_choice_that_sends_nothing_changes_statistics_not_outcomes(monkeypatch
     assert not kept.stats["budget_exhausted"] and not noop.stats["budget_exhausted"]
 
 
+_COMMITTED_MENUS = {ZyzzyvaKernel: ZyzzyvaKernel.slot_choices,
+                    FabKernel: FabKernel.slot_choices}
+
+
+def _noop_zyzzyva_menu(self, st):
+    view, lead = st.view, leader_of(st.view, self.qc.n)
+    out = [c for c in _COMMITTED_MENUS[ZyzzyvaKernel](self, st) if c[1]["kind"] != "view_change"]
+    # view changes last
+    if view >= 2 and ("view_change", view) not in st.slots and not self.started(st):
+        stored = sorted(self.menu_artifacts(st), key=lambda c: c.canon())
+        certs = [None, *({"view": c.view} for c in stored)]
+        out += [("slot", {"kind": "view_change", "view": view, "log": log, "cert": cert,
+                          "to": str(lead)}) for log in [[], *self.logs] for cert in certs]
+    return out
+
+
+def _noop_fab_menu(self, st):
+    view, lead = st.view, leader_of(st.view, self.qc.n)
+    out = _COMMITTED_MENUS[FabKernel](self, st)
+    if view >= 2 and lead == self.byz and ("rep", view) not in st.slots:  # reps last
+        out += [("slot", {"kind": "rep", "view": view, "last_accepted": v,
+                          "commit_proof": None, "to": str(lead)})
+                for v in [*self.cfg.values, None]]
+    return out
+
+
+_NOOP_MENUS = {ZyzzyvaKernel: _noop_zyzzyva_menu, FabKernel: _noop_fab_menu}
+
+
+def _noop_act(self, w, action, key):
+    at = (w.store, key)
+    if at not in self._sends:
+        named = named_artifacts(action, w.store)
+        if (key, named) not in self._built:
+            try:
+                sends = self.routed(self.byz, adversary_sends(self.byz, action, named))
+            except ArtifactError:
+                sends = None
+            self._built[key, named] = sends
+        self._sends[at] = self._built[key, named]
+    if self._sends[at] is not None:
+        self.export("adversary", actor=self.byz.index, action=action)
+        self.route(w, self._sends[at])
+
+
 def _with_noop_menus(m):
     """The menus and `act` as they were before every choice had to send
     something: a `view_change` or `rep` also went to a Byzantine leader,
@@ -211,46 +331,9 @@ def _with_noop_menus(m):
     which does not resolve; `act` kept such an action as sending nothing,
     not exported. A view-change is still offered only until a correct
     leader has started its view; `_with_late_menus` restores that cut."""
-    zyzzyva_menu, fab_menu = ZyzzyvaKernel.slot_choices, FabKernel.slot_choices
-
-    def zyzzyva_choices(self, st):
-        view, lead = st.view, leader_of(st.view, self.qc.n)
-        out = [c for c in zyzzyva_menu(self, st) if c[1]["kind"] != "view_change"]
-        # view changes last
-        if view >= 2 and ("view_change", view) not in st.slots and not self.started(st):
-            stored = sorted(self.menu_artifacts(st), key=lambda c: c.canon())
-            certs = [None, *({"view": c.view} for c in stored)]
-            out += [("slot", {"kind": "view_change", "view": view, "log": log, "cert": cert,
-                              "to": str(lead)}) for log in [[], *self.logs] for cert in certs]
-        return out
-
-    def fab_choices(self, st):
-        view, lead = st.view, leader_of(st.view, self.qc.n)
-        out = fab_menu(self, st)
-        if view >= 2 and lead == self.byz and ("rep", view) not in st.slots:  # reps last
-            out += [("slot", {"kind": "rep", "view": view, "last_accepted": v,
-                              "commit_proof": None, "to": str(lead)})
-                    for v in [*self.cfg.values, None]]
-        return out
-
-    def act(self, w, action, key):
-        at = (w.store, key)
-        if at not in self._sends:
-            named = named_artifacts(action, w.store)
-            if (key, named) not in self._built:
-                try:
-                    sends = self.routed(self.byz, adversary_sends(self.byz, action, named))
-                except ArtifactError:
-                    sends = None
-                self._built[key, named] = sends
-            self._sends[at] = self._built[key, named]
-        if self._sends[at] is not None:
-            self.export("adversary", actor=self.byz.index, action=action)
-            self.route(w, self._sends[at])
-
-    m.setattr(ZyzzyvaKernel, "slot_choices", zyzzyva_choices)
-    m.setattr(FabKernel, "slot_choices", fab_choices)
-    m.setattr(_Kernel, "act", act)
+    for cls, menu in _NOOP_MENUS.items():
+        m.setattr(cls, "slot_choices", menu)
+    m.setattr(_Kernel, "act", _noop_act)
 
 
 _PFAB_THREE_VIEWS = replace(PFAB_SMALL, max_views=3)
@@ -271,9 +354,9 @@ _ZYZZYVA_R0, _ZYZZYVA_R1, _PFAB_R0, _FAB5_R0 = (_counts(name, "states", "deduped
     "fab5-1-value-exhaustion"))
 _PLACEMENTS = {
     "zyzzyva-two-views-r0": (ZYZZYVA_SMALL, _ZYZZYVA_R0, _ZYZZYVA_R0),
-    "zyzzyva-two-views-r1": (_placed(ZYZZYVA_SMALL, 1), _ZYZZYVA_R1, (2510, 1682)),
-    "zyzzyva-two-views-r2": (_placed(ZYZZYVA_SMALL, 2), (13702, 3726), (13702, 6444)),
-    "zyzzyva-two-views-r3": (_placed(ZYZZYVA_SMALL, 3), (13702, 3726), (13702, 6444)),
+    "zyzzyva-two-views-r1": (_placed(ZYZZYVA_SMALL, 1), _ZYZZYVA_R1, _ZYZZYVA_R1),
+    "zyzzyva-two-views-r2": (_placed(ZYZZYVA_SMALL, 2), (7681, 3081), (7681, 5799)),
+    "zyzzyva-two-views-r3": (_placed(ZYZZYVA_SMALL, 3), (7681, 3081), (7681, 5799)),
     "pfab-two-views-r0": (PFAB_SMALL, _PFAB_R0, _PFAB_R0),
     "pfab-two-views-r1": (_placed(PFAB_SMALL, 1), (33, 14), (33, 14)),
     "pfab-two-views-r2": (_placed(PFAB_SMALL, 2), (114, 32), (114, 32)),
@@ -291,31 +374,39 @@ _PLACEMENTS = {
 @pytest.mark.parametrize("name", _PLACEMENTS)
 def test_every_adversary_choice_sends_to_a_correct_replica(monkeypatch, searched, name):
     cfg, counts, noop_counts = _PLACEMENTS[name]
-    res, kernel = searched(cfg)
+    if counts == noop_counts:
+        # the no-op menus offer nothing more here: checked at every state
+        # that reaches the menu, in one search rather than a second one
+        slot_menu, kernels = _Kernel.slot_menu, set()
+
+        def checked(self, st):
+            assert _NOOP_MENUS[type(self)](self, st) == self.slot_choices(st)
+            kernels.add(self)
+            return slot_menu(self, st)
+
+        with monkeypatch.context() as m:
+            m.setattr(_Kernel, "slot_menu", checked)
+            res = explore(cfg)
+        (kernel,) = kernels
+    else:
+        res, kernel = searched(cfg)
     assert not res.stats["budget_exhausted"]
+    assert (res.stats["states"], res.stats["deduped"]) == counts
     assert kernel._sends
     for sends in kernel._sends.values():
         assert type(sends) is tuple and sends
         assert all(sent.dst != kernel.byz for sent, _ in sends)
+    if counts == noop_counts:
+        return
     # the no-op choices change statistics, not outcomes: a no-op child
     # repeats its parent's subtree, with the same transitions
     with monkeypatch.context() as m:
         _with_noop_menus(m)
         noop = explore(cfg)
-    assert (res.stats["states"], res.stats["deduped"]) == counts
     assert (noop.stats["states"], noop.stats["deduped"]) == noop_counts
     same = ("found", "budget_exhausted", "transitions")
     assert [res.stats[k] for k in same] == [noop.stats[k] for k in same]
-    if counts == noop_counts:
-        assert res.stats == {**noop.stats, "elapsed": res.stats["elapsed"]}
-    if res.counterexample is None:
-        assert noop.counterexample is None
-    else:
-        assert res.counterexample.scenario.to_json() == noop.counterexample.scenario.to_json()
-        assert res.counterexample.trace.to_jsonl() == noop.counterexample.trace.to_jsonl()
-
-
-_MENUS = {ZyzzyvaKernel: ZyzzyvaKernel.slot_choices, FabKernel: FabKernel.slot_choices}
+    _assert_same_export(res, noop)
 
 
 def _late_zyzzyva_menu(self, st):
@@ -360,17 +451,12 @@ def _with_late_menus(m):
     m.setattr(FabKernel, "slot_choices", _late_fab_menu)
 
 
-# the registry's counters under the late menus, where they differ. The f=2
-# search is left out: under the late menus it spends its 2M-child budget on
-# rejected orders (about 45 s), so its outcome would differ too
-_LATE_COUNTERS = {
-    "zyzzyva-2-view-exhaustion": (15554, 7513, 14, 5790, 32718),
-    "zyzzyva-3-view-violation": (42232, 20493, 19, 6952, 107689),
-    "zyzzyva-2-view-byzantine-leader": (911, 4881, 10, 89, 11045),
-}
+# the registry's counters under the late menus, where they differ: in the
+# 2-view searches every state the late menus would add is a settled leaf
+_LATE_COUNTERS = {"zyzzyva-3-view-violation": (34918, 12177, 19, 6208, 43120)}
 
 
-@pytest.mark.parametrize("name", [n for n in SEARCHES if SEARCHES[n]["config"].f == 1])
+@pytest.mark.parametrize("name", SEARCHES)
 def test_a_choice_every_correct_replica_rejects_changes_statistics_not_outcomes(
         monkeypatch, searched, name):
     # a rejected choice's child repeats its parent's subtree, so the late
@@ -383,16 +469,12 @@ def test_a_choice_every_correct_replica_rejects_changes_statistics_not_outcomes(
         name, _counts(name, *COUNTERS))
     same = ("found", "budget_exhausted")
     assert [res.stats[k] for k in same] == [late.stats[k] for k in same]
-    if res.counterexample is None:
-        assert late.counterexample is None
-    else:
-        assert res.counterexample.scenario.to_json() == late.counterexample.scenario.to_json()
-        assert res.counterexample.trace.to_jsonl() == late.counterexample.trace.to_jsonl()
+    _assert_same_export(res, late)
 
 
 _LATE_KINDS = {  # searches where the late menus offer each removed kind, by test id
-    "zyzzyva-two-views-r0": (ZYZZYVA_SMALL, "view_change"),
-    "zyzzyva-two-views-r1": (_placed(ZYZZYVA_SMALL, 1), "order_req"),
+    "zyzzyva-three-views-r0": (ZYZZYVA_THREE_VIEWS, "view_change"),
+    "zyzzyva-three-views-r1": (_placed(ZYZZYVA_THREE_VIEWS, 1), "order_req"),
     "pfab-three-views-r1": (_placed(_PFAB_THREE_VIEWS, 1), "propose"),
     "fab5-three-views-r2": (_placed(replace(_FAB5_ONE_VALUE, max_views=3), 2), "rep"),
 }
@@ -408,7 +490,7 @@ def test_every_removed_choice_is_rejected_by_every_correct_recipient(monkeypatch
     slot_menu, removed = _Kernel.slot_menu, []
 
     def checked(self, st):
-        offered = _MENUS[type(self)](self, st)
+        offered = _COMMITTED_MENUS[type(self)](self, st)
         late = self.slot_choices(st)
         assert [c for c in late if c in offered] == offered
         for _, action in (c for c in late if c not in offered):
@@ -448,9 +530,13 @@ def test_every_cached_slot_menu_is_what_a_fresh_call_computes(monkeypatch, name)
         return menu
 
     monkeypatch.setattr(_Kernel, "slot_menu", checked)
-    res = explore(SEARCHES[name]["config"])
+    cfg = SEARCHES[name]["config"]
+    res = explore(cfg)
     assert {k: res.stats[k] for k in COUNTERS} == SEARCHES[name]["counters"]
-    assert any(st.view > 1 for st in states)
+    # r1 leads view 2; a final view that the Byzantine replica leads is
+    # settled as it begins, so no state after view 1 reaches the menu
+    byzantine_last = cfg.max_views == 2 and cfg.byzantine == (1,)
+    assert any(st.view > 1 for st in states) != byzantine_last
 
 
 def test_exploration_is_deterministic():
@@ -562,11 +648,7 @@ def test_transition_table_changes_work_not_outcomes(monkeypatch, searched, name)
     assert [cached.stats[k] for k in outcome] == [direct.stats[k] for k in outcome]
     assert cached.stats["transitions_reused"] > cached.stats["transitions"]
     assert direct.stats["transitions"] == direct.stats["transitions_reused"] == 0
-    if cached.counterexample is None:
-        assert direct.counterexample is None
-    else:
-        assert cached.counterexample.scenario.to_json() == direct.counterexample.scenario.to_json()
-        assert cached.counterexample.trace.to_jsonl() == direct.counterexample.trace.to_jsonl()
+    _assert_same_export(cached, direct)
 
 
 @pytest.mark.parametrize("cfg, transitions", [
@@ -577,7 +659,9 @@ def test_transition_table_changes_work_not_outcomes(monkeypatch, searched, name)
     # the view-2 leader is Byzantine: its replicas' REPs go to its store,
     # so a settled state has no eager delivery left to skip
     (replace(PFAB_SMALL, byzantine=(1,)), (15, 15)),
-    (ZYZZYVA_SMALL, _counts("zyzzyva-2-view-exhaustion", "transitions") * 2),  # never settled
+    # a final-view state is settled once its leader adopts its own NEW-VIEW:
+    # the other replicas' NEW-VIEWs and spec responses are left untaken
+    (ZYZZYVA_SMALL, (*_counts("zyzzyva-2-view-exhaustion", "transitions"), 4657)),
 ], ids=["pfab-stuck", "pfab-one-value", "fab5-one-value", "pfab-stuck-no-dedup",
         "pfab-byzantine-view-2-leader", "zyzzyva-two-views"])
 def test_leaf_rule_changes_work_not_outcomes(monkeypatch, searched, cascading_normalize,
@@ -589,13 +673,7 @@ def test_leaf_rule_changes_work_not_outcomes(monkeypatch, searched, cascading_no
     outcome = ("states", "deduped", "max_depth", "found", "budget_exhausted")
     assert [leaf.stats[k] for k in outcome] == [full.stats[k] for k in outcome]
     assert (leaf.stats["transitions"], full.stats["transitions"]) == transitions
-    if cfg.protocol == "zyzzyva":
-        assert leaf.stats["transitions_reused"] == full.stats["transitions_reused"]
-    if full.counterexample is None:
-        assert leaf.counterexample is None
-    else:
-        assert leaf.counterexample.scenario.to_json() == full.counterexample.scenario.to_json()
-        assert leaf.counterexample.trace.to_jsonl() == full.counterexample.trace.to_jsonl()
+    _assert_same_export(leaf, full)
 
 
 @pytest.mark.parametrize("cfg", [PFAB_SMALL, ZYZZYVA_SMALL], ids=["pfab", "zyzzyva"])

@@ -9,23 +9,27 @@ Run from the repository root:
 The searches are the committed ones, each with its explore config, read
 from tests/searches.json. Every run of a search or a replay is its own
 process, which times the one call, so no run inherits another's interned
-values or warm caches.
+values or warm caches. Each time is scaled to the host's nominal speed by
+perfbench's SpeedProbe (imported from perfbench/run.py), which samples the
+host's speed during the call and for PROBE_ROLL_S before and after it.
 
 The file has up to three sections. `counters` holds what each search or
 replay computes: states, deduped, max_depth, transitions, transitions_reused
 and the exported script's length for a search, the trace's record count for
 a replay. They are deterministic, the same on every host, and every run must
-reproduce them. `timings` holds the checkout's median wall time in seconds
-of RUNS (10) runs of each, with the host, the Python version and the commit
-measured (`src_dirty` says whether `src/` differed from that commit).
+reproduce them. `timings` holds the checkout's median scaled time in
+seconds of RUNS (10) runs of each, with the host, the Python version and
+the commit measured (`src_dirty` says whether `src/` differed from that
+commit).
 
-The host's speed drifts between runs minutes apart, so a lone median
-compares hosts as much as code. With --base, REV's `src/` is extracted with
-`git archive` into a temporary directory, and each of the RUNS rounds runs
-REV and the checkout back to back on every job, the side that goes first
-alternating. `paired` then records REV's commit and, per search, REV's
-median, the ratio of the checkout's median to REV's (below 1: the checkout
-is faster) and the number of pairs the checkout won. A replay takes only a
+The host's speed drifts between runs minutes apart, and the probe
+corrects only part of that, so a lone median compares hosts as much as
+code. With --base, REV's `src/` is extracted with `git archive` into a
+temporary directory, and each of the RUNS rounds runs REV and the checkout
+back to back on every job, the side that goes first alternating. `paired`
+then records REV's commit and, per search, REV's median, the ratio of the
+checkout's median to REV's (below 1: the checkout is faster) and the
+number of pairs the checkout won, all on scaled times. A replay takes only a
 few milliseconds, too short for a pair of processes to tell code from the
 host's drift, so replays are not paired: perfbench's `simulate` workload
 compares the simulator's speed. `counter_changes` lists every job, search
@@ -50,10 +54,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import SpeedProbe  # noqa: E402  perfbench/run.py's probe of the host's speed
 
 SEARCHES = {name: entry["config"] for name, entry in
             json.loads((ROOT / "tests" / "searches.json").read_text()).items()}
 RUNS = 10
+PROBE_ROLL_S = 0.2  # the probe samples this long before and after each timed call
 SEARCH_COUNTERS = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
 
 
@@ -69,24 +76,28 @@ def _import_from(src: Path):
 
 def run_one(src: Path, job: str) -> dict:
     """One timed run of job ("search/NAME" or "replay/NAME") on the bftlab in
-    src: its counters and its wall time in seconds."""
+    src: its counters and its wall time in seconds, scaled to the host's
+    nominal speed."""
     core, explorer, netsim, scenarios = _import_from(src)
     kind, name = job.split("/", 1)
     gc.collect()
-    started = time.perf_counter()
-    if kind == "search":
-        cfg = core.read(explorer.ExploreConfig, SEARCHES[name], name, explorer.ExplorerError)
-        res = explorer.explore(cfg)
-    else:
-        records = netsim.run_scenario(scenarios.get_builtin(name)).records
-    seconds = time.perf_counter() - started
+    with SpeedProbe() as probe:
+        time.sleep(PROBE_ROLL_S)
+        started = time.perf_counter()
+        if kind == "search":
+            cfg = core.read(explorer.ExploreConfig, SEARCHES[name], name, explorer.ExplorerError)
+            res = explorer.explore(cfg)
+        else:
+            records = netsim.run_scenario(scenarios.get_builtin(name)).records
+        ended = time.perf_counter()
+        time.sleep(PROBE_ROLL_S)
     if kind == "search":
         counters = {k: res.stats[k] for k in SEARCH_COUNTERS}
         ce = res.counterexample
         counters["export_length"] = None if ce is None else len(ce.scenario.script)
     else:
         counters = {"records": len(records)}
-    return {"counters": counters, "seconds": seconds}
+    return {"counters": counters, "seconds": (ended - started) * probe.scale(started, ended)}
 
 
 def _run_in_child(src: Path, job: str) -> dict:
@@ -99,7 +110,7 @@ def _run_in_child(src: Path, job: str) -> dict:
 
 def measure(trees: dict, jobs: list) -> tuple:
     """Per side of trees (name -> src), each job's counters, the same on
-    every run, and its RUNS wall times. Each round runs every job on each
+    every run, and its RUNS scaled times. Each round runs every job on each
     side back to back, the first side alternating between rounds."""
     counters = {side: {} for side in trees}
     times = {side: {job: [] for job in jobs} for side in trees}
