@@ -11,7 +11,12 @@ canonical order:
     between deliver and drop (the schedule's freedom to delay). The eager
     classes are fixed per protocol: Zyzzyva's requests, orders, responses
     and NEW-VIEWs; FaB's proposals and commit proofs, and FaB5's prepares,
-    which are receipt no-ops there;
+    which are receipt no-ops there. The network never drops a fated
+    message of a "kept" kind that the Byzantine replica sent: Zyzzyva's
+    view-change. Its slot is taken at an empty pool and sends that one
+    message, which is neither stored nor counted, so its drop would be the
+    slot's parent with one more used slot, which offers at most what the
+    parent offers: a repeat of part of the parent's subtree;
   * at an empty pool: eligible client timeouts, then advancing every correct
     replica to the next view, then adversary actions.
 
@@ -226,6 +231,7 @@ class _Kernel:
 
     proto = None  # the protocol module: step, decision_group, on_view_change_signal
     eager: tuple = ()  # the message kinds delivered at once: fixed per protocol
+    kept: tuple = ()  # the fated kinds never dropped when the Byzantine replica sent them
     started_views = ""  # the leader state's field that lists the views it started
 
     def __init__(self, cfg: ExploreConfig):
@@ -465,7 +471,9 @@ class _Kernel:
         if self.settled(st):
             return []
         if st.pool:
-            if "withhold" in self.cfg.menu:
+            head = st.pool[0]
+            if "withhold" in self.cfg.menu and not (
+                    head.msg.kind in self.kept and head.src == self.byz):
                 return [("deliver",), ("drop",)]
             return [("deliver",)]
         out = [("timeout", c) for c in self.eligible_timeouts(st)]
@@ -515,6 +523,7 @@ class _Kernel:
 class ZyzzyvaKernel(_Kernel):
     proto = zyzzyva
     eager = ("request", "order_req", "spec_response", "local_commit", "new_view")
+    kept = ("view_change",)
     started_views = "nv_done"
 
     def __init__(self, cfg):
@@ -602,6 +611,7 @@ class ZyzzyvaKernel(_Kernel):
 
 class FabKernel(_Kernel):
     proto = fab
+    kept = ()
     started_views = "chosen_done"
 
     def __init__(self, cfg):

@@ -8,33 +8,35 @@ Run from the repository root:
 
 The searches are the committed ones, each with its explore config, read
 from tests/searches.json. Every run of a search or a replay is its own
-process, which times the one call, so no run inherits another's interned
-values or warm caches. Each time is scaled to the host's nominal speed by
-perfbench's SpeedProbe (imported from perfbench/run.py), which samples the
-host's speed during the call and for PROBE_ROLL_S before and after it.
+process. It calls its job again and again until MIN_CALLS (3) calls and
+MIN_SPAN_S (1 s) have passed, and its time is the median of those calls:
+one call of a 0.1 s search is too short to tell a 10% change from the
+host's drift. Each search call builds its own kernel, so no call inherits
+another's interned values or tables. Each call's time is scaled to the
+host's nominal speed by perfbench's SpeedProbe (imported from
+perfbench/run.py), which samples the host's speed during the calls and for
+PROBE_ROLL_S before and after them.
 
 The file has up to three sections. `counters` holds what each search or
 replay computes: states, deduped, max_depth, transitions, transitions_reused
 and the exported script's length for a search, the trace's record count for
 a replay. They are deterministic, the same on every host, and every run must
 reproduce them. `timings` holds the checkout's median scaled time in
-seconds of RUNS (10) runs of each, with the host, the Python version and
-the commit measured (`src_dirty` says whether `src/` differed from that
-commit).
+seconds over RUNS (10) runs of each, the median of the runs' times, with
+the host, the Python version and the commit measured (`src_dirty` says
+whether `src/` differed from that commit).
 
 The host's speed drifts between runs minutes apart, and the probe
 corrects only part of that, so a lone median compares hosts as much as
 code. With --base, REV's `src/` is extracted with `git archive` into a
 temporary directory, and each of the RUNS rounds runs REV and the checkout
 back to back on every job, the side that goes first alternating. `paired`
-then records REV's commit and, per search, REV's median, the ratio of the
+then records REV's commit and, per job, REV's median, the ratio of the
 checkout's median to REV's (below 1: the checkout is faster) and the
-number of pairs the checkout won, all on scaled times. A replay takes only a
-few milliseconds, too short for a pair of processes to tell code from the
-host's drift, so replays are not paired: perfbench's `simulate` workload
-compares the simulator's speed. `counter_changes` lists every job, search
-or replay, whose counters differ between the two, and the script names
-each on stderr: a change that moves them changes behaviour, not only speed.
+number of pairs the checkout won, all on scaled times. `counter_changes`
+lists every job whose counters differ between the two, and the script
+names each on stderr: a change that moves them changes behaviour, not only
+speed.
 """
 from __future__ import annotations
 
@@ -60,7 +62,8 @@ from run import SpeedProbe  # noqa: E402  perfbench/run.py's probe of the host's
 SEARCHES = {name: entry["config"] for name, entry in
             json.loads((ROOT / "tests" / "searches.json").read_text()).items()}
 RUNS = 10
-PROBE_ROLL_S = 0.2  # the probe samples this long before and after each timed call
+MIN_CALLS, MIN_SPAN_S = 3, 1.0  # a run calls its job until it has made both
+PROBE_ROLL_S = 0.2  # the probe samples this long before and after the timed calls
 SEARCH_COUNTERS = ("states", "deduped", "max_depth", "transitions", "transitions_reused")
 
 
@@ -74,30 +77,40 @@ def _import_from(src: Path):
     return core, explorer, netsim, scenarios
 
 
-def run_one(src: Path, job: str) -> dict:
-    """One timed run of job ("search/NAME" or "replay/NAME") on the bftlab in
-    src: its counters and its wall time in seconds, scaled to the host's
-    nominal speed."""
-    core, explorer, netsim, scenarios = _import_from(src)
+def _call(job: str, core, explorer, netsim, scenarios) -> dict:
+    """One call of job ("search/NAME" or "replay/NAME"): its counters."""
     kind, name = job.split("/", 1)
-    gc.collect()
+    if kind == "replay":
+        return {"records": len(netsim.run_scenario(scenarios.get_builtin(name)).records)}
+    cfg = core.read(explorer.ExploreConfig, SEARCHES[name], name, explorer.ExplorerError)
+    res = explorer.explore(cfg)
+    ce = res.counterexample
+    return {**{k: res.stats[k] for k in SEARCH_COUNTERS},
+            "export_length": None if ce is None else len(ce.scenario.script)}
+
+
+def run_one(src: Path, job: str) -> dict:
+    """One timed run of job on the bftlab in src: its counters, the same on
+    every call, and the median wall time in seconds of its calls, each
+    scaled to the host's nominal speed."""
+    modules = _import_from(src)
+    counters, spans = None, []
     with SpeedProbe() as probe:
         time.sleep(PROBE_ROLL_S)
-        started = time.perf_counter()
-        if kind == "search":
-            cfg = core.read(explorer.ExploreConfig, SEARCHES[name], name, explorer.ExplorerError)
-            res = explorer.explore(cfg)
-        else:
-            records = netsim.run_scenario(scenarios.get_builtin(name)).records
-        ended = time.perf_counter()
+        first = time.perf_counter()
+        while len(spans) < MIN_CALLS or time.perf_counter() - first < MIN_SPAN_S:
+            gc.collect()
+            started = time.perf_counter()
+            out = _call(job, *modules)
+            spans.append((started, time.perf_counter()))
+            if counters is None:
+                counters = out
+            elif out != counters:
+                raise SystemExit(f"error: {job} counters changed between calls: "
+                                 f"{counters} != {out}")
         time.sleep(PROBE_ROLL_S)
-    if kind == "search":
-        counters = {k: res.stats[k] for k in SEARCH_COUNTERS}
-        ce = res.counterexample
-        counters["export_length"] = None if ce is None else len(ce.scenario.script)
-    else:
-        counters = {"records": len(records)}
-    return {"counters": counters, "seconds": (ended - started) * probe.scale(started, ended)}
+    seconds = [(end - start) * probe.scale(start, end) for start, end in spans]
+    return {"counters": counters, "seconds": statistics.median(seconds)}
 
 
 def _run_in_child(src: Path, job: str) -> dict:
@@ -165,7 +178,7 @@ def main(argv=None) -> int:
         if args.base:
             trees = {"base": _extract_src(args.base, Path(tmp)), **trees}
         counters, times = measure(trees, jobs)
-    median = {side: {job: round(statistics.median(ts), 4) for job, ts in by_job.items()}
+    median = {side: {job: round(statistics.median(ts), 6) for job, ts in by_job.items()}
               for side, by_job in times.items()}
     status = _git("status", "--porcelain", "--", "src")
     bench = {
@@ -182,21 +195,20 @@ def main(argv=None) -> int:
     for job in jobs:
         print(f"{job}: {median['head'][job]} s {counters['head'][job]}", file=sys.stderr)
     if args.base:
-        searches = jobs[:len(SEARCHES)]
-        ratio = {job: round(median["head"][job] / median["base"][job], 3) for job in searches}
+        ratio = {job: round(median["head"][job] / median["base"][job], 3) for job in jobs}
         won = {job: sum(h < b for h, b in zip(times["head"][job], times["base"][job]))
-               for job in searches}
+               for job in jobs}
         changed = {job: {"base": counters["base"][job], "head": counters["head"][job]}
                    for job in jobs if counters["base"][job] != counters["head"][job]}
         bench["paired"] = {
             "base": _git("rev-parse", "--short", args.base),
-            "base_median_s": {job: median["base"][job] for job in searches},
+            "base_median_s": median["base"],
             "ratio": ratio,
             "pairs_won": won,
             "pairs": RUNS,
             "counter_changes": changed,
         }
-        for job in searches:
+        for job in jobs:
             print(f"{job}: {median['base'][job]} -> {median['head'][job]} s, "
                   f"ratio {ratio[job]}, won {won[job]} of {RUNS}", file=sys.stderr)
         for job, sides in changed.items():
