@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -11,13 +12,28 @@ GOLDEN = Path(__file__).parent / "golden"
 SEARCHES = {name: {**entry, "config": read(explorer.ExploreConfig, entry["config"],
                                            "explore config", explorer.ExplorerError)}
             for name, entry in json.loads(GOLDEN.with_name("searches.json").read_text()).items()}
+# what watches every unpatched search that `searched` runs, by name: observe(m, saw)
+# patches m to add what it sees to the set saw, and asserts nothing, so that
+# the test owning the observer, not whichever test ran the search first,
+# fails. Test modules add theirs as they are imported.
+OBSERVERS = {}
+
+
+class Searched(NamedTuple):
+    result: explorer.ExploreResult
+    kernel: explorer._Kernel  # the kernel that searched, whose tables a test may read
+    seen: dict  # observer name, or "check" -> the set it recorded
 
 
 @pytest.fixture(scope="session")
 def searched():
-    """explore(cfg), run once per config for the whole test session: the
-    result, and the kernel that searched, whose tables a test may read.
-    Callers must change neither."""
+    """searched(cfg, patch=(), check=None): explore(cfg), run once per
+    config, patch and check for the whole test session. patch holds (class,
+    attribute, value) triples that switch a search reduction off; check(m,
+    saw), installed before them so that it reads the committed code, is a
+    soundness check run in the same search, recording into seen["check"].
+    An unpatched search is watched by every observer instead. Callers must
+    change nothing it returns."""
     done, kernels = {}, []
     make = explorer._kernel_for
 
@@ -25,36 +41,40 @@ def searched():
         kernels.append(make(cfg))
         return kernels[-1]
 
-    def search(cfg):
-        if cfg not in done:
+    def search(cfg, patch=(), check=None):
+        if (cfg, patch, check) not in done:
             kernels.clear()
+            watch = {"check": check} if patch else OBSERVERS
+            seen = {name: set() for name in watch}
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(explorer, "_kernel_for", kept)
+                for name, observe in watch.items():
+                    if observe:
+                        observe(m, seen[name])
+                for target, name, value in patch:
+                    m.setattr(target, name, value)
                 result = explorer.explore(cfg)
-            done[cfg] = result, kernels[0]
-        return done[cfg]
+            done[cfg, patch, check] = Searched(result, kernels[0], seen)
+        return done[cfg, patch, check]
 
     return search
 
 
-@pytest.fixture(scope="session")
-def cascading_normalize():
-    """A kernel's normalize without the leaf rule, as normalize(kernel, w):
-    every eager delivery is taken, whether or not the draft is settled.
-    Its eager classes are the kernel's, and in a FaB search's final view
-    the prepares too, as the kernel's were while settled states went on
-    taking their deliveries."""
-    def eager(kernel, w):
-        if kernel.proto is fab and w.view == kernel.cfg.max_views:
-            return ("propose", "commit_proof_msg", "accepted")
-        return kernel.eager
+def cascading_normalize(kernel, w):
+    """A kernel's normalize without the leaf rule: every eager delivery is
+    taken, whether or not the draft is settled. Its eager classes are the
+    kernel's, and in a FaB search's final view the prepares too, as the
+    kernel's were while settled states went on taking their deliveries."""
+    eager = kernel.eager
+    if kernel.proto is fab and w.view == kernel.cfg.max_views:
+        eager = ("propose", "commit_proof_msg", "accepted")
+    while w.pool and (w.pool[0].msg.kind in eager or w.pool[0].src == w.pool[0].dst):
+        kernel.deliver_head(w)
+    w.store, w.sent_tab = kernel.intern(w.store), kernel.intern(w.sent_tab)
+    return w.freeze()
 
-    def normalize(kernel, w):
-        while w.pool and (
-            w.pool[0].msg.kind in eager(kernel, w) or w.pool[0].src == w.pool[0].dst
-        ):
-            kernel.deliver_head(w)
-        w.store, w.sent_tab = kernel.intern(w.store), kernel.intern(w.sent_tab)
-        return w.freeze()
 
-    return normalize
+@pytest.fixture(name="cascading_normalize", scope="session")
+def _cascading_normalize():
+    """cascading_normalize, as normalize(kernel, w)."""
+    return cascading_normalize

@@ -130,7 +130,7 @@ def test_criterion_6_explorer_rediscovers_both_bugs(searched):
     done = []
     for name, verdict, bound_s in [("pfab-stuck", ("stuck", "occurred"), 60.0),
                                    ("zyzzyva-3-view-violation", ("agreement", "violated"), 600.0)]:
-        res, _ = searched(SEARCHES[name]["config"])  # elapsed: the search's own time
+        res = searched(SEARCHES[name]["config"]).result  # elapsed: the search's own time
         got = res.counterexample.scenario
         assert got.to_json() == (GOLDEN / SEARCHES[name]["golden"]).read_text(), name
         replay = run_checkers(run_scenario(got).records, [verdict[0]])

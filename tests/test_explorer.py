@@ -1,6 +1,7 @@
 import json
 import sys
 from functools import partial
+from typing import NamedTuple
 
 import pytest
 from dataclasses import replace
@@ -29,7 +30,7 @@ from bftlab.netsim import (
     run_scenario,
 )
 from bftlab.scenarios import loads
-from conftest import GOLDEN, SEARCHES
+from conftest import GOLDEN, OBSERVERS, SEARCHES, cascading_normalize
 
 PFAB_SMALL = SEARCHES["pfab-stuck"]["config"]
 ZYZZYVA_SMALL = SEARCHES["zyzzyva-2-view-exhaustion"]["config"]
@@ -48,13 +49,40 @@ def _counts(name, *keys):
     return tuple(SEARCHES[name]["counters"][k] for k in keys)
 
 
-def _assert_same_export(a, b):
-    """Two explore results export the same run with the same trace, or none."""
-    if a.counterexample is None:
-        assert b.counterexample is None
-    else:
-        assert a.counterexample.scenario.to_json() == b.counterexample.scenario.to_json()
-        assert a.counterexample.trace.to_jsonl() == b.counterexample.trace.to_jsonl()
+def _five(res):
+    """An explore result's five counters, in COUNTERS order."""
+    return tuple(res.stats[k] for k in COUNTERS)
+
+
+def _placed(cfg, i):
+    return replace(cfg, byzantine=(i,))
+
+
+_PFAB_THREE_VIEWS = replace(PFAB_SMALL, max_views=3)
+_FAB5_ONE_VALUE = FAB_SEARCHES["fab5-one-value"]
+# the Byzantine placements that the registry does not hold, each with its
+# five counters: of the Zyzzyva 2-view exhaustion, of PFaB stuck at two and
+# three views and of FaB5 1-value. PFaB's three-view search with r0
+# Byzantine is left out: it does not settle within its 2M-state budget.
+_PLACED = {
+    "zyzzyva-two-views-r2": (_placed(ZYZZYVA_SMALL, 2), (6679, 1167, 13, 738, 7186)),
+    "zyzzyva-two-views-r3": (_placed(ZYZZYVA_SMALL, 3), (6679, 1167, 13, 738, 7186)),
+    "pfab-two-views-r1": (_placed(PFAB_SMALL, 1), (33, 14, 5, 15, 50)),
+    "pfab-two-views-r2": (_placed(PFAB_SMALL, 2), (114, 32, 9, 28, 90)),
+    "pfab-two-views-r3": (_placed(PFAB_SMALL, 3), (114, 32, 9, 28, 90)),
+    "pfab-three-views-r1": (_placed(_PFAB_THREE_VIEWS, 1), (375, 110, 14, 43, 376)),
+    "pfab-three-views-r2": (_placed(_PFAB_THREE_VIEWS, 2), (80067, 40886, 20, 1490, 251690)),
+    "pfab-three-views-r3": (_placed(_PFAB_THREE_VIEWS, 3), (119514, 49652, 24, 2071, 308088)),
+    "fab5-one-value-r1": (_placed(_FAB5_ONE_VALUE, 1), (3, 0, 2, 6, 5)),
+    **{f"fab5-one-value-r{i}": (_placed(_FAB5_ONE_VALUE, i), (213, 30, 8, 52, 51))
+       for i in range(2, 6)},
+}
+# every search the tests below name: its config and its five counters
+_SEARCHES = {
+    **{name: (s["config"], _counts(name, *COUNTERS)) for name, s in SEARCHES.items()},
+    **_PLACED,
+    "pfab-stuck-no-dedup": (replace(PFAB_SMALL, dedup=False), (39138, 0, 16, 465, 19342)),
+}
 
 
 @pytest.mark.parametrize("name", SEARCHES)
@@ -74,7 +102,7 @@ def test_committed_search(searched, name):
     `accepted` slot is offered while the Byzantine replica, its one
     recipient, leads."""
     want = SEARCHES[name]
-    res, _ = searched(want["config"])
+    res = searched(want["config"]).result
     assert [res.stats[k] for k in ("found", "budget_exhausted")] == [
         want["found"], want["budget_exhausted"]]
     assert {k: res.stats[k] for k in COUNTERS} == want["counters"]
@@ -110,278 +138,44 @@ def test_config_validation():
         validate_config(replace(PFAB_SMALL, max_views=0))
 
 
-def test_dedup_changes_statistics_not_outcomes():
-    # exhaustion case
-    base = FAB_SEARCHES["fab5-one-value"]
-    on, off = explore(base), explore(replace(base, dedup=False))
-    assert on.counterexample is None and off.counterexample is None
-    assert off.stats["states"] > on.stats["states"]
-    # found case
-    on, off = explore(PFAB_SMALL), explore(replace(PFAB_SMALL, dedup=False))
-    assert on.counterexample.scenario.script == off.counterexample.scenario.script
-    # Zyzzyva 2-view exhaustion: dedup changes how many states are visited,
-    # not whether a counterexample exists
-    on, off = explore(ZYZZYVA_SMALL), explore(replace(ZYZZYVA_SMALL, dedup=False))
-    assert (on.stats["states"], off.stats["states"]) == (
-        *_counts("zyzzyva-2-view-exhaustion", "states"), 11019)
-    assert on.counterexample is None and off.counterexample is None
+# --- the search reductions, each switched off -----------------------------------
+
+def _direct_transition(kernel, src, hook, state, *args):
+    """A kernel's transition without its table: the hook runs and its sends
+    are routed on every call."""
+    ns, sends, _ = hook(state, *args)
+    return ns, kernel.routed(src, sends)
 
 
-def _unpruned(m):
-    """Turn FaB's final-view pruning off: no state counts as settled, and
-    prepares are fated in every view, FaB5's too."""
-    init = FabKernel.__init__
-
-    def fated_prepares(self, cfg):
-        init(self, cfg)
-        self.eager = ("propose", "commit_proof_msg")
-
-    m.setattr(FabKernel, "settled", lambda self, st: False)
-    m.setattr(FabKernel, "__init__", fated_prepares)
-
-
-@pytest.mark.parametrize("cfg, pruned, unpruned", [
-    (PFAB_SMALL, *_counts("pfab-stuck", "states"), 77326),
-    (FAB_SEARCHES["fab5-one-value"], *_counts("fab5-1-value-exhaustion", "states"), 4575),
-    # the view-2 leader is Byzantine: settled as soon as view 2 begins
-    (replace(PFAB_SMALL, byzantine=(1,)), 33, 33),
-], ids=["pfab-stuck", "fab5-one-value", "pfab-byzantine-view-2-leader"])
-def test_final_view_pruning_changes_statistics_not_outcomes(monkeypatch, cfg, pruned, unpruned):
-    on = explore(cfg)
-    with monkeypatch.context() as m:
-        _unpruned(m)
-        off = explore(cfg)
-    assert (on.stats["states"], off.stats["states"]) == (pruned, unpruned)
-    assert not on.stats["budget_exhausted"] and not off.stats["budget_exhausted"]
-    assert on.stats["found"] == off.stats["found"]
-    if on.counterexample is not None:
-        assert len(off.counterexample.scenario.script) == SEARCHES["pfab-stuck"]["export_length"]
-        verdicts = run_checkers(run_scenario(off.counterexample.scenario).records, ["stuck"])
-        assert verdicts[0].status == "occurred"
-
-
-@pytest.mark.parametrize("name", FAB_SEARCHES)
-def test_no_prepare_is_in_flight_in_an_unsettled_final_view(monkeypatch, name):
-    # why FaB's eager classes need no rule for the final view: until its
-    # leader has evaluated its certificate, which settles the state, no
-    # prepare is pooled there, so none waits to be delivered or dropped
-    cfg, normalize = FAB_SEARCHES[name], _Kernel.normalize
-    unsettled, holding = 0, 0
-
-    def checked(kernel, w):
-        nonlocal unsettled, holding
-        st = normalize(kernel, w)
-        if st.view == cfg.max_views and not kernel.settled(st):
-            unsettled += 1
-            holding += any(sent.msg.kind == "accepted" for sent in st.pool)
-        return st
-
-    monkeypatch.setattr(_Kernel, "normalize", checked)
-    assert not explore(cfg).stats["budget_exhausted"]
-    assert unsettled and not holding
-
-
-# the registry's Zyzzyva counters without its final-view leaf rule
-_UNSETTLED_COUNTERS = {
-    "zyzzyva-2-view-exhaustion": (12775, 1154, 14, 4953, 30346),
-    "zyzzyva-3-view-violation": (28744, 408, 19, 6670, 82835),
-    "zyzzyva-2-view-byzantine-leader": (577, 147, 9, 71, 1019),
-    "zyzzyva-f2-2-view-byzantine-leader": (30751, 4247, 15, 234, 92778),
-}
-
-
-@pytest.mark.parametrize("name", _UNSETTLED_COUNTERS)
-def test_zyzzyva_leaf_rule_changes_statistics_not_outcomes(monkeypatch, searched, name):
-    cfg = SEARCHES[name]["config"]
-    res, _ = searched(cfg)
-    with monkeypatch.context() as m:
-        m.setattr(ZyzzyvaKernel, "settled", _Kernel.settled)
-        off = explore(cfg)
-    assert tuple(off.stats[k] for k in COUNTERS) == _UNSETTLED_COUNTERS[name]
-    same = ("found", "budget_exhausted")
-    assert [res.stats[k] for k in same] == [off.stats[k] for k in same]
-    _assert_same_export(res, off)
-
-
-@pytest.mark.parametrize("name", [
-    "zyzzyva-2-view-exhaustion", "zyzzyva-3-view-violation", "zyzzyva-2-view-byzantine-leader",
-])
-def test_a_settled_zyzzyva_state_commits_only_prefixes_of_its_base_log(monkeypatch, name):
-    # why the rule is sound, checked with it off: at every state and every
-    # draft where it holds, each choice's child and each delivery keep it,
-    # and add no commit but prefixes of the final view's base log G, none
-    # with a Byzantine leader; so nothing below it is violated
-    rule, apply, deliver_head = ZyzzyvaKernel.settled, _Kernel.apply, _Kernel.deliver_head
-    seen = {"settled": 0, "commits": 0}
-
-    def check(kernel, before, after):
-        lead = before.nodes[(before.view - 1) % kernel.qc.n]
-        added = after.commits[len(before.commits):]
-        assert rule(kernel, after) and not kernel.violated(after)
-        assert all(lead is not None and log == lead.log[:len(log)] for *_, log in added)
-        seen["settled"] += 1
-        seen["commits"] += len(added)
-
-    def holds(kernel, st):
-        return rule(kernel, st) and not kernel.violated(st)  # a violation ends the search
-
-    def checked_apply(self, st, choice):
-        child = apply(self, st, choice)
-        if holds(self, st):
-            check(self, st, child)
-        return child
-
-    def checked_delivery(self, w):
-        before = w.freeze() if holds(self, w) else None
-        deliver_head(self, w)
-        if before is not None:
-            check(self, before, w)
-
-    with monkeypatch.context() as m:
-        m.setattr(ZyzzyvaKernel, "settled", _Kernel.settled)
-        m.setattr(_Kernel, "apply", checked_apply)
-        m.setattr(_Kernel, "deliver_head", checked_delivery)
-        res = explore(SEARCHES[name]["config"])
-    assert tuple(res.stats[k] for k in COUNTERS) == _UNSETTLED_COUNTERS[name]
-    assert seen["settled"] and bool(seen["commits"]) == (name != "zyzzyva-2-view-byzantine-leader")
-
-
-# the registry's counters, where they differ, when the network may also
-# drop the Byzantine replica's view-changes
-_DROPPING_COUNTERS = {
-    "zyzzyva-2-view-exhaustion": (11142, 4026, 10, 2025, 10496),
-    "zyzzyva-3-view-violation": (33324, 11419, 19, 6112, 41093),
-}
-
-
-@pytest.mark.parametrize("name", SEARCHES)
-def test_keeping_the_byzantine_view_change_changes_statistics_not_outcomes(
-        monkeypatch, searched, name):
-    # a dropped Byzantine view-change leaves the slot's parent with the slot
-    # used, whose subtree the parent's covers: more states, the same outcome
-    cfg = SEARCHES[name]["config"]
-    res, _ = searched(cfg)
-    with monkeypatch.context() as m:
-        m.setattr(ZyzzyvaKernel, "kept", ())
-        dropping = explore(cfg)
-    assert tuple(dropping.stats[k] for k in COUNTERS) == _DROPPING_COUNTERS.get(
-        name, _counts(name, *COUNTERS))
-    same = ("found", "budget_exhausted")
-    assert [res.stats[k] for k in same] == [dropping.stats[k] for k in same]
-    _assert_same_export(res, dropping)
-
-
-@pytest.mark.parametrize("name", _DROPPING_COUNTERS)
-def test_a_kept_message_is_the_one_send_of_its_slot(monkeypatch, name):
-    # why the rule is sound, checked with it off: a slot is taken at an empty
-    # pool, and one that sends a kept kind sends that message alone, which
-    # is neither stored nor counted, so its drop child is the slot's parent
-    # with the slot used, whose slot menu is part of the parent's
-    kept, apply = ZyzzyvaKernel.kept, _Kernel.apply
-    seen = []
-
-    def checked(self, st, choice):
-        child = apply(self, st, choice)
-        if self.sim is None and any(  # the export takes no extra drop
-                sent.src == self.byz and sent.msg.kind in kept for sent in child.pool):
-            (sent,) = child.pool
-            assert choice[0] == "slot" and not st.pool
-            dropped = apply(self, child, ("drop",))
-            assert dropped == st._replace(slots=child.slots)
-            menu = self.slot_menu(st)
-            assert all(c in menu for c in self.slot_menu(dropped))
-            seen.append(sent.msg.kind)
-        return child
-
-    with monkeypatch.context() as m:
-        m.setattr(ZyzzyvaKernel, "kept", ())
-        m.setattr(_Kernel, "apply", checked)
-        res = explore(SEARCHES[name]["config"])
-    assert tuple(res.stats[k] for k in COUNTERS) == _DROPPING_COUNTERS[name]
-    # every kept kind was checked
-    assert set(seen) == set(kept)
-
-
-def test_the_network_drops_every_fated_message_but_the_byzantine_view_change(monkeypatch):
-    # over the 2-view exhaustion: a correct replica's view-change may still
-    # be dropped, as may every fated message but the Byzantine replica's
-    # view-change
-    choices, heads = _Kernel.choices, set()
-
-    def checked(self, st):
-        out = choices(self, st)
-        if st.pool and out:
-            head = st.pool[0]
-            byzantine = head.src == self.byz
-            kept = byzantine and head.msg.kind == "view_change"
-            assert out == ([("deliver",)] if kept else [("deliver",), ("drop",)])
-            heads.add((head.msg.kind, byzantine))
-        return out
-
-    monkeypatch.setattr(_Kernel, "choices", checked)
-    res = explore(ZYZZYVA_SMALL)
-    assert {k: res.stats[k] for k in COUNTERS} == SEARCHES["zyzzyva-2-view-exhaustion"]["counters"]
-    assert {("view_change", True), ("view_change", False)} <= heads
-
-
-def test_every_state_the_rule_removes_is_a_kept_state_with_more_slots_used(monkeypatch):
-    # over the whole 2-view space, with the rule and without it
-    def space(cfg):
-        kernel = _kernel_for(cfg)
-        root = kernel.initial(None)
-        seen = {root}
-        assert _dfs(kernel, root, seen, {"states": 0, "deduped": 0, "max_depth": 0}, cfg) is None
-        return kernel, seen
-
-    kernel, kept = space(ZYZZYVA_SMALL)
-    with monkeypatch.context() as m:
-        m.setattr(ZyzzyvaKernel, "kept", ())
-        _, dropping = space(ZYZZYVA_SMALL)
-    assert kept < dropping
-    assert (len(kept), len(dropping)) == (10138, 11143)  # the root, then each new state
-    used = {}  # a kept state without its slots -> the slot sets it is kept with
-    for st in kept:
-        used.setdefault(st._replace(slots=()), []).append(set(st.slots))
-    for st in dropping - kept:
-        assert any(slots < set(st.slots) for slots in used.get(st._replace(slots=()), ()))
-    # the 2-view space holds no violation, on either side
-    assert not any(kernel.violated(st) for st in dropping)
-
-
-def _with_noop_accepted(m):
-    """Offer FaB5's `accepted` slot also when it sends nothing: its one
-    recipient is the view's leader, none when the Byzantine replica leads."""
-    offered = FabKernel.slot_choices
-
-    def slot_choices(self, st):
-        out = offered(self, st)
-        if (self.cfg.protocol == FAB5 and leader_of(st.view, self.qc.n) == self.byz
-                and st.view < self.cfg.max_views and ("accepted", st.view) not in st.slots):
-            at = sum(action["kind"] == "propose" for _, action in out)  # proposals first
-            out[at:at] = [("slot", {"kind": "accepted", "view": st.view, "value": v, "to": []})
-                          for v in self.cfg.values]
-        return out
-
-    m.setattr(FabKernel, "slot_choices", slot_choices)
-
-
-def test_a_choice_that_sends_nothing_changes_statistics_not_outcomes(monkeypatch, searched):
-    # the no-op choice's child differs from its parent in its slots alone,
-    # so its subtree repeats its sibling's: the same transitions, the same
-    # outcome, twice the states
-    cfg = FAB_SEARCHES["fab5-one-value"]
-    kept, _ = searched(cfg)
-    with monkeypatch.context() as m:
-        _with_noop_accepted(m)
-        noop = explore(cfg)
-    assert tuple(kept.stats[k] for k in COUNTERS) == _counts("fab5-1-value-exhaustion", *COUNTERS)
-    assert tuple(noop.stats[k] for k in COUNTERS) == (6847, 991, 9, 437, 2987)
-    assert kept.counterexample is None and noop.counterexample is None
-    assert not kept.stats["budget_exhausted"] and not noop.stats["budget_exhausted"]
+def _pruned_store_add(kernel, w, msg):
+    """The store update without the artifact table: msg's artifact walk,
+    pruned at every artifact the store already holds, on every call."""
+    new = artifacts(msg, w.store)
+    if new:
+        w.store = w.store.union(new)
 
 
 _COMMITTED_MENUS = {ZyzzyvaKernel: ZyzzyvaKernel.slot_choices,
                     FabKernel: FabKernel.slot_choices}
+_COMMITTED_FAB_INIT = FabKernel.__init__
+
+
+def _fated_prepares(self, cfg):
+    """FabKernel's __init__ with prepares fated in every view, FaB5's too."""
+    _COMMITTED_FAB_INIT(self, cfg)
+    self.eager = ("propose", "commit_proof_msg")
+
+
+def _noop_accepted_menu(self, st):
+    """FaB's menu with FaB5's `accepted` slot also when it sends nothing: its
+    one recipient is the view's leader, none when the Byzantine replica leads."""
+    out = _COMMITTED_MENUS[FabKernel](self, st)
+    if (self.cfg.protocol == FAB5 and leader_of(st.view, self.qc.n) == self.byz
+            and st.view < self.cfg.max_views and ("accepted", st.view) not in st.slots):
+        at = sum(action["kind"] == "propose" for _, action in out)  # proposals first
+        out[at:at] = [("slot", {"kind": "accepted", "view": st.view, "value": v, "to": []})
+                      for v in self.cfg.values]
+    return out
 
 
 def _noop_zyzzyva_menu(self, st):
@@ -425,94 +219,6 @@ def _noop_act(self, w, action, key):
         self.route(w, self._sends[at])
 
 
-def _with_noop_menus(m):
-    """The menus and `act` as they were before every choice had to send
-    something: a `view_change` or `rep` also went to a Byzantine leader,
-    which stores it at once, and a view-change cited each stored commit
-    certificate by its view, also one that shares its view with another,
-    which does not resolve; `act` kept such an action as sending nothing,
-    not exported. A view-change is still offered only until a correct
-    leader has started its view; `_with_late_menus` restores that cut."""
-    for cls, menu in _NOOP_MENUS.items():
-        m.setattr(cls, "slot_choices", menu)
-    m.setattr(_Kernel, "act", _noop_act)
-
-
-_PFAB_THREE_VIEWS = replace(PFAB_SMALL, max_views=3)
-_FAB5_ONE_VALUE = FAB_SEARCHES["fab5-one-value"]
-
-
-def _placed(cfg, i):
-    return replace(cfg, byzantine=(i,))
-
-
-# every Byzantine placement: (states, deduped) with every choice sending
-# something, then with the no-op menus. Only a Byzantine leader of a later,
-# unsettled view, or two stored certificates of one view, move the counters;
-# with r2 or r3 Byzantine a no-op view-change is a new state, since the drop
-# of a sent one, which it equals, is not offered. PFaB's three-view search
-# with r0 Byzantine is left out: it does not settle within its 2M-state
-# budget.
-_ZYZZYVA_R0, _ZYZZYVA_R1, _PFAB_R0, _FAB5_R0 = (_counts(name, "states", "deduped") for name in (
-    "zyzzyva-2-view-exhaustion", "zyzzyva-2-view-byzantine-leader", "pfab-stuck",
-    "fab5-1-value-exhaustion"))
-_PLACEMENTS = {
-    "zyzzyva-two-views-r0": (ZYZZYVA_SMALL, _ZYZZYVA_R0, _ZYZZYVA_R0),
-    "zyzzyva-two-views-r1": (_placed(ZYZZYVA_SMALL, 1), _ZYZZYVA_R1, _ZYZZYVA_R1),
-    "zyzzyva-two-views-r2": (_placed(ZYZZYVA_SMALL, 2), (6679, 1167), (7132, 3432)),
-    "zyzzyva-two-views-r3": (_placed(ZYZZYVA_SMALL, 3), (6679, 1167), (7132, 3432)),
-    "pfab-two-views-r0": (PFAB_SMALL, _PFAB_R0, _PFAB_R0),
-    "pfab-two-views-r1": (_placed(PFAB_SMALL, 1), (33, 14), (33, 14)),
-    "pfab-two-views-r2": (_placed(PFAB_SMALL, 2), (114, 32), (114, 32)),
-    "pfab-two-views-r3": (_placed(PFAB_SMALL, 3), (114, 32), (114, 32)),
-    "pfab-three-views-r1": (_placed(_PFAB_THREE_VIEWS, 1), (375, 110), (1410, 542)),
-    "pfab-three-views-r2": (_placed(_PFAB_THREE_VIEWS, 2), (80067, 40886), (80067, 40886)),
-    "pfab-three-views-r3": (_placed(_PFAB_THREE_VIEWS, 3), (119514, 49652), (119514, 49652)),
-    "fab5-one-value-r0": (_FAB5_ONE_VALUE, _FAB5_R0, _FAB5_R0),
-    "fab5-one-value-r1": (_placed(_FAB5_ONE_VALUE, 1), (3, 0), (3, 0)),
-    **{f"fab5-one-value-r{i}": (_placed(_FAB5_ONE_VALUE, i), (213, 30), (213, 30))
-       for i in range(2, 6)},
-}
-
-
-@pytest.mark.parametrize("name", _PLACEMENTS)
-def test_every_adversary_choice_sends_to_a_correct_replica(monkeypatch, searched, name):
-    cfg, counts, noop_counts = _PLACEMENTS[name]
-    if counts == noop_counts:
-        # the no-op menus offer nothing more here: checked at every state
-        # that reaches the menu, in one search rather than a second one
-        slot_menu, kernels = _Kernel.slot_menu, set()
-
-        def checked(self, st):
-            assert _NOOP_MENUS[type(self)](self, st) == self.slot_choices(st)
-            kernels.add(self)
-            return slot_menu(self, st)
-
-        with monkeypatch.context() as m:
-            m.setattr(_Kernel, "slot_menu", checked)
-            res = explore(cfg)
-        (kernel,) = kernels
-    else:
-        res, kernel = searched(cfg)
-    assert not res.stats["budget_exhausted"]
-    assert (res.stats["states"], res.stats["deduped"]) == counts
-    assert kernel._sends
-    for sends in kernel._sends.values():
-        assert type(sends) is tuple and sends
-        assert all(sent.dst != kernel.byz for sent, _ in sends)
-    if counts == noop_counts:
-        return
-    # the no-op choices change statistics, not outcomes: a no-op child
-    # repeats its parent's subtree, with the same transitions
-    with monkeypatch.context() as m:
-        _with_noop_menus(m)
-        noop = explore(cfg)
-    assert (noop.stats["states"], noop.stats["deduped"]) == noop_counts
-    same = ("found", "budget_exhausted", "transitions")
-    assert [res.stats[k] for k in same] == [noop.stats[k] for k in same]
-    _assert_same_export(res, noop)
-
-
 def _late_zyzzyva_menu(self, st):
     view, lead = st.view, leader_of(st.view, self.qc.n)
     out = []
@@ -545,60 +251,77 @@ def _late_fab_menu(self, st):
     return [("slot", action) for action in out]
 
 
-def _with_late_menus(m):
-    """The menus as they were before a choice had to be one that some
-    correct recipient can accept: a `view_change` or `rep` was offered also
-    after the view's correct leader had started its view, and a Byzantine
-    leader's `order_req` or `propose` in every view it leads, not in view 1
-    alone."""
-    m.setattr(ZyzzyvaKernel, "slot_choices", _late_zyzzyva_menu)
-    m.setattr(FabKernel, "slot_choices", _late_fab_menu)
+def _settled_commits_prefixes(m, saw):
+    """Why Zyzzyva's leaf rule is sound, checked with it off: at every state
+    and every draft where it holds, each choice's child and each delivery
+    keep it, and add no commit but prefixes of the final view's base log G,
+    none with a Byzantine leader; so nothing below it is violated. Records
+    "settled" once a step is checked, "commit" once one adds a commit."""
+    rule, apply, deliver_head = ZyzzyvaKernel.settled, _Kernel.apply, _Kernel.deliver_head
+
+    def check(kernel, before, after):
+        lead = before.nodes[(before.view - 1) % kernel.qc.n]
+        added = after.commits[len(before.commits):]
+        assert rule(kernel, after) and not kernel.violated(after)
+        assert all(lead is not None and log == lead.log[:len(log)] for *_, log in added)
+        saw.update({"settled", "commit"} if added else {"settled"})
+
+    def holds(kernel, st):
+        return rule(kernel, st) and not kernel.violated(st)  # a violation ends the search
+
+    def checked_apply(self, st, choice):
+        child = apply(self, st, choice)
+        if holds(self, st):
+            check(self, st, child)
+        return child
+
+    def checked_delivery(self, w):
+        before = w.freeze() if holds(self, w) else None
+        deliver_head(self, w)
+        if before is not None:
+            check(self, before, w)
+
+    m.setattr(_Kernel, "apply", checked_apply)
+    m.setattr(_Kernel, "deliver_head", checked_delivery)
 
 
-# the registry's counters under the late menus, where they differ: in the
-# 2-view searches every state the late menus would add is a settled leaf
-_LATE_COUNTERS = {"zyzzyva-3-view-violation": (28724, 557, 19, 6208, 35384)}
+def _kept_send_is_alone(m, saw):
+    """Why a kept kind is never dropped, checked with the rule off: a slot
+    is taken at an empty pool, and one that sends a kept kind sends that
+    message alone, which is neither stored nor counted, so its drop child
+    is the slot's parent with the slot used, whose slot menu is part of the
+    parent's. Records each kept kind checked."""
+    kept, apply = ZyzzyvaKernel.kept, _Kernel.apply
+
+    def checked(self, st, choice):
+        child = apply(self, st, choice)
+        if self.sim is None and any(  # the export takes no extra drop
+                sent.src == self.byz and sent.msg.kind in kept for sent in child.pool):
+            (sent,) = child.pool
+            assert choice[0] == "slot" and not st.pool
+            dropped = apply(self, child, ("drop",))
+            assert dropped == st._replace(slots=child.slots)
+            menu = self.slot_menu(st)
+            assert all(c in menu for c in self.slot_menu(dropped))
+            saw.add(sent.msg.kind)
+        return child
+
+    m.setattr(_Kernel, "apply", checked)
 
 
-@pytest.mark.parametrize("name", SEARCHES)
-def test_a_choice_every_correct_replica_rejects_changes_statistics_not_outcomes(
-        monkeypatch, searched, name):
-    # a rejected choice's child repeats its parent's subtree, so the late
-    # menus search more states with the same outcome and export
-    res, _ = searched(SEARCHES[name]["config"])
-    with monkeypatch.context() as m:
-        _with_late_menus(m)
-        late = explore(SEARCHES[name]["config"])
-    assert tuple(late.stats[k] for k in COUNTERS) == _LATE_COUNTERS.get(
-        name, _counts(name, *COUNTERS))
-    same = ("found", "budget_exhausted")
-    assert [res.stats[k] for k in same] == [late.stats[k] for k in same]
-    _assert_same_export(res, late)
-
-
-_LATE_KINDS = {  # searches where the late menus offer each removed kind, by test id
-    "zyzzyva-three-views-r0": (ZYZZYVA_THREE_VIEWS, "view_change"),
-    "zyzzyva-three-views-r1": (_placed(ZYZZYVA_THREE_VIEWS, 1), "order_req"),
-    "pfab-three-views-r1": (_placed(_PFAB_THREE_VIEWS, 1), "propose"),
-    "fab5-three-views-r2": (_placed(replace(_FAB5_ONE_VALUE, max_views=3), 2), "rep"),
-}
-
-
-@pytest.mark.parametrize("name", _LATE_KINDS)
-def test_every_removed_choice_is_rejected_by_every_correct_recipient(monkeypatch, name):
-    # at every state where the late menus offer a choice the current ones do
-    # not: a view-change or REP comes back from its leader unchanged with
-    # nothing sent, and a later view's order or proposal, eager, leaves the
-    # child its parent with the slot used
-    cfg, kind = _LATE_KINDS[name]
-    slot_menu, removed = _Kernel.slot_menu, []
+def _removed_choices_are_rejected(m, saw):
+    """At every state where the late menus offer a choice the current ones
+    do not: a view-change or REP comes back from its leader unchanged with
+    nothing sent, and a later view's order or proposal, eager, leaves the
+    child its parent with the slot used. Records each removed kind."""
+    slot_menu = _Kernel.slot_menu
 
     def checked(self, st):
         offered = _COMMITTED_MENUS[type(self)](self, st)
         late = self.slot_choices(st)
         assert [c for c in late if c in offered] == offered
         for _, action in (c for c in late if c not in offered):
-            removed.append(action["kind"])
+            saw.add(action["kind"])
             if action["kind"] in ("view_change", "rep"):
                 (lead, msg), = adversary_sends(self.byz, action,
                                                named_artifacts(action, st.store))
@@ -612,43 +335,336 @@ def test_every_removed_choice_is_rejected_by_every_correct_recipient(monkeypatch
                 assert child == st._replace(slots=slots)
         return slot_menu(self, st)
 
+    m.setattr(_Kernel, "slot_menu", checked)
+
+
+class Reduction(NamedTuple):
+    """A search reduction switched off, and the counters each search it is
+    tested on gives then."""
+    off: dict  # search name -> its five counters with the reduction off
+    config: dict = {}  # the ExploreConfig fields that switch it off
+    patch: tuple = ()  # or these (kernel class, attribute, value) patches
+    check: object = None  # check(m, saw): its soundness check, in the same search
+
+
+# Every search reduction, tested both ways: switched off, each search it
+# lists gives the same found, budget_exhausted, export and trace, and the
+# counters pinned here. A patch of one kernel class lists only that
+# kernel's searches.
+REDUCTIONS = {
+    # visited states are deduplicated structurally
+    "dedup": Reduction(config={"dedup": False}, off={
+        "pfab-stuck": _SEARCHES["pfab-stuck-no-dedup"][1],
+        "zyzzyva-2-view-exhaustion": (11019, 0, 10, 2025, 10250),
+        "fab5-1-value-exhaustion": (3903, 0, 8, 437, 1275),
+    }),
+    # each transition and each message's artifact list is computed once per
+    # search; without the tables every hook runs, and its sends are routed,
+    # on every call, and each delivery walks its message's artifacts afresh
+    "tables": Reduction(patch=((_Kernel, "transition", _direct_transition),
+                               (_Kernel, "_store_add", _pruned_store_add)), off={
+        "pfab-stuck": (4372, 1502, 16, 0, 0),
+        "zyzzyva-2-view-exhaustion": (10137, 378, 10, 0, 0),
+        "zyzzyva-3-view-violation": (27244, 408, 19, 0, 0),
+    }),
+    # a settled state is frozen without its pending eager deliveries: the same
+    # states, fewer transitions
+    "normalize": Reduction(patch=((_Kernel, "normalize", cascading_normalize),), off={
+        "pfab-stuck": (4372, 1502, 16, 2379, 17491),
+        "pfab-1-value-exhaustion": (6622, 2365, 16, 3085, 27111),
+        "fab5-1-value-exhaustion": (3423, 480, 8, 2165, 2427),
+        "pfab-stuck-no-dedup": (39138, 0, 16, 2379, 177763),
+        # the view-2 leader is Byzantine: its replicas' REPs go to its store,
+        # so a settled state has no eager delivery left to skip
+        "pfab-two-views-r1": _SEARCHES["pfab-two-views-r1"][1],
+        # settled once its leader adopts its own NEW-VIEW: the other
+        # replicas' NEW-VIEWs and spec responses are left untaken
+        "zyzzyva-2-view-exhaustion": (10137, 378, 10, 4657, 22434),
+    }),
+    # FaB's final view settles once its leader has evaluated its certificate;
+    # off, no state settles and prepares are fated there too
+    "fab-leaf": Reduction(patch=((FabKernel, "settled", _Kernel.settled),
+                                 (FabKernel, "__init__", _fated_prepares)), off={
+        "pfab-stuck": (77326, 1502, 22, 3708, 167860),
+        "fab5-1-value-exhaustion": (4575, 1632, 12, 2165, 2427),
+        # the view-2 leader is Byzantine: settled as soon as view 2 begins
+        "pfab-two-views-r1": _SEARCHES["pfab-two-views-r1"][1],
+    }),
+    # Zyzzyva's final view settles once its base log agrees with every commit
+    "zyzzyva-leaf": Reduction(patch=((ZyzzyvaKernel, "settled", _Kernel.settled),),
+                              check=_settled_commits_prefixes, off={
+        "zyzzyva-2-view-exhaustion": (12775, 1154, 14, 4953, 30346),
+        "zyzzyva-3-view-violation": (28744, 408, 19, 6670, 82835),
+        "zyzzyva-2-view-byzantine-leader": (577, 147, 9, 71, 1019),
+        "zyzzyva-f2-2-view-byzantine-leader": (30751, 4247, 15, 234, 92778),
+    }),
+    # the network never drops the Byzantine replica's own view-change; with
+    # r1 Byzantine, r1 leads view 2, where no view-change slot is offered
+    "kept": Reduction(patch=((ZyzzyvaKernel, "kept", ()),), check=_kept_send_is_alone, off={
+        "zyzzyva-2-view-exhaustion": (11142, 4026, 10, 2025, 10496),
+        "zyzzyva-3-view-violation": (33324, 11419, 19, 6112, 41093),
+        "zyzzyva-2-view-byzantine-leader": _SEARCHES["zyzzyva-2-view-byzantine-leader"][1],
+        "zyzzyva-f2-2-view-byzantine-leader": _SEARCHES["zyzzyva-f2-2-view-byzantine-leader"][1],
+    }),
+    # no FaB5 `accepted` slot while the Byzantine replica, its one recipient,
+    # leads: the no-op choice's child repeats its sibling's subtree
+    "noop-accepted": Reduction(patch=((FabKernel, "slot_choices", _noop_accepted_menu),), off={
+        "fab5-1-value-exhaustion": (6847, 991, 9, 437, 2987),
+    }),
+    # every choice sends something. The no-op menus and `act`, as they were
+    # before: a `view_change` or `rep` also went to a Byzantine leader, which
+    # stores it at once, and a view-change cited each stored commit
+    # certificate by its view, also one that shares its view with another,
+    # which does not resolve; `act` kept such an action as sending nothing,
+    # not exported. Listed are the placements where they add states (a no-op
+    # view-change with r2 or r3 Byzantine is a new state: the drop of a sent
+    # one, which it equals, is not offered); elsewhere the menus are equal
+    # (test_every_adversary_choice_sends_to_a_correct_replica)
+    "noop-menus": Reduction(patch=((ZyzzyvaKernel, "slot_choices", _noop_zyzzyva_menu),
+                                   (FabKernel, "slot_choices", _noop_fab_menu),
+                                   (_Kernel, "act", _noop_act)), off={
+        "zyzzyva-two-views-r2": (7132, 3432, 13, 738, 7186),
+        "zyzzyva-two-views-r3": (7132, 3432, 13, 738, 7186),
+        "pfab-three-views-r1": (1410, 542, 15, 43, 1438),
+    }),
+    # no choice that every correct recipient rejects. The late menus, as they
+    # were before: a `view_change` or `rep` also after the view's correct
+    # leader had started its view, and a Byzantine leader's `order_req` or
+    # `propose` in every view it leads. In the 2-view searches every state
+    # they would add is a settled leaf
+    "late-menus": Reduction(patch=((ZyzzyvaKernel, "slot_choices", _late_zyzzyva_menu),
+                                   (FabKernel, "slot_choices", _late_fab_menu)),
+                            check=_removed_choices_are_rejected, off={
+        **{name: _SEARCHES[name][1] for name in SEARCHES},
+        "zyzzyva-3-view-violation": (28724, 557, 19, 6208, 35384),
+    }),
+}
+
+
+def _switched_off(searched, reduction, cfg):
+    """The `searched` run of cfg with the reduction off."""
+    r = REDUCTIONS[reduction]
+    return searched(replace(cfg, **r.config), r.patch, r.check)
+
+
+@pytest.mark.parametrize("reduction, name", [
+    pytest.param(reduction, name, id=f"{reduction}-{name}")
+    for reduction, r in REDUCTIONS.items() for name in r.off])
+def test_a_reduction_changes_statistics_not_outcomes(searched, reduction, name):
+    cfg, counts = _SEARCHES[name]
+    on, off = searched(cfg).result, _switched_off(searched, reduction, cfg).result
+    assert (_five(on), _five(off)) == (counts, REDUCTIONS[reduction].off[name])
+    same = ("found", "budget_exhausted")
+    assert [on.stats[k] for k in same] == [off.stats[k] for k in same]
+    if on.counterexample is None:
+        assert off.counterexample is None
+    else:
+        assert on.counterexample.scenario.to_json() == off.counterexample.scenario.to_json()
+        assert on.counterexample.trace.to_jsonl() == off.counterexample.trace.to_jsonl()
+
+
+@pytest.mark.parametrize("reduction", REDUCTIONS)
+def test_every_reduction_reaches_the_kernel_of_each_search_it_lists(searched, reduction):
+    # a switch that no kernel reads would let the test above pass checking
+    # nothing: each one changes the config or patches a class of every
+    # listed search's kernel, and moves a counter on one of them
+    r = REDUCTIONS[reduction]
+    for name in r.off:
+        kernel = type(_kernel_for(_SEARCHES[name][0]))
+        assert r.config or {cls for cls, *_ in r.patch} & set(kernel.__mro__), name
+    assert any(_five(searched(cfg).result) != _five(_switched_off(searched, reduction, cfg).result)
+               for cfg, _ in map(_SEARCHES.get, r.off))
+
+
+@pytest.mark.parametrize("name", REDUCTIONS["zyzzyva-leaf"].off)
+def test_a_settled_zyzzyva_state_commits_only_prefixes_of_its_base_log(searched, name):
+    # the check runs in the rule's off search; with r1 Byzantine the final
+    # view settles as it begins, before any commit
+    saw = _switched_off(searched, "zyzzyva-leaf", _SEARCHES[name][0]).seen["check"]
+    assert saw == ({"settled"} if "byzantine-leader" in name else {"settled", "commit"})
+
+
+@pytest.mark.parametrize("name", REDUCTIONS["kept"].off)
+def test_a_kept_message_is_the_one_send_of_its_slot(searched, name):
+    # the check runs in the rule's off search: every kept kind is checked
+    # where a view-change slot is offered
+    saw = _switched_off(searched, "kept", _SEARCHES[name][0]).seen["check"]
+    assert saw == (set() if "byzantine-leader" in name else set(ZyzzyvaKernel.kept))
+
+
+@pytest.mark.parametrize("name", [n for n in SEARCHES if n not in REDUCTIONS["kept"].off])
+def test_keeping_the_byzantine_view_change_changes_statistics_not_outcomes(searched, name):
+    # the rule is Zyzzyva's alone: FaB keeps no kind, so switching the rule
+    # off leaves each FaB search as committed, its statistics too
+    assert FabKernel.kept == ()
+    cfg, counts = _SEARCHES[name]
+    on, off = searched(cfg).result, searched(cfg, REDUCTIONS["kept"].patch).result
+    assert (_five(on), _five(off)) == (counts, counts)
+    same = ("found", "budget_exhausted")
+    assert [on.stats[k] for k in same] == [off.stats[k] for k in same]
+    if on.counterexample is None:
+        assert off.counterexample is None
+    else:
+        assert on.counterexample.scenario.to_json() == off.counterexample.scenario.to_json()
+        assert on.counterexample.trace.to_jsonl() == off.counterexample.trace.to_jsonl()
+
+
+def test_every_state_the_rule_removes_is_a_kept_state_with_more_slots_used(monkeypatch):
+    # over the whole 2-view space, with the rule and without it
+    def space(cfg):
+        kernel = _kernel_for(cfg)
+        root = kernel.initial(None)
+        seen = {root}
+        assert _dfs(kernel, root, seen, {"states": 0, "deduped": 0, "max_depth": 0}, cfg) is None
+        return kernel, seen
+
+    kernel, kept = space(ZYZZYVA_SMALL)
     with monkeypatch.context() as m:
-        _with_late_menus(m)
-        m.setattr(_Kernel, "slot_menu", checked)
-        assert not explore(cfg).stats["budget_exhausted"]
-    assert removed and set(removed) == {kind}
+        m.setattr(ZyzzyvaKernel, "kept", ())
+        _, dropping = space(ZYZZYVA_SMALL)
+    assert kept < dropping
+    assert (len(kept), len(dropping)) == (10138, 11143)  # the root, then each new state
+    used = {}  # a kept state without its slots -> the slot sets it is kept with
+    for st in kept:
+        used.setdefault(st._replace(slots=()), []).append(set(st.slots))
+    for st in dropping - kept:
+        assert any(slots < set(st.slots) for slots in used.get(st._replace(slots=()), ()))
+    # the 2-view space holds no violation, on either side
+    assert not any(kernel.violated(st) for st in dropping)
+
+
+_LATE_KINDS = {  # searches where the late menus offer each removed kind, by test id
+    "zyzzyva-three-views-r0": (ZYZZYVA_THREE_VIEWS, "view_change"),
+    "zyzzyva-three-views-r1": (_placed(ZYZZYVA_THREE_VIEWS, 1), "order_req"),
+    "pfab-three-views-r1": (_placed(_PFAB_THREE_VIEWS, 1), "propose"),
+    "fab5-three-views-r2": (_placed(replace(_FAB5_ONE_VALUE, max_views=3), 2), "rep"),
+}
+
+
+@pytest.mark.parametrize("name", _LATE_KINDS)
+def test_every_removed_choice_is_rejected_by_every_correct_recipient(searched, name):
+    # the check runs in the late menus' search; r0's is their off search of
+    # the 3-view violation
+    cfg, kind = _LATE_KINDS[name]
+    res, _, seen = _switched_off(searched, "late-menus", cfg)
+    assert not res.stats["budget_exhausted"]
+    assert seen["check"] == {kind}
+
+
+# --- what watches every unpatched search -------------------------------------------
+
+def _observe_menus(m, saw):
+    """On every state that reaches the menu: its view, whether its cached
+    menu is what a fresh slot_choices call computes, and whether the no-op
+    menus offer the same choices."""
+    slot_menu = _Kernel.slot_menu
+
+    def observed(self, st):
+        menu, fresh = slot_menu(self, st), self.slot_choices(st)
+        saw.add((st.view, menu == [(kind, action, json.dumps(action, sort_keys=True))
+                                   for kind, action in fresh],
+                 _NOOP_MENUS[type(self)](self, st) == fresh))
+        return menu
+
+    m.setattr(_Kernel, "slot_menu", observed)
+
+
+def _observe_prepares(m, saw):
+    """On every unsettled state of the final view: whether a prepare is in
+    flight."""
+    normalize = _Kernel.normalize
+
+    def observed(kernel, w):
+        st = normalize(kernel, w)
+        if st.view == kernel.cfg.max_views and not kernel.settled(st):
+            saw.add(any(sent.msg.kind == "accepted" for sent in st.pool))
+        return st
+
+    m.setattr(_Kernel, "normalize", observed)
+
+
+def _observe_heads(m, saw):
+    """At every state with a message in flight that offers choices: the
+    head's kind, whether the Byzantine replica sent it, and the choices."""
+    choices = _Kernel.choices
+
+    def observed(self, st):
+        out = choices(self, st)
+        if st.pool and out:
+            head = st.pool[0]
+            saw.add((head.msg.kind, head.src == self.byz, tuple(out)))
+        return out
+
+    m.setattr(_Kernel, "choices", observed)
+
+
+OBSERVERS.update(menus=_observe_menus, prepares=_observe_prepares, heads=_observe_heads)
+
+
+@pytest.mark.parametrize("name", FAB_SEARCHES)
+def test_no_prepare_is_in_flight_in_an_unsettled_final_view(searched, name):
+    # why FaB's eager classes need no rule for the final view: until its
+    # leader has evaluated its certificate, which settles the state, no
+    # prepare is pooled there, so none waits to be delivered or dropped
+    assert searched(FAB_SEARCHES[name]).seen["prepares"] == {False}
+
+
+def test_the_network_drops_every_fated_message_but_the_byzantine_view_change(searched):
+    # over the 2-view exhaustion: a correct replica's view-change may still
+    # be dropped, as may every fated message but the Byzantine replica's
+    # view-change
+    heads = searched(ZYZZYVA_SMALL).seen["heads"]
+    for kind, byzantine, out in heads:
+        kept = byzantine and kind == "view_change"
+        assert out == ((("deliver",),) if kept else (("deliver",), ("drop",)))
+    assert {("view_change", True), ("view_change", False)} <= {head[:2] for head in heads}
 
 
 @pytest.mark.parametrize("name", SEARCHES)
-def test_every_cached_slot_menu_is_what_a_fresh_call_computes(monkeypatch, name):
+def test_every_cached_slot_menu_is_what_a_fresh_call_computes(searched, name):
     # on every state that reaches the menu: a key that left out something
     # slot_choices reads, such as whether the leader has started its view,
     # would serve one state's menu to another
-    slot_menu, states = _Kernel.slot_menu, []
-
-    def checked(self, st):
-        menu = slot_menu(self, st)
-        assert menu == [(kind, action, json.dumps(action, sort_keys=True))
-                        for kind, action in self.slot_choices(st)]
-        states.append(st)
-        return menu
-
-    monkeypatch.setattr(_Kernel, "slot_menu", checked)
     cfg = SEARCHES[name]["config"]
-    res = explore(cfg)
-    assert {k: res.stats[k] for k in COUNTERS} == SEARCHES[name]["counters"]
+    menus = searched(cfg).seen["menus"]
+    assert {fresh for _, fresh, _ in menus} == {True}
     # r1 leads view 2; a final view that the Byzantine replica leads is
     # settled as it begins, so no state after view 1 reaches the menu
     byzantine_last = cfg.max_views == 2 and cfg.byzantine == (1,)
-    assert any(st.view > 1 for st in states) != byzantine_last
+    assert any(view > 1 for view, *_ in menus) != byzantine_last
 
 
-def test_exploration_is_deterministic():
-    # the second search in the process starts from its own empty intern table
-    a, b = explore(PFAB_SMALL), explore(PFAB_SMALL)
-    a.stats.pop("elapsed"), b.stats.pop("elapsed")
-    assert a.stats == b.stats
-    assert tuple(a.stats[k] for k in COUNTERS) == _counts("pfab-stuck", *COUNTERS)
+_PLACEMENTS = {  # every Byzantine placement, by test id: the search's name
+    "zyzzyva-two-views-r0": "zyzzyva-2-view-exhaustion",
+    "zyzzyva-two-views-r1": "zyzzyva-2-view-byzantine-leader",
+    "pfab-two-views-r0": "pfab-stuck",
+    "fab5-one-value-r0": "fab5-1-value-exhaustion",
+    **{name: name for name in _PLACED},
+}
+
+
+@pytest.mark.parametrize("name", _PLACEMENTS)
+def test_every_adversary_choice_sends_to_a_correct_replica(searched, name):
+    cfg, counts = _SEARCHES[_PLACEMENTS[name]]
+    res, kernel, seen = searched(cfg)
+    assert not res.stats["budget_exhausted"]
+    assert _five(res) == counts
+    assert kernel._sends
+    for sends in kernel._sends.values():
+        assert type(sends) is tuple and sends
+        assert all(sent.dst != kernel.byz for sent, _ in sends)
+    # the no-op menus offer more where a Byzantine leader of a later,
+    # unsettled view, or two stored certificates of one view, meet the menu:
+    # the reduction table lists those placements
+    listed = _PLACEMENTS[name] in REDUCTIONS["noop-menus"].off
+    assert {same for *_, same in seen["menus"]} == ({True, False} if listed else {True})
+
+
+def test_exploration_is_deterministic(searched):
+    # a later search in the process starts from its own empty intern table
+    a, b = searched(PFAB_SMALL).result, explore(PFAB_SMALL)
+    assert {**a.stats, "elapsed": None} == {**b.stats, "elapsed": None}
+    assert _five(b) == _counts("pfab-stuck", *COUNTERS)
     assert a.counterexample.scenario.to_json() == b.counterexample.scenario.to_json()
 
 
@@ -717,67 +733,6 @@ def test_budget_exhaustion_reports_no_counterexample():
         assert res.counterexample is None and res.stats["budget_exhausted"]
         assert res.stats["states"] + res.stats["deduped"] <= budget + 1
 
-
-def _direct_transition(kernel, src, hook, state, *args):
-    """A kernel's transition without its table: the hook runs and its sends
-    are routed on every call."""
-    ns, sends, _ = hook(state, *args)
-    return ns, kernel.routed(src, sends)
-
-
-def _pruned_store_add(kernel, w, msg):
-    """The store update without the artifact table: msg's artifact walk,
-    pruned at every artifact the store already holds, on every call."""
-    new = artifacts(msg, w.store)
-    if new:
-        w.store = w.store.union(new)
-
-
-def _uncached(cfg, monkeypatch):
-    """explore(cfg) with neither the transition table nor the artifact table."""
-    with monkeypatch.context() as m:
-        m.setattr(_Kernel, "transition", _direct_transition)
-        m.setattr(_Kernel, "_store_add", _pruned_store_add)
-        return explore(cfg)
-
-
-@pytest.mark.parametrize("name", [
-    "pfab-stuck", "zyzzyva-2-view-exhaustion", "zyzzyva-3-view-violation",
-], ids=["pfab-stuck", "zyzzyva-two-views", "zyzzyva-three-views"])
-def test_transition_table_changes_work_not_outcomes(monkeypatch, searched, name):
-    # the committed side's counters and export are the registry test's
-    cfg = SEARCHES[name]["config"]
-    (cached, _), direct = searched(cfg), _uncached(cfg, monkeypatch)
-    outcome = ("states", "deduped", "max_depth", "budget_exhausted", "found")
-    assert [cached.stats[k] for k in outcome] == [direct.stats[k] for k in outcome]
-    assert cached.stats["transitions_reused"] > cached.stats["transitions"]
-    assert direct.stats["transitions"] == direct.stats["transitions_reused"] == 0
-    _assert_same_export(cached, direct)
-
-
-@pytest.mark.parametrize("cfg, transitions", [
-    (PFAB_SMALL, (*_counts("pfab-stuck", "transitions"), 2379)),
-    (FAB_SEARCHES["pfab-one-value"], (*_counts("pfab-1-value-exhaustion", "transitions"), 3085)),
-    (FAB_SEARCHES["fab5-one-value"], (*_counts("fab5-1-value-exhaustion", "transitions"), 2165)),
-    (replace(PFAB_SMALL, dedup=False), (465, 2379)),
-    # the view-2 leader is Byzantine: its replicas' REPs go to its store,
-    # so a settled state has no eager delivery left to skip
-    (replace(PFAB_SMALL, byzantine=(1,)), (15, 15)),
-    # a final-view state is settled once its leader adopts its own NEW-VIEW:
-    # the other replicas' NEW-VIEWs and spec responses are left untaken
-    (ZYZZYVA_SMALL, (*_counts("zyzzyva-2-view-exhaustion", "transitions"), 4657)),
-], ids=["pfab-stuck", "pfab-one-value", "fab5-one-value", "pfab-stuck-no-dedup",
-        "pfab-byzantine-view-2-leader", "zyzzyva-two-views"])
-def test_leaf_rule_changes_work_not_outcomes(monkeypatch, searched, cascading_normalize,
-                                            cfg, transitions):
-    leaf, _ = searched(cfg)
-    with monkeypatch.context() as m:
-        m.setattr(_Kernel, "normalize", cascading_normalize)
-        full = explore(cfg)
-    outcome = ("states", "deduped", "max_depth", "found", "budget_exhausted")
-    assert [leaf.stats[k] for k in outcome] == [full.stats[k] for k in outcome]
-    assert (leaf.stats["transitions"], full.stats["transitions"]) == transitions
-    _assert_same_export(leaf, full)
 
 
 @pytest.mark.parametrize("cfg", [PFAB_SMALL, ZYZZYVA_SMALL], ids=["pfab", "zyzzyva"])

@@ -9,7 +9,7 @@ import pytest
 from bftlab import core, explorer, fab, zyzzyva
 from bftlab.checkers import check_trace, read_trace, run_checkers
 from bftlab.core import ZYZZYVA, log_ops, replica
-from bftlab.explorer import _kernel_for, explore
+from bftlab.explorer import _kernel_for
 from bftlab.fab import check_decision
 from bftlab.netsim import (
     ArtifactError,
@@ -698,11 +698,11 @@ def test_named_artifacts_resolve_hand_built_references_as_the_whole_store():
         assert _resolves_as_the_whole_store(replica(0), action, held) == resolves, action
 
 
-def test_kernel_and_simulator_agree_along_a_found_stuck_run():
+def test_kernel_and_simulator_agree_along_a_found_stuck_run(searched):
     # the seeded walks never get stuck; the explorer's PFaB counterexample does
     cfg = _WALK_CONFIGS["pfab"]
     stuck = []
-    for _, state, sim in _explorer_walk(cfg, None, path=explore(cfg).counterexample.choices):
+    for _, state, sim in _explorer_walk(cfg, None, path=searched(cfg).result.counterexample.choices):
         _assert_kernel_matches_simulator(cfg, state, sim)
         stuck.append(_kernel_stuck(state))
     assert stuck[-1] and not stuck[-2]

@@ -361,7 +361,7 @@ def test_reconstruct_orders_two_supported_logs_by_canonical_bytes():
 
 def test_reconstruct_keeps_its_rule_on_every_searched_new_view(searched):
     # the 3-view search's transition table, shared with the explorer tests
-    _, kernel = searched(SEARCHES["zyzzyva-3-view-violation"]["config"])
+    kernel = searched(SEARCHES["zyzzyva-3-view-violation"]["config"]).kernel
     proofs = {args[0].proof for _, _, *args in kernel._transitions
               if args and isinstance(args[0], NewViewMessage)}
     assert len(proofs) > 10

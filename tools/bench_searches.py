@@ -29,14 +29,15 @@ whether `src/` differed from that commit).
 The host's speed drifts between runs minutes apart, and the probe
 corrects only part of that, so a lone median compares hosts as much as
 code. With --base, REV's `src/` is extracted with `git archive` into a
-temporary directory, and each of the RUNS rounds runs REV and the checkout
-back to back on every job, the side that goes first alternating. `paired`
-then records REV's commit and, per job, REV's median, the ratio of the
-checkout's median to REV's (below 1: the checkout is faster) and the
-number of pairs the checkout won, all on scaled times. `counter_changes`
-lists every job whose counters differ between the two, and the script
-names each on stderr: a change that moves them changes behaviour, not only
-speed.
+temporary directory and the checkout's `src/` is copied beside it, so
+that both sides import a fresh tree from sibling paths, and each of the
+RUNS rounds runs REV and the checkout back to back on every job, the side
+that goes first alternating. `paired` then records REV's commit and, per
+job, REV's median, the ratio of the checkout's median to REV's (below 1:
+the checkout is faster) and the number of pairs the checkout won, all on
+scaled times. `counter_changes` lists every job whose counters differ
+between the two, and the script names each on stderr: a change that moves
+them changes behaviour, not only speed.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -176,7 +178,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"head": SRC}
         if args.base:
-            trees = {"base": _extract_src(args.base, Path(tmp)), **trees}
+            trees = {"base": _extract_src(args.base, Path(tmp, "base")),
+                     "head": shutil.copytree(SRC, Path(tmp, "head", "src"),
+                                             ignore=shutil.ignore_patterns("__pycache__"))}
         counters, times = measure(trees, jobs)
     median = {side: {job: round(statistics.median(ts), 6) for job, ts in by_job.items()}
               for side, by_job in times.items()}
