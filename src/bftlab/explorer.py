@@ -63,8 +63,9 @@ artifacts.
 A settled state is a leaf (`_Kernel.settled`): no step below it can reach
 the target. FaB's final view settles once its leader has evaluated its
 progress certificate or is the Byzantine replica; Zyzzyva's final view, if
-not the first, once its leader is the Byzantine replica or has adopted its
-own NEW-VIEW, whose base log agrees with every commit. A settled state
+not the first, once its start is decided: its leader is the Byzantine
+replica, or has sent its NEW-VIEW, whose base log agrees with every commit,
+or can no longer gather a quorum of view-change messages. A settled state
 offers no choices and is frozen as soon as it is settled, without its
 pending eager deliveries. The rule never changes an outcome; the frozen
 deliveries can at most count separately two leaves they would have made
@@ -455,9 +456,9 @@ class _Kernel:
 
         A settled state is a leaf: it offers no choices, and `normalize`
         takes none of its pending eager deliveries. It may read only
-        `view`, `nodes` and `commits`, all of which a `_Draft` holds, so
-        that a draft can be asked, and must stay True as further
-        deliveries are taken.
+        `view`, `nodes`, `pool`, `slots` and `commits`, all of which a
+        `_Draft` holds, so that a draft can be asked, and must stay True
+        as further steps are taken.
         """
         return False
 
@@ -557,20 +558,35 @@ class ZyzzyvaKernel(_Kernel):
         self.act(w, *echo)
 
     def settled(self, st):
-        """A final view, if not the first, that the Byzantine replica leads
-        never starts. Once a correct leader has adopted its own NEW-VIEW,
-        correct replicas commit only prefixes of its base log G, and an
-        earlier view's certificate gets no local commit: while G agrees
-        with every commit, no later commit can conflict with one."""
+        """A final view v, if not the first, is decided once its start is.
+
+        One that the Byzantine replica leads never starts. A correct leader
+        L that has not sent its NEW-VIEW never will once the view-change
+        messages that can still reach it, those it has seen, those in
+        flight and the Byzantine replica's unused slot, are fewer than a
+        quorum: that count only falls, correct replicas await a NEW-VIEW
+        and the adversary only echoes, so no commit is added. Once L has
+        sent it, its base log G is fixed: L.log after L adopts it, before
+        that the log of the NEW-VIEW in flight from L to itself, which is
+        eager and never dropped. Correct replicas then commit only prefixes
+        of G, and an earlier view's certificate gets no local commit: while
+        G agrees with every commit, no later commit can conflict with one."""
         view = st.view
         if view < 2 or view != self.cfg.max_views:
             return False
         lead = st.nodes[(view - 1) % self.qc.n]  # leader_of's; None if Byzantine
         if lead is None:
             return True
-        if lead.view != view or lead.awaiting_new_view:
-            return False
+        if view not in lead.nv_done:
+            reach = (sum(vc.new_view == view for vc in lead.vc_seen)
+                     + sum(s.msg.kind == "view_change" and s.msg.new_view == view
+                           for s in st.pool)
+                     + (("view_change", view) not in st.slots))
+            return reach < self.qc.vc_quorum
         g = lead.log
+        if lead.awaiting_new_view:  # G is in flight from L to itself
+            g = next(s.msg.log for s in st.pool
+                     if s.dst == lead.rid and s.msg.kind == "new_view")
         return all(log[:len(g)] == g[:len(log)] for *_, log in st.commits)
 
     def menu_artifacts(self, st):

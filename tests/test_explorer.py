@@ -30,7 +30,7 @@ from bftlab.netsim import (
     run_scenario,
 )
 from bftlab.scenarios import loads
-from conftest import GOLDEN, OBSERVERS, SEARCHES, cascading_normalize
+from conftest import GOLDEN, OBSERVERS, SEARCHES, VISITED, cascading_normalize
 
 PFAB_SMALL = SEARCHES["pfab-stuck"]["config"]
 ZYZZYVA_SMALL = SEARCHES["zyzzyva-2-view-exhaustion"]["config"]
@@ -65,8 +65,8 @@ _FAB5_ONE_VALUE = FAB_SEARCHES["fab5-one-value"]
 # three views and of FaB5 1-value. PFaB's three-view search with r0
 # Byzantine is left out: it does not settle within its 2M-state budget.
 _PLACED = {
-    "zyzzyva-two-views-r2": (_placed(ZYZZYVA_SMALL, 2), (6679, 1167, 13, 738, 7186)),
-    "zyzzyva-two-views-r3": (_placed(ZYZZYVA_SMALL, 3), (6679, 1167, 13, 738, 7186)),
+    "zyzzyva-two-views-r2": (_placed(ZYZZYVA_SMALL, 2), (4045, 267, 13, 273, 2777)),
+    "zyzzyva-two-views-r3": (_placed(ZYZZYVA_SMALL, 3), (4045, 267, 13, 273, 2777)),
     "pfab-two-views-r1": (_placed(PFAB_SMALL, 1), (33, 14, 5, 15, 50)),
     "pfab-two-views-r2": (_placed(PFAB_SMALL, 2), (114, 32, 9, 28, 90)),
     "pfab-two-views-r3": (_placed(PFAB_SMALL, 3), (114, 32, 9, 28, 90)),
@@ -251,20 +251,43 @@ def _late_fab_menu(self, st):
     return [("slot", action) for action in out]
 
 
+def _settled_case(kernel, st):
+    """The case of Zyzzyva's leaf rule that st's final view is in, and its
+    leader's state: the leader is Byzantine, or is correct and has not sent
+    its NEW-VIEW ("quorum"), has sent it ("sent") or has adopted it."""
+    lead = st.nodes[(st.view - 1) % kernel.qc.n]
+    if lead is None:
+        return "byzantine", lead
+    if st.view not in lead.nv_done:
+        return "quorum", lead
+    return ("sent" if lead.awaiting_new_view else "adopted"), lead
+
+
 def _settled_commits_prefixes(m, saw):
     """Why Zyzzyva's leaf rule is sound, checked with it off: at every state
     and every draft where it holds, each choice's child and each delivery
-    keep it, and add no commit but prefixes of the final view's base log G,
-    none with a Byzantine leader; so nothing below it is violated. Records
-    "settled" once a step is checked, "commit" once one adds a commit."""
+    keep it and add no violation. A view led by the Byzantine replica, or by
+    a correct one short of a view-change quorum, stays unstarted and gets no
+    commit. Once the leader has sent its NEW-VIEW, the one it sent itself is
+    in flight until it adopts it, nothing commits before it does, and every
+    commit added is a prefix of the base log G. Records each case checked,
+    and "commit" once a step adds a commit."""
     rule, apply, deliver_head = ZyzzyvaKernel.settled, _Kernel.apply, _Kernel.deliver_head
 
     def check(kernel, before, after):
-        lead = before.nodes[(before.view - 1) % kernel.qc.n]
+        case, lead = _settled_case(kernel, before)
         added = after.commits[len(before.commits):]
         assert rule(kernel, after) and not kernel.violated(after)
-        assert all(lead is not None and log == lead.log[:len(log)] for *_, log in added)
-        saw.update({"settled", "commit"} if added else {"settled"})
+        if case in ("byzantine", "quorum"):
+            assert _settled_case(kernel, after)[0] == case and not added
+        elif case == "sent":
+            (g,) = [s.msg.log for s in before.pool
+                    if s.src == s.dst == lead.rid and s.msg.kind == "new_view"]
+            assert _settled_case(kernel, after)[0] == "adopted" or not added
+        else:
+            g = lead.log
+        assert all(log == g[:len(log)] for *_, log in added)
+        saw.update({case, "commit"} if added else {case})
 
     def holds(kernel, st):
         return rule(kernel, st) and not kernel.violated(st)  # a violation ends the search
@@ -355,7 +378,7 @@ REDUCTIONS = {
     # visited states are deduplicated structurally
     "dedup": Reduction(config={"dedup": False}, off={
         "pfab-stuck": _SEARCHES["pfab-stuck-no-dedup"][1],
-        "zyzzyva-2-view-exhaustion": (11019, 0, 10, 2025, 10250),
+        "zyzzyva-2-view-exhaustion": (7329, 0, 10, 1091, 4202),
         "fab5-1-value-exhaustion": (3903, 0, 8, 437, 1275),
     }),
     # each transition and each message's artifact list is computed once per
@@ -364,8 +387,8 @@ REDUCTIONS = {
     "tables": Reduction(patch=((_Kernel, "transition", _direct_transition),
                                (_Kernel, "_store_add", _pruned_store_add)), off={
         "pfab-stuck": (4372, 1502, 16, 0, 0),
-        "zyzzyva-2-view-exhaustion": (10137, 378, 10, 0, 0),
-        "zyzzyva-3-view-violation": (27244, 408, 19, 0, 0),
+        "zyzzyva-2-view-exhaustion": (6965, 28, 10, 0, 0),
+        "zyzzyva-3-view-violation": (19697, 65, 19, 0, 0),
     }),
     # a settled state is frozen without its pending eager deliveries: the same
     # states, fewer transitions
@@ -377,9 +400,9 @@ REDUCTIONS = {
         # the view-2 leader is Byzantine: its replicas' REPs go to its store,
         # so a settled state has no eager delivery left to skip
         "pfab-two-views-r1": _SEARCHES["pfab-two-views-r1"][1],
-        # settled once its leader adopts its own NEW-VIEW: the other
-        # replicas' NEW-VIEWs and spec responses are left untaken
-        "zyzzyva-2-view-exhaustion": (10137, 378, 10, 4657, 22434),
+        # settled once its leader has sent its NEW-VIEW: the NEW-VIEWs, its
+        # own among them, and the spec responses are left untaken
+        "zyzzyva-2-view-exhaustion": (6965, 28, 10, 4496, 19120),
     }),
     # FaB's final view settles once its leader has evaluated its certificate;
     # off, no state settles and prepares are fated there too
@@ -401,8 +424,8 @@ REDUCTIONS = {
     # the network never drops the Byzantine replica's own view-change; with
     # r1 Byzantine, r1 leads view 2, where no view-change slot is offered
     "kept": Reduction(patch=((ZyzzyvaKernel, "kept", ()),), check=_kept_send_is_alone, off={
-        "zyzzyva-2-view-exhaustion": (11142, 4026, 10, 2025, 10496),
-        "zyzzyva-3-view-violation": (33324, 11419, 19, 6112, 41093),
+        "zyzzyva-2-view-exhaustion": (7439, 2236, 10, 1091, 4006),
+        "zyzzyva-3-view-violation": (23737, 7275, 19, 1162, 16438),
         "zyzzyva-2-view-byzantine-leader": _SEARCHES["zyzzyva-2-view-byzantine-leader"][1],
         "zyzzyva-f2-2-view-byzantine-leader": _SEARCHES["zyzzyva-f2-2-view-byzantine-leader"][1],
     }),
@@ -423,8 +446,8 @@ REDUCTIONS = {
     "noop-menus": Reduction(patch=((ZyzzyvaKernel, "slot_choices", _noop_zyzzyva_menu),
                                    (FabKernel, "slot_choices", _noop_fab_menu),
                                    (_Kernel, "act", _noop_act)), off={
-        "zyzzyva-two-views-r2": (7132, 3432, 13, 738, 7186),
-        "zyzzyva-two-views-r3": (7132, 3432, 13, 738, 7186),
+        "zyzzyva-two-views-r2": (4347, 1777, 13, 273, 2777),
+        "zyzzyva-two-views-r3": (4347, 1777, 13, 273, 2777),
         "pfab-three-views-r1": (1410, 542, 15, 43, 1438),
     }),
     # no choice that every correct recipient rejects. The late menus, as they
@@ -436,7 +459,7 @@ REDUCTIONS = {
                                    (FabKernel, "slot_choices", _late_fab_menu)),
                             check=_removed_choices_are_rejected, off={
         **{name: _SEARCHES[name][1] for name in SEARCHES},
-        "zyzzyva-3-view-violation": (28724, 557, 19, 6208, 35384),
+        "zyzzyva-3-view-violation": (20782, 189, 19, 1258, 15341),
     }),
 }
 
@@ -481,7 +504,8 @@ def test_a_settled_zyzzyva_state_commits_only_prefixes_of_its_base_log(searched,
     # the check runs in the rule's off search; with r1 Byzantine the final
     # view settles as it begins, before any commit
     saw = _switched_off(searched, "zyzzyva-leaf", _SEARCHES[name][0]).seen["check"]
-    assert saw == ({"settled"} if "byzantine-leader" in name else {"settled", "commit"})
+    assert saw == ({"byzantine"} if "byzantine-leader" in name
+                   else {"quorum", "sent", "adopted", "commit"})
 
 
 @pytest.mark.parametrize("name", REDUCTIONS["kept"].off)
@@ -509,28 +533,22 @@ def test_keeping_the_byzantine_view_change_changes_statistics_not_outcomes(searc
         assert on.counterexample.trace.to_jsonl() == off.counterexample.trace.to_jsonl()
 
 
-def test_every_state_the_rule_removes_is_a_kept_state_with_more_slots_used(monkeypatch):
-    # over the whole 2-view space, with the rule and without it
-    def space(cfg):
-        kernel = _kernel_for(cfg)
-        root = kernel.initial(None)
-        seen = {root}
-        assert _dfs(kernel, root, seen, {"states": 0, "deduped": 0, "max_depth": 0}, cfg) is None
-        return kernel, seen
+VISITED.add(ZYZZYVA_SMALL)
 
-    kernel, kept = space(ZYZZYVA_SMALL)
-    with monkeypatch.context() as m:
-        m.setattr(ZyzzyvaKernel, "kept", ())
-        _, dropping = space(ZYZZYVA_SMALL)
+
+def test_every_state_the_rule_removes_is_a_kept_state_with_more_slots_used(searched):
+    # over the whole 2-view space, with the rule and without it
+    on = searched(ZYZZYVA_SMALL)
+    kept, dropping = on.visited, _switched_off(searched, "kept", ZYZZYVA_SMALL).visited
     assert kept < dropping
-    assert (len(kept), len(dropping)) == (10138, 11143)  # the root, then each new state
+    assert (len(kept), len(dropping)) == (6966, 7440)  # the root, then each new state
     used = {}  # a kept state without its slots -> the slot sets it is kept with
     for st in kept:
         used.setdefault(st._replace(slots=()), []).append(set(st.slots))
     for st in dropping - kept:
         assert any(slots < set(st.slots) for slots in used.get(st._replace(slots=()), ()))
     # the 2-view space holds no violation, on either side
-    assert not any(kernel.violated(st) for st in dropping)
+    assert not any(on.kernel.violated(st) for st in dropping)
 
 
 _LATE_KINDS = {  # searches where the late menus offer each removed kind, by test id
@@ -546,7 +564,7 @@ def test_every_removed_choice_is_rejected_by_every_correct_recipient(searched, n
     # the check runs in the late menus' search; r0's is their off search of
     # the 3-view violation
     cfg, kind = _LATE_KINDS[name]
-    res, _, seen = _switched_off(searched, "late-menus", cfg)
+    res, _, seen, _ = _switched_off(searched, "late-menus", cfg)
     assert not res.stats["budget_exhausted"]
     assert seen["check"] == {kind}
 
@@ -598,7 +616,14 @@ def _observe_heads(m, saw):
     m.setattr(_Kernel, "choices", observed)
 
 
-OBSERVERS.update(menus=_observe_menus, prepares=_observe_prepares, heads=_observe_heads)
+# each watches the searches its test reads: the menus every committed search
+# and Byzantine placement, the prepares the FaB searches, the heads the
+# Zyzzyva 2-view exhaustion
+OBSERVERS.update(
+    menus=(_observe_menus, {s["config"] for s in SEARCHES.values()}
+           | {cfg for cfg, _ in _PLACED.values()}),
+    prepares=(_observe_prepares, set(FAB_SEARCHES.values())),
+    heads=(_observe_heads, {ZYZZYVA_SMALL}))
 
 
 @pytest.mark.parametrize("name", FAB_SEARCHES)
@@ -646,7 +671,7 @@ _PLACEMENTS = {  # every Byzantine placement, by test id: the search's name
 @pytest.mark.parametrize("name", _PLACEMENTS)
 def test_every_adversary_choice_sends_to_a_correct_replica(searched, name):
     cfg, counts = _SEARCHES[_PLACEMENTS[name]]
-    res, kernel, seen = searched(cfg)
+    res, kernel, seen, _ = searched(cfg)
     assert not res.stats["budget_exhausted"]
     assert _five(res) == counts
     assert kernel._sends
