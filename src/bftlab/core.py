@@ -1,7 +1,6 @@
 """Shared identities, request logs, signature tokens, and quorum arithmetic."""
 from __future__ import annotations
 
-import contextvars
 import functools
 import hashlib
 import json
@@ -27,34 +26,6 @@ def pack(*parts: bytes) -> bytes:
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-# --- derivation tables --------------------------------------------------------
-
-# The dict that `derived` functions answer from, or None. Its owner installs
-# it with `set` around the calls it serves and removes it with `reset`.
-derivations: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "derivations", default=None)
-
-
-def derived(fn):
-    """fn, a pure function of hashable arguments, answered from the installed
-    `derivations` table: each distinct call is computed once while a table
-    is installed, and on every call while none is."""
-
-    @functools.wraps(fn)
-    def lookup(*args):
-        table = derivations.get()
-        if table is None:
-            return fn(*args)
-        key = (fn, *args)
-        try:
-            return table[key]
-        except KeyError:
-            out = table[key] = fn(*args)
-            return out
-
-    return lookup
 
 
 # --- immutable values -------------------------------------------------------

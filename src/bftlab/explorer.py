@@ -44,12 +44,9 @@ builds, hashes and compares it, reading the hashes its values keep.
 The search starts from the simulator's initial node table. Each
 protocol transition and adversary action is computed once per search, its
 sends kept in routed form (message and decision group), and looked up by
-its interned inputs afterwards. Each distinct message's decision group
-and artifact list are computed once, and so is each tally of a message
-against a set of sent marks. The derivation table keeps each result of a
-`core.derived` function (Zyzzyva's NEW-VIEW base log and its replicas'
-spec responses) that a computed transition asked for, so a base log or a
-response set shared by many node states is derived and signed once.
+its interned inputs afterwards. Each distinct message's artifact list is
+computed once, and so is each tally of a message against a set of sent
+marks.
 Every store is closed under its artifacts' components, so a store that
 holds a message holds everything it carries.
 Each adversary move is built once as well: the slot-menu table keeps the
@@ -91,7 +88,6 @@ from .core import (
     PROTOCOLS,
     ZYZZYVA,
     NodeId,
-    derivations,
     immutable,
     leader_of,
     log_ops,
@@ -245,10 +241,8 @@ class _Kernel:
         self._sends: dict = {}  # (store, action key) -> routed adversary sends
         self._built: dict = {}  # (action key, named artifacts) -> the same, built once
         self._menus: dict = {}  # (view, slots, menu artifacts, started) -> keyed slot choices
-        self._groups: dict = {}  # interned message -> its decision group, or None
         self._artifacts: dict = {}  # interned message -> tuple(artifacts(message))
         self._tallies: dict = {}  # (sent marks, interned message) -> core.tally's result
-        self._derived: dict = {}  # (function, *args) -> its result: core.derived
         self.reused = 0  # transitions answered from the table
         self.sim: Simulation | None = None  # the export target, set by initial
 
@@ -268,19 +262,14 @@ class _Kernel:
         The table is keyed by the hook and its inputs, so only pure hooks may
         come here: a result must follow from the node state and arguments
         alone. The state names its node, so src adds nothing to the key. The
-        hook's notes are dropped: `route` counts every decision. While the
-        hook runs, the kernel's derivation table is installed.
+        hook's notes are dropped: `route` counts every decision.
         """
         key = (hook, state, *args)
         out = self._transitions.get(key)
         if out is not None:
             self.reused += 1
             return out
-        installed = derivations.set(self._derived)
-        try:
-            ns, sends, _ = hook(state, *args)
-        finally:
-            derivations.reset(installed)
+        ns, sends, _ = hook(state, *args)
         out = (self.intern(ns), self.routed(src, sends))
         self._transitions[key] = out
         return out
@@ -291,9 +280,7 @@ class _Kernel:
         out = []
         for dst, m in sends:
             m = self.intern(m)
-            if m not in self._groups:
-                self._groups[m] = self.proto.decision_group(m, self.qc)
-            out.append((self.intern(KMsg(src, dst, m)), self._groups[m]))
+            out.append((self.intern(KMsg(src, dst, m)), self.proto.decision_group(m, self.qc)))
         return self.intern(tuple(out))
 
     # protocol hooks -----------------------------------------------------------

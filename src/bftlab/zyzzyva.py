@@ -18,7 +18,6 @@ from .core import (
     SignatureToken,
     Signed,
     broadcast,
-    derived,
     distinct_quorum,
     exec_result,
     immutable,
@@ -210,7 +209,6 @@ def valid_cert(vc: ViewChangeMessage, cfg: QuorumConfig) -> CommitCertificate | 
     return None
 
 
-@derived
 def reconstruct_log(proof, cfg: QuorumConfig) -> Log:
     """The new leader's base-log rules, bugs included.
 
@@ -265,17 +263,15 @@ class ReplicaState:
         return leader_of(self.view, self.cfg.n) == self.rid
 
 
-@derived
-def _responses(view: int, log: Log, rid: NodeId, lo: int, hi: int):
-    """rid's SpecResponses in view for positions lo..hi (1-based) of log,
-    sent to each entry's client."""
+def _responses(st: ReplicaState, lo: int, hi: int):
+    """SpecResponses for positions lo..hi (1-based), sent to each entry's client."""
     sends = []
     for pos in range(lo, hi + 1):
-        entry = log[pos - 1]
+        entry = st.log[pos - 1]
         if is_null(entry):
             continue
-        prefix = log[:pos]
-        resp = signed(SpecResponse(view, prefix, rid, exec_result(prefix), None), rid)
+        prefix = st.log[:pos]
+        resp = signed(SpecResponse(st.view, prefix, st.rid, exec_result(prefix), None), st.rid)
         sends.append((entry.client, resp))
     return tuple(sends)
 
@@ -301,7 +297,7 @@ def on_order_req(st: ReplicaState, msg: OrderReq):
         return st, (), ()
     start = st.executed
     st = replace(st, log=msg.log, executed=len(msg.log))
-    return st, _responses(st.view, st.log, st.rid, start + 1, len(st.log)), ()
+    return st, _responses(st, start + 1, len(st.log)), ()
 
 
 def on_commit_request(st: ReplicaState, msg: CommitRequest):
@@ -363,7 +359,7 @@ def on_new_view(st: ReplicaState, msg: NewViewMessage):
     st = replace(
         st, view=msg.new_view, log=msg.log, executed=len(msg.log), awaiting_new_view=False
     )
-    return st, _responses(st.view, st.log, st.rid, 1, len(st.log)), ()
+    return st, _responses(st, 1, len(st.log)), ()
 
 
 # --- client state machine ----------------------------------------------------

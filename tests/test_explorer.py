@@ -6,9 +6,8 @@ from typing import NamedTuple
 import pytest
 from dataclasses import replace
 
-from bftlab import zyzzyva
 from bftlab.checkers import any_violation, run_checkers
-from bftlab.core import FAB5, derivations, leader_of, log_ops, tally
+from bftlab.core import FAB5, leader_of, log_ops, tally
 from bftlab.explorer import (
     ExploreConfig,
     ExplorerError,
@@ -92,8 +91,7 @@ def test_committed_search(searched, name):
     replay gives its verdict. CI runs this under each hash seed: stores,
     sent marks and the kernel's table keys are frozensets, and PFaB stuck
     stops at its first hit, so its counters depend on the order it visits
-    states in. Zyzzyva's 3-view search runs the most view changes, whose
-    base logs and spec responses each kernel derives once. With r1
+    states in. Zyzzyva's 3-view search runs the most view changes. With r1
     Byzantine, r1 leads view 2, where no slot is offered: a view-change
     would go to r1, and no correct replica takes an order without a
     NEW-VIEW; that also makes the f=2 search, with 4^6 - 1 orders per
@@ -574,14 +572,18 @@ def test_every_removed_choice_is_rejected_by_every_correct_recipient(searched, n
 def _observe_menus(m, saw):
     """On every state that reaches the menu: its view, whether its cached
     menu is what a fresh slot_choices call computes, and whether the no-op
-    menus offer the same choices."""
+    menus offer the same choices. Both menus follow from the slot-menu key
+    alone, so the no-op menus are compared once per key."""
     slot_menu = _Kernel.slot_menu
+    same = {}  # slot-menu key -> whether the no-op menus offer the same choices
 
     def observed(self, st):
         menu, fresh = slot_menu(self, st), self.slot_choices(st)
+        at = (st.view, st.slots, self.menu_artifacts(st), self.started(st))
+        if at not in same:
+            same[at] = _NOOP_MENUS[type(self)](self, st) == fresh
         saw.add((st.view, menu == [(kind, action, json.dumps(action, sort_keys=True))
-                                   for kind, action in fresh],
-                 _NOOP_MENUS[type(self)](self, st) == fresh))
+                                   for kind, action in fresh], same[at]))
         return menu
 
     m.setattr(_Kernel, "slot_menu", observed)
@@ -730,15 +732,18 @@ def _messages_in_flight(kernel, depth):
     return msgs
 
 
-def test_one_search_shares_one_instance_per_sent_value():
-    msgs = _messages_in_flight(_kernel_for(PFAB_SMALL), 3)
+@pytest.mark.parametrize("cfg, depth", [(PFAB_SMALL, 3), (ZYZZYVA_SMALL, 4)],
+                         ids=["pfab", "zyzzyva"])
+def test_one_search_shares_one_instance_per_sent_value(cfg, depth):
+    # at depth 4, Zyzzyva NEW-VIEWs are among the pooled messages
+    msgs = _messages_in_flight(_kernel_for(cfg), depth)
     assert len({id(m) for m in msgs}) == len(set(msgs))
     # without interning or the transition table, paths that send equal
     # messages hold separate copies
-    plain = _kernel_for(PFAB_SMALL)
+    plain = _kernel_for(cfg)
     plain.intern = lambda obj: obj
     plain.transition = partial(_direct_transition, plain)
-    copies = _messages_in_flight(plain, 3)
+    copies = _messages_in_flight(plain, depth)
     assert set(copies) == set(msgs)
     assert len({id(m) for m in copies}) > len(set(copies))
 
@@ -786,11 +791,8 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
         assert_routed(sends, kernel.byz, adversary_sends(kernel.byz, json.loads(action), store))
     # the tables hold messages that count toward a decision
     assert groups - {None}
-    # each distinct message's decision group is what a fresh call computes
-    assert kernel._groups
-    for msg, decides in kernel._groups.items():
-        assert decides == kernel.proto.decision_group(msg, kernel.qc)
-    # so are each message's artifacts and each tally of a sent message
+    # each message's artifacts and each tally of a sent message are what a
+    # fresh call computes
     assert kernel._artifacts and kernel._tallies
     for msg, learned in kernel._artifacts.items():
         assert learned == tuple(artifacts(msg))
@@ -822,54 +824,3 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
         assert action == {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
                           "to": str(sent.dst)}
         assert key == json.dumps(action, sort_keys=True)
-    # each derived result (Zyzzyva's alone) is what a fresh call, made
-    # outside any table, computes
-    assert derivations.get() is None
-    assert bool(kernel._derived) == (cfg.protocol == "zyzzyva")
-    for (fn, *args), out in kernel._derived.items():
-        assert out == fn(*args)
-
-
-def _derived_responses(kernel):
-    """The (args, result) pairs of kernel's table for zyzzyva._responses
-    that sent something."""
-    return [(key[1:], out) for key, out in kernel._derived.items()
-            if key[0] is zyzzyva._responses.__wrapped__ and out]
-
-
-def test_derivation_tables_are_installed_only_while_a_kernel_computes():
-    # however explore ends, it leaves no table installed
-    for cfg, ends in [(PFAB_SMALL, "found"),
-                      (replace(ZYZZYVA_SMALL, requests=("a",)), "exhausted"),
-                      (replace(ZYZZYVA_SMALL, max_states=300), "budget_exhausted")]:
-        res = explore(cfg)
-        assert (res.stats["found"], res.stats["budget_exhausted"]) == (
-            ends == "found", ends == "budget_exhausted")
-        assert derivations.get() is None
-    # nor does a hook that raises
-    kernel = _kernel_for(ZYZZYVA_SMALL)
-
-    def failing(state):
-        assert derivations.get() is kernel._derived
-        raise RuntimeError(state)
-
-    with pytest.raises(RuntimeError):
-        kernel.transition(kernel.byz, failing, None)
-    assert derivations.get() is None
-    # two kernels share no entries: each search derives and signs its own
-    first, second = _kernel_for(ZYZZYVA_SMALL), _kernel_for(ZYZZYVA_SMALL)
-    for k in (first, second):
-        root = k.initial(None)
-        with pytest.raises(_Budget):
-            _dfs(k, root, {root}, {"states": 0, "deduped": 0, "max_depth": 0},
-                 replace(ZYZZYVA_SMALL, max_states=1500))
-    assert first._derived is not second._derived
-    ours, theirs = dict(_derived_responses(first)), dict(_derived_responses(second))
-    assert ours and ours.keys() == theirs.keys()
-    for args, out in ours.items():
-        assert out == theirs[args] and out[0][1] is not theirs[args][0][1]
-    # outside a search, a derived function computes on every call
-    args, out = next(iter(ours.items()))
-    again, more = zyzzyva._responses(*args), zyzzyva._responses(*args)
-    assert again == more == out
-    assert again[0][1] is not more[0][1] and again[0][1] is not out[0][1]
