@@ -50,9 +50,10 @@ marks.
 Every store is closed under its artifacts' components, so a store that
 holds a message holds everything it carries.
 Each adversary move is built once as well: the slot-menu table keeps the
-slot choices per view, used slots, stored artifacts the menu names and
-whether the view's leader has started it, each with its action's JSON
-key; the echo table keeps the supportive echo of each routed client-bound
+slot choices per view, used slots, whether the view's leader has started
+it and the stored certificates the menu names, read only where a
+view-change slot is open; the menu is a function of that key alone, each
+choice with its action's JSON key; the echo table keeps the supportive echo of each routed client-bound
 response; and the named-artifact table keeps an action's routed sends per
 action key and the stored artifacts the action names, so each distinct
 resolved action is built and signed once however many stores hold those
@@ -240,7 +241,7 @@ class _Kernel:
         self._transitions: dict = {}  # (hook, state, *args) -> (state', routed sends)
         self._sends: dict = {}  # (store, action key) -> routed adversary sends
         self._built: dict = {}  # (action key, named artifacts) -> the same, built once
-        self._menus: dict = {}  # (view, slots, menu artifacts, started) -> keyed slot choices
+        self._menus: dict = {}  # (view, slots, started, menu artifacts) -> keyed slot choices
         self._artifacts: dict = {}  # interned message -> tuple(artifacts(message))
         self._tallies: dict = {}  # (sent marks, interned message) -> core.tally's result
         self.reused = 0  # transitions answered from the table
@@ -288,15 +289,15 @@ class _Kernel:
         """React to a routed send to a correct node, after its decision
         group (or None) has counted it."""
 
-    def slot_choices(self, st: KState) -> list:
-        """The adversary's ("slot", action) choices at an empty pool (menu
-        "equivocate"); the action is the scenario-JSON dict exported. They
-        follow from the view, the used slots, `menu_artifacts` and `started`
-        alone."""
+    def slot_choices(self, view: int, slots: tuple, started: bool, stored: frozenset) -> list:
+        """The adversary's slot actions at an empty pool (menu "equivocate"),
+        each the scenario-JSON dict exported, in the view, with the used
+        slots, whether the view's leader has `started` it and the stored
+        artifacts the menu names (`menu_artifacts`). It reads nothing else."""
         raise NotImplementedError
 
     def menu_artifacts(self, st: KState) -> frozenset:
-        """The stored artifacts that slot_choices(st) reads: none."""
+        """The stored artifacts that slot_choices names in st: none."""
         return frozenset()
 
     def violated(self, st: KState) -> bool:
@@ -472,14 +473,14 @@ class _Kernel:
         return out
 
     def slot_menu(self, st: KState) -> list:
-        """slot_choices(st), each choice ("slot", action, key) with its
-        action's key: built once per view, used slots, menu artifacts and
-        leader's start."""
-        at = (st.view, st.slots, self.menu_artifacts(st), self.started(st))
+        """st's slot choices, each ("slot", action, key) with its action's
+        key: slot_choices of st's view, used slots, leader's start and menu
+        artifacts, built once per such key, which is all the menu reads."""
+        at = (st.view, st.slots, self.started(st), self.menu_artifacts(st))
         menu = self._menus.get(at)
         if menu is None:
-            menu = self._menus[at] = [(kind, *_keyed(action))
-                                      for kind, action in self.slot_choices(st)]
+            menu = self._menus[at] = [("slot", *_keyed(action))
+                                      for action in self.slot_choices(*at)]
         return menu
 
     def apply(self, st: KState, choice) -> KState:
@@ -519,7 +520,6 @@ class ZyzzyvaKernel(_Kernel):
         # adversary log templates: single-request logs (plus the empty log in
         # view-change messages); multi-entry fabrications are out of bounds
         self.logs = [[op] for op in cfg.requests]
-        self._certs: dict = {}  # store -> its commit certificates
         self._echoes: dict = {}  # routed client-bound response -> its echo, keyed
 
     def after_send(self, w, sent, decides):
@@ -577,30 +577,29 @@ class ZyzzyvaKernel(_Kernel):
         return all(log[:len(g)] == g[:len(log)] for *_, log in st.commits)
 
     def menu_artifacts(self, st):
-        """The stored commit certificates, which an inject_stored menu's
-        view-change choices name; found once per store."""
-        if "inject_stored" not in self.cfg.menu:
+        """The stored commit certificates where an inject_stored menu's
+        view-change slot is open: in a view after the first, led by a
+        correct replica, whose view-change slot is unused. Elsewhere none,
+        since no choice there names one."""
+        view = st.view
+        if ("inject_stored" not in self.cfg.menu or view < 2
+                or leader_of(view, self.qc.n) == self.byz or ("view_change", view) in st.slots):
             return frozenset()
-        certs = self._certs.get(st.store)
-        if certs is None:
-            certs = self._certs[st.store] = frozenset(
-                find_artifacts(st.store, "commit_certificate"))
-        return certs
+        return frozenset(find_artifacts(st.store, "commit_certificate"))
 
-    def slot_choices(self, st):
-        view, lead = st.view, leader_of(st.view, self.qc.n)
+    def slot_choices(self, view, slots, started, stored):
+        lead = leader_of(view, self.qc.n)
         out = []
-        if view == 1 and lead == self.byz and ("order_req", view) not in st.slots:
+        if view == 1 and lead == self.byz and ("order_req", view) not in slots:
             out += [{"kind": "order_req", "view": view, "sends": s}
                     for s in self.per_replica_sends("log", self.logs)]
-        if (view >= 2 and lead != self.byz and ("view_change", view) not in st.slots
-                and not self.started(st)):
+        if view >= 2 and lead != self.byz and ("view_change", view) not in slots and not started:
             # a certificate is named by its view: one that shares it has no name
-            views = [c.view for c in sorted(self.menu_artifacts(st), key=lambda c: c.canon())]
+            views = [c.view for c in sorted(stored, key=lambda c: c.canon())]
             certs = [None, *({"view": v} for v in views if views.count(v) == 1)]
             out += [{"kind": "view_change", "view": view, "log": log, "cert": cert, "to": str(lead)}
                     for log in [[], *self.logs] for cert in certs]
-        return [("slot", action) for action in out]
+        return out
 
     def violated(self, st):
         """Two committed logs hold different entries at one position."""
@@ -632,23 +631,22 @@ class FabKernel(_Kernel):
             return False
         return self.started(st) or leader_of(st.view, self.qc.n) == self.byz
 
-    def slot_choices(self, st):
-        view, lead = st.view, leader_of(st.view, self.qc.n)
+    def slot_choices(self, view, slots, started, stored):
+        lead = leader_of(view, self.qc.n)
         out = []
-        if view == 1 and lead == self.byz and ("propose", view) not in st.slots:
+        if view == 1 and lead == self.byz and ("propose", view) not in slots:
             out += [{"kind": "propose", "view": view, "sends": s}
                     for s in self.per_replica_sends("value", self.cfg.values)]
-        if ("accepted", view) not in st.slots and view < self.cfg.max_views:
+        if ("accepted", view) not in slots and view < self.cfg.max_views:
             dsts = [lead] if self.cfg.protocol == FAB5 else self.correct
             to = [str(d) for d in dsts if d != self.byz]
             if to:  # a FaB5 prepare goes to the leader alone: none if it is Byzantine
                 out += [{"kind": "accepted", "view": view, "value": v, "to": to}
                         for v in self.cfg.values]
-        if (view >= 2 and lead != self.byz and ("rep", view) not in st.slots
-                and not self.started(st)):
+        if view >= 2 and lead != self.byz and ("rep", view) not in slots and not started:
             out += [{"kind": "rep", "view": view, "last_accepted": v, "commit_proof": None,
                      "to": str(lead)} for v in [*self.cfg.values, None]]
-        return [("slot", action) for action in out]
+        return out
 
     def violated(self, st):
         # on_rep sets stuck_view in the transition that reports the stuck view

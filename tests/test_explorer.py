@@ -6,6 +6,7 @@ from typing import NamedTuple
 import pytest
 from dataclasses import replace
 
+from bftlab import explorer
 from bftlab.checkers import any_violation, run_checkers
 from bftlab.core import FAB5, leader_of, log_ops, tally
 from bftlab.explorer import (
@@ -164,37 +165,36 @@ def _fated_prepares(self, cfg):
     self.eager = ("propose", "commit_proof_msg")
 
 
-def _noop_accepted_menu(self, st):
+def _noop_accepted_menu(self, view, slots, started, stored):
     """FaB's menu with FaB5's `accepted` slot also when it sends nothing: its
     one recipient is the view's leader, none when the Byzantine replica leads."""
-    out = _COMMITTED_MENUS[FabKernel](self, st)
-    if (self.cfg.protocol == FAB5 and leader_of(st.view, self.qc.n) == self.byz
-            and st.view < self.cfg.max_views and ("accepted", st.view) not in st.slots):
-        at = sum(action["kind"] == "propose" for _, action in out)  # proposals first
-        out[at:at] = [("slot", {"kind": "accepted", "view": st.view, "value": v, "to": []})
+    out = _COMMITTED_MENUS[FabKernel](self, view, slots, started, stored)
+    if (self.cfg.protocol == FAB5 and leader_of(view, self.qc.n) == self.byz
+            and view < self.cfg.max_views and ("accepted", view) not in slots):
+        at = sum(action["kind"] == "propose" for action in out)  # proposals first
+        out[at:at] = [{"kind": "accepted", "view": view, "value": v, "to": []}
                       for v in self.cfg.values]
     return out
 
 
-def _noop_zyzzyva_menu(self, st):
-    view, lead = st.view, leader_of(st.view, self.qc.n)
-    out = [c for c in _COMMITTED_MENUS[ZyzzyvaKernel](self, st) if c[1]["kind"] != "view_change"]
+def _noop_zyzzyva_menu(self, view, slots, started, stored):
+    lead = leader_of(view, self.qc.n)
+    out = [a for a in _COMMITTED_MENUS[ZyzzyvaKernel](self, view, slots, started, stored)
+           if a["kind"] != "view_change"]
     # view changes last
-    if view >= 2 and ("view_change", view) not in st.slots and not self.started(st):
-        stored = sorted(self.menu_artifacts(st), key=lambda c: c.canon())
-        certs = [None, *({"view": c.view} for c in stored)]
-        out += [("slot", {"kind": "view_change", "view": view, "log": log, "cert": cert,
-                          "to": str(lead)}) for log in [[], *self.logs] for cert in certs]
+    if view >= 2 and ("view_change", view) not in slots and not started:
+        certs = [None, *({"view": c.view} for c in sorted(stored, key=lambda c: c.canon()))]
+        out += [{"kind": "view_change", "view": view, "log": log, "cert": cert, "to": str(lead)}
+                for log in [[], *self.logs] for cert in certs]
     return out
 
 
-def _noop_fab_menu(self, st):
-    view, lead = st.view, leader_of(st.view, self.qc.n)
-    out = _COMMITTED_MENUS[FabKernel](self, st)
-    if view >= 2 and lead == self.byz and ("rep", view) not in st.slots:  # reps last
-        out += [("slot", {"kind": "rep", "view": view, "last_accepted": v,
-                          "commit_proof": None, "to": str(lead)})
-                for v in [*self.cfg.values, None]]
+def _noop_fab_menu(self, view, slots, started, stored):
+    lead = leader_of(view, self.qc.n)
+    out = _COMMITTED_MENUS[FabKernel](self, view, slots, started, stored)
+    if view >= 2 and lead == self.byz and ("rep", view) not in slots:  # reps last
+        out += [{"kind": "rep", "view": view, "last_accepted": v, "commit_proof": None,
+                 "to": str(lead)} for v in [*self.cfg.values, None]]
     return out
 
 
@@ -217,36 +217,36 @@ def _noop_act(self, w, action, key):
         self.route(w, self._sends[at])
 
 
-def _late_zyzzyva_menu(self, st):
-    view, lead = st.view, leader_of(st.view, self.qc.n)
+def _late_zyzzyva_menu(self, view, slots, started, stored):
+    lead = leader_of(view, self.qc.n)
     out = []
-    if lead == self.byz and ("order_req", view) not in st.slots:
+    if lead == self.byz and ("order_req", view) not in slots:
         out += [{"kind": "order_req", "view": view, "sends": s}
                 for s in self.per_replica_sends("log", self.logs)]
-    if view >= 2 and lead != self.byz and ("view_change", view) not in st.slots:
-        views = [c.view for c in sorted(self.menu_artifacts(st), key=lambda c: c.canon())]
+    if view >= 2 and lead != self.byz and ("view_change", view) not in slots:
+        views = [c.view for c in sorted(stored, key=lambda c: c.canon())]
         certs = [None, *({"view": v} for v in views if views.count(v) == 1)]
         out += [{"kind": "view_change", "view": view, "log": log, "cert": cert, "to": str(lead)}
                 for log in [[], *self.logs] for cert in certs]
-    return [("slot", action) for action in out]
+    return out
 
 
-def _late_fab_menu(self, st):
-    view, lead = st.view, leader_of(st.view, self.qc.n)
+def _late_fab_menu(self, view, slots, started, stored):
+    lead = leader_of(view, self.qc.n)
     out = []
-    if lead == self.byz and ("propose", view) not in st.slots:
+    if lead == self.byz and ("propose", view) not in slots:
         out += [{"kind": "propose", "view": view, "sends": s}
                 for s in self.per_replica_sends("value", self.cfg.values)]
-    if ("accepted", view) not in st.slots and view < self.cfg.max_views:
+    if ("accepted", view) not in slots and view < self.cfg.max_views:
         dsts = [lead] if self.cfg.protocol == FAB5 else self.correct
         to = [str(d) for d in dsts if d != self.byz]
         if to:
             out += [{"kind": "accepted", "view": view, "value": v, "to": to}
                     for v in self.cfg.values]
-    if view >= 2 and lead != self.byz and ("rep", view) not in st.slots:
+    if view >= 2 and lead != self.byz and ("rep", view) not in slots:
         out += [{"kind": "rep", "view": view, "last_accepted": v, "commit_proof": None,
                  "to": str(lead)} for v in [*self.cfg.values, None]]
-    return [("slot", action) for action in out]
+    return out
 
 
 def _settled_case(kernel, st):
@@ -338,10 +338,11 @@ def _removed_choices_are_rejected(m, saw):
     slot_menu = _Kernel.slot_menu
 
     def checked(self, st):
-        offered = _COMMITTED_MENUS[type(self)](self, st)
-        late = self.slot_choices(st)
-        assert [c for c in late if c in offered] == offered
-        for _, action in (c for c in late if c not in offered):
+        at = (st.view, st.slots, self.started(st), self.menu_artifacts(st))
+        offered = _COMMITTED_MENUS[type(self)](self, *at)
+        late = self.slot_choices(*at)
+        assert [a for a in late if a in offered] == offered
+        for action in (a for a in late if a not in offered):
             saw.add(action["kind"])
             if action["kind"] in ("view_change", "rep"):
                 (lead, msg), = adversary_sends(self.byz, action,
@@ -437,9 +438,12 @@ REDUCTIONS = {
     # stores it at once, and a view-change cited each stored commit
     # certificate by its view, also one that shares its view with another,
     # which does not resolve; `act` kept such an action as sending nothing,
-    # not exported. Listed are the placements where they add states (a no-op
-    # view-change with r2 or r3 Byzantine is a new state: the drop of a sent
-    # one, which it equals, is not offered); elsewhere the menus are equal
+    # not exported. The no-op menus take the slot-menu key's certificates,
+    # which are none under a Byzantine leader: there they once cited every
+    # stored one, and the pins held when that reading went. Listed are the
+    # placements where they add states (a no-op view-change with r2 or r3
+    # Byzantine is a new state: the drop of a sent one, which it equals, is
+    # not offered); elsewhere the menus are equal
     # (test_every_adversary_choice_sends_to_a_correct_replica)
     "noop-menus": Reduction(patch=((ZyzzyvaKernel, "slot_choices", _noop_zyzzyva_menu),
                                    (FabKernel, "slot_choices", _noop_fab_menu),
@@ -570,23 +574,29 @@ def test_every_removed_choice_is_rejected_by_every_correct_recipient(searched, n
 # --- what watches every unpatched search -------------------------------------------
 
 def _observe_menus(m, saw):
-    """On every state that reaches the menu: its view, whether its cached
-    menu is what a fresh slot_choices call computes, and whether the no-op
-    menus offer the same choices. Both menus follow from the slot-menu key
-    alone, so the no-op menus are compared once per key."""
-    slot_menu = _Kernel.slot_menu
-    same = {}  # slot-menu key -> whether the no-op menus offer the same choices
+    """At every slot-menu key: its view, and whether the no-op menus offer
+    the same choices. A menu is built once per key, from the key alone, so
+    each key is seen once, when its menu is built."""
+    for cls, noop in _NOOP_MENUS.items():
+        def observed(self, *at, menu=_COMMITTED_MENUS[cls], noop=noop):
+            out = menu(self, *at)
+            saw.add((at[0], noop(self, *at) == out))
+            return out
 
-    def observed(self, st):
-        menu, fresh = slot_menu(self, st), self.slot_choices(st)
-        at = (st.view, st.slots, self.menu_artifacts(st), self.started(st))
-        if at not in same:
-            same[at] = _NOOP_MENUS[type(self)](self, st) == fresh
-        saw.add((st.view, menu == [(kind, action, json.dumps(action, sort_keys=True))
-                                   for kind, action in fresh], same[at]))
-        return menu
+        m.setattr(cls, "slot_choices", observed)
 
-    m.setattr(_Kernel, "slot_menu", observed)
+
+def _observe_certificate_scans(m, saw):
+    """Every scan of a store for its commit certificates that the explorer
+    makes, numbered from 0, so that the set's size counts them."""
+    find = explorer.find_artifacts
+
+    def observed(items, kind, /, **fields):
+        if kind == "commit_certificate":
+            saw.add(len(saw))
+        return find(items, kind, **fields)
+
+    m.setattr(explorer, "find_artifacts", observed)
 
 
 def _observe_prepares(m, saw):
@@ -618,14 +628,17 @@ def _observe_heads(m, saw):
     m.setattr(_Kernel, "choices", observed)
 
 
+_ZYZZYVA_SEARCHES = [name for name, s in SEARCHES.items() if s["config"].protocol == "zyzzyva"]
 # each watches the searches its test reads: the menus every committed search
 # and Byzantine placement, the prepares the FaB searches, the heads the
-# Zyzzyva 2-view exhaustion
+# Zyzzyva 2-view exhaustion, the certificate scans the Zyzzyva searches
 OBSERVERS.update(
     menus=(_observe_menus, {s["config"] for s in SEARCHES.values()}
            | {cfg for cfg, _ in _PLACED.values()}),
     prepares=(_observe_prepares, set(FAB_SEARCHES.values())),
-    heads=(_observe_heads, {ZYZZYVA_SMALL}))
+    heads=(_observe_heads, {ZYZZYVA_SMALL}),
+    certificate_scans=(_observe_certificate_scans,
+                       {SEARCHES[name]["config"] for name in _ZYZZYVA_SEARCHES}))
 
 
 @pytest.mark.parametrize("name", FAB_SEARCHES)
@@ -648,17 +661,20 @@ def test_the_network_drops_every_fated_message_but_the_byzantine_view_change(sea
 
 
 @pytest.mark.parametrize("name", SEARCHES)
-def test_every_cached_slot_menu_is_what_a_fresh_call_computes(searched, name):
-    # on every state that reaches the menu: a key that left out something
-    # slot_choices reads, such as whether the leader has started its view,
-    # would serve one state's menu to another
-    cfg = SEARCHES[name]["config"]
-    menus = searched(cfg).seen["menus"]
-    assert {fresh for _, fresh, _ in menus} == {True}
+def test_a_later_view_reaches_the_slot_menu(searched, name):
     # r1 leads view 2; a final view that the Byzantine replica leads is
     # settled as it begins, so no state after view 1 reaches the menu
+    cfg = SEARCHES[name]["config"]
     byzantine_last = cfg.max_views == 2 and cfg.byzantine == (1,)
-    assert any(view > 1 for view, *_ in menus) != byzantine_last
+    assert any(view > 1 for view, _ in searched(cfg).seen["menus"]) != byzantine_last
+
+
+@pytest.mark.parametrize("name", _ZYZZYVA_SEARCHES)
+def test_certificates_are_read_only_where_a_view_change_slot_is_open(searched, name):
+    # with r1 Byzantine, r1 leads the final view 2, so no slot is open: the
+    # f=2 search makes 7,592 slot-menu calls and no scan
+    scans = searched(SEARCHES[name]["config"]).seen["certificate_scans"]
+    assert bool(scans) != ("byzantine-leader" in name)
 
 
 _PLACEMENTS = {  # every Byzantine placement, by test id: the search's name
@@ -684,7 +700,7 @@ def test_every_adversary_choice_sends_to_a_correct_replica(searched, name):
     # unsettled view, or two stored certificates of one view, meet the menu:
     # the reduction table lists those placements
     listed = _PLACEMENTS[name] in REDUCTIONS["noop-menus"].off
-    assert {same for *_, same in seen["menus"]} == ({True, False} if listed else {True})
+    assert {same for _, same in seen["menus"]} == ({True, False} if listed else {True})
 
 
 def test_exploration_is_deterministic(searched):
@@ -806,16 +822,16 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
         assert_routed(sends, kernel.byz, adversary_sends(kernel.byz, json.loads(action), named))
     for (store, action), sends in kernel._sends.items():
         assert sends is kernel._built[action, named_artifacts(json.loads(action), store)]
-    # each slot menu is slot_choices of a state with its key, each choice
-    # carrying its action's JSON
+    # each slot menu is slot_choices of its key, each action with its JSON;
+    # certificates are read only where a view-change slot is open
     assert kernel._menus
-    for (view, slots, stored, started), menu in kernel._menus.items():
-        kernel.started = lambda st, started=started: started  # what the key's nodes give
-        fresh = kernel.slot_choices(KState((), view=view, slots=slots, store=stored))
-        assert [choice[:2] for choice in menu] == fresh
-        assert [key for _, action, key in menu] == [
-            json.dumps(action, sort_keys=True) for _, action in fresh]
-    del kernel.started
+    for key, menu in kernel._menus.items():
+        assert menu == [("slot", action, json.dumps(action, sort_keys=True))
+                        for action in kernel.slot_choices(*key)]
+        view, slots, _, stored = key
+        assert not stored or (view >= 2 and leader_of(view, kernel.qc.n) != kernel.byz
+                              and ("view_change", view) not in slots)
+    assert any(stored for *_, stored in kernel._menus) == (cfg.protocol == "zyzzyva")
     # each planned echo (Zyzzyva's alone) is its response's action, and its JSON
     echoes = getattr(kernel, "_echoes", {})
     assert bool(echoes) == (cfg.protocol == "zyzzyva")
