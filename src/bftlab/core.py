@@ -261,6 +261,8 @@ def quorum_config(protocol: str, f: int, t: int = 0, error=ValueError) -> Quorum
     if f < 1:
         raise error(f"f must be >= 1, got {f}")
     if protocol == ZYZZYVA:
+        if t != 0:
+            raise error(f"zyzzyva requires t=0, got t={t}")
         n = 3 * f + 1
         return QuorumConfig(protocol, f, 0, n, n, 2 * f + 1, 2 * f + 1, 2 * f + 1)
     if protocol == FAB5:

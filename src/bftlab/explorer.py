@@ -49,15 +49,12 @@ computed once, and so is each tally of a message against a set of sent
 marks.
 Every store is closed under its artifacts' components, so a store that
 holds a message holds everything it carries.
-Each adversary move is built once as well: the slot-menu table keeps the
-slot choices per view, used slots, whether the view's leader has started
-it and the stored certificates the menu names, read only where a
-view-change slot is open; the menu is a function of that key alone, each
-choice with its action's JSON key; the echo table keeps the supportive echo of each routed client-bound
-response; and the named-artifact table keeps an action's routed sends per
-action key and the stored artifacts the action names, so each distinct
-resolved action is built and signed once however many stores hold those
-artifacts.
+Each adversary move is planned once as well, its routed sends built and
+signed with it (`_Kernel.planned`): the slot-menu table keeps the slot
+choices per view, used slots, whether the view's leader has started it and
+the stored certificates the menu names, read only where a view-change slot
+is open, and the menu is a function of that key alone; the echo table keeps
+the supportive echo of each routed client-bound response.
 A settled state is a leaf (`_Kernel.settled`): no step below it can reach
 the target. FaB's final view settles once its leader has evaluated its
 progress certificate or is the Byzantine replica; Zyzzyva's final view, if
@@ -77,7 +74,6 @@ and ordinals are the simulator's alone, and its trace is the run's trace.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -98,13 +94,7 @@ from .core import (
     replica,
     tally,
 )
-from .netsim import (
-    Simulation,
-    adversary_sends,
-    artifacts,
-    find_artifacts,
-    named_artifacts,
-)
+from .netsim import Simulation, adversary_sends, artifacts, find_artifacts
 from .scenarios import Scenario, validate
 
 MENU_KINDS = ("equivocate", "withhold", "inject_stored")
@@ -239,9 +229,7 @@ class _Kernel:
         self.correct = tuple(replica(i) for i in range(self.qc.n) if replica(i) != self.byz)
         self._interned: dict = {}
         self._transitions: dict = {}  # (hook, state, *args) -> (state', routed sends)
-        self._sends: dict = {}  # (store, action key) -> routed adversary sends
-        self._built: dict = {}  # (action key, named artifacts) -> the same, built once
-        self._menus: dict = {}  # (view, slots, started, menu artifacts) -> keyed slot choices
+        self._menus: dict = {}  # (view, slots, started, menu artifacts) -> planned slot choices
         self._artifacts: dict = {}  # interned message -> tuple(artifacts(message))
         self._tallies: dict = {}  # (sent marks, interned message) -> core.tally's result
         self.reused = 0  # transitions answered from the table
@@ -384,26 +372,29 @@ class _Kernel:
         w.nodes = tuple(nodes)
         self.route(w, sends)
 
-    def act(self, w: _Draft, action: dict, key: str) -> None:
-        """Perform an adversary action, `key` its JSON (`_keyed`); exported
-        as the directive replay runs.
+    def planned(self, action: dict, store: frozenset) -> tuple:
+        """(action, its routed sends): the action resolved against store, once
+        for every state that offers it.
 
-        The kernel offers only actions whose every named artifact the store
-        holds exactly once; one that does not resolve is an internal fault,
-        and its ArtifactError propagates. The artifacts an action names are
-        looked up once per distinct store and action, and its sends are
-        built once per distinct action and named artifacts: resolving
-        against those is resolving against the store.
+        A kernel-built action names only requests and, in a view-change,
+        commit certificates by view; FaB's name nothing. Every request is
+        stored from the root on: each client's request reaches the Byzantine
+        replica in the root's eager deliveries, directly or inside the view-1
+        leader's order. The stored certificates are part of the slot-menu
+        key. So every state that offers an action resolves it alike. The
+        kernel offers only actions whose every named artifact the store holds
+        exactly once: one that does not resolve is an internal fault, and its
+        ArtifactError propagates when the action is planned. An export takes
+        the search's choices with their sends; the directive it exports is
+        the action, which the Simulation resolves against its own store.
         """
-        at = (w.store, key)
-        if at not in self._sends:
-            named = named_artifacts(action, w.store)
-            if (key, named) not in self._built:
-                self._built[key, named] = self.routed(
-                    self.byz, adversary_sends(self.byz, action, named))
-            self._sends[at] = self._built[key, named]
+        return action, self.routed(self.byz, adversary_sends(self.byz, action, store))
+
+    def act(self, w: _Draft, action: dict, sends: tuple) -> None:
+        """Perform an adversary action: export it as the directive replay
+        runs, and route its `planned` sends."""
         self.export("adversary", actor=self.byz.index, action=action)
-        self.route(w, self._sends[at])
+        self.route(w, sends)
 
     def per_replica_sends(self, name: str, options) -> list:
         """The `sends` lists of a composite action: each correct replica gets
@@ -473,13 +464,14 @@ class _Kernel:
         return out
 
     def slot_menu(self, st: KState) -> list:
-        """st's slot choices, each ("slot", action, key) with its action's
-        key: slot_choices of st's view, used slots, leader's start and menu
-        artifacts, built once per such key, which is all the menu reads."""
+        """st's slot choices, each ("slot", action, sends): slot_choices of
+        st's view, used slots, leader's start and menu artifacts, which is
+        all the menu reads, each action `planned` against st's store, built
+        once per such key."""
         at = (st.view, st.slots, self.started(st), self.menu_artifacts(st))
         menu = self._menus.get(at)
         if menu is None:
-            menu = self._menus[at] = [("slot", *_keyed(action))
+            menu = self._menus[at] = [("slot", *self.planned(action, st.store))
                                       for action in self.slot_choices(*at)]
         return menu
 
@@ -503,9 +495,9 @@ class _Kernel:
             for rid in order:
                 self.run(w, rid, self.proto.on_view_change_signal, view)
         else:
-            _, action, key = choice
+            _, action, sends = choice
             w.slots = tuple(sorted(w.slots + ((action["kind"], action["view"]),)))
-            self.act(w, action, key)
+            self.act(w, action, sends)
         return self.normalize(w)
 
 
@@ -520,7 +512,7 @@ class ZyzzyvaKernel(_Kernel):
         # adversary log templates: single-request logs (plus the empty log in
         # view-change messages); multi-entry fabrications are out of bounds
         self.logs = [[op] for op in cfg.requests]
-        self._echoes: dict = {}  # routed client-bound response -> its echo, keyed
+        self._echoes: dict = {}  # routed client-bound response -> its echo, planned
 
     def after_send(self, w, sent, decides):
         """Supportive echo: the adversary matches a correct replica's
@@ -530,7 +522,7 @@ class ZyzzyvaKernel(_Kernel):
         echoed that response, because of two invariants:
         it sends `spec_response` and `local_commit` only as echoes, and a
         response's (kind, view, log) fixes its client, so the group names
-        the echo's destination. Each response's echo is planned once.
+        the echo's destination. Each response's echo is `planned` once.
         """
         if sent.src == self.byz or sent.dst.kind != "c" or decides is None:
             return
@@ -539,9 +531,9 @@ class ZyzzyvaKernel(_Kernel):
         echo = self._echoes.get(sent)
         if echo is None:
             msg = sent.msg
-            echo = self._echoes[sent] = _keyed({
+            echo = self._echoes[sent] = self.planned({
                 "kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
-                "to": str(sent.dst)})
+                "to": str(sent.dst)}, w.store)
         self.act(w, *echo)
 
     def settled(self, st):
@@ -651,12 +643,6 @@ class FabKernel(_Kernel):
     def violated(self, st):
         # on_rep sets stuck_view in the transition that reports the stuck view
         return any(r is not None and r.stuck_view is not None for r in st.nodes)
-
-
-def _keyed(action: dict) -> tuple:
-    """(action, key): the key is the action's JSON with sorted keys, which
-    the kernel's adversary tables are keyed by."""
-    return action, json.dumps(action, sort_keys=True)
 
 
 def _kernel_for(cfg: ExploreConfig) -> _Kernel:

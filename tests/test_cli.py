@@ -295,6 +295,7 @@ def _order_req_script(view):
     (dict(_ZYZZYVA, expected=[{"property": "agreement", "status": "broken"}]),
      "unknown expected status 'broken'"),
     (dict(_PFAB, t=2), "pfab requires 0 <= t <= f, got t=2 f=1"),
+    (dict(_ZYZZYVA, t=1), "zyzzyva requires t=0, got t=1"),
     (dict(_PFAB, f=0, byzantine=[]), "f must be >= 1, got 0"),
     (dict(_ZYZZYVA, script=[{"do": "propose", "node": "r1"}]),
      "scenario: script[0] is an unknown zyzzyva directive 'propose'"),
@@ -352,7 +353,8 @@ def _order_req_script(view):
         "request-to-a-node-of-5000-digits", "client-op-a-lone-surrogate",
         "input-a-lone-surrogate", "adversary-value-a-lone-surrogate",
         "propose-at-1", "adversary-send-to-q1", "without-name", "without-required-fields",
-        "duplicate-client-ids", "unknown-expected-status", "pfab-t-above-f", "f-zero",
+        "duplicate-client-ids", "unknown-expected-status", "pfab-t-above-f", "zyzzyva-t-one",
+        "f-zero",
         "propose-in-zyzzyva", "propose-in-zyzzyva-after-a-failing-deliver",
         "client-request-in-pfab-after-a-failing-view-change", "withhold-action",
         "timeout-at-a-replica", "view-change-at-c1", "view-change-at-r9", "propose-at-r9",
@@ -610,6 +612,7 @@ _PFAB_STUCK = asdict(SEARCHES["pfab-stuck"]["config"]) | {"max_states": 300}  # 
      "pfab exploration takes no inject_stored"),
     ({"protocol": "fab5", "values": ["A"], "menu": ["inject_stored"]},
      "fab5 exploration takes no inject_stored"),
+    ({"protocol": "zyzzyva", "requests": ["a"], "t": 1}, "zyzzyva requires t=0, got t=1"),
     ({"values": ["A", "B"]}, "explore config is missing fields ['protocol']"),
     ({"protocol": "zyzzyva", "requests": ["\ud800"]},
      "invalid string '\\ud800': surrogates not allowed"),
@@ -617,7 +620,7 @@ _PFAB_STUCK = asdict(SEARCHES["pfab-stuck"]["config"]) | {"max_states": 300}  # 
         "duplicate-requests", "value-as-integer", "target", "values-as-string",
         "dedup-as-integer", "max-views-as-string", "top-level-array", "pfab-with-requests",
         "zyzzyva-with-values", "pfab-with-inject-stored", "fab5-with-inject-stored",
-        "without-protocol", "request-a-lone-surrogate"])
+        "zyzzyva-t-one", "without-protocol", "request-a-lone-surrogate"])
 def test_malformed_explore_configs_exit_one(capsys, tmp_path, config, says):
     assert says in _assert_one_error_line(capsys, tmp_path, config, ("explore", "--explore-config"))
 

@@ -66,6 +66,7 @@ def test_quorum_config_raises_its_readers_error():
 
     for args, message in [((ZYZZYVA, 0), "f must be >= 1, got 0"),
                           ((PFAB, 1, 2), "pfab requires 0 <= t <= f, got t=2 f=1"),
+                          ((ZYZZYVA, 1, 1), "zyzzyva requires t=0, got t=1"),
                           (("paxos", 1), "unknown protocol: 'paxos'")]:
         with pytest.raises(ReaderError) as raised:
             quorum_config(*args, error=ReaderError)

@@ -1,4 +1,3 @@
-import json
 import sys
 from functools import partial
 from typing import NamedTuple
@@ -26,7 +25,6 @@ from bftlab.netsim import (
     ArtifactError,
     adversary_sends,
     artifacts,
-    named_artifacts,
     run_scenario,
 )
 from bftlab.scenarios import loads
@@ -201,20 +199,17 @@ def _noop_fab_menu(self, view, slots, started, stored):
 _NOOP_MENUS = {ZyzzyvaKernel: _noop_zyzzyva_menu, FabKernel: _noop_fab_menu}
 
 
-def _noop_act(self, w, action, key):
-    at = (w.store, key)
-    if at not in self._sends:
-        named = named_artifacts(action, w.store)
-        if (key, named) not in self._built:
-            try:
-                sends = self.routed(self.byz, adversary_sends(self.byz, action, named))
-            except ArtifactError:
-                sends = None
-            self._built[key, named] = sends
-        self._sends[at] = self._built[key, named]
-    if self._sends[at] is not None:
+def _noop_planned(self, action, store):
+    try:
+        return action, self.routed(self.byz, adversary_sends(self.byz, action, store))
+    except ArtifactError:
+        return action, None
+
+
+def _noop_act(self, w, action, sends):
+    if sends is not None:
         self.export("adversary", actor=self.byz.index, action=action)
-        self.route(w, self._sends[at])
+        self.route(w, sends)
 
 
 def _late_zyzzyva_menu(self, view, slots, started, stored):
@@ -345,14 +340,13 @@ def _removed_choices_are_rejected(m, saw):
         for action in (a for a in late if a not in offered):
             saw.add(action["kind"])
             if action["kind"] in ("view_change", "rep"):
-                (lead, msg), = adversary_sends(self.byz, action,
-                                               named_artifacts(action, st.store))
+                (lead, msg), = adversary_sends(self.byz, action, st.store)
                 assert lead == leader_of(st.view, self.qc.n)
                 node = st.nodes[lead.index]
                 ns, sends, _ = self.proto.step(node, msg)
                 assert ns is node and sends == ()
             else:
-                child = self.apply(st, ("slot", action, json.dumps(action, sort_keys=True)))
+                child = self.apply(st, ("slot", *self.planned(action, st.store)))
                 slots = tuple(sorted(st.slots + ((action["kind"], st.view),)))
                 assert child == st._replace(slots=slots)
         return slot_menu(self, st)
@@ -433,20 +427,21 @@ REDUCTIONS = {
     "noop-accepted": Reduction(patch=((FabKernel, "slot_choices", _noop_accepted_menu),), off={
         "fab5-1-value-exhaustion": (6847, 991, 9, 437, 2987),
     }),
-    # every choice sends something. The no-op menus and `act`, as they were
-    # before: a `view_change` or `rep` also went to a Byzantine leader, which
-    # stores it at once, and a view-change cited each stored commit
-    # certificate by its view, also one that shares its view with another,
-    # which does not resolve; `act` kept such an action as sending nothing,
-    # not exported. The no-op menus take the slot-menu key's certificates,
-    # which are none under a Byzantine leader: there they once cited every
-    # stored one, and the pins held when that reading went. Listed are the
-    # placements where they add states (a no-op view-change with r2 or r3
-    # Byzantine is a new state: the drop of a sent one, which it equals, is
-    # not offered); elsewhere the menus are equal
+    # every choice sends something. The no-op menus, `planned` and `act`, as
+    # they were before: a `view_change` or `rep` also went to a Byzantine
+    # leader, which stores it at once, and a view-change cited each stored
+    # commit certificate by its view, also one that shares its view with
+    # another, which does not resolve; such an action was kept as sending
+    # nothing, not exported. The no-op menus take the slot-menu key's
+    # certificates, which are none under a Byzantine leader: there they once
+    # cited every stored one, and the pins held when that reading went.
+    # Listed are the placements where they add states (a no-op view-change
+    # with r2 or r3 Byzantine is a new state: the drop of a sent one, which
+    # it equals, is not offered); elsewhere the menus are equal
     # (test_every_adversary_choice_sends_to_a_correct_replica)
     "noop-menus": Reduction(patch=((ZyzzyvaKernel, "slot_choices", _noop_zyzzyva_menu),
                                    (FabKernel, "slot_choices", _noop_fab_menu),
+                                   (_Kernel, "planned", _noop_planned),
                                    (_Kernel, "act", _noop_act)), off={
         "zyzzyva-two-views-r2": (4347, 1777, 13, 273, 2777),
         "zyzzyva-two-views-r3": (4347, 1777, 13, 273, 2777),
@@ -599,6 +594,24 @@ def _observe_certificate_scans(m, saw):
     m.setattr(explorer, "find_artifacts", observed)
 
 
+def _observe_moves(m, saw):
+    """At every adversary move taken: its kind, whether it cites a commit
+    certificate, and whether its planned sends are those of the action
+    resolved against the store of the state that takes it (False if it does
+    not resolve there)."""
+    act = _Kernel.act
+
+    def observed(self, w, action, sends):
+        try:
+            same = sends == self.routed(self.byz, adversary_sends(self.byz, action, w.store))
+        except ArtifactError:
+            same = False
+        saw.add((action["kind"], action.get("cert") is not None, same))
+        act(self, w, action, sends)
+
+    m.setattr(_Kernel, "act", observed)
+
+
 def _observe_prepares(m, saw):
     """On every unsettled state of the final view: whether a prepare is in
     flight."""
@@ -629,16 +642,21 @@ def _observe_heads(m, saw):
 
 
 _ZYZZYVA_SEARCHES = [name for name, s in SEARCHES.items() if s["config"].protocol == "zyzzyva"]
+# a FaB move names no stored artifact: the moves of the largest FaB search,
+# 0.4 s to resolve again, are left unwatched
+_MOVES_WATCHED = [name for name in SEARCHES if name != "fab5-2-value-exhaustion"]
 # each watches the searches its test reads: the menus every committed search
 # and Byzantine placement, the prepares the FaB searches, the heads the
-# Zyzzyva 2-view exhaustion, the certificate scans the Zyzzyva searches
+# Zyzzyva 2-view exhaustion, the certificate scans the Zyzzyva searches, the
+# moves all but the largest FaB search
 OBSERVERS.update(
     menus=(_observe_menus, {s["config"] for s in SEARCHES.values()}
            | {cfg for cfg, _ in _PLACED.values()}),
     prepares=(_observe_prepares, set(FAB_SEARCHES.values())),
     heads=(_observe_heads, {ZYZZYVA_SMALL}),
     certificate_scans=(_observe_certificate_scans,
-                       {SEARCHES[name]["config"] for name in _ZYZZYVA_SEARCHES}))
+                       {SEARCHES[name]["config"] for name in _ZYZZYVA_SEARCHES}),
+    moves=(_observe_moves, {SEARCHES[name]["config"] for name in _MOVES_WATCHED}))
 
 
 @pytest.mark.parametrize("name", FAB_SEARCHES)
@@ -677,6 +695,19 @@ def test_certificates_are_read_only_where_a_view_change_slot_is_open(searched, n
     assert bool(scans) != ("byzantine-leader" in name)
 
 
+@pytest.mark.parametrize("name", _MOVES_WATCHED)
+def test_every_move_sends_what_the_state_taking_it_resolves_it_to(searched, name):
+    # a move is planned once, against the store of the first state that
+    # offers it, and taken by many: each resolves it alike. A view-change
+    # citing a stored certificate is taken where inject_stored meets an open
+    # view-change slot; with r1 Byzantine, r1 leads the final view 2, so none
+    cfg = SEARCHES[name]["config"]
+    moves = searched(cfg).seen["moves"]
+    assert moves and {same for *_, same in moves} == {True}
+    cites = ("view_change", True, True) in moves
+    assert cites == ("inject_stored" in cfg.menu and "byzantine-leader" not in name)
+
+
 _PLACEMENTS = {  # every Byzantine placement, by test id: the search's name
     "zyzzyva-two-views-r0": "zyzzyva-2-view-exhaustion",
     "zyzzyva-two-views-r1": "zyzzyva-2-view-byzantine-leader",
@@ -692,8 +723,10 @@ def test_every_adversary_choice_sends_to_a_correct_replica(searched, name):
     res, kernel, seen, _ = searched(cfg)
     assert not res.stats["budget_exhausted"]
     assert _five(res) == counts
-    assert kernel._sends
-    for sends in kernel._sends.values():
+    planned = [sends for menu in kernel._menus.values() for *_, sends in menu]
+    planned += [sends for _, sends in getattr(kernel, "_echoes", {}).values()]
+    assert planned
+    for sends in planned:
         assert type(sends) is tuple and sends
         assert all(sent.dst != kernel.byz for sent, _ in sends)
     # the no-op menus offer more where a Byzantine leader of a later,
@@ -788,7 +821,7 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
     stats = {"states": 0, "deduped": 0, "max_depth": 0}
     with pytest.raises(_Budget):
         _dfs(kernel, root, {root}, stats, replace(cfg, max_states=1500))
-    assert kernel._transitions and kernel._sends
+    assert kernel._transitions and kernel._menus
     groups = set()
 
     def assert_routed(routed, src, fresh):
@@ -803,8 +836,6 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
         fresh_ns, fresh_sends, _ = hook(node, *args)
         assert ns == fresh_ns
         assert_routed(sends, getattr(node, "cid", None) or node.rid, fresh_sends)
-    for (store, action), sends in kernel._sends.items():
-        assert_routed(sends, kernel.byz, adversary_sends(kernel.byz, json.loads(action), store))
     # the tables hold messages that count toward a decision
     assert groups - {None}
     # each message's artifacts and each tally of a sent message are what a
@@ -815,28 +846,23 @@ def test_cached_results_are_what_a_fresh_call_computes(cfg):
     for (marks, msg), counted in kernel._tallies.items():
         group, _, quorum = kernel.proto.decision_group(msg, kernel.qc)
         assert counted == tally(marks, group, msg.replica, quorum)
-    # an action's sends, built from the artifacts it names, are what a fresh
-    # call computes from them; each store's entry is its named artifacts' one
-    assert kernel._built
-    for (action, named), sends in kernel._built.items():
-        assert_routed(sends, kernel.byz, adversary_sends(kernel.byz, json.loads(action), named))
-    for (store, action), sends in kernel._sends.items():
-        assert sends is kernel._built[action, named_artifacts(json.loads(action), store)]
-    # each slot menu is slot_choices of its key, each action with its JSON;
-    # certificates are read only where a view-change slot is open
-    assert kernel._menus
+    # each slot menu is slot_choices of its key, each action with its sends
+    # resolved against the root's store, which holds every request, and the
+    # key's certificates; those are read only where a view-change slot is open
     for key, menu in kernel._menus.items():
-        assert menu == [("slot", action, json.dumps(action, sort_keys=True))
-                        for action in kernel.slot_choices(*key)]
+        assert [action for _, action, _ in menu] == kernel.slot_choices(*key)
         view, slots, _, stored = key
+        for _, action, sends in menu:
+            fresh = adversary_sends(kernel.byz, action, root.store | stored)
+            assert_routed(sends, kernel.byz, fresh)
         assert not stored or (view >= 2 and leader_of(view, kernel.qc.n) != kernel.byz
                               and ("view_change", view) not in slots)
     assert any(stored for *_, stored in kernel._menus) == (cfg.protocol == "zyzzyva")
-    # each planned echo (Zyzzyva's alone) is its response's action, and its JSON
+    # each planned echo (Zyzzyva's alone) is its response's action and its sends
     echoes = getattr(kernel, "_echoes", {})
     assert bool(echoes) == (cfg.protocol == "zyzzyva")
-    for sent, (action, key) in echoes.items():
+    for sent, (action, sends) in echoes.items():
         msg = sent.msg
         assert action == {"kind": msg.kind, "view": msg.view, "log": log_ops(msg.log),
                           "to": str(sent.dst)}
-        assert key == json.dumps(action, sort_keys=True)
+        assert_routed(sends, kernel.byz, adversary_sends(kernel.byz, action, root.store))

@@ -20,7 +20,6 @@ from bftlab.netsim import (
     adversary_sends,
     artifacts,
     msg_view,
-    named_artifacts,
     run_scenario,
 )
 from bftlab.scenarios import BUILTIN_NAMES, Scenario, ScenarioError, get_builtin, validate
@@ -627,46 +626,7 @@ def test_the_adversary_echoes_each_correct_client_bound_response_once(name):
     assert echoed
 
 
-def _resolves_as_the_whole_store(actor, action, store) -> bool:
-    """Assert that the action resolves against the store artifacts it names
-    as against the whole store: the same sends, or ArtifactError from both.
-    True when it resolved."""
-    named = named_artifacts(action, store)
-    try:
-        sends = adversary_sends(actor, action, store)
-    except ArtifactError:
-        with pytest.raises(ArtifactError):
-            adversary_sends(actor, action, named)
-        return False
-    assert adversary_sends(actor, action, named) == sends
-    return True
-
-
-@pytest.mark.parametrize("name", _WALK_CONFIGS)
-def test_named_artifacts_resolve_every_walk_action_as_the_whole_store(monkeypatch, name):
-    # the kernel builds an action's sends from the artifacts it names, once
-    # per distinct action and named artifacts; every action the adversary
-    # takes along the lockstep walks, slot choice or echo, resolves alike
-    cfg, taken = _WALK_CONFIGS[name], []
-    act = explorer._Kernel.act
-
-    def recorded(kernel, w, action, key):
-        taken.append((w.store, action))
-        act(kernel, w, action, key)
-
-    monkeypatch.setattr(explorer._Kernel, "act", recorded)
-    for seed in range(20):
-        for _ in _explorer_walk(cfg, seed):
-            pass
-    actor = replica(cfg.byzantine[0])
-    resolved = [(store, action) for store, action in taken
-                if _resolves_as_the_whole_store(actor, action, store)]
-    assert resolved
-    if "inject_stored" in cfg.menu:
-        assert any(action.get("cert") for _, action in resolved)
-
-
-def test_named_artifacts_resolve_hand_built_references_as_the_whole_store():
+def test_adversary_sends_need_each_reference_held_exactly_once():
     a, b = (core.make_request(op, core.client(i)) for i, op in ((1, b"a"), (2, b"b")))
     certs = [zyzzyva.CommitCertificate(view, (req,), ()) for view, req in ((1, a), (1, b), (2, b))]
     proofs = [fab.CommitProof(view, value, ()) for view, value in ((1, b"A"), (2, b"B"))]
@@ -695,7 +655,11 @@ def test_named_artifacts_resolve_hand_built_references_as_the_whole_store():
         (store, rep(None), True),
     ]
     for held, action, resolves in cases:
-        assert _resolves_as_the_whole_store(replica(0), action, held) == resolves, action
+        if resolves:
+            assert adversary_sends(replica(0), action, held), action
+        else:
+            with pytest.raises(ArtifactError):
+                adversary_sends(replica(0), action, held)
 
 
 def test_kernel_and_simulator_agree_along_a_found_stuck_run(searched):
